@@ -23,7 +23,7 @@ from math import gcd
 from .abelian import make_group, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
-                      SpanChecker, rank_over_Q, smith_normal_form)
+                      SpanChecker, smith_normal_form)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         build_relations, difference_formula,
                         formula_dimension, pxp_closed_forms)
@@ -254,7 +254,7 @@ def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
 
 
 def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
-                snf_bound=DEFAULT_SNF_BOUND, rank_method="auto"):
+                snf_bound=DEFAULT_SNF_BOUND):
     """Relation system and report for the coset symbol space at (n, m).
 
     Rows: the two-term turn e_s + e_(b,-a;d,-c) and the three-term split
@@ -304,11 +304,10 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel)
-    rank = rank_over_Q(rel, method=rank_method) if cosets else 0
-    torsion = smith_normal_form(rel, bound=snf_bound).torsion
+    snf = smith_normal_form(rel, bound=snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
-    report = DimensionReport(grp, 2, variant, "MANIN", len(cosets) - rank,
-                             torsion, len(cosets), ms)
+    report = DimensionReport(grp, 2, variant, "MANIN", len(cosets) - snf.rank,
+                             snf.torsion, len(cosets), ms)
     return system, report
 
 
@@ -545,7 +544,7 @@ class IsoReport:
 
 
 def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
-              snf_bound=DEFAULT_SNF_BOUND, rank_method="auto"):
+              snf_bound=DEFAULT_SNF_BOUND):
     """Match the minus-variant symbol presentation against the coset one.
 
     For N >= 3 the keys of unit determinant class biject with the cosets
@@ -560,16 +559,20 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     grp = make_group((n, k))
     level = (n, m)
 
-    def quotient(system, rank_val, bound_val):
-        tors = smith_normal_form(system.rel, bound=bound_val).torsion
-        return len(system.basis) - rank_val, tors
+    def quotient(system):
+        snf = smith_normal_form(system.rel, bound=snf_bound)
+        return len(system.basis) - snf.rank, snf.torsion
+
+    def require_span(rel, rows, what):
+        if not SpanChecker(rel).contains_all(rows):
+            raise AssertionError("%s leave the other side's rational span "
+                                 "at level %r" % (what, level))
 
     if n >= 3:
         keys = enumerate_det_class(grp, 1, bound=enum_bound)
         sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
         man_system, man_report = manin_space(
-            n, m, enum_bound=enum_bound, snf_bound=snf_bound,
-            rank_method=rank_method)
+            n, m, enum_bound=enum_bound, snf_bound=snf_bound)
         fwd = {}
         for key in keys:
             (a1, c1), (a2, c2) = key[0].residues, key[1].residues
@@ -589,10 +592,9 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
         back_rows = [{sym_system.index[back[man_system.basis[i]]]: v
                       for i, v in row.items()}
                      for row in man_system.rel.rows]
-        assert SpanChecker(man_system.rel).contains_all(fwd_rows)
-        assert SpanChecker(sym_system.rel).contains_all(back_rows)
-        rank = rank_over_Q(sym_system.rel, method=rank_method)
-        dim_sym, tors_sym = quotient(sym_system, rank, snf_bound)
+        require_span(man_system.rel, fwd_rows, "symbol relations")
+        require_span(sym_system.rel, back_rows, "coset relations")
+        dim_sym, tors_sym = quotient(sym_system)
         report = IsoReport(level, grp.literal(), len(keys),
                            len(man_system.basis), dim_sym, man_report.dim_q,
                            tors_sym, man_report.torsion)
@@ -603,8 +605,7 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     keys = enumerate_generators(grp, 2, bound=enum_bound)
     sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
     man_system, man_report = manin_space(
-        2, m, with_O=True, enum_bound=enum_bound, snf_bound=snf_bound,
-        rank_method=rank_method)
+        2, m, with_O=True, enum_bound=enum_bound, snf_bound=snf_bound)
     back = {s: canonicalize((grp.character((s.a, s.c)),
                              grp.character((s.b, s.d))))
             for s in man_system.basis}
@@ -626,10 +627,9 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
         if out:
             projected.append(out)
     proj_rel = SparseIntMatrix(len(projected), len(keys), projected)
-    assert SpanChecker(sym_system.rel).contains_all(projected)
-    assert SpanChecker(proj_rel).contains_all(sym_system.rel.rows)
-    rank = rank_over_Q(sym_system.rel, method=rank_method)
-    dim_sym, tors_sym = quotient(sym_system, rank, snf_bound)
+    require_span(sym_system.rel, projected, "projected coset relations")
+    require_span(proj_rel, sym_system.rel.rows, "symbol relations")
+    dim_sym, tors_sym = quotient(sym_system)
     report = IsoReport(level, grp.literal(), len(keys),
                        len(man_system.basis), dim_sym, man_report.dim_q,
                        tors_sym, man_report.torsion)

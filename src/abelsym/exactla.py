@@ -1,10 +1,15 @@
 """Exact linear algebra over Z for sparse integer relation matrices.
 
-Rank over Q, Smith normal form, and row-span membership.  Matrices are stored
-row-wise as dicts {column: value} with Python-int entries, so nothing ever
-overflows.  Ranks go through a modular fast path first: the matrix is
-eliminated mod two fixed word-size primes and the answer is accepted only when
-both agree, otherwise the exact integer elimination decides.
+Rank over Q, Smith normal form, and row-span membership, all from one
+elimination engine.  Matrices are stored row-wise as dicts {column: value}
+with Python-int entries, so nothing ever overflows.  The engine eliminates
+unit pivots (+-1 entries) in Markowitz order; each is a Smith divisor.  When
+no unit entry is left it peels the content: the live rows are divided by
+the gcd g of their entries, every later divisor is scaled by g, and unit
+pivots resume.  A residue of content 1 with no unit entry, which the
+relation matrices here rarely leave, gets gcd row and column steps on its
+least entries until one is a unit.  Span membership reduces against the
+recorded unit pivot rows and a fraction-free echelon of that residue.
 """
 
 from __future__ import annotations
@@ -12,18 +17,8 @@ from __future__ import annotations
 import heapq
 from math import gcd
 
-import numpy as np
-
-# Fixed primes above 2**30 for the modular fast path.  Fixed rather than
-# sampled so that repeated runs are byte-identical.
-MOD_PRIMES = (2147483647, 2147483629)
-
 # Resource guards.  Callers may override per invocation.
 DEFAULT_SNF_BOUND = 5000
-
-# Above this many cells the dense mod-p kernel is not used and elimination
-# stays sparse.  40e6 int64 cells is ~320 MB transient.
-DENSE_CELL_LIMIT = 40_000_000
 
 
 class BoundExceeded(RuntimeError):
@@ -73,10 +68,6 @@ class SparseIntMatrix:
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
-    def density(self):
-        cells = self.nrows * self.ncols
-        return self.nnz() / cells if cells else 0.0
-
     def with_rows(self, extra):
         """New matrix with extra rows appended."""
         extra = list(extra)
@@ -120,340 +111,201 @@ class SnfResult:
         return "SnfResult(divisors=%r, rank=%d)" % (self.divisors, self.rank)
 
 
-class _ModEchelon:
-    """Row echelon of a sparse integer matrix over F_p.
+def _unit_eliminate(rows, pivots=None):
+    """Markowitz unit-pivot elimination with content peeling.
 
-    Three-stage structure tuned for relation matrices whose rows mostly have
-    two or three entries:
+    Each pass pivots on +-1 entries, cheapest (row length - 1) * (column
+    count - 1) first.  A pivot clears its column from every other row by
+    row operations; the column operations that clear the rest of the pivot
+    row touch no other row, so the row is simply retired, contributing one
+    divisor.  When given, `pivots` receives each retired (column, row) in
+    pivot order.  Once no unit entry is left, the live rows are divided by
+    the gcd g of their entries and the next pass runs at a scale g times
+    larger, since SNF(gA) = g SNF(A).
 
-      1. rows with one entry kill their column outright;
-      2. rows with two entries identify one column with a multiple of
-         another (kept in a path-compressed substitution map);
-      3. whatever is left is eliminated densely via numpy when it fits,
-         otherwise by sparse insertion.
-
-    The object is retained so membership queries can be reduced against the
-    same echelon.
+    Returns (divisors, scale, residue): one divisor per pivot, the final
+    scale, and the live rows, which have content 1 and no unit entry.
     """
-
-    # rows below this size never trigger the dense diversion
-    _FILL_TRIGGER_MIN = 16
-    _FILL_LIMIT = 0.3
-
-    def __init__(self, rows, ncols, p, dense_cell_limit=DENSE_CELL_LIMIT):
-        self.p = p
-        self.ncols = ncols
-        self.rank = 0
-        self._sub = {}          # col -> (root col | None, multiplier)
-        self._pivots = {}       # col -> sparse pivot row
-        self._pivot_order = []
-        self._colload = {}      # col -> occurrences among pivot rows
-        self._dense = None      # (echelon ndarray, pivcols, col_index)
-        self._build(rows, dense_cell_limit)
-
-    # -- substitution map ---------------------------------------------------
-
-    def _resolve(self, c):
-        sub = self._sub
-        if c not in sub:
-            return c, 1
-        chain = []
-        cur = c
-        while cur in sub:
-            nxt, m = sub[cur]
-            if nxt is None:
-                for cc, _ in chain:
-                    sub[cc] = (None, 0)
-                return None, 0
-            chain.append((cur, m))
-            cur = nxt
-        acc = 1
-        for cc, m in reversed(chain):
-            acc = m * acc % self.p
-            sub[cc] = (cur, acc)
-        return cur, sub[c][1]
-
-    def _fold(self, row):
-        """Apply the substitution map to a {col: value} row, mod p."""
-        p = self.p
-        out = {}
-        for c, v in row.items():
-            r, m = self._resolve(c)
-            if r is None:
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    cols = {}
+    for i, row in rows.items():
+        for c in row:
+            cols.setdefault(c, set()).add(i)
+    divisors = []
+    scale = 1
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while True:
+        heap = [((len(row) - 1) * (len(cols[c]) - 1), i, c)
+                for i, row in rows.items()
+                for c, v in row.items() if v in (1, -1)]
+        heapq.heapify(heap)
+        while heap:
+            cost, pi, pc = heappop(heap)
+            row = rows.get(pi)
+            if row is None or row.get(pc) not in (1, -1):
                 continue
-            val = (out.get(r, 0) + v * m) % p
-            if val:
-                out[r] = val
-            elif r in out:
-                del out[r]
-        return out
-
-    # -- construction -------------------------------------------------------
-
-    def _take_light(self, row):
-        """Consume a folded row with <= 2 entries; returns False if heavier."""
-        p = self.p
-        if not row:
-            return True
-        if len(row) == 1:
-            (c, _), = row.items()
-            self._sub[c] = (None, 0)
-            self.rank += 1
-            return True
-        if len(row) == 2:
-            (c1, v1), (c2, v2) = sorted(row.items())
-            # substitute the larger column index through the smaller one
-            self._sub[c2] = (c1, -v1 * pow(v2, -1, p) % p)
-            self.rank += 1
-            return True
-        return False
-
-    def _build(self, rows, dense_cell_limit):
-        p = self.p
-        heavy = []
-        for row in rows:
-            folded = self._fold({c: v % p for c, v in row.items() if v % p})
-            if not self._take_light(folded):
-                heavy.append(folded)
-        # substitutions discovered later can lighten earlier heavy rows
-        while True:
-            remaining = []
-            progress = False
-            for row in heavy:
-                folded = self._fold(row)
-                if self._take_light(folded):
-                    progress = True
-                else:
-                    remaining.append(folded)
-            heavy = remaining
-            if not progress or not heavy:
-                break
-        queue = heavy
-        for idx, row in enumerate(queue):
-            fat = self._insert_sparse(row)
-            if fat is None:
+            true_cost = (len(row) - 1) * (len(cols[pc]) - 1)
+            if true_cost > cost and heap and heap[0][0] < true_cost:
+                heappush(heap, (true_cost, pi, pc))
                 continue
-            # fill-in crossed the threshold: reduce the remaining rows
-            # against the pivots found so far and finish densely
-            tail = [fat]
-            for later in queue[idx + 1:]:
-                rr = self._reduce_against_pivots(self._fold(later))
-                if rr:
-                    tail.append(rr)
-            active = sorted({c for rw in tail for c in rw})
-            if len(tail) * len(active) <= dense_cell_limit:
-                self._dense_tail(tail, active)
-            else:
-                # dense will not fit in memory; grind on sparsely
-                for rw in tail:
-                    self._insert_sparse(rw, fill_limit=1.0)
-            return
-
-    def _reduce_against_pivots(self, row):
-        """Eliminate every pivot column from a folded row, refolding as
-        pivot rows can carry columns substituted after their insertion."""
-        p = self.p
-        pivots = self._pivots
-        while row:
-            hit = min((c for c in row if c in pivots), default=None)
-            if hit is None:
-                return row
-            f = row.pop(hit)
-            for c, v in pivots[hit].items():
-                if c == hit:
+            pv = row[pc]
+            rest = [(c, v) for c, v in row.items() if c != pc]
+            for j in cols.pop(pc):
+                if j == pi:
                     continue
-                val = (row.get(c, 0) - f * v) % p
-                if val:
-                    row[c] = val
-                elif c in row:
-                    del row[c]
-            row = self._fold(row)
-        return row
-
-    def _insert_sparse(self, row, fill_limit=_FILL_LIMIT):
-        """Insert one row; returns the reduced row instead when it exceeds
-        fill_limit * (live columns), signalling the dense diversion."""
-        row = self._reduce_against_pivots(self._fold(row))
-        if not row:
-            return None
-        alive = max(1, self.ncols - len(self._sub) - len(self._pivot_order))
-        if len(row) > self._FILL_TRIGGER_MIN and len(row) > fill_limit * alive:
-            return row
-        if self._take_light(row):
-            return None
-        # Markowitz-lite: pivot on the column least used by existing pivots
-        load = self._colload
-        pc = min(row, key=lambda c: (load.get(c, 0), c))
-        inv = pow(row[pc], -1, self.p)
-        prow = {c: v * inv % self.p for c, v in row.items()}
-        self._pivots[pc] = prow
-        self._pivot_order.append(pc)
-        for c in prow:
-            load[c] = load.get(c, 0) + 1
-        self.rank += 1
-        return None
-
-    def _dense_tail(self, tail, active):
-        p = self.p
-        col_index = {c: k for k, c in enumerate(active)}
-        mat = np.zeros((len(tail), len(active)), dtype=np.int64)
-        for i, row in enumerate(tail):
-            for c, v in row.items():
-                mat[i, col_index[c]] = v
-        r = 0
-        pivcols = []
-        m, n = mat.shape
-        for j in range(n):
-            if r == m:
-                break
-            col = mat[r:, j]
-            nz = np.flatnonzero(col)
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                mat[[r, i]] = mat[[i, r]]
-            inv = pow(int(mat[r, j]), -1, p)
-            mat[r] = mat[r] * inv % p
-            below = mat[r + 1:]
-            f = below[:, j]
-            mask = f != 0
-            if mask.any():
-                below[mask] = (below[mask] - f[mask, None] * mat[r][None, :]) % p
-            pivcols.append(j)
-            r += 1
-        self.rank += r
-        self._dense = (mat[:r], pivcols, col_index)
-
-    # -- queries ------------------------------------------------------------
-
-    def reduces_to_zero(self, row):
-        """True when the integer row lies in the span of the matrix mod p."""
-        p = self.p
-        row = self._fold({c: v % p for c, v in row.items() if v % p})
-        row = self._reduce_against_pivots(row)
-        if not row:
-            return True
-        if self._dense is None:
-            return False
-        mat, pivcols, col_index = self._dense
-        vec = np.zeros(len(col_index), dtype=np.int64)
-        for c, v in row.items():
-            if c not in col_index:
-                return False
-            vec[col_index[c]] = v
-        for k, j in enumerate(pivcols):
-            f = int(vec[j])
-            if f:
-                vec = (vec - f * mat[k]) % p
-        return not vec.any()
-
-
-def _rank_mod(matrix, p):
-    return _ModEchelon(matrix.rows, matrix.ncols, p).rank
-
-
-def _gcd_normalize(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        for c in list(row):
-            row[c] //= g
-    return row
-
-
-def _rank_exact(matrix):
-    """Exact rank by integer cross-multiplication elimination.
-
-    Fraction-free: rows are combined as pv*row - f*pivot and re-divided by
-    their gcd, so entries stay integers throughout.  Pivots are chosen by
-    Markowitz cost to limit fill-in.  Quadratic bookkeeping; meant for the
-    modest matrices where the modular fast path disagreed, and for tests.
-    """
-    rows = [dict(r) for r in matrix.rows if r]
-    rank = 0
-    while rows:
-        colcnt = {}
-        for row in rows:
-            for c in row:
-                colcnt[c] = colcnt.get(c, 0) + 1
-        best = None
-        for i, row in enumerate(rows):
-            rlen = len(row) - 1
-            for c in row:
-                key = (rlen * (colcnt[c] - 1), c, i)
-                if best is None or key < best:
-                    best = key
-        _, pc, pi = best
-        prow = rows.pop(pi)
-        pv = prow[pc]
-        rank += 1
-        nxt = []
-        for row in rows:
-            f = row.pop(pc, 0)
-            if f:
-                out = {}
-                for c in set(row) | set(prow):
-                    if c == pc:
-                        continue
-                    val = pv * row.get(c, 0) - f * prow.get(c, 0)
+                other = rows[j]
+                f = other.pop(pc) * pv  # pv is its own inverse
+                for c, v in rest:
+                    val = other.get(c, 0) - f * v
                     if val:
-                        out[c] = val
-                row = _gcd_normalize(out)
-            if row:
-                nxt.append(row)
-        rows = nxt
-    return rank
+                        if c not in other:
+                            cols[c].add(j)
+                        other[c] = val
+                        if val == 1 or val == -1:
+                            heappush(heap, ((len(other) - 1)
+                                            * (len(cols[c]) - 1), j, c))
+                    elif c in other:
+                        del other[c]
+                        cols[c].discard(j)
+                if not other:
+                    del rows[j]
+            for c, _ in rest:
+                s = cols[c]
+                s.discard(pi)
+                if not s:
+                    del cols[c]
+            del rows[pi]
+            divisors.append(scale)
+            if pivots is not None:
+                pivots.append((pc, row))
+        g = 0
+        for row in rows.values():
+            g = gcd(g, *row.values())
+            if g == 1:
+                break
+        if g <= 1:
+            break
+        scale *= g
+        for row in rows.values():
+            for c in row:
+                row[c] //= g
+    return divisors, scale, list(rows.values())
 
 
-def rank_over_Q(matrix, method="auto"):
-    """Rank of the matrix over the rationals.
+def _subtract_multiple(row, f, other):
+    """row -= f * other, in place, dropping zeros."""
+    for c, v in other.items():
+        val = row.get(c, 0) - f * v
+        if val:
+            row[c] = val
+        elif c in row:
+            del row[c]
 
-    method 'auto' tries the two-prime modular path and accepts agreement;
-    'modular' does the same but raises on disagreement; 'exact' skips the
-    fast path entirely.
+
+def _make_unit(rows):
+    """Unimodular row and column operations, in place, on a residue of
+    content 1 with no unit entry, until some entry is +-1.
+
+    Each round pivots on an entry of least magnitude and reduces its column,
+    then its row, by it, leaving remainders smaller than the pivot.  If none
+    is left, the pivot divides its row and column but, the content being 1,
+    not every other entry: an offending row is added to the pivot row and
+    the row reduced again, which leaves one.  So the least magnitude drops
+    every round.
     """
-    if method not in ("auto", "modular", "exact"):
-        raise ValueError("unknown rank method %r" % (method,))
-    if method != "exact":
-        r1 = _rank_mod(matrix, MOD_PRIMES[0])
-        r2 = _rank_mod(matrix, MOD_PRIMES[1])
-        if r1 == r2:
-            return r1
-        if method == "modular":
-            raise ArithmeticError("modular ranks disagree: %d vs %d" % (r1, r2))
-    return _rank_exact(matrix)
+    while True:
+        size, i, pc = min((abs(v), i, c) for i, row in enumerate(rows)
+                          for c, v in row.items())
+        if size == 1:
+            return
+        prow = rows[i]
+        piv = prow[pc]
+        while True:
+            for row in rows:
+                if row is not prow and pc in row:
+                    _subtract_multiple(row, row[pc] // piv, prow)
+            for c in [c for c in prow if c != pc]:
+                q = prow[c] // piv          # column c -= q * column pc
+                for row in rows:
+                    if pc in row:
+                        _subtract_multiple(row, 1, {c: q * row[pc]})
+            if len(prow) > 1 or any(pc in row for row in rows
+                                    if row is not prow):
+                break
+            _subtract_multiple(prow, -1, next(
+                row for row in rows if any(v % piv for v in row.values())))
+
+
+def _nonzero_divisors(matrix):
+    """Nonzero Smith divisors, in chain order, of the whole matrix."""
+    divisors, scale, residue = _unit_eliminate(matrix.rows)
+    while residue:
+        _make_unit(residue)
+        more, peel, residue = _unit_eliminate(residue)
+        divisors.extend(scale * d for d in more)
+        scale *= peel
+    return divisors
+
+
+def rank_over_Q(matrix):
+    """Rank of the matrix over the rationals: its count of nonzero Smith
+    divisors, exact and with no size bound."""
+    return len(_nonzero_divisors(matrix))
 
 
 class SpanChecker:
-    """Repeated row-span membership queries against one fixed matrix.
+    """Repeated row-span membership queries (over Q) against one matrix.
 
-    Membership is accepted when the row reduces to zero against the echelon
-    mod both fixed primes; a split verdict is settled by exact ranks.
+    The matrix is factored once into pivot rows, each zero at the pivot
+    columns of the rows before it: the unit pivot rows of the elimination
+    engine, then a fraction-free echelon of its residue.  A query is
+    reduced against them in pivot order, exactly over Z, and lies in the
+    span iff nothing is left.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
-        self._echelons = [
-            _ModEchelon(matrix.rows, matrix.ncols, p) for p in MOD_PRIMES]
-        self._exact_rank = None
+        self._pivots = []       # (pivot col, row), in pivot order
+        _, _, residue = _unit_eliminate(matrix.rows, self._pivots)
+        self._order = {c: k for k, (c, _) in enumerate(self._pivots)}
+        for row in residue:
+            row = self._reduce(row)
+            if row:
+                pc = min(row, key=lambda c: (abs(row[c]), c))
+                self._order[pc] = len(self._pivots)
+                self._pivots.append((pc, row))
+
+    def _reduce(self, row):
+        """Eliminate every pivot column from the row, in place; the result
+        is a nonzero multiple of the reduced row, or empty."""
+        order = self._order
+        todo = [order[c] for c in row if c in order]
+        heapq.heapify(todo)
+        while todo:
+            pc, prow = self._pivots[heapq.heappop(todo)]
+            f = row.get(pc)
+            if not f:
+                continue
+            pv = prow[pc]
+            if pv in (1, -1):
+                f *= pv
+            else:
+                for c in row:
+                    row[c] *= pv
+            for c in prow:
+                if c not in row and c in order:
+                    heapq.heappush(todo, order[c])
+            _subtract_multiple(row, f, prow)
+            if pv not in (1, -1) and row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for c in row:
+                        row[c] //= g
+        return row
 
     def contains(self, row):
         row = _integerize(_as_row_dict(row, self.matrix.ncols))
-        if all(e.reduces_to_zero(row) for e in self._echelons):
-            return True
-        # at least one prime rejects; settle exactly, since a rejection can
-        # also come from an unlucky prime
-        return self._contains_exact(row)
-
-    def _contains_exact(self, row):
-        if self._exact_rank is None:
-            self._exact_rank = _rank_exact(self.matrix)
-        appended = self.matrix.with_rows([row])
-        return _rank_exact(appended) == self._exact_rank
+        return not self._reduce(row)
 
     def contains_all(self, rows):
         return all(self.contains(r) for r in rows)
@@ -487,7 +339,7 @@ def _integerize(row):
 
 
 def row_span_membership(matrix, row):
-    """True iff appending the row leaves the rank unchanged."""
+    """True iff appending the row leaves the rank over Q unchanged."""
     return SpanChecker(matrix).contains(row)
 
 
@@ -497,177 +349,19 @@ def row_span_membership(matrix, row):
 def smith_normal_form(matrix, bound=DEFAULT_SNF_BOUND):
     """Divisor chain d_1 | d_2 | ... of the matrix over Z.
 
-    Unit pivots (+-1 entries) are eliminated first with Markowitz ordering,
-    each contributing divisor 1 while shrinking the live submatrix; the
-    residue, which no longer has unit entries, is finished by the classical
-    dense algorithm.  `bound` caps max(nrows, ncols).
+    Unit pivots and content peeling (see _unit_eliminate) settle all but a
+    residue of content 1 without unit entries, usually empty; gcd steps on
+    that residue make a unit entry and unit pivots resume.  `bound` caps
+    max(nrows, ncols).
     """
     if max(matrix.nrows, matrix.ncols) > bound:
         raise BoundExceeded(
             "smith_normal_form bound exceeded: %dx%d > %d" %
             (matrix.nrows, matrix.ncols, bound))
-    rows = {i: dict(r) for i, r in enumerate(matrix.rows) if r}
-    cols = {}
-    for i, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(i)
-    ones = 0
-    heap = []
-    for i, row in rows.items():
-        for c, v in row.items():
-            if v in (1, -1):
-                heap.append((0, i, c))
-    heapq.heapify(heap)
-
-    def push(i, c, row):
-        cost = (len(row) - 1) * (len(cols[c]) - 1)
-        heapq.heappush(heap, (cost, i, c))
-
-    while heap:
-        cost, pi, pc = heapq.heappop(heap)
-        row = rows.get(pi)
-        if row is None or pc not in row or row[pc] not in (1, -1):
-            continue
-        true_cost = (len(row) - 1) * (len(cols[pc]) - 1)
-        if true_cost > cost and heap and heap[0][0] < true_cost:
-            heapq.heappush(heap, (true_cost, pi, pc))
-            continue
-        pv = row[pc]
-        # clear the pivot column from every other row
-        for j in list(cols[pc]):
-            if j == pi:
-                continue
-            other = rows[j]
-            f = other[pc] * pv  # pv is its own inverse
-            for c, v in row.items():
-                val = other.get(c, 0) - f * v
-                if val:
-                    if c not in other:
-                        cols.setdefault(c, set()).add(j)
-                    other[c] = val
-                    if val in (1, -1):
-                        push(j, c, other)
-                else:
-                    if c in other:
-                        del other[c]
-                        cols[c].discard(j)
-            if not other:
-                del rows[j]
-        # retire the pivot row and column; column ops clear the rest of the
-        # row without touching any other row
-        for c in row:
-            s = cols.get(c)
-            if s is not None:
-                s.discard(pi)
-                if not s:
-                    del cols[c]
-        del rows[pi]
-        ones += 1
-    divisors = [1] * ones
-    if rows:
-        live_cols = sorted({c for row in rows.values() for c in row})
-        col_index = {c: k for k, c in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in rows]
-        for k, (_, row) in enumerate(sorted(rows.items())):
-            for c, v in row.items():
-                dense[k][col_index[c]] = v
-        divisors.extend(_dense_snf_divisors(dense))
-    rank = sum(1 for d in divisors if d)
+    divisors = _nonzero_divisors(matrix)
+    rank = len(divisors)
     width = min(matrix.nrows, matrix.ncols)
-    divisors = divisors[:width] + [0] * (width - len(divisors))
-    return SnfResult(divisors, rank)
-
-
-def _dense_snf_divisors(mat):
-    """Classical Smith normal form on a dense list-of-lists matrix."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    out = []
-    t = 0
-    while True:
-        # locate a nonzero entry of least magnitude in the live block
-        best = None
-        for i in range(t, m):
-            row = mat[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best[0]):
-                    best = (abs(v), i, j)
-                    if abs(v) == 1:
-                        break
-            if best and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        mat[t], mat[bi] = mat[bi], mat[t]
-        if bj != t:
-            for row in mat:
-                row[t], row[bj] = row[bj], row[t]
-        # chase the pivot until it divides everything it meets
-        while True:
-            piv = mat[t][t]
-            done = True
-            for i in range(t + 1, m):
-                v = mat[i][t]
-                if v:
-                    q = v // piv
-                    if v - q * piv:
-                        done = False
-                    row, prow = mat[i], mat[t]
-                    for j in range(t, n):
-                        row[j] -= q * prow[j]
-            for j in range(t + 1, n):
-                v = mat[t][j]
-                if v:
-                    q = v // piv
-                    if v - q * piv:
-                        done = False
-                    for row in mat:
-                        row[j] -= q * row[t]
-            if not done:
-                # remainders were left behind; pick the new smallest and repeat
-                best = None
-                for i in range(t, m):
-                    row = mat[i]
-                    for j in range(t, n):
-                        v = row[j]
-                        if v and (best is None or abs(v) < best[0]):
-                            best = (abs(v), i, j)
-                if best[1] != t or best[2] != t:
-                    _, bi, bj = best
-                    mat[t], mat[bi] = mat[bi], mat[t]
-                    if bj != t:
-                        for row in mat:
-                            row[t], row[bj] = row[bj], row[t]
-                continue
-            col_clear = all(mat[i][t] == 0 for i in range(t + 1, m))
-            row_clear = all(mat[t][j] == 0 for j in range(t + 1, n))
-            if col_clear and row_clear:
-                break
-        # pivot must also divide the remaining block for a valid chain
-        piv = mat[t][t]
-        offender = None
-        if abs(piv) != 1:
-            for i in range(t + 1, m):
-                row = mat[i]
-                for j in range(t + 1, n):
-                    if row[j] % piv:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-        if offender is not None:
-            prow = mat[offender]
-            trow = mat[t]
-            for j in range(t, n):
-                trow[j] += prow[j]
-            continue
-        out.append(abs(piv))
-        t += 1
-        if t == m or t == n:
-            break
-    return out
+    return SnfResult(divisors + [0] * (width - rank), rank)
 
 
 def dense_snf_with_transforms(a):

@@ -176,17 +176,24 @@ class DimensionReport:
         return "DimensionReport(%s)" % bits
 
 
+def _rank_and_torsion(rel, want_torsion, snf_bound):
+    """Rank over Q and torsion divisors, from one Smith form if torsion is
+    wanted."""
+    if not want_torsion:
+        return rank_over_Q(rel), ()
+    snf = smith_normal_form(rel, bound=snf_bound)
+    return snf.rank, snf.torsion
+
+
 def dimension(group, n, variant, want_torsion=False,
-              enum_bound=DEFAULT_ENUM_BOUND, snf_bound=DEFAULT_SNF_BOUND,
-              rank_method="auto"):
+              enum_bound=DEFAULT_ENUM_BOUND, snf_bound=DEFAULT_SNF_BOUND):
     """Brute-force dimension (and optionally torsion) of the presentation."""
     t0 = time.perf_counter()
     system = build_relations(group, n, variant, bound=enum_bound)
     gens = len(system.basis)
-    rank = rank_over_Q(system.rel, method=rank_method) if gens else 0
-    torsion = ()
-    if want_torsion and gens:
-        torsion = smith_normal_form(system.rel, bound=snf_bound).torsion
+    rank, torsion = 0, ()
+    if gens:
+        rank, torsion = _rank_and_torsion(system.rel, want_torsion, snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, n, Variant.parse(variant), "BRUTE",
                            gens - rank, torsion, gens, ms)
@@ -194,7 +201,7 @@ def dimension(group, n, variant, want_torsion=False,
 
 def dimension_graded(group, variant, want_torsion=False,
                      enum_bound=DEFAULT_ENUM_BOUND,
-                     snf_bound=DEFAULT_SNF_BOUND, rank_method="auto"):
+                     snf_bound=DEFAULT_SNF_BOUND):
     """Dimension via the determinant grading (n = 2, Z/N x Z/MN, N >= 3).
 
     All determinant classes are isomorphic, so only the class of 1 is
@@ -206,12 +213,12 @@ def dimension_graded(group, variant, want_torsion=False,
     classes = det_classes(group)
     keys = enumerate_det_class(group, classes[0], bound=enum_bound)
     system = build_relations(group, 2, variant, keys=keys)
-    rank = rank_over_Q(system.rel, method=rank_method) if keys else 0
-    dim = (len(keys) - rank) * len(classes)
-    torsion = ()
-    if want_torsion and keys:
-        per_class = smith_normal_form(system.rel, bound=snf_bound).torsion
+    rank, torsion = 0, ()
+    if keys:
+        rank, per_class = _rank_and_torsion(system.rel, want_torsion,
+                                            snf_bound)
         torsion = tuple(sorted(per_class * len(classes)))
+    dim = (len(keys) - rank) * len(classes)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, 2, variant, "BRUTE", dim, torsion,
                            len(keys) * len(classes), ms)
@@ -238,26 +245,22 @@ def kernel_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     return out
 
 
-def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND,
-                     rank_method="auto"):
+def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     """dim over Q of the kernel of plain -> minus, as a dimension drop."""
-    plain = dimension(group, n, Variant.PLAIN, enum_bound=enum_bound,
-                      rank_method=rank_method)
-    minus = dimension(group, n, Variant.MINUS, enum_bound=enum_bound,
-                      rank_method=rank_method)
+    plain = dimension(group, n, Variant.PLAIN, enum_bound=enum_bound)
+    minus = dimension(group, n, Variant.MINUS, enum_bound=enum_bound)
     return plain.dim_q - minus.dim_q
 
 
-def kernel_span_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND,
-                          rank_method="auto"):
+def kernel_span_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     """Rank added by the kernel generators over the plain relation span."""
     system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     if not system.basis:
         return 0
-    base = rank_over_Q(system.rel, method=rank_method)
+    base = rank_over_Q(system.rel)
     krows = [system.vector(f) for f in kernel_generators(group, n,
                                                          bound=enum_bound)]
-    total = rank_over_Q(system.rel.with_rows(krows), method=rank_method)
+    total = rank_over_Q(system.rel.with_rows(krows))
     return total - base
 
 

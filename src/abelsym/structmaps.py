@@ -352,8 +352,7 @@ def _check(name, group, n, lhs, rhs, counterexample=None):
     return entry
 
 
-def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND,
-                      rank_method="auto"):
+def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     """Three checks that the split maps identify the projection kernel.
 
     (1) the kernel dimension equals the direct-sum dimension count over the
@@ -366,15 +365,13 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND,
     checks = []
     subs = proper_cyclic_subgroups(group)
 
-    lhs = kernel_dimension(group, n, enum_bound=enum_bound,
-                           rank_method=rank_method)
+    lhs = kernel_dimension(group, n, enum_bound=enum_bound)
     rhs = 0
     for sub in subs:
         q = quotient_data(group, sub)
         dplus = dimension(make_group((sub.order,)), 1, Variant.PLUS).dim_q
         dminus = dimension(q.quotient, n - 1, Variant.MINUS,
-                           enum_bound=enum_bound,
-                           rank_method=rank_method).dim_q
+                           enum_bound=enum_bound).dim_q
         rhs += dplus * dminus
     checks.append(_check("kernel-dimension", group, n, lhs, rhs))
 

@@ -1,8 +1,14 @@
 """Coset symbols, Manin relation spaces, cusp counting, level bookkeeping."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abelsym
 from abelsym.abelian import make_group
 from abelsym.congruence import (CosetSymbol, IntMatrix2, closed_form,
                                 coset_index, coset_of, cusp_count,
@@ -159,6 +165,24 @@ def test_iso_check():
     assert rep23.dim_symbols == rep23.dim_cosets == 0
     assert rep23.torsion_symbols == rep23.torsion_cosets == (2,) * 5
     assert rep23.cosets == 2 * rep23.keys  # double cover at N = 2
+
+
+def test_iso_check_span_failure_raises_under_optimize():
+    # the span checks must not be assert statements, which -O strips
+    code = textwrap.dedent("""
+        from abelsym import congruence
+        congruence.SpanChecker.contains_all = lambda self, rows: False
+        try:
+            congruence.iso_check(7, 2)
+        except AssertionError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(abelsym.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0
 
 
 def test_genus_domain():

@@ -1,6 +1,7 @@
 """Exact linear algebra: ranks, span membership, Smith normal form."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
                              dense_snf_with_transforms, rank_over_Q,
                              row_span_membership, smith_normal_form)
+from rankref import reference_det, reference_rank
 
 
 def mat(rows):
@@ -24,13 +26,9 @@ def test_rank_simple():
     assert rank_over_Q(SparseIntMatrix(0, 3, [])) == 0
 
 
-def test_rank_methods_agree():
-    m = mat([[2, 4, 6], [3, 5, 7], [5, 9, 13]])  # row3 = row1 + row2
-    assert rank_over_Q(m, method="auto") == 2
-    assert rank_over_Q(m, method="modular") == 2
-    assert rank_over_Q(m, method="exact") == 2
-    with pytest.raises(ValueError):
-        rank_over_Q(m, method="bogus")
+def test_rank_matches_reference():
+    rows = [[2, 4, 6], [3, 5, 7], [5, 9, 13]]  # row3 = row1 + row2
+    assert rank_over_Q(mat(rows)) == reference_rank(rows) == 2
 
 
 def test_span_membership():
@@ -108,9 +106,95 @@ def test_rank_unchanged_by_row_shuffle(rows):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3),
                 min_size=1, max_size=4))
-def test_snf_rank_matches_rational_rank(rows):
+def test_snf_rank_matches_reference_rank(rows):
     m = mat(rows)
-    assert smith_normal_form(m).rank == rank_over_Q(m, method="exact")
+    assert smith_normal_form(m).rank == rank_over_Q(m) == reference_rank(rows)
+
+
+def _matrix_rows(draw, nrows, ncols, unit_free):
+    """Entries in [-9, 9]; unit_free ones avoid +-1, so elimination leaves
+    a residue."""
+    entry = st.integers(-9, 9)
+    if unit_free:
+        entry = entry.filter(lambda v: v not in (1, -1))
+    return draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+
+
+@st.composite
+def _snf_cases(draw):
+    """Small integer matrices, scaled by a content c, some with no unit."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = _matrix_rows(draw, nrows, ncols, draw(st.booleans()))
+    c = draw(st.sampled_from([1, 2, 3, 6]))
+    return [[c * v for v in row] for row in rows]
+
+
+def _dense_divisors(rows):
+    d, _, _ = dense_snf_with_transforms([row[:] for row in rows])
+    width = min(len(rows), len(rows[0]))
+    return tuple(d[k][k] for k in range(width))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_snf_cases())
+def test_snf_matches_dense_reference(rows):
+    # content c > 1 exercises peeling; rows without +-1 entries and content
+    # 1 exercise the gcd steps that make a unit entry
+    assert smith_normal_form(mat(rows)).divisors == _dense_divisors(rows)
+
+
+def test_snf_residue_without_unit_entries():
+    rows = [[6, 10], [15, 4], [2, 8]]  # content 1, no +-1 entry
+    assert smith_normal_form(mat(rows)).divisors == _dense_divisors(rows)
+    assert smith_normal_form(mat([[2, 0], [0, 3]])).divisors == (1, 6)
+    assert smith_normal_form(mat([[4, 6], [6, 4]])).divisors == (2, 10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_snf_of_larger_dense_matrices(data):
+    # too large for the dense reference, whose entries blow up from 5x5 on;
+    # the divisors still multiply to |det| and the first is the content
+    n = data.draw(st.integers(5, 8))
+    rows = _matrix_rows(data.draw, n, n, unit_free=True)
+    res = smith_normal_form(mat(rows))
+    det = abs(reference_det(rows))
+    if det:
+        assert res.rank == len(rows)
+        product = 1
+        for d in res.divisors:
+            product *= d
+        assert product == det
+    else:
+        assert res.rank == reference_rank(rows) < len(rows)
+    content = 0
+    for row in rows:
+        content = gcd(content, *row)
+    assert res.divisors[0] == content
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_membership_matches_reference_rank(data):
+    nrows, ncols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    rows = _matrix_rows(data.draw, nrows, ncols, unit_free=True)
+    query = data.draw(st.lists(st.integers(-9, 9), min_size=ncols,
+                               max_size=ncols))
+    member = reference_rank(rows + [query]) == reference_rank(rows)
+    assert SpanChecker(mat(rows)).contains(query) == member
+    # a combination of the rows is always a member
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=nrows,
+                                max_size=nrows))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
+             for j in range(ncols)]
+    assert SpanChecker(mat(rows)).contains(combo)
+
+
+def test_span_membership_is_over_Q():
+    assert SpanChecker(mat([[2]])).contains([1])
+    assert SpanChecker(mat([[2, 0], [0, 3]])).contains([1, 1])
+    assert not SpanChecker(mat([[2, 4], [4, 8]])).contains([1, 3])
 
 
 def test_matrix_validation():

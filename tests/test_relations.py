@@ -12,6 +12,7 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                kernel_generators, kernel_span_dimension,
                                pxp_closed_forms)
 from abelsym.symbols import canonicalize, det_class, enumerate_det_class
+from rankref import reference_rank
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -185,8 +186,11 @@ def test_enum_bound_propagates():
 
 @settings(max_examples=12, deadline=None)
 @given(st.integers(2, 11))
-def test_rank_methods_agree_on_dimensions(n):
+def test_plain_dimensions_match_reference_rank(n):
+    # without torsion the rank comes from rank_over_Q, with it from the
+    # Smith form; both must match an independent elimination
     g = make_group((n,))
-    exact = dimension(g, 2, Variant.PLAIN, rank_method="exact")
-    modular = dimension(g, 2, Variant.PLAIN, rank_method="modular")
-    assert exact.dim_q == modular.dim_q
+    system = build_relations(g, 2, Variant.PLAIN)
+    want = len(system.basis) - reference_rank(system.rel.rows)
+    assert dimension(g, 2, Variant.PLAIN).dim_q == want
+    assert dimension(g, 2, Variant.PLAIN, want_torsion=True).dim_q == want
