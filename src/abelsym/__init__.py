@@ -40,7 +40,6 @@ from .relations import (
     Variant,
     DimensionReport,
     build_relations,
-    relation_matrix,
     dimension,
     dimension_graded,
     formula_dimension,
@@ -55,7 +54,6 @@ from .congruence import (
     IntMatrix2,
     IsoReport,
     LevelInvariants,
-    closed_form,
     coset_index,
     coset_of,
     cusp_count,
@@ -94,12 +92,12 @@ __all__ = [
     "smith_normal_form", "row_span_membership", "BoundExceeded",
     "SymbolKey", "FormalSum", "DetClass", "canonicalize",
     "enumerate_generators", "det_class", "enumerate_det_class",
-    "Variant", "DimensionReport", "build_relations", "relation_matrix",
-    "dimension", "dimension_graded", "formula_dimension", "formula_minus",
+    "Variant", "DimensionReport", "build_relations", "dimension",
+    "dimension_graded", "formula_dimension", "formula_minus",
     "difference_formula", "pxp_closed_forms", "kernel_dimension",
     "kernel_generators",
     "CosetSymbol", "IntMatrix2", "IsoReport", "LevelInvariants",
-    "closed_form", "coset_index", "coset_of", "cusp_count", "cusp_formula",
+    "coset_index", "coset_of", "cusp_count", "cusp_formula",
     "cusp_orbit_count", "enumerate_cosets", "eps_fixed", "gamma_member",
     "genus", "iso_check", "level2_consistency", "level_invariants",
     "lift_coset", "manin_space",

@@ -312,10 +312,6 @@ class QuotientData:
                 sum(element[j] * v[j][i] for j in range(r)) % self._divs[i])
         return tuple(coords) if coords else (0,)
 
-    def project_char_index(self, element):
-        """project() wrapped as a quotient-group Character."""
-        return self.quotient.character(self.project(element))
-
     def dual_embed(self, qchar):
         """Quotient character -> ambient character vanishing on the subgroup."""
         if qchar.group is not self.quotient:

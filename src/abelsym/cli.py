@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -26,7 +25,7 @@ from .exactla import (BoundExceeded, DEFAULT_SNF_BOUND, SpanChecker,
                       rank_over_Q)
 from .relations import (Variant, build_relations, dimension,
                         dimension_graded, formula_dimension)
-from .structmaps import (VerificationReport, delta_sum,
+from .structmaps import (VerificationReport, check_record, delta_sum,
                          verify_comultiplication, verify_kernel_iso)
 from .symbols import DEFAULT_ENUM_BOUND, det_classes, enumerate_det_class
 
@@ -45,19 +44,15 @@ class RunConfig:
     """Validated run parameters shared by every subcommand."""
 
     __slots__ = ("command", "group", "n", "variant", "method", "fmt",
-                 "jobs", "cache", "enum_bound", "snf_bound", "timings",
-                 "torsion", "level", "check", "family", "start", "stop",
-                 "primes")
+                 "cache", "enum_bound", "snf_bound", "timings", "torsion",
+                 "level", "check", "family", "start", "stop", "primes")
 
     def __init__(self, args):
         self.command = args.command
         self.fmt = args.fmt
-        self.jobs = args.jobs
         self.enum_bound = args.enum_bound
         self.snf_bound = args.snf_bound
         self.timings = args.timings
-        if self.jobs < 1:
-            raise UsageError("--jobs must be a positive integer")
         if self.enum_bound < 1 or self.snf_bound < 1:
             raise UsageError("bounds must be positive integers")
         self.cache = ReportCache(args.cache_dir, enabled=not args.no_cache)
@@ -128,8 +123,9 @@ def _emit_error(fmt, message):
 
 # -- dims ---------------------------------------------------------------------
 
-def _brute_report(config, group, variant, graded=False):
-    cached = config.cache.load(group, config.n, variant, "BRUTE",
+def _brute_report(config, group, n, variant, graded=False):
+    """Cached brute-force report, computed and stored on a miss."""
+    cached = config.cache.load(group, n, variant, "BRUTE",
                                want_torsion=config.torsion)
     if cached is not None:
         return cached
@@ -139,7 +135,7 @@ def _brute_report(config, group, variant, graded=False):
                                   enum_bound=config.enum_bound,
                                   snf_bound=config.snf_bound)
     else:
-        report = dimension(group, config.n, variant,
+        report = dimension(group, n, variant,
                            want_torsion=config.torsion,
                            enum_bound=config.enum_bound,
                            snf_bound=config.snf_bound)
@@ -160,7 +156,7 @@ def cmd_dims(config):
             except ValueError as exc:
                 raise UsageError(str(exc)) from None
         else:
-            reports.append(_brute_report(config, config.group,
+            reports.append(_brute_report(config, config.group, config.n,
                                          config.variant))
     if not config.timings:
         for rep in reports:
@@ -226,33 +222,14 @@ def _table_groups(config):
 
 
 def _table_row(config, group, graded):
-    dims = []
-    for variant in (Variant.PLAIN, Variant.MINUS):
-        cached = config.cache.load(group, 2, variant, "BRUTE")
-        if cached is None:
-            if graded:
-                rep = dimension_graded(group, variant,
-                                       enum_bound=config.enum_bound,
-                                       snf_bound=config.snf_bound)
-            else:
-                rep = dimension(group, 2, variant,
-                                enum_bound=config.enum_bound,
-                                snf_bound=config.snf_bound)
-            config.cache.store(rep)
-        else:
-            rep = cached
-        dims.append(rep.dim_q)
-    return group.literal(), dims[0], dims[1]
+    plain, minus = (_brute_report(config, group, 2, variant, graded).dim_q
+                    for variant in (Variant.PLAIN, Variant.MINUS))
+    return group.literal(), plain, minus
 
 
 def cmd_table(config):
-    tasks = _table_groups(config)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(
-                lambda task: _table_row(config, *task), tasks))
-    else:
-        rows = [_table_row(config, group, graded) for group, graded in tasks]
+    rows = [_table_row(config, group, graded)
+            for group, graded in _table_groups(config)]
 
     if config.fmt == "json":
         body = {"family": config.family,
@@ -273,15 +250,6 @@ def cmd_table(config):
 
 # -- verify -------------------------------------------------------------------
 
-def _assertion(name, group, n, lhs, rhs, counterexample=None):
-    entry = {"check": name, "group": group.literal(), "n": n,
-             "status": "pass" if lhs == rhs else "fail",
-             "lhs": lhs, "rhs": rhs}
-    if counterexample is not None and entry["status"] == "fail":
-        entry["counterexample"] = counterexample
-    return entry
-
-
 def _verify_delta(config):
     system = build_relations(config.group, config.n, Variant.PLAIN,
                              bound=config.enum_bound)
@@ -294,8 +262,8 @@ def _verify_delta(config):
             passed += 1
         elif bad is None:
             bad = repr(key)
-    checks = [_assertion("delta-span", config.group, config.n, passed,
-                         len(system.basis), bad)]
+    checks = [check_record("delta-span", config.group, config.n, passed,
+                           len(system.basis), bad)]
     return VerificationReport(config.group, config.n, checks)
 
 
@@ -309,17 +277,12 @@ def _verify_grading(config):
     keys = enumerate_det_class(group, classes[0], bound=config.enum_bound)
     system = build_relations(group, 2, Variant.MINUS, keys=keys)
     class_dim = len(keys) - (rank_over_Q(system.rel) if keys else 0)
-    full = config.cache.load(group, 2, Variant.MINUS, "BRUTE")
-    if full is None:
-        full = dimension(group, 2, Variant.MINUS,
-                         enum_bound=config.enum_bound,
-                         snf_bound=config.snf_bound)
-        config.cache.store(full)
+    full = _brute_report(config, group, 2, Variant.MINUS)
     checks = [
-        _assertion("grading-class-count", group, 2, len(classes),
-                   totient(form[0]) // 2),
-        _assertion("grading-identity", group, 2, full.dim_q,
-                   class_dim * len(classes)),
+        check_record("grading-class-count", group, 2, len(classes),
+                     totient(form[0]) // 2),
+        check_record("grading-identity", group, 2, full.dim_q,
+                     class_dim * len(classes)),
     ]
     return VerificationReport(group, 2, checks)
 
@@ -329,37 +292,35 @@ def _verify_manin(config):
     group = make_group((n, n * m))
     checks = []
     cosets = enumerate_cosets(n, m, bound=config.enum_bound)
-    checks.append(_assertion("coset-count", group, 2, len(cosets),
-                             coset_index(n, m)))
+    checks.append(check_record("coset-count", group, 2, len(cosets),
+                               coset_index(n, m)))
     good = sum(1 for s in cosets if coset_of(lift_coset(s), n, m) == s)
-    checks.append(_assertion("lift-round-trip", group, 2, good,
-                             len(cosets)))
+    checks.append(check_record("lift-round-trip", group, 2, good,
+                               len(cosets)))
     if n >= 3:
         _, rep = manin_space(n, m, enum_bound=config.enum_bound,
                              snf_bound=config.snf_bound)
         expected = 2 * genus(n, m) + cusp_formula(n, m) - 1
-        checks.append(_assertion("manin-dimension", group, 2, rep.dim_q,
-                                 expected))
-        checks.append(_assertion("manin-torsion", group, 2,
-                                 list(rep.torsion), []))
+        checks.append(check_record("manin-dimension", group, 2, rep.dim_q,
+                                   expected))
+        checks.append(check_record("manin-torsion", group, 2,
+                                   list(rep.torsion), []))
     elif m > 2:
         try:
             data = level2_consistency(m, enum_bound=config.enum_bound,
                                       snf_bound=config.snf_bound)
         except AssertionError as exc:
-            checks.append({"check": "level2-consistency",
-                           "group": group.literal(), "n": 2,
-                           "status": "fail", "lhs": "error", "rhs": "pass",
-                           "counterexample": str(exc)})
+            checks.append(check_record("level2-consistency", group, 2,
+                                       "error", "pass", str(exc)))
         else:
             euler = 1 + Fraction(coset_index(n, m) // 2, 12) \
                 - Fraction(data["cusps"], 2)
-            checks.append(_assertion("genus-euler", group, 2,
-                                     Fraction(data["genus"]), euler))
-            checks.append(_assertion(
+            checks.append(check_record("genus-euler", group, 2,
+                                       Fraction(data["genus"]), euler))
+            checks.append(check_record(
                 "minus-dimension", group, 2, data["dim_minus"],
                 data["genus"] + (data["cusps"] - data["fixed_cusps"]) // 2))
-            checks.append(_assertion(
+            checks.append(check_record(
                 "fixed-cusps", group, 2, data["fixed_cusps"],
                 2 * totient(m) + totient(2 * m)))
     return VerificationReport(group, 2, checks)
@@ -372,11 +333,10 @@ def _verify_cusps(config):
     try:
         formula = cusp_formula(n, m)
     except (AssertionError, ValueError) as exc:
-        checks = [{"check": "cusp-count", "group": group.literal(), "n": 2,
-                   "status": "fail", "lhs": "error", "rhs": orbits,
-                   "counterexample": str(exc)}]
+        checks = [check_record("cusp-count", group, 2, "error", orbits,
+                               str(exc))]
     else:
-        checks = [_assertion("cusp-count", group, 2, formula, orbits)]
+        checks = [check_record("cusp-count", group, 2, formula, orbits)]
     return VerificationReport(group, 2, checks)
 
 
@@ -387,10 +347,10 @@ def _verify_formulas(config):
                       snf_bound=config.snf_bound)
     formula = formula_dimension(group, 2, Variant.MINUS, want_torsion=True)
     checks = [
-        _assertion("minus-dimension", group, 2, brute.dim_q,
-                   formula.dim_q),
-        _assertion("minus-torsion", group, 2, list(brute.torsion),
-                   list(formula.torsion)),
+        check_record("minus-dimension", group, 2, brute.dim_q,
+                     formula.dim_q),
+        check_record("minus-torsion", group, 2, list(brute.torsion),
+                     list(formula.torsion)),
     ]
     return VerificationReport(group, 2, checks)
 
@@ -401,10 +361,10 @@ def _verify_iso(config):
                        snf_bound=config.snf_bound)
     group = make_group((n, n * m))
     checks = [
-        _assertion("iso-dimension", group, 2, report.dim_symbols,
-                   report.dim_cosets),
-        _assertion("iso-torsion", group, 2, list(report.torsion_symbols),
-                   list(report.torsion_cosets)),
+        check_record("iso-dimension", group, 2, report.dim_symbols,
+                     report.dim_cosets),
+        check_record("iso-torsion", group, 2, list(report.torsion_symbols),
+                     list(report.torsion_cosets)),
     ]
     return VerificationReport(group, 2, checks)
 
@@ -431,7 +391,7 @@ def cmd_verify(config):
     report = handler()
 
     if config.fmt == "json":
-        _print([json.dumps(report.to_json(), sort_keys=True)])
+        _print([json.dumps(report.to_json(), sort_keys=True, default=str)])
     elif config.fmt == "csv":
         lines = ["check,group,n,status,lhs,rhs,counterexample"]
         for c in report.checks:
@@ -470,8 +430,6 @@ def build_parser():
     common.add_argument("--format", dest="fmt", default="text",
                         choices=("text", "json", "csv"),
                         help="output serialization (default text)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for independent rows")
     common.add_argument("--cache-dir", default=None,
                         help="cache directory (default $ABELSYM_CACHE_DIR "
                              "or ~/.cache/abelsym)")

@@ -25,8 +25,7 @@ from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
                       SpanChecker, smith_normal_form)
 from .relations import (DimensionReport, RelationSystem, Variant,
-                        build_relations, difference_formula,
-                        formula_dimension, pxp_closed_forms)
+                        build_relations, formula_dimension, relation_rows)
 from .symbols import (DEFAULT_ENUM_BOUND, canonicalize, enumerate_det_class,
                       enumerate_generators)
 
@@ -35,8 +34,7 @@ __all__ = [
     "gamma_member", "coset_of", "lift_coset", "enumerate_cosets",
     "coset_index", "manin_space", "cusp_formula", "cusp_orbit_count",
     "cusp_count", "genus", "eps_fixed", "level_invariants",
-    "level2_consistency", "closed_form", "difference_formula",
-    "pxp_closed_forms", "iso_check",
+    "level2_consistency", "iso_check",
 ]
 
 
@@ -271,35 +269,20 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     level = (n, m)
     cosets = enumerate_cosets(n, m, bound=enum_bound)
     index = {s: i for i, s in enumerate(cosets)}
-    rows = []
-    seen = set()
 
-    def emit(parts):
-        row = {}
-        for s, coeff in parts:
-            i = index[s]
-            val = row.get(i, 0) + coeff
-            if val:
-                row[i] = val
-            elif i in row:
-                del row[i]
-        if not row:
-            return
-        sig = tuple(sorted(row.items()))
-        if sig not in seen:
-            seen.add(sig)
-            rows.append(row)
+    def templates():
+        for s in cosets:
+            a, b, c, d = s.quad()
+            turned = _symbol(level, b, -a, d, -c)
+            rotated = _symbol(level, a + b, -a, c + d, -c)
+            assert turned != s and rotated != s
+            yield [(s, 1), (turned, 1)]
+            yield [(s, 1), (_symbol(level, a - b, b, c - d, d), -1),
+                   (_symbol(level, a, b - a, c, d - c), -1)]
+            if with_O:
+                yield [(s, 1), (_symbol(level, b, a, d, c), -1)]
 
-    for s in cosets:
-        a, b, c, d = s.quad()
-        turned = _symbol(level, b, -a, d, -c)
-        rotated = _symbol(level, a + b, -a, c + d, -c)
-        assert turned != s and rotated != s
-        emit([(s, 1), (turned, 1)])
-        emit([(s, 1), (_symbol(level, a - b, b, c - d, d), -1),
-              (_symbol(level, a, b - a, c, d - c), -1)])
-        if with_O:
-            emit([(s, 1), (_symbol(level, b, a, d, c), -1)])
+    rows = relation_rows(index, templates())
     rel = SparseIntMatrix(len(rows), len(cosets), rows)
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
@@ -320,10 +303,28 @@ def cusp_formula(n, m):
     val = Fraction(m * n * n, 2)
     for p in prime_factors(k):
         val *= Fraction(p * p - 1, p * p)
-    assert val.denominator == 1, (
-        "closed-form cusp count is not an integer at level (%d, %d): %s"
-        % (n, m, val))
+    if val.denominator != 1:
+        raise AssertionError(
+            "closed-form cusp count is not an integer at level (%d, %d): %s"
+            % (n, m, val))
     return int(val)
+
+
+def _orbit_roots(size, links):
+    """Root of each of range(size) after a union-find over the links."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in links:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    return [find(i) for i in range(size)]
 
 
 def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -335,25 +336,14 @@ def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
     cosets = enumerate_cosets(n, m, bound=bound)
     level = (n, m)
     index = {s: i for i, s in enumerate(cosets)}
-    parent = list(range(len(cosets)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def links():
+        for i, s in enumerate(cosets):
+            a, b, c, d = s.quad()
+            yield i, index[_symbol(level, a, a + b, c, c + d)]
+            yield i, index[_symbol(level, -a, -b, -c, -d)]
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for s in cosets:
-        a, b, c, d = s.quad()
-        i = index[s]
-        union(i, index[_symbol(level, a, a + b, c, c + d)])
-        union(i, index[_symbol(level, -a, -b, -c, -d)])
-    return len({find(i) for i in range(len(cosets))})
+    return len(set(_orbit_roots(len(cosets), links())))
 
 
 def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -365,9 +355,10 @@ def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
     """
     formula = cusp_formula(n, m)
     orbits = cusp_orbit_count(n, m, bound=bound)
-    assert formula == orbits, (
-        "cusp routes disagree at level (%d, %d): formula %d, orbits %d"
-        % (n, m, formula, orbits))
+    if formula != orbits:
+        raise AssertionError(
+            "cusp routes disagree at level (%d, %d): formula %d, orbits %d"
+            % (n, m, formula, orbits))
     return formula
 
 
@@ -398,29 +389,15 @@ def eps_fixed(m):
     pairs = [(a, c) for a in range(k) for c in range(k)
              if gcd(gcd(a, c), k) == 1]
     index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def links():
+        for i, (a, c) in enumerate(pairs):
+            yield i, index[((-a) % k, (-c) % k)]
+            yield i, index[((a + 2 * c) % k, c)]
 
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for (a, c) in pairs:
-        i = index[(a, c)]
-        union(i, index[((-a) % k, (-c) % k)])
-        union(i, index[((a + 2 * c) % k, c)])
-    fixed = 0
-    for i, (a, c) in enumerate(pairs):
-        if find(i) != i:
-            continue
-        if find(index[((-a) % k, c)]) == i:
-            fixed += 1
+    roots = _orbit_roots(len(pairs), links())
+    fixed = sum(1 for i, (a, c) in enumerate(pairs)
+                if roots[i] == i and roots[index[((-a) % k, c)]] == i)
     formula = 2 * totient(m) + totient(k)
     assert fixed == formula, (
         "fixed-cusp routes disagree at M = %d: enumerated %d, formula %d"
@@ -471,11 +448,6 @@ def level_invariants(n, m):
     return LevelInvariants(n, m, idx, cusps, g, eps)
 
 
-def closed_form(group):
-    """Closed-form dimension report of the minus module at n = 2."""
-    return formula_dimension(group, 2, Variant.MINUS, want_torsion=True)
-
-
 def level2_consistency(m, enum_bound=DEFAULT_ENUM_BOUND,
                        snf_bound=DEFAULT_SNF_BOUND):
     """Genus bookkeeping at level (2, m), m > 2, from brute dimensions.
@@ -502,7 +474,8 @@ def level2_consistency(m, enum_bound=DEFAULT_ENUM_BOUND,
     assert (cusps - eps) % 2 == 0
     assert rep_minus.dim_q == g + (cusps - eps) // 2
     assert rep_minus.torsion == (2,) * (eps - 1)
-    form = closed_form(make_group((2, 2 * m)))
+    form = formula_dimension(make_group((2, 2 * m)), 2, Variant.MINUS,
+                             want_torsion=True)
     assert (form.dim_q, form.torsion) == (rep_minus.dim_q, rep_minus.torsion)
     return {"m": m, "genus": g, "cusps": cusps, "fixed_cusps": eps,
             "dim": rep_plain.dim_q, "dim_minus": rep_minus.dim_q}

@@ -28,8 +28,8 @@ class BoundExceeded(RuntimeError):
 class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 
-    Treated as immutable after construction (the elimination routines copy
-    what they touch), which keeps concurrent read-only use safe.
+    Treated as immutable after construction: the elimination routines copy
+    what they touch.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -54,17 +54,6 @@ class SparseIntMatrix:
         self.ncols = ncols
         self.rows = clean
 
-    @classmethod
-    def from_entries(cls, nrows, ncols, entries):
-        """Build from a {(row, col): value} mapping."""
-        rows = [dict() for _ in range(nrows)]
-        for (i, j), v in entries.items():
-            if not 0 <= i < nrows:
-                raise ValueError("row index %r out of range" % (i,))
-            if v:
-                rows[i][j] = rows[i].get(j, 0) + int(v)
-        return cls(nrows, ncols, rows)
-
     def nnz(self):
         return sum(len(r) for r in self.rows)
 
@@ -73,20 +62,6 @@ class SparseIntMatrix:
         extra = list(extra)
         return SparseIntMatrix(self.nrows + len(extra), self.ncols,
                                self.rows + extra)
-
-    def to_dense(self):
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for c, v in row.items():
-                out[i][c] = v
-        return out
-
-    def transpose(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for c, v in row.items():
-                cols[c][i] = v
-        return SparseIntMatrix(self.ncols, self.nrows, cols)
 
     def __repr__(self):
         return "SparseIntMatrix(%dx%d, nnz=%d)" % (

@@ -72,6 +72,56 @@ class RelationSystem:
             len(self.basis), self.rel.nrows)
 
 
+def relation_rows(index, relations):
+    """Sparse rows of the given relations over an indexed basis.
+
+    Each relation is a list of (key, coeff) terms.  Terms on one key are
+    summed; zero rows and repeated rows are dropped, keeping the first
+    occurrence, so the row order follows the relation order.
+    """
+    rows = []
+    seen = set()
+    for parts in relations:
+        row = {}
+        for key, coeff in parts:
+            i = index[key]
+            val = row.get(i, 0) + coeff
+            if val:
+                row[i] = val
+            elif i in row:
+                del row[i]
+        if not row:
+            continue
+        sig = tuple(sorted(row.items()))
+        if sig not in seen:
+            seen.add(sig)
+            rows.append(row)
+    return rows
+
+
+def _templates(keys, n, variant):
+    """The variant's relation templates, instantiated at every key."""
+    if variant in (Variant.PLAIN, Variant.MINUS):
+        for key in keys:
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    bi, bj = key[i], key[j]
+                    left = canonicalize(key.replace(i, bi - bj))
+                    right = canonicalize(key.replace(j, bj - bi))
+                    yield [(key, 1), (left, -1), (right, -1)]
+    if variant is Variant.MINUS:
+        for key in keys:
+            for i in range(n):
+                flipped = canonicalize(key.replace(i, -key[i]))
+                yield [(key, 1), (flipped, 1)]
+    if variant is Variant.PLUS:
+        for key in keys:
+            mirror = canonicalize((-key[0],))
+            yield [(key, 1), (mirror, -1)]
+
+
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     """Relation system for (group, n, variant).
 
@@ -85,51 +135,9 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     if keys is None:
         keys = enumerate_generators(group, n, bound=bound)
     index = {key: i for i, key in enumerate(keys)}
-    rows = []
-    seen = set()
-
-    def emit(parts):
-        row = {}
-        for key, coeff in parts:
-            i = index[key]
-            val = row.get(i, 0) + coeff
-            if val:
-                row[i] = val
-            elif i in row:
-                del row[i]
-        if not row:
-            return
-        sig = tuple(sorted(row.items()))
-        if sig not in seen:
-            seen.add(sig)
-            rows.append(row)
-
-    if variant in (Variant.PLAIN, Variant.MINUS):
-        for key in keys:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    bi, bj = key[i], key[j]
-                    left = canonicalize(key.replace(i, bi - bj))
-                    right = canonicalize(key.replace(j, bj - bi))
-                    emit([(key, 1), (left, -1), (right, -1)])
-    if variant is Variant.MINUS:
-        for key in keys:
-            for i in range(n):
-                flipped = canonicalize(key.replace(i, -key[i]))
-                emit([(key, 1), (flipped, 1)])
-    if variant is Variant.PLUS:
-        for key in keys:
-            mirror = canonicalize((-key[0],))
-            emit([(key, 1), (mirror, -1)])
+    rows = relation_rows(index, _templates(keys, n, variant))
     rel = SparseIntMatrix(len(rows), len(keys), rows)
     return RelationSystem(group, n, variant, list(keys), rel)
-
-
-def relation_matrix(group, n, variant, bound=DEFAULT_ENUM_BOUND):
-    """Just the sparse relation matrix of build_relations."""
-    return build_relations(group, n, variant, bound=bound).rel
 
 
 class DimensionReport:

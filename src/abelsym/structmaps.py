@@ -25,9 +25,9 @@ from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, canonicalize,
                       enumerate_generators)
 
 __all__ = [
-    "TensorSum", "VerificationReport", "comultiply", "delta_sum",
-    "minus_reduce", "multiply", "nu", "omega_generators", "plus_reduce",
-    "psi", "verify_comultiplication", "verify_kernel_iso",
+    "TensorSum", "VerificationReport", "check_record", "comultiply",
+    "delta_sum", "minus_reduce", "multiply", "nu", "omega_generators",
+    "plus_reduce", "psi", "verify_comultiplication", "verify_kernel_iso",
 ]
 
 
@@ -343,7 +343,8 @@ class VerificationReport:
             self.group.literal(), self.n, "ok" if self.ok else "FAIL")
 
 
-def _check(name, group, n, lhs, rhs, counterexample=None):
+def check_record(name, group, n, lhs, rhs, counterexample=None):
+    """One VerificationReport check; it passes iff lhs == rhs."""
     entry = {"check": name, "group": group.literal(), "n": n,
              "status": "pass" if lhs == rhs else "fail",
              "lhs": lhs, "rhs": rhs}
@@ -373,7 +374,7 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
         dminus = dimension(q.quotient, n - 1, Variant.MINUS,
                            enum_bound=enum_bound).dim_q
         rhs += dplus * dminus
-    checks.append(_check("kernel-dimension", group, n, lhs, rhs))
+    checks.append(check_record("kernel-dimension", group, n, lhs, rhs))
 
     gens = omega_generators(group, n)
     passed = 0
@@ -394,7 +395,8 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             passed += 1
         elif bad is None:
             bad = "sub=%s a=%d right=%r" % (sub.generator, a, rkey)
-    checks.append(_check("nu-psi-identity", group, n, passed, len(gens), bad))
+    checks.append(check_record("nu-psi-identity", group, n, passed,
+                               len(gens), bad))
 
     system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     checker = SpanChecker(system.rel)
@@ -412,8 +414,8 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             passed += 1
         elif bad is None:
             bad = repr(gamma)
-    checks.append(_check("psi-nu-projection", group, n, passed, len(kgens),
-                         bad))
+    checks.append(check_record("psi-nu-projection", group, n, passed,
+                               len(kgens), bad))
     return VerificationReport(group, n, checks)
 
 
@@ -525,9 +527,9 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                     back_bad = "sub=%s nprime=%d row=%r" % (
                         sub.generator, k, triples)
     checks = [
-        _check("comultiplication-relations", group, n, fwd_pass, fwd_total,
-               fwd_bad),
-        _check("multiplication-relations", group, n, back_pass, back_total,
-               back_bad),
+        check_record("comultiplication-relations", group, n, fwd_pass,
+                     fwd_total, fwd_bad),
+        check_record("multiplication-relations", group, n, back_pass,
+                     back_total, back_bad),
     ]
     return VerificationReport(group, n, checks)

@@ -8,6 +8,7 @@ import pytest
 from abelsym import __version__
 from abelsym.abelian import make_group
 from abelsym.cache import ReportCache
+from abelsym import cli
 from abelsym.cli import format_torsion, main
 from abelsym.relations import DimensionReport, Variant, dimension
 
@@ -120,14 +121,6 @@ def test_table_bicyclic_json(capsys, tmp_path):
                     "2x8": (6, 1), "3x3": (7, 3)}
 
 
-def test_table_parallel_matches_serial(capsys, tmp_path):
-    argv = ("table", "--family", "cyclic", "--start", "2", "--stop", "8")
-    _, serial, _ = run(capsys, *argv, "--cache-dir", str(tmp_path / "a"))
-    _, parallel, _ = run(capsys, *argv, "--jobs", "3",
-                         "--cache-dir", str(tmp_path / "b"))
-    assert serial == parallel
-
-
 def test_verify_kernel(capsys):
     code, out, _ = run(capsys, "verify", "--check", "kernel", "--group",
                        "9", "--no-cache")
@@ -160,6 +153,36 @@ def test_verify_manin_levels(capsys):
     assert out.splitlines()[-1] == "ok: 5/5 checks passed"
 
 
+def test_verify_manin_level2_json(capsys):
+    # the genus-euler check compares Fractions, which JSON cannot encode
+    code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
+                       "2,4", "--format", "json", "--no-cache")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ok"] is True
+    assert [c["check"] for c in obj["checks"]] == [
+        "coset-count", "lift-round-trip", "genus-euler", "minus-dimension",
+        "fixed-cusps"]
+
+
+def test_verify_manin_level2_error_record(capsys, monkeypatch):
+    def broken(m, **kwargs):
+        raise AssertionError("x")
+
+    monkeypatch.setattr(cli, "level2_consistency", broken)
+    code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
+                       "2,3", "--format", "json", "--no-cache")
+    assert code == 1
+    record = json.loads(out)["checks"][-1]
+    assert record == {"check": "level2-consistency", "group": "2x6", "n": 2,
+                      "status": "fail", "lhs": "error", "rhs": "pass",
+                      "counterexample": "x"}
+    code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
+                       "2,3", "--format", "csv", "--no-cache")
+    assert out.splitlines()[-1] == (
+        'level2-consistency,2x6,2,fail,"error","pass","x"')
+
+
 def test_verify_grading(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--check", "grading", "--group",
                        "4x8", "--cache-dir", str(tmp_path))
@@ -183,6 +206,17 @@ def test_verify_cusps_honest_failure(capsys):
                        "2,5", "--no-cache")
     assert code == 1
     assert "not an integer" in out
+
+
+def test_verify_cusps_error_record(capsys):
+    code, out, _ = run(capsys, "verify", "--check", "cusps", "--level",
+                       "2,5", "--format", "json", "--no-cache")
+    assert code == 1
+    assert out == (
+        '{"checks": [{"check": "cusp-count", "counterexample": '
+        '"closed-form cusp count is not an integer at level (2, 5): 36/5", '
+        '"group": "2x10", "lhs": "error", "n": 2, "rhs": 12, '
+        '"status": "fail"}], "group": "2x10", "n": 2, "ok": false}\n')
 
 
 def test_verify_formulas(capsys):
@@ -244,9 +278,6 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "dims", "--group", "9", "--n", "0",
                        "--no-cache")
     assert code == 2
-    code, _, err = run(capsys, "dims", "--group", "9", "--jobs", "0",
-                       "--no-cache")
-    assert code == 2
 
 
 def test_bound_exit_code(capsys):
@@ -262,6 +293,9 @@ def test_argparse_rejections():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["dims", "--group", "9", "--variant", "spam"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--family", "pxp", "--jobs", "2"])  # no such option
     assert exc.value.code == 2
 
 

@@ -10,12 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import abelsym
 from abelsym.abelian import make_group
-from abelsym.congruence import (CosetSymbol, IntMatrix2, closed_form,
-                                coset_index, coset_of, cusp_count,
-                                cusp_formula, cusp_orbit_count,
-                                enumerate_cosets, eps_fixed, gamma_member,
-                                genus, iso_check, level2_consistency,
-                                level_invariants, lift_coset, manin_space)
+from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
+                                coset_of, cusp_count, cusp_formula,
+                                cusp_orbit_count, enumerate_cosets,
+                                eps_fixed, gamma_member, genus, iso_check,
+                                level2_consistency, level_invariants,
+                                lift_coset, manin_space)
+from abelsym.relations import Variant, formula_dimension
 
 # index of the level subgroup, frozen against the enumeration
 COSET_COUNTS = {
@@ -151,7 +152,8 @@ def test_swap_quotient_disagrees_with_closed_form_at_2x4():
     # form does not see
     _, rep = manin_space(2, 2, with_O=True)
     assert (rep.dim_q, rep.torsion) == (0, (2, 2, 2))
-    form = closed_form(make_group((2, 4)))
+    form = formula_dimension(make_group((2, 4)), 2, Variant.MINUS,
+                             want_torsion=True)
     assert (form.dim_q, form.torsion) == (0, ())
     assert rep.torsion != form.torsion
 
@@ -167,9 +169,18 @@ def test_iso_check():
     assert rep23.cosets == 2 * rep23.keys  # double cover at N = 2
 
 
+def run_optimized(code):
+    """Exit code of `code` run by a fresh `python -O` on this abelsym."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(abelsym.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(code)],
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return proc.returncode
+
+
 def test_iso_check_span_failure_raises_under_optimize():
     # the span checks must not be assert statements, which -O strips
-    code = textwrap.dedent("""
+    assert run_optimized("""
         from abelsym import congruence
         congruence.SpanChecker.contains_all = lambda self, rows: False
         try:
@@ -177,12 +188,21 @@ def test_iso_check_span_failure_raises_under_optimize():
         except AssertionError:
             raise SystemExit(0)
         raise SystemExit(1)
-    """)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(abelsym.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert proc.returncode == 0
+    """) == 0
+
+
+def test_cusp_route_checks_raise_under_optimize():
+    # orbits give 8 cusps at (3, 2) and the formula 6; at (2, 5) the
+    # formula is 36/5, which must not be truncated to 7
+    assert run_optimized("""
+        from abelsym.congruence import cusp_count, cusp_formula
+        for route, level in ((cusp_count, (3, 2)), (cusp_formula, (2, 5))):
+            try:
+                route(*level)
+            except AssertionError:
+                continue
+            raise SystemExit(1)
+    """) == 0
 
 
 def test_genus_domain():

@@ -202,7 +202,6 @@ def test_matrix_validation():
         SparseIntMatrix(1, 2, [{5: 1}])
     with pytest.raises(ValueError):
         SparseIntMatrix(2, 2, [{0: 1}])
-    m = SparseIntMatrix.from_entries(2, 2, {(0, 0): 3, (1, 1): -1})
-    assert m.to_dense() == [[3, 0], [0, -1]]
-    assert m.transpose().to_dense() == [[3, 0], [0, -1]]
+    m = SparseIntMatrix(2, 2, [{0: 3, 1: 0}, {1: -1}])
+    assert m.rows == [{0: 3}, {1: -1}]  # the explicit zero is dropped
     assert m.nnz() == 2
