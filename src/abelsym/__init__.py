@@ -26,6 +26,7 @@ from .exactla import (
     smith_normal_form,
     row_span_membership,
     BoundExceeded,
+    ConsistencyError,
 )
 from .symbols import (
     SymbolKey,
@@ -90,6 +91,7 @@ __all__ = [
     "proper_cyclic_subgroups", "quotient_data",
     "SparseIntMatrix", "SnfResult", "SpanChecker", "rank_over_Q",
     "smith_normal_form", "row_span_membership", "BoundExceeded",
+    "ConsistencyError",
     "SymbolKey", "FormalSum", "DetClass", "canonicalize",
     "enumerate_generators", "det_class", "enumerate_det_class",
     "Variant", "DimensionReport", "build_relations", "dimension",

@@ -3,8 +3,13 @@
 A group is a product of cyclic factors Z/n_1 x ... x Z/n_r in the order the
 caller gave them.  Characters are identified with residue tuples through the
 pairing <b, g> = sum b_i g_i / n_i mod 1, which makes the dual group an
-explicit copy of the group itself.  Quotient presentations are derived from
-Smith normal forms with recorded transforms, so projection and the dual-side
+explicit copy of the group itself.  Each character also has an integer code,
+the mixed-radix value of its residue tuple (first factor most significant),
+which is its position in the lexicographic list `characters()`; hot loops
+work on codes through the negation and difference tables built here.
+Whether characters generate the dual is decided one prime at a time
+(`spans_dual`).  Quotient presentations are derived from Smith normal forms
+with recorded transforms, so projection and the dual-side
 embedding/restriction maps are all constructive.
 """
 
@@ -14,6 +19,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
+from .arith import prime_factors
 from .exactla import dense_snf_with_transforms
 
 # Enumerations over elements and subgroups stay total only for desk-scale
@@ -61,7 +67,7 @@ class GroupDescriptor:
     """A finite abelian group presented as a product of cyclic factors."""
 
     __slots__ = ("factors", "invariant_factors", "order", "rank",
-                 "_char_cache")
+                 "prime_slots", "_places", "_char_cache", "_chars")
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -72,7 +78,17 @@ class GroupDescriptor:
         d, _, _ = dense_snf_with_transforms(diag)
         self.invariant_factors = tuple(d[i][i] for i in range(len(self.factors)))
         self.rank = sum(1 for f in self.invariant_factors if f > 1)
+        # (p, positions of the factors divisible by p) for each p | order:
+        # G/pG is F_p^k with one coordinate per such factor
+        self.prime_slots = tuple(
+            (p, tuple(i for i, f in enumerate(self.factors) if f % p == 0))
+            for p in prime_factors(self.order))
+        places = [1]
+        for f in reversed(self.factors[1:]):
+            places.append(places[-1] * f)
+        self._places = tuple(reversed(places))
         self._char_cache = {}
+        self._chars = None
 
     def __repr__(self):
         return "GroupDescriptor(%s)" % "x".join(str(f) for f in self.factors)
@@ -105,8 +121,14 @@ class GroupDescriptor:
         return ch
 
     def characters(self):
-        """All characters in lexicographic residue order."""
-        return [self.character(r) for r in self.elements()]
+        """All characters in lexicographic residue order, indexed by code."""
+        if self._chars is None:
+            self._chars = tuple(self.character(r) for r in self.elements())
+        return self._chars
+
+    def code(self, residues):
+        """Mixed-radix code of a residue tuple (reduced first)."""
+        return sum(r * w for r, w in zip(self.reduce(residues), self._places))
 
     def zero(self):
         return self.character((0,) * len(self.factors))
@@ -120,14 +142,16 @@ class Character:
     """Character of a finite abelian group, stored as a residue tuple.
 
     chi(e_i) = exp(2 pi i residues[i] / factors[i]).  Instances are interned
-    per group, so identity comparison and dict lookups are cheap.
+    per group, so identity comparison and dict lookups are cheap.  `code` is
+    the character's index in group.characters().
     """
 
-    __slots__ = ("group", "residues", "_hash")
+    __slots__ = ("group", "residues", "code", "_hash")
 
     def __init__(self, group, residues):
         self.group = group
         self.residues = residues
+        self.code = group.code(residues)
         self._hash = hash(residues)
 
     def __hash__(self):
@@ -189,9 +213,11 @@ def pairing(b, g):
 def spans_dual(chars, group=None):
     """True iff the characters generate the whole dual group.
 
-    Stack the residue rows over diag(factors); the span is full iff the
-    Smith normal form is all ones.  Rank-2 groups get a closed-form gcd test
-    on the 2x2 minors, since that is the hot path of key enumeration.
+    By Nakayama's lemma a family generates a finite abelian group G iff its
+    image generates G/pG for every prime p dividing |G|.  G/pG is F_p^k, one
+    coordinate per factor divisible by p, read off as the residue mod p, so
+    the test is an F_p-rank count per prime; fewer than k characters never
+    span.
     """
     chars = list(chars)
     if group is None:
@@ -201,27 +227,120 @@ def spans_dual(chars, group=None):
     for ch in chars:
         if ch.group is not group:
             raise ValueError("character belongs to a different group")
-    factors = group.factors
-    r = len(factors)
-    if group.order == 1:
-        return True
-    if r == 1:
-        n = factors[0]
-        return gcd(n, *(ch.residues[0] for ch in chars)) == 1 if chars else False
-    if r == 2 and len(chars) == 2:
-        (a1, a2), (b1, b2) = chars[0].residues, chars[1].residues
-        d1, d2 = factors
-        g = gcd(a1, a2, b1, b2, gcd(d1, d2))
-        if g != 1:
+    slots = group.prime_slots
+    if any(len(chars) < len(pos) for _, pos in slots):
+        return False
+    for p, pos in slots:
+        basis = ()
+        for ch in chars:
+            basis = _fp_extend(basis, [ch.residues[i] % p for i in pos], p)
+        if len(basis) < len(pos):
             return False
-        minors = gcd(a1 * b2 - a2 * b1, a2 * d1, a1 * d2, b2 * d1, b1 * d2,
-                     d1 * d2)
-        return minors == 1
-    mat = [list(ch.residues) for ch in chars]
-    mat.extend([0] * i + [f] + [0] * (r - i - 1)
-               for i, f in enumerate(factors))
-    d, _, _ = dense_snf_with_transforms(mat)
-    return all(d[i][i] == 1 for i in range(r))
+    return True
+
+
+def _fp_extend(basis, vec, p):
+    """Reduced echelon basis of span(basis) + <vec> over F_p.
+
+    A basis is a tuple of (pivot, row) pairs sorted by pivot, each row
+    monic at its pivot and zero at the other pivots, so equal spans have
+    equal bases.  `vec` holds residues in [0, p).
+    """
+    if len(basis) == len(vec):
+        return basis
+    for piv, row in basis:
+        c = vec[piv]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if x), None)
+    if piv is None:
+        return basis
+    inv = pow(vec[piv], -1, p)
+    new = tuple(x * inv % p for x in vec)
+    out = [(q, tuple((x - row[piv] * y) % p for x, y in zip(row, new))
+            if row[piv] else row) for q, row in basis]
+    out.append((piv, new))
+    out.sort()
+    return tuple(out)
+
+
+def generating_code_tuples(group, n):
+    """Sorted n-tuples of character codes that generate the dual, in order.
+
+    spans_dual made incremental: nondecreasing code tuples are walked
+    position by position, carrying the prefix's span in each G/pG.  A prefix
+    is dropped once the positions left cannot fill some G/pG, and the last
+    position reads, per prefix span, a table of the codes that complete it.
+    """
+    slots = group.prime_slots
+    if any(n < len(pos) for _, pos in slots):
+        return []
+    order = group.order
+    elements = list(group.elements())
+    # per prime: the image of each code in G/pG, and memoized span steps
+    images = [[tuple(r[i] % p for i in pos) for r in elements]
+              for p, pos in slots]
+    steps = [{} for _ in slots]
+    lasts = {}
+    out = []
+
+    def extend(state, code):
+        nxt = []
+        for k, (p, _) in enumerate(slots):
+            key = (state[k], images[k][code])
+            basis = steps[k].get(key)
+            if basis is None:
+                basis = steps[k][key] = _fp_extend(key[0], key[1], p)
+            nxt.append(basis)
+        return tuple(nxt)
+
+    def last_row(state):
+        row = [True] * order
+        for (p, pos), basis, img in zip(slots, state, images):
+            if len(basis) < len(pos):
+                good = {v: len(_fp_extend(basis, v, p)) == len(pos)
+                        for v in set(img)}
+                row = [ok and good[v] for ok, v in zip(row, img)]
+        return row
+
+    def walk(prefix, state, start):
+        left = n - len(prefix)
+        if left == 1:
+            row = lasts.get(state)
+            if row is None:
+                row = lasts[state] = last_row(state)
+            out.extend(prefix + (c,) for c in range(start, order) if row[c])
+            return
+        for c in range(start, order):
+            nxt = extend(state, c)
+            if all(len(pos) - len(b) < left
+                   for b, (_, pos) in zip(nxt, slots)):
+                walk(prefix + (c,), nxt, c)
+
+    walk((), tuple(() for _ in slots), 0)
+    return out
+
+
+def negation_codes(group):
+    """neg[c] = code of -chi, for chi the character of code c."""
+    neg, size = [0], 1
+    for f in reversed(group.factors):
+        neg = [(-d % f) * size + x for d in range(f) for x in neg]
+        size *= f
+    return neg
+
+
+def difference_codes(group):
+    """diff[a][b] = code of chi_a - chi_b, for all codes a and b.
+
+    |G|^2 entries, so it is built per call and never cached.
+    """
+    diff, size = [[0]], 1
+    for f in reversed(group.factors):
+        diff = [[(da - db) % f * size + x for db in range(f) for x in row]
+                for da in range(f) for row in diff]
+        size *= f
+    return diff
 
 
 class SubgroupHandle:

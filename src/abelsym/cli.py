@@ -315,8 +315,10 @@ def _verify_manin(config):
         else:
             euler = 1 + Fraction(coset_index(n, m) // 2, 12) \
                 - Fraction(data["cusps"], 2)
+            if euler.denominator == 1:
+                euler = int(euler)
             checks.append(check_record("genus-euler", group, 2,
-                                       Fraction(data["genus"]), euler))
+                                       data["genus"], euler))
             checks.append(check_record(
                 "minus-dimension", group, 2, data["dim_minus"],
                 data["genus"] + (data["cusps"] - data["fixed_cusps"]) // 2))

@@ -23,7 +23,7 @@ from math import gcd
 from .abelian import make_group, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
-                      SpanChecker, smith_normal_form)
+                      SpanChecker, require, smith_normal_form)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         build_relations, formula_dimension, relation_rows)
 from .symbols import (DEFAULT_ENUM_BOUND, canonicalize, enumerate_det_class,
@@ -116,9 +116,19 @@ class CosetSymbol:
         if not spans_dual(cols, grp):
             raise ValueError("columns (%d,%d), (%d,%d) do not generate the "
                              "dual group" % (a, c, b, d))
+        self._set(a, b, c, d, (n, m))
+
+    @classmethod
+    def _unchecked(cls, a, b, c, d, level):
+        """A symbol whose residues are known to be valid: no checks."""
+        sym = cls.__new__(cls)
+        sym._set(a, b, c, d, level)
+        return sym
+
+    def _set(self, a, b, c, d, level):
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.level = (n, m)
-        self._hash = hash((a, b, c, d, self.level))
+        self.level = level
+        self._hash = hash((a, b, c, d, level))
 
     def quad(self):
         return (self.a, self.b, self.c, self.d)
@@ -140,9 +150,12 @@ class CosetSymbol:
 
 
 def _symbol(level, a, b, c, d):
+    """Image of a symbol under a determinant-one column operation (or the
+    column swap at N = 2): same column span and determinant mod N, so it is
+    built without re-validation."""
     n, m = level
     k = n * m
-    return CosetSymbol(a % n, b % n, c % k, d % k, level)
+    return CosetSymbol._unchecked(a % n, b % n, c % k, d % k, level)
 
 
 def gamma_member(mat, n, m):
@@ -234,18 +247,19 @@ def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
     if (n * k) ** 2 > bound:
         raise BoundExceeded("coset scan size (N*MN)^2 = %d exceeds the "
                             "bound %d" % ((n * k) ** 2, bound))
-    grp = make_group((n, k))
     out = []
     for a in range(n):
         for b in range(n):
             for c in range(k):
-                col1 = grp.character((a, c))
                 for d in range(k):
                     if (a * d - b * c) % n != 1:
                         continue
-                    if not spans_dual((col1, grp.character((b, d))), grp):
+                    # per prime (see spans_dual): the determinant settles
+                    # the primes of N; a prime of M alone needs c or d
+                    # nonzero mod it
+                    if gcd(c, d, k) != 1:
                         continue
-                    out.append(CosetSymbol(a, b, c, d, (n, m)))
+                    out.append(CosetSymbol._unchecked(a, b, c, d, (n, m)))
     if k >= 3:
         assert len(out) == coset_index(n, m)
     return out
@@ -283,7 +297,7 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
                 yield [(s, 1), (_symbol(level, b, a, d, c), -1)]
 
     rows = relation_rows(index, templates())
-    rel = SparseIntMatrix(len(rows), len(cosets), rows)
+    rel = SparseIntMatrix.trusted(len(cosets), rows)
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel)
@@ -399,9 +413,9 @@ def eps_fixed(m):
     fixed = sum(1 for i, (a, c) in enumerate(pairs)
                 if roots[i] == i and roots[index[((-a) % k, c)]] == i)
     formula = 2 * totient(m) + totient(k)
-    assert fixed == formula, (
-        "fixed-cusp routes disagree at M = %d: enumerated %d, formula %d"
-        % (m, fixed, formula))
+    require(fixed == formula,
+            "fixed-cusp routes disagree at M = %d: enumerated %d, formula %d",
+            m, fixed, formula)
     return formula
 
 
@@ -457,7 +471,7 @@ def level2_consistency(m, enum_bound=DEFAULT_ENUM_BOUND,
     count (the level subgroup misses -I and has no elliptic elements); the
     swap-quotient dimension must equal g + (cusps - fixed)/2 with torsion
     (Z/2)^(fixed - 1), and both must match the closed form for the group
-    Z/2 x Z/2m.
+    Z/2 x Z/2m.  A failed check raises ConsistencyError.
     """
     _, rep_plain = manin_space(2, m, enum_bound=enum_bound,
                                snf_bound=snf_bound)
@@ -465,18 +479,32 @@ def level2_consistency(m, enum_bound=DEFAULT_ENUM_BOUND,
                                snf_bound=snf_bound)
     cusps = cusp_orbit_count(2, m, bound=enum_bound)
     eps = eps_fixed(m)
+    level = (2, m)
     g2 = rep_plain.dim_q + 1 - cusps
-    assert g2 >= 0 and g2 % 2 == 0
+    require(g2 >= 0 and g2 % 2 == 0,
+            "plain dimension %d and %d cusps give 2g = %d at level %r",
+            rep_plain.dim_q, cusps, g2, level)
     g = g2 // 2
     mu = coset_index(2, m) // 2
-    assert g == 1 + Fraction(mu, 12) - Fraction(cusps, 2)
-    assert rep_plain.torsion == ()
-    assert (cusps - eps) % 2 == 0
-    assert rep_minus.dim_q == g + (cusps - eps) // 2
-    assert rep_minus.torsion == (2,) * (eps - 1)
+    euler = 1 + Fraction(mu, 12) - Fraction(cusps, 2)
+    require(g == euler, "genus %d disagrees with the Euler count %s at "
+            "level %r", g, euler, level)
+    require(rep_plain.torsion == (), "plain torsion %r at level %r",
+            rep_plain.torsion, level)
+    require((cusps - eps) % 2 == 0, "%d cusps and %d fixed cusps differ "
+            "by an odd number at level %r", cusps, eps, level)
+    require(rep_minus.dim_q == g + (cusps - eps) // 2,
+            "swap-quotient dimension %d, expected %d at level %r",
+            rep_minus.dim_q, g + (cusps - eps) // 2, level)
+    require(rep_minus.torsion == (2,) * (eps - 1),
+            "swap-quotient torsion %r, expected (Z/2)^%d at level %r",
+            rep_minus.torsion, eps - 1, level)
     form = formula_dimension(make_group((2, 2 * m)), 2, Variant.MINUS,
                              want_torsion=True)
-    assert (form.dim_q, form.torsion) == (rep_minus.dim_q, rep_minus.torsion)
+    require((form.dim_q, form.torsion) == (rep_minus.dim_q, rep_minus.torsion),
+            "closed form %r disagrees with the swap quotient %r at level %r",
+            (form.dim_q, form.torsion), (rep_minus.dim_q, rep_minus.torsion),
+            level)
     return {"m": m, "genus": g, "cusps": cusps, "fixed_cusps": eps,
             "dim": rep_plain.dim_q, "dim_minus": rep_minus.dim_q}
 

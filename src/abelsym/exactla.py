@@ -25,6 +25,17 @@ class BoundExceeded(RuntimeError):
     """Raised when a configured resource bound would be exceeded."""
 
 
+class ConsistencyError(AssertionError):
+    """An internal cross-check failed.  Raised explicitly, so that, unlike
+    an assert statement, python -O keeps the check."""
+
+
+def require(ok, message, *args):
+    """Raise ConsistencyError(message % args) unless ok."""
+    if not ok:
+        raise ConsistencyError(message % args)
+
+
 class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 
@@ -53,6 +64,16 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = clean
+
+    @classmethod
+    def trusted(cls, ncols, rows):
+        """Wrap rows that are already clean (nonzero int values at columns
+        in range) without copying or checking them."""
+        mat = cls.__new__(cls)
+        mat.nrows = len(rows)
+        mat.ncols = ncols
+        mat.rows = rows
+        return mat
 
     def nnz(self):
         return sum(len(r) for r in self.rows)

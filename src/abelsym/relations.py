@@ -5,7 +5,10 @@ its two one-step modifications); the minus variant adds the sign relation
 (negating one entry negates the symbol); the plus variant exists only for
 length-1 symbols and identifies a character with its negative.  Reordering
 is not a matrix row here: the basis is already canonical (sorted) keys, so
-every relation template is instantiated at every position pair.
+every relation template is instantiated at every position pair.  Templates
+run on the keys' code tuples through negation and difference tables built
+per system; their images keep the key's span, so they are looked up in the
+basis without re-validating them.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -19,12 +22,12 @@ import enum
 import time
 from fractions import Fraction
 
-from .abelian import parse_group
+from .abelian import difference_codes, negation_codes, parse_group
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
-                      smith_normal_form)
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, canonicalize,
-                      det_classes, enumerate_det_class, enumerate_generators)
+                      require, smith_normal_form)
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, det_classes,
+                      enumerate_det_class, enumerate_generators, replace_code)
 
 
 class Variant(enum.Enum):
@@ -99,27 +102,32 @@ def relation_rows(index, relations):
     return rows
 
 
-def _templates(keys, n, variant):
-    """The variant's relation templates, instantiated at every key."""
-    if variant in (Variant.PLAIN, Variant.MINUS):
-        for key in keys:
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    bi, bj = key[i], key[j]
-                    left = canonicalize(key.replace(i, bi - bj))
-                    right = canonicalize(key.replace(j, bj - bi))
-                    yield [(key, 1), (left, -1), (right, -1)]
+def _templates(group, codes, n, variant):
+    """The variant's relation templates on code tuples, at every key.
+
+    A blowup b_i -> b_i - b_j and a negation keep the span of a key, so
+    their images are keys too.  Only the i < j blowups are instantiated:
+    the (j, i) blowup is the same relation.
+    """
+    if not codes:
+        return
+    if n >= 2 and variant in (Variant.PLAIN, Variant.MINUS):
+        diff = difference_codes(group)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for t in codes:
+            for i, j in pairs:
+                bi, bj = t[i], t[j]
+                yield [(t, 1), (replace_code(t, i, diff[bi][bj]), -1),
+                       (replace_code(t, j, diff[bj][bi]), -1)]
     if variant is Variant.MINUS:
-        for key in keys:
+        neg = negation_codes(group)
+        for t in codes:
             for i in range(n):
-                flipped = canonicalize(key.replace(i, -key[i]))
-                yield [(key, 1), (flipped, 1)]
+                yield [(t, 1), (replace_code(t, i, neg[t[i]]), 1)]
     if variant is Variant.PLUS:
-        for key in keys:
-            mirror = canonicalize((-key[0],))
-            yield [(key, 1), (mirror, -1)]
+        neg = negation_codes(group)
+        for t in codes:
+            yield [(t, 1), ((neg[t[0]],), -1)]
 
 
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
@@ -134,9 +142,10 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
         raise ValueError("the plus variant is defined only for n = 1")
     if keys is None:
         keys = enumerate_generators(group, n, bound=bound)
-    index = {key: i for i, key in enumerate(keys)}
-    rows = relation_rows(index, _templates(keys, n, variant))
-    rel = SparseIntMatrix(len(rows), len(keys), rows)
+    codes = [key.codes for key in keys]
+    index = {t: i for i, t in enumerate(codes)}
+    rows = relation_rows(index, _templates(group, codes, n, variant))
+    rel = SparseIntMatrix.trusted(len(keys), rows)
     return RelationSystem(group, n, variant, list(keys), rel)
 
 
@@ -242,9 +251,10 @@ def kernel_generators(group, n, bound=DEFAULT_ENUM_BOUND):
         raise ValueError("kernel generators need n >= 2")
     out = []
     seen = set()
+    neg = negation_codes(group)
     for key in enumerate_generators(group, n, bound=bound):
-        for i in range(n):
-            flipped = canonicalize(key.replace(i, -key[i]))
+        for i, c in enumerate(key.codes):
+            flipped = SymbolKey(group, replace_code(key.codes, i, neg[c]))
             fsum = FormalSum([(key, Fraction(1)), (flipped, Fraction(1))])
             sig = tuple(sorted(fsum.items(), key=lambda kv: kv[0]))
             if sig not in seen:
@@ -281,7 +291,7 @@ def _psi_product(n):
     for p in prime_factors(n):
         num *= p + 1
         den *= p
-    assert num % den == 0
+    require(num % den == 0, "psi product of %d is not an integer", n)
     return num // den
 
 
@@ -290,8 +300,15 @@ def _euler_index(n):
     val = Fraction(n * n)
     for p in prime_factors(n):
         val *= Fraction(p * p - 1, p * p)
-    assert val.denominator == 1
+    require(val.denominator == 1, "Euler index of %d is not an integer: %s",
+            n, val)
     return int(val)
+
+
+def _require_integral(group, dim):
+    require(dim.denominator == 1,
+            "closed-form minus dimension of %s is not an integer: %s",
+            group.literal(), dim)
 
 
 def formula_minus(group):
@@ -319,7 +336,7 @@ def formula_minus(group):
             phi_half = totient(n // 2)
             dim = Fraction(1) - Fraction(phi + phi_half, 2) + quarter
             tors = phi + phi_half - 1
-        assert dim.denominator == 1
+        _require_integral(group, dim)
         return int(dim), (2,) * tors
     if len(form) == 2:
         n1, n2 = form
@@ -334,14 +351,14 @@ def formula_minus(group):
             # M^2/3 * prod over p | 2M of (1 - 1/p^2) = euler_index(2M)/12
             dim = (Fraction(1) - totient(m) - Fraction(totient(2 * m), 2)
                    + Fraction(_euler_index(2 * m), 12))
-            assert dim.denominator == 1
+            _require_integral(group, dim)
             tors = 2 * totient(m) + totient(2 * m) - 1
             return int(dim), (2,) * tors
         # N >= 3: torsion free, phi(N)/2 isomorphic determinant classes;
         # M^2 N^3/12 * prod over p | MN of (1 - 1/p^2) = N*euler_index(MN)/12
         dim = Fraction(totient(n1), 2) * (
             1 + Fraction(n1 * _euler_index(n2), 12))
-        assert dim.denominator == 1
+        _require_integral(group, dim)
         return int(dim), ()
     return 0, ()
 
@@ -360,7 +377,9 @@ def difference_formula(group):
         mix = sum(totient(d) * totient(n // d)
                   for d in divisors(n) if 3 <= d <= n // 3)
         total = half + Fraction(mix, 4)
-        assert total.denominator == 1
+        require(total.denominator == 1,
+                "difference formula of %s is not an integer: %s",
+                group.literal(), total)
         return int(total)
     if len(form) == 2 and form[0] == form[1]:
         p = form[0]

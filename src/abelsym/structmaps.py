@@ -44,9 +44,8 @@ def minus_reduce(key):
     best = None
     parities = None
     for mask in range(1 << n):
-        entries = sorted(-ch if (mask >> i) & 1 else ch
-                         for i, ch in enumerate(key))
-        cand = SymbolKey(entries)
+        cand = SymbolKey(key.group, sorted(
+            (-ch if (mask >> i) & 1 else ch).code for i, ch in enumerate(key)))
         par = bin(mask).count("1") & 1
         if best is None or cand < best:
             best = cand
@@ -68,7 +67,7 @@ def plus_reduce(key):
         raise ValueError("plus reduction applies to single-entry keys only")
     ch = key[0]
     rep = min(ch, -ch)
-    return (key if rep is ch else SymbolKey((rep,))), 1
+    return (key if rep is ch else SymbolKey(key.group, (rep.code,))), 1
 
 
 def _reduce(key, variant):
@@ -289,7 +288,10 @@ def delta_sum(key, i=0, j=1):
             entries = list(key)
             entries[i] = si * key[i]
             entries[j] = sj * key[j]
-            terms.append((canonicalize(tuple(entries)), Fraction(1)))
+            # sign flips keep the span: the image needs no re-validation
+            terms.append((SymbolKey(key.group,
+                                    sorted(ch.code for ch in entries)),
+                          Fraction(1)))
     return FormalSum(terms)
 
 

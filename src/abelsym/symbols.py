@@ -3,18 +3,23 @@
 A symbol is an n-tuple of characters that together generate the dual group.
 Reordering a tuple does not change the symbol, so tuples are kept sorted;
 the sorted tuple is the canonical key and doubles as the free-module basis
-element.  For groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs
-additionally carry a determinant invariant in (Z/N)^x, well defined up to
-sign, which grades the whole module.
+element.  A key stores each character as its integer code (its position in
+group.characters()), so a key is a sorted code tuple plus its group, and
+sorted code tuples order exactly as sorted character tuples.  Whether a
+tuple generates the dual is checked where keys enter from outside, in
+`canonicalize` and `enumerate_generators`; code that derives keys from keys
+by blowups and sign flips, which keep the span, builds them directly.  For
+groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs additionally
+carry a determinant invariant in (Z/N)^x, well defined up to sign, which
+grades the whole module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from math import gcd
 
-from .abelian import spans_dual
+from .abelian import generating_code_tuples, spans_dual
 from .exactla import BoundExceeded
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
@@ -22,38 +27,48 @@ DEFAULT_ENUM_BOUND = 10_000_000
 
 
 class SymbolKey:
-    """Sorted tuple of characters generating the dual group."""
+    """Sorted tuple of character codes, over a group, generating its dual.
 
-    __slots__ = ("entries", "group", "_hash")
+    `codes` is the sorted code tuple; `entries`, indexing and iteration give
+    the characters.  Keys over different groups are never equal.
+    """
 
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-        self.group = self.entries[0].group
-        self._hash = hash(self.entries)
+    __slots__ = ("group", "codes", "_hash")
+
+    def __init__(self, group, codes):
+        self.group = group
+        self.codes = tuple(codes)
+        self._hash = hash((group, self.codes))
 
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, SymbolKey) and self.entries == other.entries
+        return (isinstance(other, SymbolKey) and self.codes == other.codes
+                and self.group is other.group)
 
     def __lt__(self, other):
-        return self.entries < other.entries
+        return self.codes < other.codes
 
     def __le__(self, other):
-        return self.entries <= other.entries
+        return self.codes <= other.codes
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.codes)
+
+    @property
+    def entries(self):
+        chars = self.group.characters()
+        return tuple(chars[c] for c in self.codes)
 
     def __iter__(self):
         return iter(self.entries)
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return self.group.characters()[self.codes[i]]
 
     def replace(self, i, char):
-        """New (raw, unsorted) tuple with entry i replaced."""
+        """New (raw, unsorted) character tuple with entry i replaced."""
         entries = list(self.entries)
         entries[i] = char
         return tuple(entries)
@@ -61,6 +76,17 @@ class SymbolKey:
     def __repr__(self):
         return "<%s>" % ", ".join(
             "(%s)" % ",".join(map(str, ch.residues)) for ch in self.entries)
+
+
+def replace_code(codes, i, code):
+    """The sorted code tuple with entry i replaced by `code`."""
+    if len(codes) == 2:  # the hot case, without a sort
+        other = codes[1 - i]
+        return (code, other) if code <= other else (other, code)
+    out = list(codes)
+    out[i] = code
+    out.sort()
+    return tuple(out)
 
 
 def canonicalize(raw):
@@ -74,17 +100,19 @@ def canonicalize(raw):
     entries = tuple(raw)
     if not entries:
         raise ValueError("a symbol needs at least one character")
-    if not spans_dual(entries, entries[0].group):
+    group = entries[0].group
+    if not spans_dual(entries, group):
         raise ValueError("characters %r do not generate the dual group"
                          % (entries,))
-    return SymbolKey(sorted(entries))
+    return SymbolKey(group, sorted(ch.code for ch in entries))
 
 
 def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     """All canonical symbol keys for (group, n), in sorted order.
 
-    Candidates are the sorted n-multisets of characters, which are exactly
-    the canonical tuples; each is kept iff it generates the dual group.
+    The candidates are the sorted n-multisets of characters, which are
+    exactly the canonical tuples; generating_code_tuples keeps those that
+    generate the dual group.
     """
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
@@ -92,12 +120,8 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
         raise BoundExceeded(
             "enumeration size |G|^n = %d exceeds the bound %d"
             % (group.order ** n, bound))
-    chars = group.characters()
-    out = []
-    for combo in combinations_with_replacement(chars, n):
-        if spans_dual(combo, group):
-            out.append(SymbolKey(combo))
-    return out
+    return [SymbolKey(group, codes)
+            for codes in generating_code_tuples(group, n)]
 
 
 class FormalSum:

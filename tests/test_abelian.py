@@ -6,9 +6,13 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abelsym.abelian import (make_group, pairing, parse_group,
+from itertools import combinations_with_replacement
+
+from abelsym.abelian import (difference_codes, generating_code_tuples,
+                             make_group, negation_codes, pairing, parse_group,
                              proper_cyclic_subgroups, quotient_data,
                              spans_dual)
+from relref import presentations, reference_spans_dual
 
 
 def test_make_group_basics():
@@ -106,6 +110,39 @@ def test_spans_dual_single_char_gcd_rule(a, b):
     # for rank 2 a single character never spans
     h = make_group((2, 4))
     assert not spans_dual((h.character((a, b)),), h)
+
+
+def test_spans_dual_matches_dense_reference():
+    # every n-multiset, n = 1..3, over all groups of order <= 16, rank 3
+    # and 4 and non-invariant presentations included; the walk in
+    # generating_code_tuples must keep exactly the spanning ones, in order
+    groups = presentations(16)
+    literals = {g.literal() for g in groups}
+    assert {"2x2x2x2", "2x2x4", "2x3", "4x2", "3x1x3"} <= literals
+    for g in groups:
+        chars = g.characters()
+        for n in (1, 2, 3):
+            kept = []
+            for combo in combinations_with_replacement(chars, n):
+                want = reference_spans_dual(combo, g)
+                assert spans_dual(combo, g) == want, (g, combo)
+                assert spans_dual(combo[::-1], g) == want, (g, combo)
+                if want:
+                    kept.append(tuple(ch.code for ch in combo))
+            assert generating_code_tuples(g, n) == kept, (g, n)
+
+
+def test_character_codes():
+    g = make_group((3, 1, 4))
+    chars = g.characters()
+    assert [ch.code for ch in chars] == list(range(12))
+    assert g.code((1, 5, 7)) == chars.index(g.character((1, 0, 3)))
+    neg = negation_codes(g)
+    diff = difference_codes(g)
+    for a in chars:
+        assert chars[neg[a.code]] is -a
+        for b in chars:
+            assert chars[diff[a.code][b.code]] is a - b
 
 
 def test_proper_cyclic_subgroups_cyclic():

@@ -163,6 +163,10 @@ def test_verify_manin_level2_json(capsys):
     assert [c["check"] for c in obj["checks"]] == [
         "coset-count", "lift-round-trip", "genus-euler", "minus-dimension",
         "fixed-cusps"]
+    # the genus and its Euler count are integers here, written as numbers
+    euler = obj["checks"][2]
+    assert (euler["lhs"], euler["rhs"]) == (0, 0)
+    assert type(euler["lhs"]) is int and type(euler["rhs"]) is int
 
 
 def test_verify_manin_level2_error_record(capsys, monkeypatch):

@@ -31,6 +31,8 @@ def test_coset_enumeration_matches_index():
         assert len(cosets) == count == coset_index(n, m)
         assert cosets == sorted(cosets)
         assert len(set(cosets)) == count
+        # the enumeration skips validation; the constructor redoes it
+        assert all(CosetSymbol(*s.quad(), s.level) == s for s in cosets)
 
 
 def test_coset_symbol_validation():
@@ -203,6 +205,53 @@ def test_cusp_route_checks_raise_under_optimize():
                 continue
             raise SystemExit(1)
     """) == 0
+
+
+def test_level2_consistency_raises_under_optimize():
+    # one fixed cusp too many breaks the parity and swap-quotient checks
+    code = """
+        import abelsym
+        from abelsym import congruence
+        real = congruence.eps_fixed
+        congruence.eps_fixed = lambda m: real(m) + 1
+        try:
+            congruence.level2_consistency(3)
+        except abelsym.ConsistencyError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """
+    assert run_optimized(code) == 0
+    assert run_optimized(code.replace("+ 1", "+ 0")) == 1
+
+
+ROUTES = """
+    from itertools import product
+    from abelsym import (Variant, build_relations, dimension, make_group,
+                         spans_dual)
+
+    def answers():
+        rep = dimension(make_group((2, 4)), 2, Variant.MINUS,
+                        want_torsion=True)
+        system = build_relations(make_group((3, 3)), 3, Variant.MINUS)
+        g = make_group((2, 2, 2))
+        spans = [spans_dual([g.character(r) for r in rows], g)
+                 for rows in product(g.elements(), repeat=3)]
+        return (rep.dim_q, rep.torsion,
+                [key.codes for key in system.basis],
+                [list(row.items()) for row in system.rel.rows], spans)
+"""
+
+
+def test_int_routes_under_optimize():
+    # the code-tuple enumeration, assembly and per-prime test give the same
+    # answers with asserts stripped, so none of them rests on an assert
+    scope = {}
+    exec(textwrap.dedent(ROUTES), scope)
+    want = scope["answers"]()
+    assert want[:2] == (0, (2, 2, 2)) and sum(want[4]) == 168
+    assert run_optimized(textwrap.dedent(ROUTES) + """
+raise SystemExit(0 if answers() == %r else 1)
+""" % (want,)) == 0
 
 
 def test_genus_domain():

@@ -13,6 +13,7 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                pxp_closed_forms)
 from abelsym.symbols import canonicalize, det_class, enumerate_det_class
 from rankref import reference_rank
+from relref import ReferenceBuilder, presentations
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -194,3 +195,22 @@ def test_plain_dimensions_match_reference_rank(n):
     want = len(system.basis) - reference_rank(system.rel.rows)
     assert dimension(g, 2, Variant.PLAIN).dim_q == want
     assert dimension(g, 2, Variant.PLAIN, want_torsion=True).dim_q == want
+
+
+# (n, variants, largest group order); the character-based reference takes
+# 10 s at n = 3 up to order 24, so n = 3 stops at order 16
+@pytest.mark.parametrize("n, variants, limit", [
+    (1, (Variant.PLAIN, Variant.MINUS, Variant.PLUS), 24),
+    (2, (Variant.PLAIN, Variant.MINUS), 24),
+    (3, (Variant.PLAIN, Variant.MINUS), 16)])
+def test_build_relations_matches_reference(n, variants, limit):
+    # same basis and same rows, in the same order and with the same dict
+    # order, as the character-based builder
+    for g in presentations(limit):
+        ref = ReferenceBuilder(g, n)
+        for variant in variants:
+            system = build_relations(g, n, variant)
+            assert [tuple(ch.residues for ch in key)
+                    for key in system.basis] == ref.basis(), (g, variant)
+            assert [list(row.items()) for row in system.rel.rows] \
+                == ref.rows(variant), (g, variant)

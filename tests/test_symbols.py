@@ -39,6 +39,16 @@ def test_symbol_key_protocol():
     assert raw == (g.character((1,)), g.character((4,)))
 
 
+def test_symbol_keys_over_different_groups_differ():
+    g, h = make_group((5,)), make_group((7,))
+    kg = canonicalize((g.character((1,)), g.character((2,))))
+    kh = canonicalize((h.character((1,)), h.character((2,))))
+    assert kg.codes == kh.codes == (1, 2)
+    assert kg != kh
+    assert kg == SymbolKey(g, (1, 2))
+    assert len({kg, kh, SymbolKey(g, (1, 2))}) == 2
+
+
 def _cyclic_pair_count(n):
     # independent count of sorted pairs (a <= b) with gcd(a, b, n) = 1
     return sum(1 for a in range(n) for b in range(a, n)
