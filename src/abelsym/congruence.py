@@ -9,7 +9,7 @@ the generators of the Manin relation space built here.
 Everything countable is computed twice on purpose: coset counts against the
 index formula, cusps as transformation orbits against the closed form,
 fixed cusps by enumeration against the totient expression.  `cusp_count`
-asserts its two routes agree and raises loudly when they do not, rather
+checks that its two routes agree and raises loudly when they do not, rather
 than privileging either route; the granular routes stay exposed so a
 disagreement is itself testable.
 """
@@ -22,8 +22,9 @@ from math import gcd
 
 from .abelian import make_group, spans_dual
 from .arith import prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
-                      SpanChecker, require, smith_normal_form)
+from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SignedUnionFind,
+                      SparseIntMatrix, SpanChecker, require,
+                      smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         build_relations, formula_dimension, relation_rows)
 from .symbols import (DEFAULT_ENUM_BOUND, canonicalize, enumerate_det_class,
@@ -162,7 +163,7 @@ def gamma_member(mat, n, m):
     """Membership in the level (n, m) subgroup.
 
     The defining congruences (a == 1, b == 0 mod n; c == 0, d == 1 mod nm)
-    force a == 1 mod nm as well via the determinant, which is asserted.
+    force a == 1 mod nm as well via the determinant, which is checked.
     """
     _check_level(n, m)
     k = n * m
@@ -170,7 +171,8 @@ def gamma_member(mat, n, m):
               and mat.d % k == 1)
     if member:
         # ad - bc = 1 with c == 0, d == 1 mod k pins a mod k too
-        assert mat.a % k == 1
+        require(mat.a % k == 1, "member %r of level (%d, %d) has a = %d, "
+                "not 1, mod %d", mat, n, m, mat.a % k, k)
     return member
 
 
@@ -193,18 +195,22 @@ def lift_coset(sym):
     n, m = sym.level
     k = n * m
     a, b, c, d = sym.quad()
-    assert (a * d - b * c - 1) % n == 0
+    require((a * d - b * c - 1) % n == 0, "%r has determinant %d, not 1, "
+            "mod %d", sym, (a * d - b * c) % n, n)
     l1 = (a * d - b * c - 1) // n
     # solve k1*d - k2*c == -l1 (mod m)
     if m == 1:
         k1 = k2 = 0
     else:
         g, u, v = _ext_gcd(d, c)
-        assert gcd(g, m) == 1
+        require(gcd(g, m) == 1, "%r: gcd(c, d) = %d is not prime to M = %d",
+                sym, g, m)
         t = (-l1 * pow(g, -1, m)) % m
         k1, k2 = (u * t) % m, (-v * t) % m
     a1, b1 = a + k1 * n, b + k2 * n
-    assert (a1 * d - b1 * c) % k == 1
+    require((a1 * d - b1 * c) % k == 1, "%r: shifted top row (%d, %d) has "
+            "determinant %d, not 1, mod %d", sym, a1, b1,
+            (a1 * d - b1 * c) % k, k)
     # coprime bottom row congruent to (c, d) mod k
     c0 = c if c else k
     if gcd(c0, d) == 1:
@@ -215,15 +221,18 @@ def lift_coset(sym):
             if d % p:
                 s *= p
         d0 = d + s * k
-        assert gcd(c0, d0) == 1
+        require(gcd(c0, d0) == 1, "%r: bottom row (%d, %d) is not coprime",
+                sym, c0, d0)
     # top row correction: subtract f*k times a (d0, c0) Bezout pair
     f = a1 * d0 - b1 * c0 - 1
-    assert f % k == 0
+    require(f % k == 0, "%r: determinant %d of the nudged rows is not 1 "
+            "mod %d", sym, f + 1, k)
     f //= k
     g2, u2, v2 = _ext_gcd(d0, c0)
-    assert g2 == 1
+    require(g2 == 1, "%r: bottom row (%d, %d) has gcd %d", sym, c0, d0, g2)
     out = IntMatrix2(a1 - f * u2 * k, b1 + f * v2 * k, c0, d0)
-    assert coset_of(out, n, m) == sym
+    back = coset_of(out, n, m)
+    require(back == sym, "lift %r of %r reduces to %r", out, sym, back)
     return out
 
 
@@ -233,14 +242,15 @@ def coset_index(n, m):
     val = Fraction(m * m * n ** 3)
     for p in prime_factors(n * m):
         val *= Fraction(p * p - 1, p * p)
-    assert val.denominator == 1
+    require(val.denominator == 1, "index of level (%d, %d) is not an "
+            "integer: %s", n, m, val)
     return int(val)
 
 
 def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
     """All coset symbols at level (n, m), lexicographically sorted.
 
-    For MN >= 3 the count must equal the index formula, which is asserted.
+    For MN >= 3 the count must equal the index formula, which is checked.
     """
     _check_level(n, m)
     k = n * m
@@ -261,7 +271,9 @@ def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
                         continue
                     out.append(CosetSymbol._unchecked(a, b, c, d, (n, m)))
     if k >= 3:
-        assert len(out) == coset_index(n, m)
+        index = coset_index(n, m)
+        require(len(out) == index, "%d cosets enumerated at level (%d, %d), "
+                "index formula %d", len(out), n, m, index)
     return out
 
 
@@ -274,7 +286,7 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     e_s - e_(b,a;d,c), which only makes sense at N = 2 (the swap flips the
     determinant sign otherwise).  The degenerate rule "e_s = 0 when s is
     fixed by its own turn or rotation" never fires: a fixed point would
-    have determinant 0 mod N, and construction asserts none occurs.
+    have determinant 0 mod N, and construction checks that none occurs.
     """
     _check_level(n, m)
     if with_O and n != 2:
@@ -289,7 +301,8 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
             a, b, c, d = s.quad()
             turned = _symbol(level, b, -a, d, -c)
             rotated = _symbol(level, a + b, -a, c + d, -c)
-            assert turned != s and rotated != s
+            require(turned != s and rotated != s, "%r is fixed by its "
+                    "turn or rotation", s)
             yield [(s, 1), (turned, 1)]
             yield [(s, 1), (_symbol(level, a - b, b, c - d, d), -1),
                    (_symbol(level, a, b - a, c, d - c), -1)]
@@ -317,28 +330,20 @@ def cusp_formula(n, m):
     val = Fraction(m * n * n, 2)
     for p in prime_factors(k):
         val *= Fraction(p * p - 1, p * p)
-    if val.denominator != 1:
-        raise AssertionError(
-            "closed-form cusp count is not an integer at level (%d, %d): %s"
-            % (n, m, val))
+    require(val.denominator == 1, "closed-form cusp count is not an integer "
+            "at level (%d, %d): %s", n, m, val)
     return int(val)
 
 
 def _orbit_roots(size, links):
     """Root of each of range(size) after a union-find over the links."""
-    parent = list(range(size))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    forest = SignedUnionFind()
+    find = forest.find
     for i, j in links:
-        ri, rj = find(i), find(j)
+        (ri, _), (rj, _) = find(i), find(j)
         if ri != rj:
-            parent[rj] = ri
-    return [find(i) for i in range(size)]
+            forest.union(ri, rj, 1)
+    return [find(i)[0] for i in range(size)]
 
 
 def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -361,18 +366,16 @@ def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
 
 
 def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
-    """Cusp count, by closed form and by orbit count, asserted equal.
+    """Cusp count, by closed form and by orbit count, checked equal.
 
-    Levels where the two routes disagree raise AssertionError instead of
+    Levels where the two routes disagree raise ConsistencyError instead of
     silently preferring one; use cusp_formula or cusp_orbit_count directly
     to inspect either route on its own.
     """
     formula = cusp_formula(n, m)
     orbits = cusp_orbit_count(n, m, bound=bound)
-    if formula != orbits:
-        raise AssertionError(
-            "cusp routes disagree at level (%d, %d): formula %d, orbits %d"
-            % (n, m, formula, orbits))
+    require(formula == orbits, "cusp routes disagree at level (%d, %d): "
+            "formula %d, orbits %d", n, m, formula, orbits)
     return formula
 
 
@@ -386,7 +389,8 @@ def genus(n, m):
     for p in prime_factors(k):
         val *= Fraction(p * p - 1, p * p)
     total = 1 + val
-    assert total.denominator == 1
+    require(total.denominator == 1, "closed-form genus of level (%d, %d) "
+            "is not an integer: %s", n, m, total)
     return int(total)
 
 
@@ -456,7 +460,8 @@ def level_invariants(n, m):
         raise ValueError("closed-form invariants need MN >= 3")
     idx = coset_index(n, m)
     cusps = cusp_formula(n, m)
-    assert idx % cusps == 0
+    require(idx % cusps == 0, "%d cusps do not divide the index %d at "
+            "level (%d, %d)", cusps, idx, n, m)
     g = genus(n, m) if n >= 3 else None
     eps = eps_fixed(m) if n == 2 and m > 2 else None
     return LevelInvariants(n, m, idx, cusps, g, eps)
@@ -544,6 +549,15 @@ class IsoReport:
         return "IsoReport(%r)" % (self.to_json(),)
 
 
+def _matched(report):
+    """The report, once its two sides are checked to agree."""
+    require(report.ok, "symbols give dim %d torsion %r, cosets dim %d "
+            "torsion %r at level %r", report.dim_symbols,
+            report.torsion_symbols, report.dim_cosets, report.torsion_cosets,
+            report.level)
+    return report
+
+
 def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
               snf_bound=DEFAULT_SNF_BOUND):
     """Match the minus-variant symbol presentation against the coset one.
@@ -565,9 +579,8 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
         return len(system.basis) - snf.rank, snf.torsion
 
     def require_span(rel, rows, what):
-        if not SpanChecker(rel).contains_all(rows):
-            raise AssertionError("%s leave the other side's rational span "
-                                 "at level %r" % (what, level))
+        require(SpanChecker(rel).contains_all(rows), "%s leave the other "
+                "side's rational span at level %r", what, level)
 
     if n >= 3:
         keys = enumerate_det_class(grp, 1, bound=enum_bound)
@@ -581,12 +594,16 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
                 fwd[key] = CosetSymbol(a1, a2, c1, c2, level)
             else:
                 fwd[key] = CosetSymbol(a2, a1, c2, c1, level)
-        assert len(set(fwd.values())) == len(keys) == len(man_system.basis)
+        require(len(set(fwd.values())) == len(keys)
+                == len(man_system.basis), "%d keys map to %d distinct "
+                "cosets of %d at level %r", len(keys), len(set(fwd.values())),
+                len(man_system.basis), level)
         back = {s: canonicalize((grp.character((s.a, s.c)),
                                  grp.character((s.b, s.d))))
                 for s in man_system.basis}
         for key, s in fwd.items():
-            assert back[s] == key
+            require(back[s] == key, "key %r goes to %r and back to %r",
+                    key, s, back[s])
         fwd_rows = [{man_system.index[fwd[keys[i]]]: v
                      for i, v in row.items()}
                     for row in sym_system.rel.rows]
@@ -596,11 +613,10 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
         require_span(man_system.rel, fwd_rows, "symbol relations")
         require_span(sym_system.rel, back_rows, "coset relations")
         dim_sym, tors_sym = quotient(sym_system)
-        report = IsoReport(level, grp.literal(), len(keys),
-                           len(man_system.basis), dim_sym, man_report.dim_q,
-                           tors_sym, man_report.torsion)
-        assert report.ok
-        return report
+        return _matched(IsoReport(level, grp.literal(), len(keys),
+                                  len(man_system.basis), dim_sym,
+                                  man_report.dim_q, tors_sym,
+                                  man_report.torsion))
 
     # N = 2: collapse cosets onto keys; the swap rows become zero rows
     keys = enumerate_generators(grp, 2, bound=enum_bound)
@@ -613,26 +629,20 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     hits = {}
     for s, key in back.items():
         hits[key] = hits.get(key, 0) + 1
-    assert set(hits) == set(keys) and set(hits.values()) == {2}
+    require(set(hits) == set(keys) and set(hits.values()) == {2},
+            "cosets cover %d of %d keys, %r times each, at level %r",
+            len(hits), len(keys), sorted(set(hits.values())), level)
 
     projected = []
     for row in man_system.rel.rows:
-        out = {}
-        for i, v in row.items():
-            j = sym_system.index[back[man_system.basis[i]]]
-            val = out.get(j, 0) + v
-            if val:
-                out[j] = val
-            elif j in out:
-                del out[j]
+        out = sparse_add({}, ((sym_system.index[back[man_system.basis[i]]], v)
+                              for i, v in row.items()))
         if out:
             projected.append(out)
     proj_rel = SparseIntMatrix(len(projected), len(keys), projected)
     require_span(sym_system.rel, projected, "projected coset relations")
     require_span(proj_rel, sym_system.rel.rows, "symbol relations")
     dim_sym, tors_sym = quotient(sym_system)
-    report = IsoReport(level, grp.literal(), len(keys),
-                       len(man_system.basis), dim_sym, man_report.dim_q,
-                       tors_sym, man_report.torsion)
-    assert report.ok
-    return report
+    return _matched(IsoReport(level, grp.literal(), len(keys),
+                              len(man_system.basis), dim_sym,
+                              man_report.dim_q, tors_sym, man_report.torsion))

@@ -3,13 +3,18 @@
 Rank over Q, Smith normal form, and row-span membership, all from one
 elimination engine.  Matrices are stored row-wise as dicts {column: value}
 with Python-int entries, so nothing ever overflows.  The engine eliminates
-unit pivots (+-1 entries) in Markowitz order; each is a Smith divisor.  When
-no unit entry is left it peels the content: the live rows are divided by
-the gcd g of their entries, every later divisor is scaled by g, and unit
-pivots resume.  A residue of content 1 with no unit entry, which the
-relation matrices here rarely leave, gets gcd row and column steps on its
-least entries until one is a unit.  Span membership reduces against the
-recorded unit pivot rows and a fraction-free echelon of that residue.
+unit pivots (+-1 entries); each is a Smith divisor.  It first quotients by
+the rows e_a +- e_b, which say that two columns agree up to sign, with a
+signed union-find: every merge is a unit pivot, a cycle whose signs cancel
+drops its row and one whose signs do not leaves 2 e_root.  The other rows,
+remapped onto the roots, are eliminated in Markowitz order.  When no unit
+entry is left it peels the content: the live rows are divided by the gcd g
+of their entries, every later divisor is scaled by g, and unit pivots
+resume.  A residue of content 1 with no unit entry, which the relation
+matrices here rarely leave, gets gcd row and column steps on its least
+entries until one is a unit.  Span membership reduces against the recorded
+pivot rows, each merge recorded as its row over the two roots it joins,
+and a fraction-free echelon of that residue.
 """
 
 from __future__ import annotations
@@ -34,6 +39,23 @@ def require(ok, message, *args):
     """Raise ConsistencyError(message % args) unless ok."""
     if not ok:
         raise ConsistencyError(message % args)
+
+
+def sparse_add(row, terms):
+    """Add (key, value) terms into the sparse dict `row`, in place, deleting
+    entries that reach zero; returns row."""
+    for k, v in terms:
+        cur = row.get(k)
+        if cur is None:
+            if v:
+                row[k] = v
+        else:
+            cur += v
+            if cur:
+                row[k] = cur
+            else:
+                del row[k]
+    return row
 
 
 class SparseIntMatrix:
@@ -107,27 +129,118 @@ class SnfResult:
         return "SnfResult(divisors=%r, rank=%d)" % (self.divisors, self.rank)
 
 
-def _unit_eliminate(rows, pivots=None):
-    """Markowitz unit-pivot elimination with content peeling.
+class SignedUnionFind:
+    """Union-find over hashable items, each tied to its root by a sign:
+    x = sign * root.  Union by size and path compression keep every find
+    short (depth at most log2 of the item count)."""
 
-    Each pass pivots on +-1 entries, cheapest (row length - 1) * (column
+    __slots__ = ("link", "size")
+
+    def __init__(self):
+        self.link = {}      # joined item -> (parent, sign): x = sign parent
+        self.size = {}      # root -> number of items joined to it, if > 1
+
+    def find(self, x):
+        """(root, sign) with x = sign * root."""
+        up = self.link.get(x)
+        if up is None:
+            return x, 1
+        p, s = up
+        if p in self.link:
+            r, t = self.find(p)
+            s *= t
+            self.link[x] = (r, s)
+            return r, s
+        return p, s
+
+    def union(self, a, b, sign):
+        """Join the distinct roots a and b so that a = sign * b, the smaller
+        tree below the larger; returns the root that stops being one."""
+        size = self.size
+        if size.get(a, 1) > size.get(b, 1):
+            a, b = b, a
+        self.link[a] = (b, sign)        # sign is its own inverse
+        size[b] = size.get(b, 1) + size.pop(a, 1)
+        return a
+
+
+def _contract_two_term(rows, pivots):
+    """Quotient by the rows with exactly two entries, both +-1.
+
+    A signed union-find over the columns: the row s e_a + t e_b says
+    e_a = -st e_b, a unit pivot on one root retiring the row.  A row whose
+    columns are already joined closes a cycle: it is dropped when its signs
+    cancel and otherwise leaves {root: +-2}.  Each merge is recorded in
+    `pivots` (when given) as (child, row over the two roots it joins), so
+    it is zero at every earlier pivot column, none of which is a root.
+
+    Returns (merges, rest): the number of unit pivots and, as new dicts,
+    every other row, the closed cycles included, remapped onto the final
+    roots.
+    """
+    forest = SignedUnionFind()
+    find, link = forest.find, forest.link
+    merges = 0
+    rest = []
+    for row in rows:
+        if len(row) == 2:
+            (a, sa), (b, sb) = row.items()
+            if sa in (1, -1) and sb in (1, -1):
+                a, s = find(a)
+                b, t = find(b)
+                sa *= s
+                sb *= t
+                if a == b:
+                    if sa == sb:
+                        rest.append({a: sa + sb})
+                    continue
+                child = forest.union(a, b, -sa * sb)
+                merges += 1
+                if pivots is not None:
+                    pivots.append((child, {a: sa, b: sb}))
+                continue
+        if row:
+            rest.append(row)
+    if not link:
+        return 0, [dict(row) for row in rest]
+
+    def on_roots(row):
+        for c, v in row.items():
+            if c in link:
+                c, s = find(c)
+                v *= s
+            yield c, v
+
+    remapped = (sparse_add({}, on_roots(row)) for row in rest)
+    return merges, [row for row in remapped if row]
+
+
+def _unit_eliminate(rows, pivots=None):
+    """Two-term contraction, then Markowitz unit-pivot elimination with
+    content peeling.
+
+    The rows with exactly two entries, both +-1, are settled first by a
+    signed union-find (see _contract_two_term); each merge is a unit pivot,
+    done in bulk.  The other rows, remapped onto the roots, then go through
+    passes that pivot on +-1 entries, cheapest (row length - 1) * (column
     count - 1) first.  A pivot clears its column from every other row by
     row operations; the column operations that clear the rest of the pivot
     row touch no other row, so the row is simply retired, contributing one
     divisor.  When given, `pivots` receives each retired (column, row) in
-    pivot order.  Once no unit entry is left, the live rows are divided by
-    the gcd g of their entries and the next pass runs at a scale g times
-    larger, since SNF(gA) = g SNF(A).
+    pivot order, the merges first.  Once no unit entry is left, the live
+    rows are divided by the gcd g of their entries and the next pass runs
+    at a scale g times larger, since SNF(gA) = g SNF(A).
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
     """
-    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    merges, rest = _contract_two_term(rows, pivots)
+    rows = dict(enumerate(rest))
     cols = {}
     for i, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(i)
-    divisors = []
+    divisors = [1] * merges
     scale = 1
     heappush, heappop = heapq.heappush, heapq.heappop
     while True:

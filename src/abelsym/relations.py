@@ -8,7 +8,9 @@ is not a matrix row here: the basis is already canonical (sorted) keys, so
 every relation template is instantiated at every position pair.  Templates
 run on the keys' code tuples through negation and difference tables built
 per system; their images keep the key's span, so they are looked up in the
-basis without re-validating them.
+basis without re-validating them.  The blowup and plus templates go through
+`relation_rows`; the minus variant's two-term sign rows come from
+`_sign_rows`, which builds them already deduplicated, after the blowups.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -25,7 +27,7 @@ from fractions import Fraction
 from .abelian import difference_codes, negation_codes, parse_group
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
-                      require, smith_normal_form)
+                      require, smith_normal_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, det_classes,
                       enumerate_det_class, enumerate_generators, replace_code)
 
@@ -85,14 +87,7 @@ def relation_rows(index, relations):
     rows = []
     seen = set()
     for parts in relations:
-        row = {}
-        for key, coeff in parts:
-            i = index[key]
-            val = row.get(i, 0) + coeff
-            if val:
-                row[i] = val
-            elif i in row:
-                del row[i]
+        row = sparse_add({}, ((index[key], coeff) for key, coeff in parts))
         if not row:
             continue
         sig = tuple(sorted(row.items()))
@@ -119,15 +114,34 @@ def _templates(group, codes, n, variant):
                 bi, bj = t[i], t[j]
                 yield [(t, 1), (replace_code(t, i, diff[bi][bj]), -1),
                        (replace_code(t, j, diff[bj][bi]), -1)]
-    if variant is Variant.MINUS:
-        neg = negation_codes(group)
-        for t in codes:
-            for i in range(n):
-                yield [(t, 1), (replace_code(t, i, neg[t[i]]), 1)]
     if variant is Variant.PLUS:
         neg = negation_codes(group)
         for t in codes:
             yield [(t, 1), ((neg[t[0]],), -1)]
+
+
+def _sign_rows(group, codes, index, n):
+    """The minus variant's sign rows e_t + e_(t with one entry negated),
+    built already deduplicated.
+
+    The row of keys k < j comes from key k; a flip that fixes the key
+    gives {k: 2}; a flip repeating an earlier one of the same key is
+    dropped.  In (key, position) order these are the first occurrences of
+    the sign relations, each with the key's own index first.  Their
+    coefficients sum to 2 and a blowup row's to -1, so no sign row repeats
+    a blowup row.
+    """
+    neg = negation_codes(group)
+    rows = []
+    for k, t in enumerate(codes):
+        done = []
+        for i in range(n):
+            j = index[replace_code(t, i, neg[t[i]])]
+            if j < k or j in done:
+                continue
+            done.append(j)
+            rows.append({k: 2} if j == k else {k: 1, j: 1})
+    return rows
 
 
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
@@ -145,6 +159,8 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     codes = [key.codes for key in keys]
     index = {t: i for i, t in enumerate(codes)}
     rows = relation_rows(index, _templates(group, codes, n, variant))
+    if variant is Variant.MINUS:
+        rows += _sign_rows(group, codes, index, n)
     rel = SparseIntMatrix.trusted(len(keys), rows)
     return RelationSystem(group, n, variant, list(keys), rel)
 

@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import gcd
 
 from .abelian import make_group, proper_cyclic_subgroups, quotient_data
-from .exactla import SparseIntMatrix, SpanChecker
+from .exactla import SparseIntMatrix, SpanChecker, sparse_add
 from .relations import (Variant, build_relations, dimension,
                         kernel_dimension, kernel_generators)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, canonicalize,
@@ -92,24 +92,19 @@ class TensorSum:
     def __init__(self, left_variant, right_variant, terms=None):
         self.left_variant = Variant.parse(left_variant)
         self.right_variant = Variant.parse(right_variant)
-        clean = {}
-        if terms:
-            for lkey, rkey, coeff in terms:
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                lkey, lsign = _reduce(lkey, self.left_variant)
-                right = _reduce(rkey, self.right_variant)
-                if right is None:
-                    continue
-                rkey, rsign = right
-                pair = (lkey, rkey)
-                val = clean.get(pair, 0) + coeff * lsign * rsign
-                if val:
-                    clean[pair] = val
-                else:
-                    del clean[pair]
-        self.terms = clean
+        self.terms = sparse_add({}, self._reduced(terms or ()))
+
+    def _reduced(self, terms):
+        """((left, right), coeff) of each nonzero (left, right, coeff) term
+        after sign reduction, rationally zero classes dropped."""
+        for lkey, rkey, coeff in terms:
+            coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            lkey, lsign = _reduce(lkey, self.left_variant)
+            right = _reduce(rkey, self.right_variant)
+            if right is not None:
+                yield (lkey, right[0]), coeff * lsign * right[1]
 
     def _require_same_tags(self, other):
         if (self.left_variant is not other.left_variant
@@ -119,14 +114,7 @@ class TensorSum:
     def __add__(self, other):
         self._require_same_tags(other)
         out = TensorSum(self.left_variant, self.right_variant)
-        merged = dict(self.terms)
-        for pair, coeff in other.terms.items():
-            val = merged.get(pair, 0) + coeff
-            if val:
-                merged[pair] = val
-            elif pair in merged:
-                del merged[pair]
-        out.terms = merged
+        out.terms = sparse_add(dict(self.terms), other.terms.items())
         return out
 
     def scale(self, k):
@@ -446,11 +434,9 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             lsys = build_relations(cyc, k, Variant.PLAIN, bound=enum_bound)
             rsys = build_relations(q.quotient, n - k, Variant.PLAIN,
                                    bound=enum_bound)
-            rreps = []
-            for rkey in rsys.basis:
-                red = minus_reduce(rkey)
-                if red is not None and red[0] == rkey:
-                    rreps.append(rkey)
+            reds = [minus_reduce(rkey) for rkey in rsys.basis]
+            rreps = [rkey for rkey, red in zip(rsys.basis, reds)
+                     if red is not None and red[0] == rkey]
             pair_index = {}
             for lkey in lsys.basis:
                 for rkey in rreps:
@@ -463,17 +449,9 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                                  for c, v in row.items()})
             for lkey in lsys.basis:
                 for row in rsys.rel.rows:
-                    pushed = {}
-                    for c, v in row.items():
-                        red = minus_reduce(rsys.basis[c])
-                        if red is None:
-                            continue
-                        idx = pair_index[(lkey, red[0])]
-                        val = pushed.get(idx, 0) + v * red[1]
-                        if val:
-                            pushed[idx] = val
-                        else:
-                            del pushed[idx]
+                    pushed = sparse_add({}, (
+                        (pair_index[(lkey, reds[c][0])], v * reds[c][1])
+                        for c, v in row.items() if reds[c] is not None))
                     if pushed:
                         rows.append(pushed)
             tensor_checker = SpanChecker(
@@ -489,13 +467,8 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                     if image is None:
                         image = comultiply(sub, key, k)
                         split_cache[key] = image
-                    for pair, coeff in image.terms.items():
-                        idx = pair_index[pair]
-                        val = vec.get(idx, 0) + coeff * v
-                        if val:
-                            vec[idx] = val
-                        else:
-                            del vec[idx]
+                    sparse_add(vec, ((pair_index[pair], coeff * v)
+                                     for pair, coeff in image.terms.items()))
                 if not vec or tensor_checker.contains(vec):
                     fwd_pass += 1
                 elif fwd_bad is None:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 from .abelian import generating_code_tuples, spans_dual
-from .exactla import BoundExceeded
+from .exactla import BoundExceeded, sparse_add
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
 DEFAULT_ENUM_BOUND = 10_000_000
@@ -130,37 +130,18 @@ class FormalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in (terms.items() if isinstance(terms, dict)
-                               else terms):
-                coeff = Fraction(coeff)
-                if coeff:
-                    cur = clean.get(key)
-                    if cur is None:
-                        clean[key] = coeff
-                    else:
-                        cur += coeff
-                        if cur:
-                            clean[key] = cur
-                        else:
-                            del clean[key]
-        self.terms = clean
+        if isinstance(terms, dict):
+            terms = terms.items()
+        self.terms = sparse_add({}, ((key, Fraction(coeff))
+                                     for key, coeff in terms or ()))
 
     @classmethod
     def of(cls, key, coeff=1):
         return cls({key: Fraction(coeff)})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            val = out.get(key, 0) + coeff
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
         res = FormalSum()
-        res.terms = out
+        res.terms = sparse_add(dict(self.terms), other.terms.items())
         return res
 
     def __sub__(self, other):

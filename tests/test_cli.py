@@ -291,6 +291,16 @@ def test_bound_exit_code(capsys):
     assert "bound" in err
 
 
+def test_snf_bound_exit_code(capsys):
+    # 75 relation rows over 39 keys: the bound sits between them, and is
+    # checked on the relation matrix as built, before any contraction
+    code, out, err = run(capsys, "dims", "--group", "9", "--variant",
+                         "minus", "--torsion", "--snf-bound", "40",
+                         "--no-cache")
+    assert code == 3 and out == ""
+    assert err == "error: smith_normal_form bound exceeded: 75x39 > 40\n"
+
+
 def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["verify"])  # --check is required

@@ -1,5 +1,6 @@
 """Coset symbols, Manin relation spaces, cusp counting, level bookkeeping."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -224,10 +225,69 @@ def test_level2_consistency_raises_under_optimize():
     assert run_optimized(code.replace("+ 1", "+ 0")) == 1
 
 
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so no check may be one; the
+    # docstrings still say "asserts", hence a syntax walk, not a grep
+    src = os.path.dirname(os.path.abspath(abelsym.__file__))
+    found = []
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += ["%s:%d" % (name, node.lineno)
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# Each patch breaks one dependency of a route so that its check must fire.
+BROKEN_ROUTES = {
+    "gamma_member": ("""
+        def forged(self, a, b, c, d):  # no determinant check
+            self.a, self.b, self.c, self.d = a, b, c, d
+        C.IntMatrix2.__init__ = forged
+    """, "C.gamma_member(C.IntMatrix2(3, 0, 0, 1), 2, 2)"),
+    "lift_coset": ("C.coset_of = lambda mat, n, m: None",
+                   "C.lift_coset(C.enumerate_cosets(3, 2)[0])"),
+    "coset_index": ("C.prime_factors = lambda k: [5]",
+                    "C.coset_index(2, 1)"),
+    "enumerate_cosets": ("""
+        real = C.coset_index
+        C.coset_index = lambda n, m: real(n, m) + 1
+    """, "C.enumerate_cosets(3, 1)"),
+    "manin_space": ("""
+        first = C.enumerate_cosets(3, 1)[0]
+        C._symbol = lambda level, a, b, c, d: first
+    """, "C.manin_space(3, 1)"),
+    "genus": ("C.prime_factors = lambda k: [5]", "C.genus(3, 1)"),
+    "level_invariants": ("C.cusp_formula = lambda n, m: 5",
+                         "C.level_invariants(3, 1)"),
+    "iso_check": ("C.IsoReport.ok = property(lambda self: False)",
+                  "C.iso_check(3, 1)"),
+    "iso_check_n2": ("C.IsoReport.ok = property(lambda self: False)",
+                     "C.iso_check(2, 2)"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
+def test_congruence_checks_raise_under_optimize(route):
+    patch, call = BROKEN_ROUTES[route]
+    assert run_optimized("""
+import abelsym
+from abelsym import congruence as C
+%s
+try:
+    %s
+except abelsym.ConsistencyError:
+    raise SystemExit(0)
+raise SystemExit(1)
+""" % (textwrap.dedent(patch), call)) == 0
+
+
 ROUTES = """
     from itertools import product
-    from abelsym import (Variant, build_relations, dimension, make_group,
-                         spans_dual)
+    from abelsym import (SpanChecker, Variant, build_relations, dimension,
+                         make_group, smith_normal_form, spans_dual)
 
     def answers():
         rep = dimension(make_group((2, 4)), 2, Variant.MINUS,
@@ -236,19 +296,32 @@ ROUTES = """
         g = make_group((2, 2, 2))
         spans = [spans_dual([g.character(r) for r in rows], g)
                  for rows in product(g.elements(), repeat=3)]
+        small = build_relations(make_group((2, 4)), 2, Variant.MINUS)
+        # half its rows are e_s +- e_t: the two-term contraction merges 27
+        # of its 39 columns
+        rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
+        checker = SpanChecker(rel)
+        members = [checker.contains({i: 1, j: s})
+                   for i in range(rel.ncols) for j in range(i, rel.ncols)
+                   for s in (1, -1)]
         return (rep.dim_q, rep.torsion,
                 [key.codes for key in system.basis],
-                [list(row.items()) for row in system.rel.rows], spans)
+                [list(row.items()) for row in system.rel.rows], spans,
+                [list(row.items()) for row in small.rel.rows],
+                rel.rows, smith_normal_form(rel).divisors, members)
 """
 
 
 def test_int_routes_under_optimize():
-    # the code-tuple enumeration, assembly and per-prime test give the same
-    # answers with asserts stripped, so none of them rests on an assert
+    # the code-tuple enumeration, assembly, per-prime test, sign rows and
+    # two-term contraction give the same answers with asserts stripped, so
+    # none of them rests on an assert
     scope = {}
     exec(textwrap.dedent(ROUTES), scope)
     want = scope["answers"]()
     assert want[:2] == (0, (2, 2, 2)) and sum(want[4]) == 168
+    assert len(want[5]) == 28 and sum(len(row) == 2 for row in want[6]) == 39
+    assert want[7].count(2) == 5 and any(want[8]) and not all(want[8])
     assert run_optimized(textwrap.dedent(ROUTES) + """
 raise SystemExit(0 if answers() == %r else 1)
 """ % (want,)) == 0

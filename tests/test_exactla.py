@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
-                             dense_snf_with_transforms, rank_over_Q,
-                             row_span_membership, smith_normal_form)
+                             _contract_two_term, dense_snf_with_transforms,
+                             rank_over_Q, row_span_membership,
+                             smith_normal_form)
 from rankref import reference_det, reference_rank
 
 
@@ -73,6 +74,17 @@ def test_snf_divisor_chain_property():
 def test_snf_bound():
     with pytest.raises(BoundExceeded):
         smith_normal_form(mat([[1, 2], [3, 4]]), bound=1)
+
+
+def test_snf_bound_is_on_the_input_shape():
+    # 12 two-term +-1 rows over 4 columns contract to a single {root: 2}
+    # row, but the bound caps the matrix as given
+    rows = [[1, (-1) ** i, 0, 0] for i in range(10)] + [[0, 1, 1, 0],
+                                                        [0, 0, 1, -1]]
+    m = mat(rows)
+    assert smith_normal_form(m, bound=12).divisors == (1, 1, 1, 2)
+    with pytest.raises(BoundExceeded, match="12x4 > 11"):
+        smith_normal_form(m, bound=11)
 
 
 def test_dense_snf_transforms_reconstruct():
@@ -205,3 +217,88 @@ def test_matrix_validation():
     m = SparseIntMatrix(2, 2, [{0: 3, 1: 0}, {1: -1}])
     assert m.rows == [{0: 3}, {1: -1}]  # the explicit zero is dropped
     assert m.nnz() == 2
+
+
+@st.composite
+def _two_term_cases(draw):
+    """Rows that are mostly e_a +- e_b: chains over a few columns, closing
+    rows whose signs may or may not cancel, repeats with one sign flipped,
+    and a few random rows, shuffled together."""
+    ncols = draw(st.integers(2, 7))
+    col = st.integers(0, ncols - 1)
+    sign = st.sampled_from([1, -1])
+    two = []
+    for _ in range(draw(st.integers(0, 2))):
+        chain = draw(st.lists(col, min_size=2, max_size=ncols, unique=True))
+        if draw(st.booleans()):
+            chain.append(chain[0])  # the closing row of a cycle
+        two += [(a, b) for a, b in zip(chain, chain[1:])]
+    two += draw(st.lists(st.tuples(col, col).filter(lambda p: p[0] != p[1]),
+                         max_size=5))
+    rows = []
+    for a, b in two:
+        row = [0] * ncols
+        row[a], row[b] = draw(sign), draw(sign)
+        rows.append(row)
+        if draw(st.integers(0, 3)) == 0:
+            again = row[:]
+            again[b] *= draw(sign)  # flipped: {root: 2}; same: dropped
+            rows.append(again)
+    rows += draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+                                   max_size=ncols), max_size=3))
+    if not rows:
+        rows = [[0] * ncols]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_term_cases())
+def test_snf_with_two_term_rows_matches_dense_reference(rows):
+    res = smith_normal_form(mat(rows))
+    assert res.divisors == _dense_divisors(rows)
+    assert res.rank == reference_rank(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_span_membership_with_two_term_rows(data):
+    rows = data.draw(_two_term_cases())
+    ncols = len(rows[0])
+    checker = SpanChecker(mat(rows))
+    merged = sorted({c for row in rows if len([v for v in row if v]) == 2
+                     and all(v in (0, 1, -1) for v in row)
+                     for c, v in enumerate(row) if v})
+    queries = [data.draw(st.lists(st.integers(-3, 3), min_size=ncols,
+                                  max_size=ncols))]
+    if merged:
+        # supported only on columns the contraction joined
+        only = data.draw(st.lists(st.sampled_from(merged), min_size=1,
+                                  max_size=3))
+        query = [0] * ncols
+        for c in only:
+            query[c] += data.draw(st.sampled_from([1, -1, 2]))
+        queries.append(query)
+    for query in queries:
+        member = reference_rank(rows + [query]) == reference_rank(rows)
+        assert checker.contains(query) == member
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                max_size=len(rows)))
+    combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
+             for j in range(ncols)]
+    assert checker.contains(combo)
+
+
+def test_contraction_alone_settles_the_matrix():
+    # e0 = -e1 = -e2 = e3, e4 = e5; the row e0 - e3 closes its cycle
+    rows = [[1, 1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [0, 0, 1, 1, 0, 0],
+            [1, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, -1], [0, 1, 0, 1, 0, 0]]
+    merges, rest = _contract_two_term(mat(rows).rows, None)
+    assert (merges, rest) == (4, [])
+    res = smith_normal_form(mat(rows))
+    assert res.divisors == _dense_divisors(rows) == (1, 1, 1, 1, 0, 0)
+    checker = SpanChecker(mat(rows))
+    assert checker.contains([0, 0, 1, 1, 0, 0])
+    assert checker.contains([3, 0, 0, -3, 2, -2])
+    assert not checker.contains([0, 0, 1, -1, 0, 0])
+    assert not checker.contains([1, 0, 0, 0, 0, 0])
+    assert not checker.contains([0, 0, 0, 0, 1, 1])
