@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd, lcm, prod
 
 from .arith import prime_factors
-from .exactla import dense_snf_with_transforms
+from .exactla import dense_snf_with_transforms, require
 
 # Enumerations over elements and subgroups stay total only for desk-scale
 # groups; make_group refuses anything larger by default.
@@ -443,8 +443,9 @@ class QuotientData:
             for pos, i in enumerate(self._kept):
                 num = v[j][i] * nj
                 di = self._divs[i]
-                if num % di:
-                    raise AssertionError("quotient transform not integral")
+                require(num % di == 0, "quotient transform of %r by %r is "
+                        "not integral: V[%d][%d] * %d = %d, divisor %d",
+                        factors, self.sub.generator, j, i, nj, num, di)
                 acc += qchar.residues[pos] * (num // di)
             res.append(acc % nj)
         return self.ambient.character(tuple(res))
@@ -484,13 +485,13 @@ class QuotientData:
         res = []
         rem = a
         for i, ni in enumerate(factors):
-            for ci in range(ni):
-                if (rem - ci * w[i]) % tail[i + 1] == 0:
-                    res.append(ci)
-                    rem = (rem - ci * w[i]) % d
-                    break
-            else:
-                raise AssertionError("greedy lift failed")
+            ci = next((c for c in range(ni)
+                       if (rem - c * w[i]) % tail[i + 1] == 0), None)
+            require(ci is not None, "greedy lift of %d mod %d fails at "
+                    "coordinate %d: no residue leaves a multiple of %d from "
+                    "%d", a, d, i, tail[i + 1], rem)
+            res.append(ci)
+            rem = (rem - ci * w[i]) % d
         return self.ambient.character(tuple(res))
 
     def dual_lifts(self, a):

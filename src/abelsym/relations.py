@@ -28,7 +28,7 @@ from .abelian import difference_codes, negation_codes, parse_group
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
                       require, smith_normal_form, sparse_add)
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, det_classes,
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
                       enumerate_det_class, enumerate_generators, replace_code)
 
 
@@ -261,22 +261,20 @@ def kernel_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     """Spanning set of the kernel of the plain -> minus projection.
 
     One formal sum e_key + e_(key with one entry negated) per key and
-    position, deduplicated.
+    position, deduplicated: the rows of `kernel_rows`.
     """
     if n < 2:
         raise ValueError("kernel generators need n >= 2")
-    out = []
-    seen = set()
-    neg = negation_codes(group)
-    for key in enumerate_generators(group, n, bound=bound):
-        for i, c in enumerate(key.codes):
-            flipped = SymbolKey(group, replace_code(key.codes, i, neg[c]))
-            fsum = FormalSum([(key, Fraction(1)), (flipped, Fraction(1))])
-            sig = tuple(sorted(fsum.items(), key=lambda kv: kv[0]))
-            if sig not in seen:
-                seen.add(sig)
-                out.append(fsum)
-    return out
+    keys = enumerate_generators(group, n, bound=bound)
+    return [FormalSum({keys[c]: v for c, v in row.items()})
+            for row in kernel_rows(group, n, keys)]
+
+
+def kernel_rows(group, n, keys):
+    """The kernel generators as sparse rows over the indexed keys; they are
+    the minus variant's sign rows."""
+    codes = [key.codes for key in keys]
+    return _sign_rows(group, codes, {t: i for i, t in enumerate(codes)}, n)
 
 
 def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
@@ -292,8 +290,7 @@ def kernel_span_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     if not system.basis:
         return 0
     base = rank_over_Q(system.rel)
-    krows = [system.vector(f) for f in kernel_generators(group, n,
-                                                         bound=enum_bound)]
+    krows = kernel_rows(group, n, system.basis)
     total = rank_over_Q(system.rel.with_rows(krows))
     return total - base
 

@@ -9,19 +9,30 @@ comultiplication across every proper cyclic subgroup, psi is its one-sided
 rational inverse, and verify_kernel_iso checks that the pair identifies the
 kernel of the plain-to-minus projection in degree n with the direct sum of
 the products  M_1^+(G') (x) M_{n-1}^-(G/G')  over those subgroups.
+
+The maps run on code tuples (see symbols) with integer coefficients.  A
+call lists the proper cyclic subgroups once and builds one `_Split` per
+subgroup, kept only for that call: the quotient and Z/d, the annihilator
+as ambient code -> quotient code, dual_restrict and the lifts per code, and
+a memo of the quotient code tuples that are keys and their minus reduction.
+The batteries use 2 psi, which has integer coefficients; span membership
+is over Q, so the scaling changes no verdict.  The public maps run the same
+routines on one-shot tables and return Fraction coefficients.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .abelian import make_group, proper_cyclic_subgroups, quotient_data
+from .abelian import (make_group, negation_codes, proper_cyclic_subgroups,
+                      quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, sparse_add
 from .relations import (Variant, build_relations, dimension,
-                        kernel_dimension, kernel_generators)
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, canonicalize,
+                        kernel_dimension, kernel_rows)
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey,
                       enumerate_generators)
 
 __all__ = [
@@ -29,6 +40,23 @@ __all__ = [
     "delta_sum", "minus_reduce", "multiply", "nu", "omega_generators",
     "plus_reduce", "psi", "verify_comultiplication", "verify_kernel_iso",
 ]
+
+
+def _minus_codes(neg, codes):
+    """minus_reduce on a code tuple, neg the negation table: (rep codes,
+    sign) or None."""
+    best = parities = None
+    for mask in range(1 << len(codes)):
+        cand = tuple(sorted(neg[c] if mask >> i & 1 else c
+                            for i, c in enumerate(codes)))
+        par = bin(mask).count("1") & 1
+        if best is None or cand < best:
+            best, parities = cand, {par}
+        elif cand == best:
+            parities.add(par)
+    if len(parities) == 2:
+        return None
+    return best, (1 if 0 in parities else -1)
 
 
 def minus_reduce(key):
@@ -40,21 +68,8 @@ def minus_reduce(key):
     input to it, or None when reps of both parities coincide; the class is
     then 2-torsion and rationally zero.
     """
-    n = len(key)
-    best = None
-    parities = None
-    for mask in range(1 << n):
-        cand = SymbolKey(key.group, sorted(
-            (-ch if (mask >> i) & 1 else ch).code for i, ch in enumerate(key)))
-        par = bin(mask).count("1") & 1
-        if best is None or cand < best:
-            best = cand
-            parities = {par}
-        elif cand == best:
-            parities.add(par)
-    if len(parities) == 2:
-        return None
-    return best, (1 if 0 in parities else -1)
+    red = _minus_codes(negation_codes(key.group), key.codes)
+    return None if red is None else (SymbolKey(key.group, red[0]), red[1])
 
 
 def plus_reduce(key):
@@ -117,13 +132,6 @@ class TensorSum:
         out.terms = sparse_add(dict(self.terms), other.terms.items())
         return out
 
-    def scale(self, k):
-        k = Fraction(k)
-        out = TensorSum(self.left_variant, self.right_variant)
-        if k:
-            out.terms = {pair: coeff * k for pair, coeff in self.terms.items()}
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, TensorSum)
                 and self.left_variant is other.left_variant
@@ -143,6 +151,112 @@ class TensorSum:
         return "TensorSum(%s)" % " + ".join(bits)
 
 
+class _Split:
+    """Code tables of one proper cyclic subgroup, built for one call."""
+
+    __slots__ = ("sub", "q", "cyc", "neg", "qneg", "emb", "ann", "restrict",
+                 "lifts", "_right")
+
+    def __init__(self, sub):
+        q = self.q = quotient_data(sub.ambient, sub)
+        d = sub.order
+        self.sub, self.cyc = sub, make_group((d,))
+        self.neg = negation_codes(sub.ambient)
+        self.qneg = negation_codes(q.quotient)
+        # quotient code -> ambient code; the image is the annihilator
+        self.emb = [q.dual_embed(ch).code for ch in q.quotient.characters()]
+        self.ann = {c: i for i, c in enumerate(self.emb)}
+        self.restrict = [q.dual_restrict(ch)
+                         for ch in sub.ambient.characters()]
+        self.lifts = {a: q.lift_restriction(a).code
+                      for a in range(d) if gcd(a, d) == 1}
+        self._right = {}
+
+    def right(self, qcodes):
+        """minus_reduce of a sorted quotient code tuple, or None when it is
+        rationally zero or does not generate the quotient dual."""
+        if qcodes not in self._right:
+            quot = self.q.quotient
+            chars = quot.characters()
+            self._right[qcodes] = (
+                _minus_codes(self.qneg, qcodes)
+                if spans_dual([chars[c] for c in qcodes], quot) else None)
+        return self._right[qcodes]
+
+
+def _split(rec, codes, nprime):
+    """comultiply on a code tuple: {(left residues, right rep): coeff}."""
+    n = len(codes)
+    out = {}
+    for right_pos in combinations(range(n), n - nprime):
+        qcodes = [rec.ann.get(codes[j]) for j in right_pos]
+        red = None if None in qcodes else rec.right(tuple(sorted(qcodes)))
+        if red is not None:
+            left = tuple(sorted(rec.restrict[codes[i]] for i in range(n)
+                                if i not in right_pos))
+            sparse_add(out, (((left, red[0]), red[1]),))
+    return out
+
+
+def _merge(rec, left, right):
+    """multiply on code tuples: {ambient codes: coeff}.  The lifts of a
+    residue are the fibre of dual_restrict over it."""
+    pushed = tuple(rec.emb[c] for c in right)
+    lift_sets = [[c for c, r in enumerate(rec.restrict) if r == a]
+                 for a in left]
+    return Counter(tuple(sorted(lifts + pushed))
+                   for lifts in product(*lift_sets))
+
+
+def _psi2(rec, a, right):
+    """2 psi(sub, a, right) on code tuples: {ambient codes: coeff}."""
+    lift = rec.lifts[a]
+    pushed = [rec.emb[c] for c in right]
+    return Counter(tuple(sorted(pushed + [c])) for c in (lift, rec.neg[lift]))
+
+
+def _nu(splits, row):
+    """nu on a code-tuple sum {codes: coeff}: one {((a,), right rep): coeff}
+    per split, a identified with -a, zero ones kept."""
+    out = []
+    for rec in splits:
+        d = rec.sub.order
+        comp = {}
+        for codes, coeff in row.items():
+            for ((a,), right), c in _split(rec, codes, 1).items():
+                sparse_add(comp, ((((min(a, d - a),), right), c * coeff),))
+        out.append(comp)
+    return out
+
+
+def _omega(splits, n):
+    """omega_generators with each right key as its code tuple."""
+    out = []
+    for rec in splits:
+        units = sorted({min(a, rec.sub.order - a) for a in rec.lifts})
+        reps = [key.codes for key in enumerate_generators(rec.q.quotient,
+                                                          n - 1)
+                if rec.right(key.codes) == (key.codes, 1)]
+        out += [(rec, a, right) for a in units for right in reps]
+    return out
+
+
+def _formal(group, terms, den=None):
+    """FormalSum over `group` of {codes: coeff}, coefficients over den."""
+    out = FormalSum()
+    out.terms = {SymbolKey(group, t): Fraction(c, den)
+                 for t, c in terms.items()}
+    return out
+
+
+def _tensor(left_variant, rec, terms):
+    """TensorSum(left_variant, MINUS) of {(left residues, right): coeff}."""
+    out = TensorSum(left_variant, Variant.MINUS)
+    out.terms = {(SymbolKey(rec.cyc, l), SymbolKey(rec.q.quotient, r)):
+                 Fraction(c) for (l, r), c in terms.items()}
+    return out
+
+
 def multiply(sub, left, right):
     """Merge a key over a cyclic subgroup with a key over its quotient.
 
@@ -152,21 +266,13 @@ def multiply(sub, left, right):
     the sum of the canonicalized ambient keys, one per lift tuple, all with
     coefficient one.
     """
-    q = quotient_data(sub.ambient, sub)
-    cyc = make_group((sub.order,))
-    for ch in left:
-        if ch.group is not cyc:
-            raise ValueError("left key must live over Z/%d" % sub.order)
-    for ch in right:
-        if ch.group is not q.quotient:
-            raise ValueError("right key must live over the quotient %s"
-                             % q.quotient.literal())
-    pushed = tuple(q.dual_embed(ch) for ch in right)
-    lift_sets = [q.dual_lifts(ch.residues[0]) for ch in left]
-    terms = []
-    for lifts in product(*lift_sets):
-        terms.append((canonicalize(tuple(lifts) + pushed), Fraction(1)))
-    return FormalSum(terms)
+    rec = _Split(sub)
+    if left.group is not rec.cyc:
+        raise ValueError("left key must live over Z/%d" % sub.order)
+    if right.group is not rec.q.quotient:
+        raise ValueError("right key must live over the quotient %s"
+                         % rec.q.quotient.literal())
+    return _formal(sub.ambient, _merge(rec, left.codes, right.codes))
 
 
 def comultiply(sub, key, nprime):
@@ -179,34 +285,14 @@ def comultiply(sub, key, nprime):
     characters, and each summand contributes the canonicalized pair with
     coefficient one.  The right side is reduced as a minus-variant key.
     """
-    n = len(key)
-    if not 1 <= nprime < n:
+    if not 1 <= nprime < len(key):
         raise ValueError("left size must satisfy 1 <= nprime < n")
-    ambient = sub.ambient
-    if key.group is not ambient:
+    if key.group is not sub.ambient:
         raise ValueError("key does not live over the subgroup's ambient group")
-    q = quotient_data(ambient, sub)
-    if q.quotient.order == 1:
+    rec = _Split(sub)
+    if rec.q.quotient.order == 1:
         raise ValueError("the quotient is trivial; nothing to push right")
-    ann = frozenset(q.annihilator())
-    emb_inv = {q.dual_embed(ch): ch for ch in q.quotient.characters()}
-    cyc = make_group((sub.order,))
-    terms = []
-    for right_pos in combinations(range(n), n - nprime):
-        rest = [key[j] for j in right_pos]
-        if any(ch not in ann for ch in rest):
-            continue
-        qchars = tuple(emb_inv[ch] for ch in rest)
-        try:
-            rkey = canonicalize(qchars)
-        except ValueError:
-            # annihilating entries that do not span the annihilator
-            continue
-        taken = set(right_pos)
-        lchars = tuple(cyc.character((q.dual_restrict(key[i]),))
-                       for i in range(n) if i not in taken)
-        terms.append((canonicalize(lchars), rkey, Fraction(1)))
-    return TensorSum(Variant.PLAIN, Variant.MINUS, terms)
+    return _tensor(Variant.PLAIN, rec, _split(rec, key.codes, nprime))
 
 
 def nu(group, n, x):
@@ -219,18 +305,14 @@ def nu(group, n, x):
     """
     if n < 2:
         raise ValueError("the splitting map needs n >= 2")
-    out = {}
-    for sub in proper_cyclic_subgroups(group):
-        terms = []
-        for key, coeff in x.items():
-            if len(key) != n or key.group is not group:
-                raise ValueError("summand %r does not have length %d over %s"
-                                 % (key, n, group.literal()))
-            part = comultiply(sub, key, 1)
-            for (lkey, rkey), c in part.terms.items():
-                terms.append((lkey, rkey, c * coeff))
-        out[sub] = TensorSum(Variant.PLUS, Variant.MINUS, terms)
-    return out
+    for key, _ in x.items():
+        if len(key) != n or key.group is not group:
+            raise ValueError("summand %r does not have length %d over %s"
+                             % (key, n, group.literal()))
+    splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
+    comps = _nu(splits, {key.codes: c for key, c in x.items()})
+    return {rec.sub: _tensor(Variant.PLUS, rec, comp)
+            for rec, comp in zip(splits, comps)}
 
 
 def psi(sub, a, b):
@@ -245,17 +327,11 @@ def psi(sub, a, b):
     a = a % d
     if gcd(a, d) != 1:
         raise ValueError("left residue %d is not a unit mod %d" % (a, d))
-    q = quotient_data(sub.ambient, sub)
-    for ch in b:
-        if ch.group is not q.quotient:
-            raise ValueError("right key must live over the quotient %s"
-                             % q.quotient.literal())
-    pushed = tuple(q.dual_embed(ch) for ch in b)
-    lift = q.lift_restriction(a)
-    return FormalSum([
-        (canonicalize((lift,) + pushed), Fraction(1, 2)),
-        (canonicalize((-lift,) + pushed), Fraction(1, 2)),
-    ])
+    rec = _Split(sub)
+    if b.group is not rec.q.quotient:
+        raise ValueError("right key must live over the quotient %s"
+                         % rec.q.quotient.literal())
+    return _formal(sub.ambient, _psi2(rec, a, b.codes), 2)
 
 
 def delta_sum(key, i=0, j=1):
@@ -270,17 +346,17 @@ def delta_sum(key, i=0, j=1):
         raise ValueError("the sign sum needs keys with n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("positions must be distinct and within the key")
-    terms = []
-    for si in (1, -1):
-        for sj in (1, -1):
-            entries = list(key)
-            entries[i] = si * key[i]
-            entries[j] = sj * key[j]
-            # sign flips keep the span: the image needs no re-validation
-            terms.append((SymbolKey(key.group,
-                                    sorted(ch.code for ch in entries)),
-                          Fraction(1)))
-    return FormalSum(terms)
+    chars = key.group.characters()
+    codes = list(key.codes)
+    ci, cj = codes[i], codes[j]
+    terms = {}
+    # sign flips keep the span: the images need no re-validation
+    for a in (ci, (-chars[ci]).code):
+        for b in (cj, (-chars[cj]).code):
+            codes[i], codes[j] = a, b
+            t = tuple(sorted(codes))
+            terms[t] = terms.get(t, 0) + 1
+    return _formal(key.group, terms)
 
 
 def omega_generators(group, n):
@@ -293,21 +369,9 @@ def omega_generators(group, n):
     """
     if n < 2:
         raise ValueError("the split side needs n >= 2")
-    out = []
-    for sub in proper_cyclic_subgroups(group):
-        d = sub.order
-        q = quotient_data(group, sub)
-        units = sorted({min(a, (d - a) % d)
-                        for a in range(d) if gcd(a, d) == 1})
-        reps = []
-        for rkey in enumerate_generators(q.quotient, n - 1):
-            red = minus_reduce(rkey)
-            if red is not None and red[0] == rkey:
-                reps.append(rkey)
-        for a in units:
-            for rkey in reps:
-                out.append((sub, a, rkey))
-    return out
+    splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
+    return [(rec.sub, a, SymbolKey(rec.q.quotient, right))
+            for rec, a, right in _omega(splits, n)]
 
 
 class VerificationReport:
@@ -351,61 +415,56 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     (2) nu(2 psi(omega)) returns 2 omega on the nose for every generator of
         the split side, vanishing in all other components,
     (3) psi applied to nu(gamma) differs from gamma by a rational relation
-        for every kernel generator gamma.
+        for every kernel generator gamma (checked on 2 psi, which has
+        integer coefficients).
     """
     checks = []
-    subs = proper_cyclic_subgroups(group)
+    splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
 
     lhs = kernel_dimension(group, n, enum_bound=enum_bound)
     rhs = 0
-    for sub in subs:
-        q = quotient_data(group, sub)
-        dplus = dimension(make_group((sub.order,)), 1, Variant.PLUS).dim_q
-        dminus = dimension(q.quotient, n - 1, Variant.MINUS,
+    for rec in splits:
+        dplus = dimension(rec.cyc, 1, Variant.PLUS).dim_q
+        dminus = dimension(rec.q.quotient, n - 1, Variant.MINUS,
                            enum_bound=enum_bound).dim_q
         rhs += dplus * dminus
     checks.append(check_record("kernel-dimension", group, n, lhs, rhs))
 
-    gens = omega_generators(group, n)
+    gens = _omega(splits, n)
     passed = 0
     bad = None
-    for sub, a, rkey in gens:
-        image = nu(group, n, psi(sub, a, rkey).scale(2))
-        cyc = make_group((sub.order,))
-        want = TensorSum(Variant.PLUS, Variant.MINUS,
-                         [(canonicalize((cyc.character((a,)),)), rkey,
-                           Fraction(2))])
-        ok = True
-        for other, comp in image.items():
-            if other.generator == sub.generator:
-                ok = ok and comp == want
-            else:
-                ok = ok and comp.is_zero()
-        if ok:
+    for rec, a, right in gens:
+        want = {((a,), right): 2}
+        if all(comp == (want if other is rec else {}) for other, comp
+               in zip(splits, _nu(splits, _psi2(rec, a, right)))):
             passed += 1
         elif bad is None:
-            bad = "sub=%s a=%d right=%r" % (sub.generator, a, rkey)
+            bad = "sub=%s a=%d right=%r" % (
+                rec.sub.generator, a, SymbolKey(rec.q.quotient, right))
     checks.append(check_record("nu-psi-identity", group, n, passed,
                                len(gens), bad))
 
     system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     checker = SpanChecker(system.rel)
-    kgens = kernel_generators(group, n, bound=enum_bound)
+    index = {key.codes: i for i, key in enumerate(system.basis)}
+    krows = kernel_rows(group, n, system.basis)
     passed = 0
     bad = None
-    for gamma in kgens:
-        recon = FormalSum()
-        for sub, comp in nu(group, n, gamma).items():
-            for (lkey, rkey), coeff in comp.terms.items():
-                recon = recon + psi(sub, lkey[0].residues[0],
-                                    rkey).scale(coeff)
-        diff = recon - gamma
-        if diff.is_zero() or checker.contains(system.vector(diff)):
+    for row in krows:
+        diff = {c: -2 * v for c, v in row.items()}  # 2 (psi nu - 1) gamma
+        comps = _nu(splits, {system.basis[c].codes: v
+                             for c, v in row.items()})
+        for rec, comp in zip(splits, comps):
+            for ((a,), right), coeff in comp.items():
+                sparse_add(diff, ((index[t], coeff * c) for t, c
+                                  in _psi2(rec, a, right).items()))
+        if not diff or checker.contains(diff):
             passed += 1
         elif bad is None:
-            bad = repr(gamma)
+            bad = repr(FormalSum({system.basis[c]: v
+                                  for c, v in row.items()}))
     checks.append(check_record("psi-nu-projection", group, n, passed,
-                               len(kgens), bad))
+                               len(krows), bad))
     return VerificationReport(group, n, checks)
 
 
@@ -424,33 +483,32 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
         raise ValueError("comultiplication checks need n >= 2")
     src = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     src_checker = SpanChecker(src.rel)
+    src_index = {key.codes: i for i, key in enumerate(src.basis)}
     fwd_pass = fwd_total = 0
     back_pass = back_total = 0
     fwd_bad = back_bad = None
     for sub in proper_cyclic_subgroups(group):
-        q = quotient_data(group, sub)
-        cyc = make_group((sub.order,))
+        rec = _Split(sub)
         for k in range(1, n):
-            lsys = build_relations(cyc, k, Variant.PLAIN, bound=enum_bound)
-            rsys = build_relations(q.quotient, n - k, Variant.PLAIN,
+            lsys = build_relations(rec.cyc, k, Variant.PLAIN,
                                    bound=enum_bound)
-            reds = [minus_reduce(rkey) for rkey in rsys.basis]
-            rreps = [rkey for rkey, red in zip(rsys.basis, reds)
-                     if red is not None and red[0] == rkey]
-            pair_index = {}
-            for lkey in lsys.basis:
-                for rkey in rreps:
-                    pair_index[(lkey, rkey)] = len(pair_index)
+            rsys = build_relations(rec.q.quotient, n - k, Variant.PLAIN,
+                                   bound=enum_bound)
+            reds = [rec.right(rkey.codes) for rkey in rsys.basis]
+            rreps = [rkey.codes for rkey, red in zip(rsys.basis, reds)
+                     if red == (rkey.codes, 1)]
+            pair_index = {pair: i for i, pair in enumerate(
+                (lkey.codes, rkey) for lkey in lsys.basis for rkey in rreps)}
 
             rows = []
             for row in lsys.rel.rows:
                 for rkey in rreps:
-                    rows.append({pair_index[(lsys.basis[c], rkey)]: v
+                    rows.append({pair_index[(lsys.basis[c].codes, rkey)]: v
                                  for c, v in row.items()})
             for lkey in lsys.basis:
                 for row in rsys.rel.rows:
                     pushed = sparse_add({}, (
-                        (pair_index[(lkey, reds[c][0])], v * reds[c][1])
+                        (pair_index[(lkey.codes, reds[c][0])], v * reds[c][1])
                         for c, v in row.items() if reds[c] is not None))
                     if pushed:
                         rows.append(pushed)
@@ -462,13 +520,12 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                 fwd_total += 1
                 vec = {}
                 for c, v in row.items():
-                    key = src.basis[c]
-                    image = split_cache.get(key)
+                    image = split_cache.get(c)
                     if image is None:
-                        image = comultiply(sub, key, k)
-                        split_cache[key] = image
+                        image = _split(rec, src.basis[c].codes, k)
+                        split_cache[c] = image
                     sparse_add(vec, ((pair_index[pair], coeff * v)
-                                     for pair, coeff in image.terms.items()))
+                                     for pair, coeff in image.items()))
                 if not vec or tensor_checker.contains(vec):
                     fwd_pass += 1
                 elif fwd_bad is None:
@@ -488,15 +545,15 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             merge_cache = {}
             for triples in back_rows:
                 back_total += 1
-                image = FormalSum()
+                image = {}
                 for lkey, rkey, coeff in triples:
                     term = merge_cache.get((lkey, rkey))
                     if term is None:
-                        term = multiply(sub, lkey, rkey)
+                        term = _merge(rec, lkey.codes, rkey.codes)
                         merge_cache[(lkey, rkey)] = term
-                    image = image + term.scale(coeff)
-                if image.is_zero() or src_checker.contains(
-                        src.vector(image)):
+                    sparse_add(image, ((src_index[t], c * coeff)
+                                       for t, c in term.items()))
+                if not image or src_checker.contains(image):
                     back_pass += 1
                 elif back_bad is None:
                     back_bad = "sub=%s nprime=%d row=%r" % (

@@ -284,10 +284,46 @@ raise SystemExit(1)
 """ % (textwrap.dedent(patch), call)) == 0
 
 
+def test_quotient_checks_raise_under_optimize():
+    # a greedy lift that stalls and a quotient transform that is not
+    # integral must raise, not build a wrong character
+    assert run_optimized("""
+        import abelsym
+        from abelsym import abelian, make_group, proper_cyclic_subgroups
+        g = make_group((2, 4))
+        sub = [s for s in proper_cyclic_subgroups(g)
+               if s.generator == (0, 2)][0]
+        q = abelian.quotient_data(g, sub)
+        real_gcd = abelian.gcd
+        # tails 1 | 2 | 2 where the true ones are 1 | 1 | 2
+        abelian.gcd = lambda x, y: {(1, 2): 2, (0, 2): 1}.get(
+            (x, y), real_gcd(x, y))
+        try:
+            q.lift_restriction(1)
+            raise SystemExit(1)
+        except abelsym.ConsistencyError:
+            abelian.gcd = real_gcd
+        real_snf = abelian.dense_snf_with_transforms
+
+        def skewed(mat):
+            d, u, v = real_snf(mat)
+            v[0][-1] += 1  # V[0][1] * 2 is then not a multiple of 4
+            return d, u, v
+        abelian.dense_snf_with_transforms = skewed
+        try:
+            abelsym.verify_kernel_iso(g, 2)
+        except abelsym.ConsistencyError:
+            raise SystemExit(0)
+        raise SystemExit(1)
+    """) == 0
+
+
 ROUTES = """
     from itertools import product
-    from abelsym import (SpanChecker, Variant, build_relations, dimension,
-                         make_group, smith_normal_form, spans_dual)
+    from abelsym import (SpanChecker, Variant, build_relations, delta_sum,
+                         dimension, enumerate_generators, make_group,
+                         smith_normal_form, spans_dual,
+                         verify_comultiplication, verify_kernel_iso)
 
     def answers():
         rep = dimension(make_group((2, 4)), 2, Variant.MINUS,
@@ -304,24 +340,34 @@ ROUTES = """
         members = [checker.contains({i: 1, j: s})
                    for i in range(rel.ncols) for j in range(i, rel.ncols)
                    for s in (1, -1)]
+        g33 = make_group((3, 3))
+        batteries = (verify_kernel_iso(g33, 2).checks
+                     + verify_comultiplication(g33, 2).checks)
+        deltas = [sorted((k.codes, c.numerator, c.denominator)
+                         for k, c in delta_sum(key).items())
+                  for key in enumerate_generators(make_group((9,)), 2)]
         return (rep.dim_q, rep.torsion,
                 [key.codes for key in system.basis],
                 [list(row.items()) for row in system.rel.rows], spans,
                 [list(row.items()) for row in small.rel.rows],
-                rel.rows, smith_normal_form(rel).divisors, members)
+                rel.rows, smith_normal_form(rel).divisors, members,
+                batteries, deltas)
 """
 
 
 def test_int_routes_under_optimize():
-    # the code-tuple enumeration, assembly, per-prime test, sign rows and
-    # two-term contraction give the same answers with asserts stripped, so
-    # none of them rests on an assert
+    # the code-tuple enumeration, assembly, per-prime test, sign rows,
+    # two-term contraction, structure-map batteries and delta sums give the
+    # same answers with asserts stripped, so none of them rests on an assert
     scope = {}
     exec(textwrap.dedent(ROUTES), scope)
     want = scope["answers"]()
     assert want[:2] == (0, (2, 2, 2)) and sum(want[4]) == 168
     assert len(want[5]) == 28 and sum(len(row) == 2 for row in want[6]) == 39
     assert want[7].count(2) == 5 and any(want[8]) and not all(want[8])
+    assert [c["status"] for c in want[9]] == ["pass"] * 5
+    assert len(want[10]) == 39 and want[10][0] == [((0, 1), 2, 1),
+                                                    ((0, 8), 2, 1)]
     assert run_optimized(textwrap.dedent(ROUTES) + """
 raise SystemExit(0 if answers() == %r else 1)
 """ % (want,)) == 0

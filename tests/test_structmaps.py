@@ -1,18 +1,24 @@
 """Splitting/merging maps, sign reduction, and the kernel identification."""
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
-from abelsym.abelian import (make_group, proper_cyclic_subgroups,
-                             quotient_data)
+import structref
+from abelsym import relations, structmaps
+from abelsym.abelian import (QuotientData, make_group,
+                             proper_cyclic_subgroups, quotient_data)
 from abelsym.exactla import SpanChecker
-from abelsym.relations import Variant, build_relations, kernel_dimension
+from abelsym.relations import (Variant, build_relations, kernel_dimension,
+                               kernel_generators)
 from abelsym.structmaps import (TensorSum, comultiply, delta_sum,
                                 minus_reduce, multiply, nu, omega_generators,
                                 plus_reduce, psi, verify_comultiplication,
                                 verify_kernel_iso)
-from abelsym.symbols import FormalSum, SymbolKey, canonicalize
+from abelsym.symbols import FormalSum, canonicalize, enumerate_generators
+from relref import presentations
 
 
 def _key(group, *residue_tuples):
@@ -127,6 +133,7 @@ def test_psi_frozen_value():
     want = FormalSum([(_key(g9, (1,), (3,)), Fraction(1, 2)),
                       (_key(g9, (3,), (8,)), Fraction(1, 2))])
     assert out == want
+    assert repr(out) == "FormalSum(1/2*<(1), (3)> + 1/2*<(3), (8)>)"
     with pytest.raises(ValueError):
         psi(sub, 0, _key(cyc, (1,)))  # residue must be a unit
     with pytest.raises(ValueError):
@@ -224,3 +231,203 @@ def test_verify_comultiplication_battery():
             assert back["lhs"] == back["rhs"] == 0  # vacuous at n = 2
     with pytest.raises(ValueError):
         verify_comultiplication(make_group((9,)), 1)
+
+
+def _same_terms(new, ref):
+    """Equal terms, each coefficient a Fraction as in the reference."""
+    assert new == ref
+    assert all(type(c) is Fraction for c in new.values())
+
+
+@pytest.mark.parametrize("n, limit", [(2, 16), (3, 9)])
+def test_code_tuple_maps_match_reference(n, limit):
+    # every map against its character-based reference, over every proper
+    # cyclic subgroup of every group of order <= limit
+    for group in presentations(limit):
+        keys = enumerate_generators(group, n)
+        for key in keys:
+            assert minus_reduce(key) == structref.minus_reduce(key)
+            for i, j in combinations(range(n), 2):
+                _same_terms(delta_sum(key, i, j).terms,
+                            structref.delta_sum(key, i, j).terms)
+        x = FormalSum([(key, Fraction(k % 5 - 2, k % 3 + 1))
+                       for k, key in enumerate(keys[:12])])
+        for gamma in kernel_generators(group, n)[:3] + [x]:
+            got = [(s.generator, comp.terms)
+                   for s, comp in nu(group, n, gamma).items()]
+            want = [(s.generator, comp)
+                    for s, comp in structref.nu(group, n, gamma).items()]
+            assert [g for g, _ in got] == [g for g, _ in want]
+            for (_, comp), (_, ref) in zip(got, want):
+                _same_terms(comp, ref)
+        assert ([(s.generator, a, r) for s, a, r in omega_generators(group, n)]
+                == [(s.generator, a, r)
+                    for s, a, r in structref.omega_generators(group, n)])
+        for sub in proper_cyclic_subgroups(group):
+            quot = quotient_data(group, sub).quotient
+            cyc = make_group((sub.order,))
+            for nprime in range(1, n):
+                for key in keys:
+                    _same_terms(comultiply(sub, key, nprime).terms,
+                                structref.comultiply(sub, key, nprime))
+                for left in enumerate_generators(cyc, nprime):
+                    for right in enumerate_generators(quot, n - nprime):
+                        _same_terms(multiply(sub, left, right).terms,
+                                    structref.multiply(sub, left, right).terms)
+            d = sub.order
+            for right in enumerate_generators(quot, n - 1):
+                for a in range(d):
+                    if gcd(a, d) == 1:
+                        _same_terms(psi(sub, a, right).terms,
+                                    structref.psi(sub, a, right).terms)
+
+
+# The check lists of both batteries, captured before the maps moved to code
+# tuples; every field is compared.
+PINNED_RECORDS = {
+    ((9,), 2): [
+        {"check": "kernel-dimension", "group": "9",
+         "n": 2, "status": "pass", "lhs": 4, "rhs": 4},
+        {"check": "nu-psi-identity", "group": "9",
+         "n": 2, "status": "pass", "lhs": 4, "rhs": 4},
+        {"check": "psi-nu-projection", "group": "9",
+         "n": 2, "status": "pass", "lhs": 39, "rhs": 39},
+        {"check": "comultiplication-relations", "group": "9",
+         "n": 2, "status": "pass", "lhs": 72, "rhs": 72},
+        {"check": "multiplication-relations", "group": "9",
+         "n": 2, "status": "pass", "lhs": 0, "rhs": 0},
+    ],
+    ((2, 4), 2): [
+        {"check": "kernel-dimension", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 2, "rhs": 2},
+        {"check": "nu-psi-identity", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 2, "rhs": 2},
+        {"check": "psi-nu-projection", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 16, "rhs": 16},
+        {"check": "comultiplication-relations", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 72, "rhs": 72},
+        {"check": "multiplication-relations", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 0, "rhs": 0},
+    ],
+    ((3, 3), 2): [
+        {"check": "kernel-dimension", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 4, "rhs": 4},
+        {"check": "nu-psi-identity", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 4, "rhs": 4},
+        {"check": "psi-nu-projection", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 24, "rhs": 24},
+        {"check": "comultiplication-relations", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 120, "rhs": 120},
+        {"check": "multiplication-relations", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 0, "rhs": 0},
+    ],
+    ((3, 3), 3): [
+        {"check": "kernel-dimension", "group": "3x3",
+         "n": 3, "status": "pass", "lhs": 3, "rhs": 3},
+        {"check": "nu-psi-identity", "group": "3x3",
+         "n": 3, "status": "pass", "lhs": 10, "rhs": 10},
+        {"check": "psi-nu-projection", "group": "3x3",
+         "n": 3, "status": "pass", "lhs": 180, "rhs": 180},
+        {"check": "comultiplication-relations", "group": "3x3",
+         "n": 3, "status": "pass", "lhs": 3120, "rhs": 3120},
+        {"check": "multiplication-relations", "group": "3x3",
+         "n": 3, "status": "pass", "lhs": 88, "rhs": 88},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RECORDS))
+def test_battery_records_pinned(case):
+    factors, n = case
+    group = make_group(factors)
+    checks = (verify_kernel_iso(group, n).checks
+              + verify_comultiplication(group, n).checks)
+    assert checks == PINNED_RECORDS[case]
+
+
+def _shift_kernel_dimension(monkeypatch):
+    real = structmaps.kernel_dimension
+    monkeypatch.setattr(structmaps, "kernel_dimension",
+                        lambda *args, **kw: real(*args, **kw) + 1)
+
+
+def _double_lift(monkeypatch):
+    # the lift of a restricts to 2a, which is not +-a mod 5
+    real = QuotientData.lift_restriction
+    monkeypatch.setattr(QuotientData, "lift_restriction",
+                        lambda self, a: real(self, 2 * a))
+
+
+def _refuse_spans(monkeypatch):
+    monkeypatch.setattr(SpanChecker, "contains", lambda self, row: False)
+
+
+def _flip_blowup_sign(monkeypatch):
+    real = relations._templates
+
+    def flipped(*args):
+        for rel in real(*args):
+            yield rel if len(rel) != 3 else rel[:2] + [(rel[2][0],
+                                                        -rel[2][1])]
+    monkeypatch.setattr(relations, "_templates", flipped)
+
+
+# One injected failure per check: (patch, battery, group, n, the battery's
+# full check list as captured before the maps moved to code tuples).
+INJECTED = {
+    "kernel-dimension": (_shift_kernel_dimension, verify_kernel_iso, (9,), 2, [
+        {"check": "kernel-dimension", "group": "9",
+         "n": 2, "status": "fail", "lhs": 5, "rhs": 4},
+        {"check": "nu-psi-identity", "group": "9",
+         "n": 2, "status": "pass", "lhs": 4, "rhs": 4},
+        {"check": "psi-nu-projection", "group": "9",
+         "n": 2, "status": "pass", "lhs": 39, "rhs": 39},
+    ]),
+    "nu-psi-identity": (_double_lift, verify_kernel_iso, (15,), 2, [
+        {"check": "kernel-dimension", "group": "15",
+         "n": 2, "status": "pass", "lhs": 8, "rhs": 8},
+        {"check": "nu-psi-identity", "group": "15",
+         "n": 2, "status": "fail", "lhs": 6, "rhs": 8,
+         "counterexample": "sub=(3,) a=1 right=<(1)>"},
+        {"check": "psi-nu-projection", "group": "15",
+         "n": 2, "status": "fail", "lhs": 88, "rhs": 100,
+         "counterexample": "FormalSum(1*<(1), (5)> + 1*<(5), (14)>)"},
+    ]),
+    "psi-nu-projection": (_refuse_spans, verify_kernel_iso, (2, 4), 2, [
+        {"check": "kernel-dimension", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 2, "rhs": 2},
+        {"check": "nu-psi-identity", "group": "2x4",
+         "n": 2, "status": "pass", "lhs": 2, "rhs": 2},
+        {"check": "psi-nu-projection", "group": "2x4",
+         "n": 2, "status": "fail", "lhs": 2, "rhs": 16,
+         "counterexample": "FormalSum(1*<(0,1), (1,0)> + 1*<(0,3), (1,0)>)"},
+    ]),
+    "comultiplication-relations": (
+        _flip_blowup_sign, verify_comultiplication, (3, 3), 2, [
+        {"check": "comultiplication-relations", "group": "3x3",
+         "n": 2, "status": "fail", "lhs": 72, "rhs": 120,
+         "counterexample": "sub=(0, 1) nprime=1 row={1: 1, 17: -1, 0: 1}"},
+        {"check": "multiplication-relations", "group": "3x3",
+         "n": 2, "status": "pass", "lhs": 0, "rhs": 0},
+        ]),
+    "multiplication-relations": (
+        _refuse_spans, verify_comultiplication, (3, 3), 3, [
+        {"check": "comultiplication-relations", "group": "3x3",
+         "n": 3, "status": "fail", "lhs": 2520, "rhs": 3120,
+         "counterexample": "sub=(0, 0) nprime=1 row={0: 1, 14: -1, 2: -1}"},
+        {"check": "multiplication-relations", "group": "3x3",
+         "n": 3, "status": "fail", "lhs": 0, "rhs": 88,
+         "counterexample": (
+             "sub=(0, 0) nprime=1 row=[(<(0)>, <(0,1), (1,0)>, 1), (<(0)>, "
+             "<(1,0), (2,1)>, -1), (<(0)>, <(0,1), (1,2)>, -1)]")},
+        ]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(INJECTED))
+def test_battery_injected_failures(check, monkeypatch):
+    patch, battery, factors, n, want = INJECTED[check]
+    patch(monkeypatch)
+    checks = battery(make_group(factors), n).checks
+    assert checks == want
+    assert [c["status"] for c in checks if c["check"] == check] == ["fail"]
