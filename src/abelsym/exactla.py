@@ -6,15 +6,17 @@ with Python-int entries, so nothing ever overflows.  The engine eliminates
 unit pivots (+-1 entries); each is a Smith divisor.  It first quotients by
 the rows e_a +- e_b, which say that two columns agree up to sign, with a
 signed union-find: every merge is a unit pivot, a cycle whose signs cancel
-drops its row and one whose signs do not leaves 2 e_root.  The other rows,
-remapped onto the roots, are eliminated in Markowitz order.  When no unit
-entry is left it peels the content: the live rows are divided by the gcd g
-of their entries, every later divisor is scaled by g, and unit pivots
-resume.  A residue of content 1 with no unit entry, which the relation
-matrices here rarely leave, gets gcd row and column steps on its least
-entries until one is a unit.  Span membership reduces against the recorded
-pivot rows, each merge recorded as its row over the two roots it joins,
-and a fraction-free echelon of that residue.
+drops its row and one whose signs do not leaves 2 e_root.  The other rows
+are remapped onto the roots, where each row repeated up to sign (such as
+the blowup rows of a key and of its sign images) is kept once, and then
+eliminated in Markowitz order.  When no unit entry is left it peels the
+content: the live rows are divided by the gcd g of their entries, every
+later divisor is scaled by g, and unit pivots resume.  A residue of
+content 1 with no unit entry, which the relation matrices here rarely
+leave, gets gcd row and column steps on its least entries until one is a
+unit.  Span membership reduces against the recorded pivot rows, each
+merge recorded as its row over the two roots it joins, and a
+fraction-free echelon of that residue.
 """
 
 from __future__ import annotations
@@ -176,10 +178,13 @@ def _contract_two_term(rows, pivots):
 
     Returns (merges, rest): the number of unit pivots and, as new dicts,
     every other row, the closed cycles included, remapped onto the final
-    roots.
+    roots through a table resolved once per joined column.  A remapped row
+    equal to an earlier one or to its negative is dropped: it changes
+    neither the row lattice nor the span.  Rows are compared by their
+    entries sorted by column, signed so that the first one is positive.
     """
     forest = SignedUnionFind()
-    find, link = forest.find, forest.link
+    find = forest.find
     merges = 0
     rest = []
     for row in rows:
@@ -201,18 +206,27 @@ def _contract_two_term(rows, pivots):
                 continue
         if row:
             rest.append(row)
-    if not link:
-        return 0, [dict(row) for row in rest]
-
-    def on_roots(row):
+    root = {c: find(c) for c in forest.link}
+    kept, seen = [], set()
+    for row in rest:
+        out = {}
         for c, v in row.items():
-            if c in link:
-                c, s = find(c)
+            if c in root:
+                c, s = root[c]
                 v *= s
-            yield c, v
-
-    remapped = (sparse_add({}, on_roots(row)) for row in rest)
-    return merges, [row for row in remapped if row]
+            v += out.get(c, 0)
+            if v:
+                out[c] = v
+            else:
+                del out[c]
+        if out:
+            sig = tuple(sorted(out.items()))
+            if sig[0][1] < 0:
+                sig = tuple((c, -v) for c, v in sig)
+            if sig not in seen:
+                seen.add(sig)
+                kept.append(out)
+    return merges, kept
 
 
 def _unit_eliminate(rows, pivots=None):
@@ -221,15 +235,16 @@ def _unit_eliminate(rows, pivots=None):
 
     The rows with exactly two entries, both +-1, are settled first by a
     signed union-find (see _contract_two_term); each merge is a unit pivot,
-    done in bulk.  The other rows, remapped onto the roots, then go through
-    passes that pivot on +-1 entries, cheapest (row length - 1) * (column
-    count - 1) first.  A pivot clears its column from every other row by
-    row operations; the column operations that clear the rest of the pivot
-    row touch no other row, so the row is simply retired, contributing one
-    divisor.  When given, `pivots` receives each retired (column, row) in
-    pivot order, the merges first.  Once no unit entry is left, the live
-    rows are divided by the gcd g of their entries and the next pass runs
-    at a scale g times larger, since SNF(gA) = g SNF(A).
+    done in bulk.  The other rows, remapped onto the roots and each kept
+    once up to sign, then go through passes that pivot on +-1 entries,
+    cheapest (row length - 1) * (column count - 1) first.  A pivot clears
+    its column from every other row by row operations; the column
+    operations that clear the rest of the pivot row touch no other row, so
+    the row is simply retired, contributing one divisor.  When given,
+    `pivots` receives each retired (column, row) in pivot order, the merges
+    first.  Once no unit entry is left, the live rows are divided by the
+    gcd g of their entries and the next pass runs at a scale g times
+    larger, since SNF(gA) = g SNF(A).
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
@@ -383,6 +398,11 @@ class SpanChecker:
                 pc = min(row, key=lambda c: (abs(row[c]), c))
                 self._order[pc] = len(self._pivots)
                 self._pivots.append((pc, row))
+
+    @property
+    def rank(self):
+        """Rank over Q of the matrix: the number of pivot rows."""
+        return len(self._pivots)
 
     def _reduce(self, row):
         """Eliminate every pivot column from the row, in place; the result

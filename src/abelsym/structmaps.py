@@ -30,8 +30,7 @@ from math import gcd
 from .abelian import (make_group, negation_codes, proper_cyclic_subgroups,
                       quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, sparse_add
-from .relations import (Variant, build_relations, dimension,
-                        kernel_dimension, kernel_rows)
+from .relations import Variant, build_relations, dimension, kernel_rows
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey,
                       enumerate_generators)
 
@@ -420,14 +419,19 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     """
     checks = []
     splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
+    system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
+    checker = SpanChecker(system.rel)
 
-    lhs = kernel_dimension(group, n, enum_bound=enum_bound)
+    lhs = len(system.basis) - checker.rank - dimension(
+        group, n, Variant.MINUS, enum_bound=enum_bound).dim_q
     rhs = 0
+    dminus = {}     # quotient factors -> its minus dimension in degree n-1
     for rec in splits:
-        dplus = dimension(rec.cyc, 1, Variant.PLUS).dim_q
-        dminus = dimension(rec.q.quotient, n - 1, Variant.MINUS,
-                           enum_bound=enum_bound).dim_q
-        rhs += dplus * dminus
+        factors = rec.q.quotient.factors
+        if factors not in dminus:
+            dminus[factors] = dimension(rec.q.quotient, n - 1, Variant.MINUS,
+                                        enum_bound=enum_bound).dim_q
+        rhs += dimension(rec.cyc, 1, Variant.PLUS).dim_q * dminus[factors]
     checks.append(check_record("kernel-dimension", group, n, lhs, rhs))
 
     gens = _omega(splits, n)
@@ -444,8 +448,6 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     checks.append(check_record("nu-psi-identity", group, n, passed,
                                len(gens), bad))
 
-    system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
-    checker = SpanChecker(system.rel)
     index = {key.codes: i for i, key in enumerate(system.basis)}
     krows = kernel_rows(group, n, system.basis)
     passed = 0

@@ -346,19 +346,23 @@ ROUTES = """
         deltas = [sorted((k.codes, c.numerator, c.denominator)
                          for k, c in delta_sum(key).items())
                   for key in enumerate_generators(make_group((9,)), 2)]
+        # 6,279 rows, most of them repeated up to sign after the contraction
+        big = build_relations(make_group((79,)), 2, Variant.MINUS).rel
         return (rep.dim_q, rep.torsion,
                 [key.codes for key in system.basis],
                 [list(row.items()) for row in system.rel.rows], spans,
                 [list(row.items()) for row in small.rel.rows],
                 rel.rows, smith_normal_form(rel).divisors, members,
-                batteries, deltas)
+                batteries, deltas,
+                smith_normal_form(big, bound=10_000).divisors)
 """
 
 
 def test_int_routes_under_optimize():
     # the code-tuple enumeration, assembly, per-prime test, sign rows,
-    # two-term contraction, structure-map batteries and delta sums give the
-    # same answers with asserts stripped, so none of them rests on an assert
+    # two-term contraction and its dropped repeats, structure-map batteries
+    # and delta sums give the same answers with asserts stripped, so none
+    # of them rests on an assert
     scope = {}
     exec(textwrap.dedent(ROUTES), scope)
     want = scope["answers"]()
@@ -368,6 +372,7 @@ def test_int_routes_under_optimize():
     assert [c["status"] for c in want[9]] == ["pass"] * 5
     assert len(want[10]) == 39 and want[10][0] == [((0, 1), 2, 1),
                                                     ((0, 8), 2, 1)]
+    assert [want[11].count(d) for d in (1, 2, 0)] == [2860, 77, 222]
     assert run_optimized(textwrap.dedent(ROUTES) + """
 raise SystemExit(0 if answers() == %r else 1)
 """ % (want,)) == 0

@@ -1,16 +1,19 @@
 """Exact linear algebra: ranks, span membership, Smith normal form."""
 
+import hashlib
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelsym import Variant, build_relations, make_group, manin_space
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
                              _contract_two_term, dense_snf_with_transforms,
                              rank_over_Q, row_span_membership,
                              smith_normal_form)
 from rankref import reference_det, reference_rank
+from relref import invariant_chains
 
 
 def mat(rows):
@@ -223,7 +226,7 @@ def test_matrix_validation():
 def _two_term_cases(draw):
     """Rows that are mostly e_a +- e_b: chains over a few columns, closing
     rows whose signs may or may not cancel, repeats with one sign flipped,
-    and a few random rows, shuffled together."""
+    and a few random rows with copies of them, shuffled together."""
     ncols = draw(st.integers(2, 7))
     col = st.integers(0, ncols - 1)
     sign = st.sampled_from([1, -1])
@@ -244,8 +247,24 @@ def _two_term_cases(draw):
             again = row[:]
             again[b] *= draw(sign)  # flipped: {root: 2}; same: dropped
             rows.append(again)
-    rows += draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
+    loose = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
                                    max_size=ncols), max_size=3))
+    rows += loose
+    for row in loose:
+        # repeats, some negated, and repeats with the entry at a joined
+        # column a moved to its partner b: equal only after the remap
+        if draw(st.booleans()):
+            rows.append([v * draw(sign) for v in row])
+        movable = [(a, b) for x, y in two for a, b in ((x, y), (y, x))
+                   if row[a] and not row[b]]
+        if movable and draw(st.booleans()):
+            a, b = draw(st.sampled_from(movable))
+            pair = next(r for r in rows if r[a] in (1, -1)
+                        and r[b] in (1, -1) and len([v for v in r if v]) == 2)
+            again = [v * draw(sign) for v in row]
+            again[b] = -pair[a] * pair[b] * again[a]
+            again[a] = 0
+            rows.append(again)
     if not rows:
         rows = [[0] * ncols]
     return draw(st.permutations(rows))
@@ -302,3 +321,71 @@ def test_contraction_alone_settles_the_matrix():
     assert not checker.contains([0, 0, 1, -1, 0, 0])
     assert not checker.contains([1, 0, 0, 0, 0, 0])
     assert not checker.contains([0, 0, 0, 0, 1, 1])
+
+
+def _distinct_up_to_sign(rows):
+    seen = set()
+    for row in rows:
+        for sign in (1, -1):
+            if frozenset((c, sign * v) for c, v in row.items()) in seen:
+                return False
+        seen.add(frozenset(row.items()))
+    return True
+
+
+def test_contraction_keeps_each_row_once():
+    # e0 = -e3, so e0 + e1 + e2 and e1 + e2 - e3 both land on
+    # e1 + e2 - e3, and so does the negative of the second
+    rows = [[1, 0, 0, 1, 0], [1, 1, 1, 0, 0], [0, 1, 1, -1, 0],
+            [0, 0, 1, 0, 2], [0, -1, -1, 1, 0]]
+    pivots = []
+    merges, rest = _contract_two_term(mat(rows).rows, pivots)
+    assert merges == 1 and pivots == [(0, {0: 1, 3: 1})]
+    assert rest == [{1: 1, 2: 1, 3: -1}, {2: 1, 4: 2}]
+    assert smith_normal_form(mat(rows)).divisors == _dense_divisors(rows)
+    checker = SpanChecker(mat(rows))
+    assert checker.rank == reference_rank(rows) == 3
+    assert checker.contains([0, 1, 1, -1, 0])
+    assert not checker.contains([0, 1, 0, 0, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_term_cases())
+def test_contraction_returns_no_repeats(rows):
+    _, rest = _contract_two_term(mat(rows).rows, None)
+    assert all(rest) and _distinct_up_to_sign(rest)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_snf_cases(), _two_term_cases()))
+def test_span_checker_rank_matches_reference(rows):
+    assert SpanChecker(mat(rows)).rank == reference_rank(rows)
+
+
+def test_span_checker_rank_on_relation_matrices():
+    rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
+    manin, _ = manin_space(2, 8)
+    for m in (rel, manin.rel):
+        assert SpanChecker(m).rank == rank_over_Q(m) > 0
+
+
+# sha256 of the Smith divisors below, as computed before the contraction
+# dropped repeated rows: minus and plain at n = 2 for every group of order
+# <= 40, then the Manin spaces at levels (11, 1), (7, 2) and (2, 8)
+ENGINE_DIVISORS_SHA256 = (
+    "7d11079f6b477a8a95cee1d2b0a967cd567ecee928d73bec14adfb11f769aa2b")
+
+
+def test_engine_divisors_pinned():
+    parts = []
+    for chain in invariant_chains(40):
+        group = make_group(chain)
+        for variant in (Variant.MINUS, Variant.PLAIN):
+            rel = build_relations(group, 2, variant).rel
+            parts.append((chain, variant.name,
+                          smith_normal_form(rel).divisors))
+    for level in ((11, 1), (7, 2), (2, 8)):
+        system, _ = manin_space(*level)
+        parts.append((level, "MANIN", smith_normal_form(system.rel).divisors))
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == ENGINE_DIVISORS_SHA256
