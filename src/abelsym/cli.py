@@ -148,16 +148,16 @@ def cmd_dims(config):
                else [config.method])
     reports = []
     for method in methods:
-        if method == "formula":
-            try:
+        try:
+            if method == "formula":
                 reports.append(formula_dimension(
                     config.group, config.n, config.variant,
                     want_torsion=config.torsion))
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        else:
-            reports.append(_brute_report(config, config.group, config.n,
-                                         config.variant))
+            else:
+                reports.append(_brute_report(config, config.group, config.n,
+                                             config.variant))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if not config.timings:
         for rep in reports:
             rep.ms = 0.0

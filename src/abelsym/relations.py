@@ -9,8 +9,12 @@ every relation template is instantiated at every position pair.  Templates
 run on the keys' code tuples through negation and difference tables built
 per system; their images keep the key's span, so they are looked up in the
 basis without re-validating them.  The blowup and plus templates go through
-`relation_rows`; the minus variant's two-term sign rows come from
-`_sign_rows`, which builds them already deduplicated, after the blowups.
+`relation_rows`; `build_relations` appends the minus variant's sign rows
+from `_sign_rows`, already deduplicated, for the callers that need the key
+basis.  `dimension` folds them into the columns instead, as modular-symbols
+codes quotient by the two-term relations first: with lo[c] = min(c, -c), a
+code tuple is (-1)^(entries with lo[c] != c) times its representative (rep),
+its sorted lo codes, and a rep with a self-inverse entry gets 2 e_rep = 0.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -144,6 +148,37 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
+def _sign_class_matrix(group, keys, n):
+    """The minus relation matrix over the reps, the sign rows folded in.
+
+    Folding ignores negating the whole key and flips off {i, j}, so the
+    blowup at any key folds to +- the (i, j) blowup at a rep r, or at r
+    with entry j negated (s = -1) unless entry i or j is self-inverse.
+    """
+    neg = negation_codes(group)
+    lo = [min(c, d) for c, d in enumerate(neg)]
+    sg = [1 if c == d else -1 for c, d in enumerate(lo)]
+    diff = difference_codes(group)
+    reps = [key.codes for key in keys
+            if all(lo[c] == c for c in key.codes)]
+    index = {t: k for k, t in enumerate(reps)}
+    rows = []
+    for k, r in enumerate(reps):
+        if any(neg[c] == c for c in r):
+            rows.append({k: 2})
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = r[i], r[j]
+                for s, bs in ((1, b), (-1, neg[b])):
+                    if s < 0 and (neg[a] == a or bs == b):
+                        break  # the s = 1 row again
+                    x, y = diff[a][bs], diff[bs][a]
+                    rows.append(sparse_add({k: s}, (  # odd sum: never 0
+                        (index[replace_code(r, i, lo[x])], -s * sg[x]),
+                        (index[replace_code(r, j, lo[y])], -sg[y]))))
+    return SparseIntMatrix.trusted(len(reps), rows)
+
+
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     """Relation system for (group, n, variant).
 
@@ -220,16 +255,20 @@ def _rank_and_torsion(rel, want_torsion, snf_bound):
 
 def dimension(group, n, variant, want_torsion=False,
               enum_bound=DEFAULT_ENUM_BOUND, snf_bound=DEFAULT_SNF_BOUND):
-    """Brute-force dimension (and optionally torsion) of the presentation."""
+    """Brute-force dimension (and optionally torsion) of the presentation,
+    over the sign classes for the minus variant."""
     t0 = time.perf_counter()
-    system = build_relations(group, n, variant, bound=enum_bound)
-    gens = len(system.basis)
-    rank, torsion = 0, ()
-    if gens:
-        rank, torsion = _rank_and_torsion(system.rel, want_torsion, snf_bound)
+    variant = Variant.parse(variant)
+    if variant is Variant.MINUS:
+        keys = enumerate_generators(group, n, bound=enum_bound)
+        rel = _sign_class_matrix(group, keys, n)
+    else:
+        system = build_relations(group, n, variant, bound=enum_bound)
+        keys, rel = system.basis, system.rel
+    rank, torsion = _rank_and_torsion(rel, want_torsion, snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
-    return DimensionReport(group, n, Variant.parse(variant), "BRUTE",
-                           gens - rank, torsion, gens, ms)
+    return DimensionReport(group, n, variant, "BRUTE", rel.ncols - rank,
+                           torsion, len(keys), ms)
 
 
 def dimension_graded(group, variant, want_torsion=False,
@@ -245,13 +284,13 @@ def dimension_graded(group, variant, want_torsion=False,
     variant = Variant.parse(variant)
     classes = det_classes(group)
     keys = enumerate_det_class(group, classes[0], bound=enum_bound)
-    system = build_relations(group, 2, variant, keys=keys)
-    rank, torsion = 0, ()
-    if keys:
-        rank, per_class = _rank_and_torsion(system.rel, want_torsion,
-                                            snf_bound)
-        torsion = tuple(sorted(per_class * len(classes)))
-    dim = (len(keys) - rank) * len(classes)
+    if variant is Variant.MINUS:
+        rel = _sign_class_matrix(group, keys, 2)
+    else:
+        rel = build_relations(group, 2, variant, keys=keys).rel
+    rank, per_class = _rank_and_torsion(rel, want_torsion, snf_bound)
+    torsion = tuple(sorted(per_class * len(classes)))
+    dim = (rel.ncols - rank) * len(classes)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, 2, variant, "BRUTE", dim, torsion,
                            len(keys) * len(classes), ms)

@@ -292,13 +292,22 @@ def test_bound_exit_code(capsys):
 
 
 def test_snf_bound_exit_code(capsys):
-    # 75 relation rows over 39 keys: the bound sits between them, and is
-    # checked on the relation matrix as built, before any contraction
+    # the minus variant hands the engine 24 folded rows over 12 sign
+    # classes: the bound sits between them, and is checked on that matrix
+    # as built, before any contraction
     code, out, err = run(capsys, "dims", "--group", "9", "--variant",
-                         "minus", "--torsion", "--snf-bound", "40",
+                         "minus", "--torsion", "--snf-bound", "20",
                          "--no-cache")
     assert code == 3 and out == ""
-    assert err == "error: smith_normal_form bound exceeded: 75x39 > 40\n"
+    assert err == "error: smith_normal_form bound exceeded: 24x12 > 20\n"
+
+
+@pytest.mark.parametrize("method", ["brute", "both"])
+def test_dims_plus_beyond_length_one_is_a_usage_error(capsys, method):
+    code, out, err = run(capsys, "dims", "--group", "9", "--variant",
+                         "plus", "--method", method, "--no-cache")
+    assert code == 2 and out == ""
+    assert err == "error: the plus variant is defined only for n = 1\n"
 
 
 def test_argparse_rejections():

@@ -348,21 +348,28 @@ ROUTES = """
                   for key in enumerate_generators(make_group((9,)), 2)]
         # 6,279 rows, most of them repeated up to sign after the contraction
         big = build_relations(make_group((79,)), 2, Variant.MINUS).rel
+        big_snf = smith_normal_form(big, bound=10_000)
+        # dimension() folds the sign rows into the columns; the key basis
+        # keeps them as rows
+        folded = [dimension(make_group(f), 2, Variant.MINUS,
+                            want_torsion=True) for f in ((79,), (2, 4))]
+        keyed = [(m.ncols - snf.rank, snf.torsion) for m, snf in
+                 ((big, big_snf), (small.rel, smith_normal_form(small.rel)))]
         return (rep.dim_q, rep.torsion,
                 [key.codes for key in system.basis],
                 [list(row.items()) for row in system.rel.rows], spans,
                 [list(row.items()) for row in small.rel.rows],
                 rel.rows, smith_normal_form(rel).divisors, members,
-                batteries, deltas,
-                smith_normal_form(big, bound=10_000).divisors)
+                batteries, deltas, big_snf.divisors,
+                [(r.dim_q, r.torsion) for r in folded], keyed)
 """
 
 
 def test_int_routes_under_optimize():
     # the code-tuple enumeration, assembly, per-prime test, sign rows,
-    # two-term contraction and its dropped repeats, structure-map batteries
-    # and delta sums give the same answers with asserts stripped, so none
-    # of them rests on an assert
+    # two-term contraction and its dropped repeats, structure-map batteries,
+    # delta sums and the sign-class fold give the same answers with asserts
+    # stripped, so none of them rests on an assert
     scope = {}
     exec(textwrap.dedent(ROUTES), scope)
     want = scope["answers"]()
@@ -373,6 +380,7 @@ def test_int_routes_under_optimize():
     assert len(want[10]) == 39 and want[10][0] == [((0, 1), 2, 1),
                                                     ((0, 8), 2, 1)]
     assert [want[11].count(d) for d in (1, 2, 0)] == [2860, 77, 222]
+    assert want[12] == want[13] == [(222, (2,) * 77), (0, (2, 2, 2))]
     assert run_optimized(textwrap.dedent(ROUTES) + """
 raise SystemExit(0 if answers() == %r else 1)
 """ % (want,)) == 0

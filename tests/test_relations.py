@@ -3,17 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from abelsym import relations
 from abelsym.abelian import make_group
-from abelsym.exactla import BoundExceeded
+from abelsym.exactla import BoundExceeded, smith_normal_form
 from abelsym.relations import (DimensionReport, Variant, build_relations,
                                difference_formula, dimension,
                                dimension_graded, formula_dimension,
                                formula_minus, kernel_dimension,
                                kernel_generators, kernel_span_dimension,
                                pxp_closed_forms)
-from abelsym.symbols import canonicalize, det_class, enumerate_det_class
+from abelsym.symbols import (canonicalize, det_class, det_classes,
+                             enumerate_det_class, enumerate_generators)
 from rankref import reference_rank
-from relref import ReferenceBuilder, presentations
+from relref import (NON_INVARIANT, ReferenceBuilder, invariant_chains,
+                    presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -214,3 +217,70 @@ def test_build_relations_matches_reference(n, variants, limit):
                     for key in system.basis] == ref.basis(), (g, variant)
             assert [list(row.items()) for row in system.rel.rows] \
                 == ref.rows(variant), (g, variant)
+
+
+def _key_basis_minus(g, n, keys=None):
+    """(dim, torsion, keys) of the minus system over the key basis, with
+    its sign rows, from its Smith form."""
+    system = build_relations(g, n, Variant.MINUS, keys=keys)
+    snf = smith_normal_form(system.rel, bound=10 ** 6)
+    return len(system.basis) - snf.rank, snf.torsion, len(system.basis)
+
+
+def test_sign_class_fold_matches_key_basis():
+    # dimension() eliminates over the sign classes; the key basis with its
+    # sign rows must give the same module.  At n = 2 only Z/2 x Z/4 leaves
+    # the closed form, as in criterion 04.
+    chains = invariant_chains(81)
+    cases = ([(f, 1) for f in chains]
+             + [(f, 2) for f in chains + list(NON_INVARIANT)]
+             + [(f, 3) for f in invariant_chains(24)]
+             + [((k,), 4) for k in range(2, 9)] + [((2, 2), 4), ((2, 4), 4)])
+    off_formula = []
+    for factors, n in cases:
+        g = make_group(factors)
+        rep = dimension(g, n, Variant.MINUS, want_torsion=True,
+                        snf_bound=10 ** 6)
+        assert (rep.dim_q, rep.torsion, rep.generator_count) \
+            == _key_basis_minus(g, n), (factors, n)
+        if n == 2 and factors in chains:
+            formula = formula_dimension(g, 2, Variant.MINUS, want_torsion=True)
+            if (rep.dim_q, rep.torsion) != (formula.dim_q, formula.torsion):
+                off_formula.append(g.literal())
+    assert off_formula == ["2x4"]
+
+
+def test_graded_sign_class_fold_matches_key_basis_classes():
+    # every determinant class, presented over its keys with its sign rows,
+    # against the graded fold of the class of 1 scaled by the class count
+    graded = 0
+    for factors in invariant_chains(81):
+        if len(factors) != 2 or factors[0] < 3:
+            continue
+        g = make_group(factors)
+        rep = dimension_graded(g, Variant.MINUS, want_torsion=True)
+        dim, torsion, gens = 0, (), 0
+        for cls in det_classes(g):
+            d, t, k = _key_basis_minus(g, 2, enumerate_det_class(g, cls))
+            dim, torsion, gens = dim + d, torsion + t, gens + k
+            graded += 1
+        assert (rep.dim_q, rep.torsion, rep.generator_count) \
+            == (dim, tuple(sorted(torsion)), gens), factors
+    assert graded == 30
+
+
+def test_sign_class_fold_of_2x4():
+    # the torsion that the closed form misses: five sign classes
+    g = make_group((2, 4))
+    assert relations._sign_class_matrix(
+        g, enumerate_generators(g, 2), 2).ncols == 5
+    rep = dimension(g, 2, Variant.MINUS, want_torsion=True)
+    assert (rep.dim_q, rep.torsion, rep.generator_count) == (0, (2, 2, 2), 12)
+
+
+def test_key_basis_snf_bound():
+    # the key basis of Z/9 minus, sign rows included, is 75 x 39
+    rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
+    with pytest.raises(BoundExceeded) as exc:
+        smith_normal_form(rel, bound=40)
+    assert str(exc.value) == "smith_normal_form bound exceeded: 75x39 > 40"
