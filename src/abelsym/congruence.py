@@ -4,7 +4,11 @@ A level (N, M) names the subgroup of integral determinant-one 2x2 matrices
 with a == 1, b == 0 mod N and c == 0, d == 1 mod MN.  Its left cosets are
 finite and biject with the ordered character pairs of Z/N x Z/MN that
 generate the dual group and have determinant 1 mod N; those quadruples are
-the generators of the Manin relation space built here.
+the generators of the Manin relation space built here.  Inside, a coset is
+its residue quad (a, b, c, d), a plain int tuple in lexicographic order;
+`CosetSymbol` objects are built only for returned values.  `iso_check`
+certifies that the two presentations span one space with a stacked rank:
+over Q, rows A and B do iff rank [A; B] = rank A = rank B.
 
 Everything countable is computed twice on purpose: coset counts against the
 index formula, cusps as transformation orbits against the closed form,
@@ -17,17 +21,18 @@ disagreement is itself testable.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 from .abelian import make_group, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SignedUnionFind,
-                      SparseIntMatrix, SpanChecker, require,
+                      SparseIntMatrix, rank_over_Q, require,
                       smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         build_relations, formula_dimension, relation_rows)
-from .symbols import (DEFAULT_ENUM_BOUND, canonicalize, enumerate_det_class,
+from .symbols import (DEFAULT_ENUM_BOUND, enumerate_det_class,
                       enumerate_generators)
 
 __all__ = [
@@ -150,15 +155,6 @@ class CosetSymbol:
             self.a, self.b, self.c, self.d, self.level)
 
 
-def _symbol(level, a, b, c, d):
-    """Image of a symbol under a determinant-one column operation (or the
-    column swap at N = 2): same column span and determinant mod N, so it is
-    built without re-validation."""
-    n, m = level
-    k = n * m
-    return CosetSymbol._unchecked(a % n, b % n, c % k, d % k, level)
-
-
 def gamma_member(mat, n, m):
     """Membership in the level (n, m) subgroup.
 
@@ -247,34 +243,33 @@ def coset_index(n, m):
     return int(val)
 
 
-def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
-    """All coset symbols at level (n, m), lexicographically sorted.
-
-    For MN >= 3 the count must equal the index formula, which is checked.
-    """
+def _coset_quads(n, m, bound):
+    """The residue quads (a, b, c, d) behind enumerate_cosets, sorted."""
     _check_level(n, m)
     k = n * m
     if (n * k) ** 2 > bound:
         raise BoundExceeded("coset scan size (N*MN)^2 = %d exceeds the "
                             "bound %d" % ((n * k) ** 2, bound))
-    out = []
-    for a in range(n):
-        for b in range(n):
-            for c in range(k):
-                for d in range(k):
-                    if (a * d - b * c) % n != 1:
-                        continue
-                    # per prime (see spans_dual): the determinant settles
-                    # the primes of N; a prime of M alone needs c or d
-                    # nonzero mod it
-                    if gcd(c, d, k) != 1:
-                        continue
-                    out.append(CosetSymbol._unchecked(a, b, c, d, (n, m)))
+    # per prime (see spans_dual): the determinant settles the primes of N;
+    # a prime of M alone needs c or d nonzero mod it
+    bottoms = [(c, d) for c in range(k) for d in range(k)
+               if gcd(c, d, k) == 1]
+    out = [(a, b, c, d) for a in range(n) for b in range(n)
+           for c, d in bottoms if (a * d - b * c) % n == 1]
     if k >= 3:
         index = coset_index(n, m)
         require(len(out) == index, "%d cosets enumerated at level (%d, %d), "
                 "index formula %d", len(out), n, m, index)
     return out
+
+
+def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
+    """All coset symbols at level (n, m), lexicographically sorted.
+
+    For MN >= 3 the count must equal the index formula, which is checked.
+    """
+    return [CosetSymbol._unchecked(*quad, (n, m))
+            for quad in _coset_quads(n, m, bound)]
 
 
 def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
@@ -293,24 +288,29 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
         raise ValueError("the column-swap relation exists only at N = 2")
     t0 = time.perf_counter()
     level = (n, m)
-    cosets = enumerate_cosets(n, m, bound=enum_bound)
-    index = {s: i for i, s in enumerate(cosets)}
+    k = n * m
+    quads = _coset_quads(n, m, enum_bound)
+    index = {s: i for i, s in enumerate(quads)}
 
+    # column operations of determinant one (and the swap at N = 2) keep the
+    # column span and the determinant mod N: the images are cosets
     def templates():
-        for s in cosets:
-            a, b, c, d = s.quad()
-            turned = _symbol(level, b, -a, d, -c)
-            rotated = _symbol(level, a + b, -a, c + d, -c)
-            require(turned != s and rotated != s, "%r is fixed by its "
-                    "turn or rotation", s)
+        for s in quads:
+            a, b, c, d = s
+            na, nc = -a % n, -c % k
+            turned = (b, na, d, nc)
+            rotated = ((a + b) % n, na, (c + d) % k, nc)
+            require(turned != s and rotated != s, "coset %r of level %r is "
+                    "fixed by its turn or rotation", s, level)
             yield [(s, 1), (turned, 1)]
-            yield [(s, 1), (_symbol(level, a - b, b, c - d, d), -1),
-                   (_symbol(level, a, b - a, c, d - c), -1)]
+            yield [(s, 1), (((a - b) % n, b, (c - d) % k, d), -1),
+                   ((a, (b - a) % n, c, (d - c) % k), -1)]
             if with_O:
-                yield [(s, 1), (_symbol(level, b, a, d, c), -1)]
+                yield [(s, 1), ((b, a, d, c), -1)]
 
     rows = relation_rows(index, templates())
-    rel = SparseIntMatrix.trusted(len(cosets), rows)
+    rel = SparseIntMatrix.trusted(len(quads), rows)
+    cosets = [CosetSymbol._unchecked(*s, level) for s in quads]
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel)
@@ -352,17 +352,16 @@ def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
     The orbit of a symbol under right multiplication by (1,1;0,1) and by
     minus the identity is exactly a cusp of the level.
     """
-    cosets = enumerate_cosets(n, m, bound=bound)
-    level = (n, m)
-    index = {s: i for i, s in enumerate(cosets)}
+    quads = _coset_quads(n, m, bound)
+    k = n * m
+    index = {s: i for i, s in enumerate(quads)}
 
     def links():
-        for i, s in enumerate(cosets):
-            a, b, c, d = s.quad()
-            yield i, index[_symbol(level, a, a + b, c, c + d)]
-            yield i, index[_symbol(level, -a, -b, -c, -d)]
+        for i, (a, b, c, d) in enumerate(quads):
+            yield i, index[(a, (a + b) % n, c, (c + d) % k)]
+            yield i, index[(-a % n, -b % n, -c % k, -d % k)]
 
-    return len(set(_orbit_roots(len(cosets), links())))
+    return len(set(_orbit_roots(len(quads), links())))
 
 
 def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -562,87 +561,76 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
               snf_bound=DEFAULT_SNF_BOUND):
     """Match the minus-variant symbol presentation against the coset one.
 
-    For N >= 3 the keys of unit determinant class biject with the cosets
-    (the key characters become the columns, ordered so the determinant is
-    +1 mod N); every relation row of each side, pushed through the
-    bijection, must land in the other side's rational span, and dimension
-    and torsion must agree.  At N = 2 the cosets double-cover the keys, the
-    swap rows collapse to zero, and the same checks run over the quotient.
+    For N >= 3 the keys of unit determinant class biject with the cosets:
+    the key (a1, c1), (a2, c2), as codes a MN + c, becomes the coset with
+    those columns, ordered so the determinant is +1 mod N.  Every relation
+    row of each side, pushed through the bijection, must lie in the other
+    side's rational span, and dimension and torsion must agree.  The span
+    checks are one stacked rank: over Q the row sets A and B span the same
+    space iff rank [A; B] = rank A = rank B, with rank A and rank B read off
+    the two Smith forms.  At N = 2 the cosets double-cover the keys, the
+    swap rows collapse to zero, and the same checks run over the quotient,
+    where the projected coset rows get a rank of their own.
     """
     _check_level(n, m)
     k = n * m
     grp = make_group((n, k))
     level = (n, m)
-
-    def quotient(system):
-        snf = smith_normal_form(system.rel, bound=snf_bound)
-        return len(system.basis) - snf.rank, snf.torsion
-
-    def require_span(rel, rows, what):
-        require(SpanChecker(rel).contains_all(rows), "%s leave the other "
-                "side's rational span at level %r", what, level)
-
     if n >= 3:
         keys = enumerate_det_class(grp, 1, bound=enum_bound)
-        sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
-        man_system, man_report = manin_space(
-            n, m, enum_bound=enum_bound, snf_bound=snf_bound)
-        fwd = {}
-        for key in keys:
-            (a1, c1), (a2, c2) = key[0].residues, key[1].residues
-            if (a1 * c2 - a2 * c1) % n == 1:
-                fwd[key] = CosetSymbol(a1, a2, c1, c2, level)
-            else:
-                fwd[key] = CosetSymbol(a2, a1, c2, c1, level)
-        require(len(set(fwd.values())) == len(keys)
-                == len(man_system.basis), "%d keys map to %d distinct "
-                "cosets of %d at level %r", len(keys), len(set(fwd.values())),
-                len(man_system.basis), level)
-        back = {s: canonicalize((grp.character((s.a, s.c)),
-                                 grp.character((s.b, s.d))))
-                for s in man_system.basis}
-        for key, s in fwd.items():
-            require(back[s] == key, "key %r goes to %r and back to %r",
-                    key, s, back[s])
-        fwd_rows = [{man_system.index[fwd[keys[i]]]: v
-                     for i, v in row.items()}
-                    for row in sym_system.rel.rows]
-        back_rows = [{sym_system.index[back[man_system.basis[i]]]: v
-                      for i, v in row.items()}
-                     for row in man_system.rel.rows]
-        require_span(man_system.rel, fwd_rows, "symbol relations")
-        require_span(sym_system.rel, back_rows, "coset relations")
-        dim_sym, tors_sym = quotient(sym_system)
-        return _matched(IsoReport(level, grp.literal(), len(keys),
-                                  len(man_system.basis), dim_sym,
-                                  man_report.dim_q, tors_sym,
-                                  man_report.torsion))
-
-    # N = 2: collapse cosets onto keys; the swap rows become zero rows
-    keys = enumerate_generators(grp, 2, bound=enum_bound)
+    else:
+        keys = enumerate_generators(grp, 2, bound=enum_bound)
     sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
     man_system, man_report = manin_space(
-        2, m, with_O=True, enum_bound=enum_bound, snf_bound=snf_bound)
-    back = {s: canonicalize((grp.character((s.a, s.c)),
-                             grp.character((s.b, s.d))))
-            for s in man_system.basis}
-    hits = {}
-    for s, key in back.items():
-        hits[key] = hits.get(key, 0) + 1
-    require(set(hits) == set(keys) and set(hits.values()) == {2},
-            "cosets cover %d of %d keys, %r times each, at level %r",
-            len(hits), len(keys), sorted(set(hits.values())), level)
-
-    projected = []
-    for row in man_system.rel.rows:
-        out = sparse_add({}, ((sym_system.index[back[man_system.basis[i]]], v)
-                              for i, v in row.items()))
-        if out:
-            projected.append(out)
-    proj_rel = SparseIntMatrix(len(projected), len(keys), projected)
-    require_span(sym_system.rel, projected, "projected coset relations")
-    require_span(proj_rel, sym_system.rel.rows, "symbol relations")
-    dim_sym, tors_sym = quotient(sym_system)
+        n, m, with_O=n == 2, enum_bound=enum_bound, snf_bound=snf_bound)
+    snf = smith_normal_form(sym_system.rel, bound=snf_bound)
+    if n >= 3:
+        quads = [s.quad() for s in man_system.basis]
+        index = {s: i for i, s in enumerate(quads)}
+        perm = []   # key index -> coset index
+        for x, y in (key.codes for key in keys):
+            (a1, c1), (a2, c2) = divmod(x, k), divmod(y, k)
+            s = ((a1, a2, c1, c2) if (a1 * c2 - a2 * c1) % n == 1
+                 else (a2, a1, c2, c1))
+            j = index.get(s)
+            require(j is not None, "key %r goes to %r, not a coset of level "
+                    "%r", (x, y), s, level)
+            perm.append(j)
+        require(len(set(perm)) == len(keys) == len(quads), "%d keys map to "
+                "%d distinct cosets of %d at level %r", len(keys),
+                len(set(perm)), len(quads), level)
+        for key, j in zip(keys, perm):
+            a, b, c, d = quads[j]
+            back = tuple(sorted((a * k + c, b * k + d)))
+            require(back == key.codes, "key %r goes to %r and back to %r",
+                    key.codes, quads[j], back)
+        ncols, coset_rows = len(quads), man_system.rel.rows
+        coset_rank = len(quads) - man_report.dim_q
+        sym_rows = [{perm[i]: v for i, v in row.items()}
+                    for row in sym_system.rel.rows]
+    else:
+        # collapse cosets onto keys; the swap rows become zero rows
+        index = {key.codes: i for i, key in enumerate(keys)}
+        proj = [index.get(tuple(sorted((s.a * k + s.c, s.b * k + s.d))))
+                for s in man_system.basis]     # coset index -> key index
+        hits = Counter(proj)
+        require(set(hits) == set(range(len(keys))) and set(hits.values())
+                == {2}, "cosets cover %d of %d keys, %r times each, at level "
+                "%r", len(hits), len(keys), sorted(set(hits.values())), level)
+        coset_rows = []
+        for row in man_system.rel.rows:
+            out = sparse_add({}, ((proj[j], v) for j, v in row.items()))
+            if out:
+                coset_rows.append(out)
+        ncols, sym_rows = len(keys), sym_system.rel.rows
+        coset_rank = rank_over_Q(SparseIntMatrix.trusted(ncols, coset_rows))
+    both = rank_over_Q(SparseIntMatrix.trusted(ncols, coset_rows + sym_rows))
+    require(both == coset_rank, "symbol relations leave the other side's "
+            "rational span at level %r", level)
+    require(both == snf.rank, "%s relations leave the other side's rational "
+            "span at level %r", "coset" if n >= 3 else "projected coset",
+            level)
     return _matched(IsoReport(level, grp.literal(), len(keys),
-                              len(man_system.basis), dim_sym,
-                              man_report.dim_q, tors_sym, man_report.torsion))
+                              len(man_system.basis), len(keys) - snf.rank,
+                              man_report.dim_q, snf.torsion,
+                              man_report.torsion))

@@ -182,6 +182,9 @@ def _contract_two_term(rows, pivots):
     equal to an earlier one or to its negative is dropped: it changes
     neither the row lattice nor the span.  Rows are compared by their
     entries sorted by column, signed so that the first one is positive.
+    When nothing was joined and every row sums to -1, as plain blowup rows
+    do, no row is the negative of another and the rows are only copied; the
+    sign-class fold, with no two-term rows, still drops its repeats here.
     """
     forest = SignedUnionFind()
     find = forest.find
@@ -206,6 +209,8 @@ def _contract_two_term(rows, pivots):
                 continue
         if row:
             rest.append(row)
+    if not forest.link and all(sum(row.values()) == -1 for row in rest):
+        return merges, [dict(row) for row in rest]
     root = {c: find(c) for c in forest.link}
     kept, seen = [], set()
     for row in rest:
@@ -435,9 +440,6 @@ class SpanChecker:
     def contains(self, row):
         row = _integerize(_as_row_dict(row, self.matrix.ncols))
         return not self._reduce(row)
-
-    def contains_all(self, rows):
-        return all(self.contains(r) for r in rows)
 
 
 def _as_row_dict(row, ncols):

@@ -114,14 +114,19 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     exactly the canonical tuples; generating_code_tuples keeps those that
     generate the dual group.
     """
+    return [SymbolKey(group, codes)
+            for codes in _generating_codes(group, n, bound)]
+
+
+def _generating_codes(group, n, bound):
+    """generating_code_tuples(group, n) once |G|^n is within the bound."""
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
     if group.order ** n > bound:
         raise BoundExceeded(
             "enumeration size |G|^n = %d exceeds the bound %d"
             % (group.order ** n, bound))
-    return [SymbolKey(group, codes)
-            for codes in generating_code_tuples(group, n)]
+    return generating_code_tuples(group, n)
 
 
 class FormalSum:
@@ -220,17 +225,20 @@ def _bicyclic_form(group):
     return n_small, n_big
 
 
+def _code_det(codes, n_small, n_big):
+    """Determinant mod N of a code pair over Z/N x Z/MN: the code of the
+    character (a, c) is a MN + c, whatever trivial factors stand around."""
+    a1, c1 = divmod(codes[0], n_big)
+    a2, c2 = divmod(codes[1], n_big)
+    return (a1 * c2 - a2 * c1) % n_small
+
+
 def det_class(key):
     """Determinant invariant of a length-2 key over Z/N x Z/MN, N >= 3."""
-    if len(key.entries) != 2:
+    if len(key.codes) != 2:
         raise ValueError("the determinant grading needs n = 2")
-    n_small, _ = _bicyclic_form(key.group)
-    pos = [i for i, f in enumerate(key.group.factors) if f > 1]
-    a, b = key.entries
-    a1, a2 = a.residues[pos[0]], a.residues[pos[1]]
-    b1, b2 = b.residues[pos[0]], b.residues[pos[1]]
-    det = (a1 * b2 - a2 * b1) % n_small
-    return DetClass(n_small, det)
+    n_small, n_big = _bicyclic_form(key.group)
+    return DetClass(n_small, _code_det(key.codes, n_small, n_big))
 
 
 def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
@@ -238,11 +246,13 @@ def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
 
     Over all classes these lists partition enumerate_generators(group, 2).
     """
-    n_small, _ = _bicyclic_form(group)
+    n_small, n_big = _bicyclic_form(group)
     if not isinstance(k, DetClass):
         k = DetClass(n_small, k)
     elif k.modulus != n_small:
         raise ValueError("determinant class has modulus %d, expected %d"
                          % (k.modulus, n_small))
-    return [key for key in enumerate_generators(group, 2, bound=bound)
-            if det_class(key) == k]
+    dets = (k.k, n_small - k.k)
+    return [SymbolKey(group, codes)
+            for codes in _generating_codes(group, 2, bound)
+            if _code_det(codes, n_small, n_big) in dets]

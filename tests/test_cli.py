@@ -302,6 +302,17 @@ def test_snf_bound_exit_code(capsys):
     assert err == "error: smith_normal_form bound exceeded: 24x12 > 20\n"
 
 
+
+@pytest.mark.parametrize("level, shape", [("7,2", "2016x1008"),
+                                          ("2,8", "1152x384")])
+def test_iso_snf_bound_exit_code(capsys, level, shape):
+    # the Manin space's Smith form runs first, so the bound names its shape
+    code, out, err = run(capsys, "verify", "--check", "iso", "--level",
+                         level, "--snf-bound", "100", "--no-cache")
+    assert code == 3 and out == ""
+    assert err == ("error: smith_normal_form bound exceeded: %s > 100\n"
+                   % shape)
+
 @pytest.mark.parametrize("method", ["brute", "both"])
 def test_dims_plus_beyond_length_one_is_a_usage_error(capsys, method):
     code, out, err = run(capsys, "dims", "--group", "9", "--variant",

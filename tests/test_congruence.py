@@ -1,10 +1,12 @@
 """Coset symbols, Manin relation spaces, cusp counting, level bookkeeping."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
 import textwrap
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -181,17 +183,40 @@ def run_optimized(code):
     return proc.returncode
 
 
+# Each patch breaks one span direction of iso_check's stacked rank
+# comparison; (patch, level, start of the message that must fire).
+SPAN_FAILURES = [
+    # a stacked rank above the coset rank: symbols outside the coset span
+    ("""
+        real = C.rank_over_Q
+        C.rank_over_Q = lambda mat: real(mat) + 1
+    """, (7, 2), "symbol relations leave"),
+    # without the sign rows the symbol span misses the coset turn rows
+    ("""
+        real = C.build_relations
+        C.build_relations = lambda g, n, v, keys: real(g, n, "plain",
+                                                       keys=keys)
+    """, (7, 2), "coset relations leave"),
+    ("""
+        real = C.rank_over_Q
+        C.rank_over_Q = lambda mat: real(mat) + 1
+    """, (2, 8), "projected coset relations leave"),
+]
+
+
 def test_iso_check_span_failure_raises_under_optimize():
     # the span checks must not be assert statements, which -O strips
-    assert run_optimized("""
-        from abelsym import congruence
-        congruence.SpanChecker.contains_all = lambda self, rows: False
-        try:
-            congruence.iso_check(7, 2)
-        except AssertionError:
-            raise SystemExit(0)
-        raise SystemExit(1)
-    """) == 0
+    for patch, level, message in SPAN_FAILURES:
+        assert run_optimized("""
+import abelsym
+from abelsym import congruence as C
+%s
+try:
+    C.iso_check%r
+except abelsym.ConsistencyError as exc:
+    raise SystemExit(0 if str(exc).startswith(%r) else 2)
+raise SystemExit(1)
+""" % (textwrap.dedent(patch), level, message)) == 0, message
 
 
 def test_cusp_route_checks_raise_under_optimize():
@@ -255,10 +280,8 @@ BROKEN_ROUTES = {
         real = C.coset_index
         C.coset_index = lambda n, m: real(n, m) + 1
     """, "C.enumerate_cosets(3, 1)"),
-    "manin_space": ("""
-        first = C.enumerate_cosets(3, 1)[0]
-        C._symbol = lambda level, a, b, c, d: first
-    """, "C.manin_space(3, 1)"),
+    "manin_space": ("C._coset_quads = lambda n, m, bound: [(0, 0, 0, 0)]",
+                    "C.manin_space(3, 1)"),
     "genus": ("C.prime_factors = lambda k: [5]", "C.genus(3, 1)"),
     "level_invariants": ("C.cusp_formula = lambda n, m: 5",
                          "C.level_invariants(3, 1)"),
@@ -266,6 +289,26 @@ BROKEN_ROUTES = {
                   "C.iso_check(3, 1)"),
     "iso_check_n2": ("C.IsoReport.ok = property(lambda self: False)",
                      "C.iso_check(2, 2)"),
+    # keys of determinant class 2 have no coset to go to
+    "iso_check_bijection": ("""
+        real = C.enumerate_det_class
+        C.enumerate_det_class = lambda g, k, bound: real(g, 2, bound=bound)
+    """, "C.iso_check(5, 1)"),
+    # a key listed twice goes to one coset twice
+    "iso_check_distinct": ("""
+        real = C.enumerate_det_class
+        C.enumerate_det_class = lambda g, k, bound: real(g, k)[:1] + real(g, k)
+    """, "C.iso_check(5, 1)"),
+    # one coset repeated in place of another: its key is covered three times
+    "iso_check_n2_cover": ("""
+        real = C.manin_space
+
+        def skewed(*args, **kwargs):
+            system, report = real(*args, **kwargs)
+            system.basis[0] = system.basis[1]
+            return system, report
+        C.manin_space = skewed
+    """, "C.iso_check(2, 3)"),
 }
 
 
@@ -404,3 +447,56 @@ def test_matrix2_validation():
         IntMatrix2(1, 0, 0, 2)
     m = IntMatrix2(1, 1, 0, 1) @ IntMatrix2(1, 0, 1, 1)
     assert (m.a, m.b, m.c, m.d) == (2, 1, 1, 1)
+
+
+# Frozen from the object-based coset code: for each level the iso report's
+# keys, cosets, dimension and number of Z/2 torsion factors, the cusp
+# orbits, and the Manin space's dimension, torsion and row count, plain and
+# then (at N = 2) with the swap rows.
+PINNED_LEVELS = {
+    (3, 1): ((24, 24, 3, 0), 4, [(3, (), 48)]),
+    (4, 1): ((48, 48, 5, 0), 6, [(5, (), 96)]),
+    (5, 1): ((120, 120, 11, 0), 12, [(11, (), 240)]),
+    (3, 2): ((72, 72, 7, 0), 8, [(7, (), 144)]),
+    (5, 3): ((960, 960, 81, 0), 48, [(81, (), 1920)]),
+    (2, 2): ((12, 24, 0, 3), 4, [(3, (), 48), (0, (2,) * 3, 72)]),
+    (2, 3): ((24, 48, 0, 5), 6, [(5, (), 96), (0, (2,) * 5, 144)]),
+    (2, 4): ((48, 96, 1, 7), 10, [(9, (), 192), (1, (2,) * 7, 288)]),
+    (2, 5): ((72, 144, 1, 11), 12, [(13, (), 288), (1, (2,) * 11, 432)]),
+    (2, 6): ((96, 192, 5, 7), 16, [(17, (), 384), (5, (2,) * 7, 576)]),
+}
+# sha256 of the Manin rows of PINNED_LEVELS, in that order, each row's
+# entries in insertion order
+MANIN_ROWS_SHA256 = (
+    "dd71159aa1d3d1a51738691d4d8125a669b5a3e389511ea5ccc0763eee29fe05")
+
+
+def test_pinned_level_values():
+    parts = []
+    for (n, m), (iso, cusps, manin) in PINNED_LEVELS.items():
+        keys, cosets, dim, twos = iso
+        tors = [2] * twos
+        assert iso_check(n, m).to_json() == {
+            "N": n, "M": m, "group": "%dx%d" % (n, n * m), "keys": keys,
+            "cosets": cosets, "dim_symbols": dim, "dim_cosets": dim,
+            "torsion_symbols": tors, "torsion_cosets": tors, "ok": True}
+        assert cusp_orbit_count(n, m) == cusps
+        for with_O, want in zip((False, True), manin):
+            system, rep = manin_space(n, m, with_O=with_O)
+            assert (rep.dim_q, rep.torsion, system.rel.nrows) == want
+            assert system.basis == enumerate_cosets(n, m)
+            parts.append([list(row.items()) for row in system.rel.rows])
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == MANIN_ROWS_SHA256
+
+
+def test_cosets_match_validating_constructor():
+    for n, m in PINNED_LEVELS:
+        k = n * m
+        brute = []
+        for quad in product(range(n), range(n), range(k), range(k)):
+            try:
+                brute.append(CosetSymbol(*quad, (n, m)))
+            except ValueError:
+                pass
+        assert enumerate_cosets(n, m) == brute

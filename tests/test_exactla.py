@@ -12,6 +12,8 @@ from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
                              _contract_two_term, dense_snf_with_transforms,
                              rank_over_Q, row_span_membership,
                              smith_normal_form)
+from abelsym.relations import _sign_class_matrix
+from abelsym.symbols import enumerate_generators
 from rankref import reference_det, reference_rank
 from relref import invariant_chains
 
@@ -47,7 +49,7 @@ def test_span_membership_fractions():
     m = mat([[2, 0, 0], [0, 3, 0]])
     checker = SpanChecker(m)
     assert checker.contains({0: Fraction(1, 2), 1: Fraction(1, 3)})
-    assert checker.contains_all([{0: 1}, {1: Fraction(5, 7)}])
+    assert checker.contains({0: 1}) and checker.contains({1: Fraction(5, 7)})
     assert not checker.contains({0: Fraction(1, 2), 2: Fraction(1, 3)})
 
 
@@ -349,11 +351,32 @@ def test_contraction_keeps_each_row_once():
     assert not checker.contains([0, 1, 0, 0, 0])
 
 
+def test_contraction_copies_plain_rows_and_folds_repeats():
+    # plain rows (nothing to join, each summing to -1) come back as they
+    # are; the sign-class fold of Z/9 also has no two-term row, but 9 of
+    # its 24 rows repeat others up to sign
+    plain = build_relations(make_group((9,)), 2, Variant.PLAIN).rel.rows
+    assert _contract_two_term(plain, None) == (0, plain)
+    fold = _sign_class_matrix(make_group((9,)),
+                              enumerate_generators(make_group((9,)), 2), 2)
+    merges, rest = _contract_two_term(fold.rows, None)
+    assert (merges, fold.nrows, len(rest)) == (0, 24, 15)
+    assert _distinct_up_to_sign(rest)
+
+
 @settings(max_examples=100, deadline=None)
 @given(_two_term_cases())
 def test_contraction_returns_no_repeats(rows):
-    _, rest = _contract_two_term(mat(rows).rows, None)
-    assert all(rest) and _distinct_up_to_sign(rest)
+    # every remapped row is kept once up to sign, unless nothing is joined
+    # and every row sums to -1: then the nonzero rows come back as copies
+    rows = mat(rows).rows
+    merges, rest = _contract_two_term(rows, None)
+    kept = [row for row in rows if row]
+    assert all(rest)
+    if not merges and all(sum(row.values()) == -1 for row in kept):
+        assert rest == kept and all(a is not b for a, b in zip(rest, kept))
+    else:
+        assert _distinct_up_to_sign(rest)
 
 
 @settings(max_examples=80, deadline=None)

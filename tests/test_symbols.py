@@ -148,3 +148,29 @@ def test_det_class_sizes_equal():
     g = make_group((5, 25))
     sizes = {c.k: len(enumerate_det_class(g, c)) for c in det_classes(g)}
     assert len(set(sizes.values())) == 1
+
+
+def _char_det_class(key):
+    """The determinant class read from the key's characters."""
+    n_small = key.group.invariant_form()[0]
+    pos = [i for i, f in enumerate(key.group.factors) if f > 1]
+    a, b = key.entries
+    det = (a.residues[pos[0]] * b.residues[pos[1]]
+           - a.residues[pos[1]] * b.residues[pos[0]])
+    return DetClass(n_small, det)
+
+
+def test_det_class_matches_characters():
+    # every Z/N x Z/MN with N >= 3 of order <= 81, one presentation with a
+    # trivial factor in front
+    groups = [(n, n * m) for n in range(3, 10) for m in range(1, 10)
+              if n * n * m <= 81] + [(1, 3, 6)]
+    assert len(groups) == 23
+    for factors in groups:
+        g = make_group(factors)
+        keys = enumerate_generators(g, 2)
+        for key in keys:
+            assert det_class(key) == _char_det_class(key)
+        for cls in det_classes(g):
+            assert enumerate_det_class(g, cls) == [
+                key for key in keys if _char_det_class(key) == cls]
