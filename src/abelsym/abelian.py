@@ -264,13 +264,15 @@ def _fp_extend(basis, vec, p):
     return tuple(out)
 
 
-def generating_code_tuples(group, n):
+def generating_code_tuples(group, n, codes=None):
     """Sorted n-tuples of character codes that generate the dual, in order.
 
     spans_dual made incremental: nondecreasing code tuples are walked
     position by position, carrying the prefix's span in each G/pG.  A prefix
     is dropped once the positions left cannot fill some G/pG, and the last
     position reads, per prefix span, a table of the codes that complete it.
+    `codes`, a sorted list, restricts the entries to those codes: the output
+    is then the full output filtered to tuples over them, in the same order.
     """
     slots = group.prime_slots
     if any(n < len(pos) for _, pos in slots):
@@ -303,19 +305,23 @@ def generating_code_tuples(group, n):
                 row = [ok and good[v] for ok, v in zip(row, img)]
         return row
 
+    if codes is None:
+        codes = range(order)
+
     def walk(prefix, state, start):
         left = n - len(prefix)
         if left == 1:
             row = lasts.get(state)
             if row is None:
                 row = lasts[state] = last_row(state)
-            out.extend(prefix + (c,) for c in range(start, order) if row[c])
+            out.extend(prefix + (c,) for c in codes[start:] if row[c])
             return
-        for c in range(start, order):
+        for i in range(start, len(codes)):
+            c = codes[i]
             nxt = extend(state, c)
             if all(len(pos) - len(b) < left
                    for b, (_, pos) in zip(nxt, slots)):
-                walk(prefix + (c,), nxt, c)
+                walk(prefix + (c,), nxt, i)
 
     walk((), tuple(() for _ in slots), 0)
     return out

@@ -15,6 +15,9 @@ basis.  `dimension` folds them into the columns instead, as modular-symbols
 codes quotient by the two-term relations first: with lo[c] = min(c, -c), a
 code tuple is (-1)^(entries with lo[c] != c) times its representative (rep),
 its sorted lo codes, and a rep with a self-inverse entry gets 2 e_rep = 0.
+It walks only the reps, never the keys, and at n = 2 builds each folded
+three-term row once, from the first of the sign classes it touches, as
+modular-symbols codes build Manin's three-term relation once per orbit.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -33,7 +36,8 @@ from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
                       require, smith_normal_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
-                      enumerate_det_class, enumerate_generators, replace_code)
+                      enumerate_det_class, enumerate_generators, in_det_class,
+                      replace_code, sign_class_reps)
 
 
 class Variant(enum.Enum):
@@ -148,21 +152,60 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
-def _sign_class_matrix(group, keys, n):
-    """The minus relation matrix over the reps, the sign rows folded in.
+def _key_count(group, reps):
+    """The number of keys the reps stand for, one per sign pattern: m + 1
+    for each code c with -c != c that a rep holds m times."""
+    neg = negation_codes(group)
+    count = 0
+    for r in reps:
+        keys = 1
+        for c in set(r):
+            if neg[c] != c:
+                keys *= r.count(c) + 1
+        count += keys
+    return count
+
+
+def _sign_class_matrix(group, reps, n):
+    """The minus relation matrix over the sorted reps, the sign rows folded
+    in.
 
     Folding ignores negating the whole key and flips off {i, j}, so the
     blowup at any key folds to +- the (i, j) blowup at a rep r, or at r
-    with entry j negated (s = -1) unless entry i or j is self-inverse.
+    with entry j negated (s = -1) unless entry i or j is self-inverse.  A
+    rep with a self-inverse entry gets the row {k: 2}.
+
+    At n = 2 a folded blowup row touches three sign classes and is built
+    from each; only the build from the class of smallest index is kept
+    (ties kept).  Each dropped row equals +- a kept row once its entries on
+    the columns with a {c: 2} row are reduced mod 2, so it lies in the kept
+    rows' lattice, and the two row lattices are equal.  That is a check,
+    not a proof: it holds row by row on 273 groups, the 149 of order <= 81
+    with their 30 determinant-class systems and 124 larger ones (the slow
+    test in tests/test_relations.py).  At n >= 3 every row is kept.
     """
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
     diff = difference_codes(group)
-    reps = [key.codes for key in keys
-            if all(lo[c] == c for c in key.codes)]
     index = {t: k for k, t in enumerate(reps)}
     rows = []
+    if n == 2:  # the hot case, inlined: rows k <= u, v only
+        for k, (a, b) in enumerate(reps):
+            fixed = neg[a] == a or neg[b] == b
+            if fixed:
+                rows.append({k: 2})
+            for s, bs in ((1, b), (-1, neg[b])):
+                x = diff[a][bs]  # a - bs, and bs - a = -x
+                c = lo[x]
+                u = index[(c, b) if c <= b else (b, c)]
+                v = index[(a, c) if a <= c else (c, a)]
+                if k <= u and k <= v:
+                    rows.append(sparse_add({k: s}, (  # odd sum: never 0
+                        (u, -s * sg[x]), (v, -sg[neg[x]]))))
+                if fixed:
+                    break  # the s = -1 row is the s = 1 row again
+        return SparseIntMatrix.trusted(len(reps), rows)
     for k, r in enumerate(reps):
         if any(neg[c] == c for c in r):
             rows.append({k: 2})
@@ -260,15 +303,16 @@ def dimension(group, n, variant, want_torsion=False,
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     if variant is Variant.MINUS:
-        keys = enumerate_generators(group, n, bound=enum_bound)
-        rel = _sign_class_matrix(group, keys, n)
+        reps = sign_class_reps(group, n, enum_bound)
+        rel = _sign_class_matrix(group, reps, n)
+        count = _key_count(group, reps)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
-        keys, rel = system.basis, system.rel
+        rel, count = system.rel, len(system.basis)
     rank, torsion = _rank_and_torsion(rel, want_torsion, snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, n, variant, "BRUTE", rel.ncols - rank,
-                           torsion, len(keys), ms)
+                           torsion, count, ms)
 
 
 def dimension_graded(group, variant, want_torsion=False,
@@ -278,22 +322,28 @@ def dimension_graded(group, variant, want_torsion=False,
 
     All determinant classes are isomorphic, so only the class of 1 is
     presented and the result is scaled by the number of classes.  Still a
-    brute-force computation, merely sharded.
+    brute-force computation, merely sharded.  A sign flip negates the
+    determinant, so the class of 1 is a union of sign classes.
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     classes = det_classes(group)
-    keys = enumerate_det_class(group, classes[0], bound=enum_bound)
     if variant is Variant.MINUS:
-        rel = _sign_class_matrix(group, keys, 2)
+        in_class = in_det_class(group, classes[0])
+        reps = [r for r in sign_class_reps(group, 2, enum_bound)
+                if in_class(r)]
+        rel = _sign_class_matrix(group, reps, 2)
+        count = _key_count(group, reps)
     else:
+        keys = enumerate_det_class(group, classes[0], bound=enum_bound)
         rel = build_relations(group, 2, variant, keys=keys).rel
+        count = len(keys)
     rank, per_class = _rank_and_torsion(rel, want_torsion, snf_bound)
     torsion = tuple(sorted(per_class * len(classes)))
     dim = (rel.ncols - rank) * len(classes)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, 2, variant, "BRUTE", dim, torsion,
-                           len(keys) * len(classes), ms)
+                           count * len(classes), ms)
 
 
 def kernel_generators(group, n, bound=DEFAULT_ENUM_BOUND):

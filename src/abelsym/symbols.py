@@ -7,11 +7,11 @@ element.  A key stores each character as its integer code (its position in
 group.characters()), so a key is a sorted code tuple plus its group, and
 sorted code tuples order exactly as sorted character tuples.  Whether a
 tuple generates the dual is checked where keys enter from outside, in
-`canonicalize` and `enumerate_generators`; code that derives keys from keys
-by blowups and sign flips, which keep the span, builds them directly.  For
-groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs additionally
-carry a determinant invariant in (Z/N)^x, well defined up to sign, which
-grades the whole module.
+`canonicalize`, `enumerate_generators` and `sign_class_reps`; code that
+derives keys from keys by blowups and sign flips, which keep the span,
+builds them directly.  For groups of the bi-cyclic shape Z/N x Z/MN
+(N >= 3) the pairs additionally carry a determinant invariant in (Z/N)^x,
+well defined up to sign, which grades the whole module.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .abelian import generating_code_tuples, spans_dual
+from .abelian import generating_code_tuples, negation_codes, spans_dual
 from .exactla import BoundExceeded, sparse_add
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
@@ -118,15 +118,30 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
             for codes in _generating_codes(group, n, bound)]
 
 
-def _generating_codes(group, n, bound):
-    """generating_code_tuples(group, n) once |G|^n is within the bound."""
+def sign_class_reps(group, n, bound=DEFAULT_ENUM_BOUND):
+    """Sorted code tuples of the sign classes of keys, one rep each.
+
+    A key's sign class holds the keys that differ from it by negating
+    entries, and its rep is the tuple of the codes lo[c] = min(c, -c).
+    Negation keeps the span, so a rep generates exactly when its keys do:
+    the reps are the generating tuples over the codes c = lo[c], in key
+    order.
+    """
+    neg = negation_codes(group)
+    return _generating_codes(group, n, bound,
+                             [c for c, d in enumerate(neg) if c <= d])
+
+
+def _generating_codes(group, n, bound, codes=None):
+    """generating_code_tuples(group, n, codes) once |G|^n is within the
+    bound."""
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
     if group.order ** n > bound:
         raise BoundExceeded(
             "enumeration size |G|^n = %d exceeds the bound %d"
             % (group.order ** n, bound))
-    return generating_code_tuples(group, n)
+    return generating_code_tuples(group, n, codes)
 
 
 class FormalSum:
@@ -241,11 +256,8 @@ def det_class(key):
     return DetClass(n_small, _code_det(key.codes, n_small, n_big))
 
 
-def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
-    """Canonical length-2 keys in one determinant class.
-
-    Over all classes these lists partition enumerate_generators(group, 2).
-    """
+def in_det_class(group, k):
+    """Predicate on code pairs over the group: in determinant class k."""
     n_small, n_big = _bicyclic_form(group)
     if not isinstance(k, DetClass):
         k = DetClass(n_small, k)
@@ -253,6 +265,14 @@ def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
         raise ValueError("determinant class has modulus %d, expected %d"
                          % (k.modulus, n_small))
     dets = (k.k, n_small - k.k)
+    return lambda codes: _code_det(codes, n_small, n_big) in dets
+
+
+def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
+    """Canonical length-2 keys in one determinant class.
+
+    Over all classes these lists partition enumerate_generators(group, 2).
+    """
+    in_class = in_det_class(group, k)
     return [SymbolKey(group, codes)
-            for codes in _generating_codes(group, 2, bound)
-            if _code_det(codes, n_small, n_big) in dets]
+            for codes in _generating_codes(group, 2, bound) if in_class(codes)]

@@ -4,13 +4,17 @@ Independent of abelsym's code tuples and per-prime test: generation is read
 off a dense Smith normal form, and the relation templates are instantiated
 on character tuples at every ordered position pair, each image sorted and
 validated.  Tests compare abelsym's symbol keys and relation rows with these.
+`full_sign_class_fold` is the minus fold over sign-class reps with every
+folded blowup row kept, as built from each rep it touches; tests compare the
+fold that builds each n = 2 row once against it.
 """
 
 from itertools import combinations_with_replacement
 
-from abelsym.abelian import make_group
-from abelsym.exactla import dense_snf_with_transforms
+from abelsym.abelian import difference_codes, make_group, negation_codes
+from abelsym.exactla import dense_snf_with_transforms, sparse_add
 from abelsym.relations import Variant
+from abelsym.symbols import replace_code
 
 # presentations that are not invariant factor chains: factors out of
 # divisibility order, coprime splittings, trivial factors
@@ -136,3 +140,30 @@ class ReferenceBuilder:
     def basis(self):
         """The keys as tuples of residue tuples."""
         return [tuple(ch.residues for ch in key) for key in self.keys]
+
+
+def full_sign_class_fold(group, reps, n):
+    """Rows of the minus fold over the sorted reps, every folded blowup row
+    kept: the (i, j) blowup at rep r, and at r with entry j negated unless
+    entry i or j is self-inverse, plus {k: 2} for a rep with a self-inverse
+    entry."""
+    neg = negation_codes(group)
+    lo = [min(c, d) for c, d in enumerate(neg)]
+    sg = [1 if c == d else -1 for c, d in enumerate(lo)]
+    diff = difference_codes(group)
+    index = {t: k for k, t in enumerate(reps)}
+    rows = []
+    for k, r in enumerate(reps):
+        if any(neg[c] == c for c in r):
+            rows.append({k: 2})
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = r[i], r[j]
+                for s, bs in ((1, b), (-1, neg[b])):
+                    if s < 0 and (neg[a] == a or bs == b):
+                        break
+                    x, y = diff[a][bs], diff[bs][a]
+                    rows.append(sparse_add({k: s}, (
+                        (index[replace_code(r, i, lo[x])], -s * sg[x]),
+                        (index[replace_code(r, j, lo[y])], -sg[y]))))
+    return rows

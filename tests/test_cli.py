@@ -292,14 +292,23 @@ def test_bound_exit_code(capsys):
 
 
 def test_snf_bound_exit_code(capsys):
-    # the minus variant hands the engine 24 folded rows over 12 sign
-    # classes: the bound sits between them, and is checked on that matrix
-    # as built, before any contraction
+    # the minus variant hands the engine 12 folded rows over 12 sign
+    # classes, each blowup row built once; the bound is checked on that
+    # matrix as built, before any contraction
     code, out, err = run(capsys, "dims", "--group", "9", "--variant",
-                         "minus", "--torsion", "--snf-bound", "20",
+                         "minus", "--torsion", "--snf-bound", "11",
                          "--no-cache")
     assert code == 3 and out == ""
-    assert err == "error: smith_normal_form bound exceeded: 24x12 > 20\n"
+    assert err == "error: smith_normal_form bound exceeded: 12x12 > 11\n"
+
+
+def test_minus_enum_bound_exit_code(capsys):
+    # the sign-class walk keeps the |G|^n check and its message
+    code, out, err = run(capsys, "dims", "--group", "5x25", "--variant",
+                         "minus", "--enum-bound", "100", "--no-cache")
+    assert code == 3 and out == ""
+    assert err == ("error: enumeration size |G|^n = 15625 exceeds the "
+                   "bound 100\n")
 
 
 

@@ -88,6 +88,21 @@ def test_manin_dimensions():
         assert len(system.basis) == COSET_COUNTS[(n, m)]
 
 
+def test_manin_repeat_rows_only_at_level_2_1():
+    # one turn and one split row per coset, plus a swap row with_O; at
+    # (2, 1), MN = 2 makes -s = s and relation_rows drops 3 repeats, so a
+    # Manin-side fold must not drop its repeat check without replacing it.
+    # No other level of coset index <= 6,000 repeats a row.
+    for level, with_O, built, kept in (((2, 1), False, 12, 9),
+                                       ((2, 1), True, 18, 15),
+                                       ((2, 2), True, 72, 72),
+                                       ((3, 1), False, 48, 48)):
+        system, _ = manin_space(*level, with_O=with_O)
+        per_coset = 3 if with_O else 2
+        assert (per_coset * len(system.basis), system.rel.nrows) \
+            == (built, kept), level
+
+
 def test_manin_matches_genus_bookkeeping():
     # dim = 2g + cusps - 1 with both quantities from closed forms, N >= 3
     for n, m in ((3, 1), (4, 1), (5, 1)):

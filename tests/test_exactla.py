@@ -13,7 +13,7 @@ from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
                              rank_over_Q, row_span_membership,
                              smith_normal_form)
 from abelsym.relations import _sign_class_matrix
-from abelsym.symbols import enumerate_generators
+from abelsym.symbols import sign_class_reps
 from rankref import reference_det, reference_rank
 from relref import invariant_chains
 
@@ -353,14 +353,14 @@ def test_contraction_keeps_each_row_once():
 
 def test_contraction_copies_plain_rows_and_folds_repeats():
     # plain rows (nothing to join, each summing to -1) come back as they
-    # are; the sign-class fold of Z/9 also has no two-term row, but 9 of
-    # its 24 rows repeat others up to sign
+    # are; the n = 3 sign-class fold of Z/5 also has no two-term row, but
+    # 22 of its 47 rows repeat others up to sign
     plain = build_relations(make_group((9,)), 2, Variant.PLAIN).rel.rows
     assert _contract_two_term(plain, None) == (0, plain)
-    fold = _sign_class_matrix(make_group((9,)),
-                              enumerate_generators(make_group((9,)), 2), 2)
+    g = make_group((5,))
+    fold = _sign_class_matrix(g, sign_class_reps(g, 3), 3)
     merges, rest = _contract_two_term(fold.rows, None)
-    assert (merges, fold.nrows, len(rest)) == (0, 24, 15)
+    assert (merges, fold.nrows, len(rest)) == (0, 47, 25)
     assert _distinct_up_to_sign(rest)
 
 

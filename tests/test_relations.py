@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelsym import relations
-from abelsym.abelian import make_group
+from abelsym.abelian import make_group, negation_codes
 from abelsym.exactla import BoundExceeded, smith_normal_form
 from abelsym.relations import (DimensionReport, Variant, build_relations,
                                difference_formula, dimension,
@@ -13,10 +13,11 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                kernel_generators, kernel_span_dimension,
                                pxp_closed_forms)
 from abelsym.symbols import (canonicalize, det_class, det_classes,
-                             enumerate_det_class, enumerate_generators)
+                             enumerate_det_class, enumerate_generators,
+                             in_det_class, sign_class_reps)
 from rankref import reference_rank
-from relref import (NON_INVARIANT, ReferenceBuilder, invariant_chains,
-                    presentations)
+from relref import (NON_INVARIANT, ReferenceBuilder, full_sign_class_fold,
+                    invariant_chains, presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -227,17 +228,20 @@ def _key_basis_minus(g, n, keys=None):
     return len(system.basis) - snf.rank, snf.torsion, len(system.basis)
 
 
+_FOLD_CASES = (
+    [(f, 1) for f in invariant_chains(81)]
+    + [(f, 2) for f in invariant_chains(81) + list(NON_INVARIANT)]
+    + [(f, 3) for f in invariant_chains(24)]
+    + [((k,), 4) for k in range(2, 9)] + [((2, 2), 4), ((2, 4), 4)])
+
+
 def test_sign_class_fold_matches_key_basis():
     # dimension() eliminates over the sign classes; the key basis with its
     # sign rows must give the same module.  At n = 2 only Z/2 x Z/4 leaves
     # the closed form, as in criterion 04.
     chains = invariant_chains(81)
-    cases = ([(f, 1) for f in chains]
-             + [(f, 2) for f in chains + list(NON_INVARIANT)]
-             + [(f, 3) for f in invariant_chains(24)]
-             + [((k,), 4) for k in range(2, 9)] + [((2, 2), 4), ((2, 4), 4)])
     off_formula = []
-    for factors, n in cases:
+    for factors, n in _FOLD_CASES:
         g = make_group(factors)
         rep = dimension(g, n, Variant.MINUS, want_torsion=True,
                         snf_bound=10 ** 6)
@@ -273,9 +277,79 @@ def test_sign_class_fold_of_2x4():
     # the torsion that the closed form misses: five sign classes
     g = make_group((2, 4))
     assert relations._sign_class_matrix(
-        g, enumerate_generators(g, 2), 2).ncols == 5
+        g, sign_class_reps(g, 2), 2).ncols == 5
     rep = dimension(g, 2, Variant.MINUS, want_torsion=True)
     assert (rep.dim_q, rep.torsion, rep.generator_count) == (0, (2, 2, 2), 12)
+
+
+def test_sign_class_reps_match_filtered_keys():
+    # the rep walk is the key walk filtered to codes c = lo[c], in order,
+    # and the reps' sign patterns count the keys
+    for factors, n in _FOLD_CASES:
+        g = make_group(factors)
+        neg = negation_codes(g)
+        keys = enumerate_generators(g, n)
+        reps = sign_class_reps(g, n)
+        assert reps == [key.codes for key in keys
+                        if all(c <= neg[c] for c in key.codes)], (factors, n)
+        assert relations._key_count(g, reps) == len(keys), (factors, n)
+
+
+def _mod2_signature(row, two):
+    """The row up to sign, its entries on the columns in `two` mod 2."""
+    sigs = []
+    for sign in (1, -1):
+        sig = tuple((c, v % 2 if c in two else sign * v)
+                    for c, v in sorted(row.items()))
+        sigs.append(tuple(item for item in sig if item[1]))
+    return min(sigs)
+
+
+def _assert_fold_lattice_equal(g, reps, what):
+    """The kept rows are rows of the full fold, and every full row is +- a
+    kept row plus even entries on the {c: 2} columns, which the kept
+    {c: 2} rows span: the two row lattices are equal."""
+    kept = relations._sign_class_matrix(g, reps, 2).rows
+    full = full_sign_class_fold(g, reps, 2)
+    exact = {tuple(sorted(row.items())) for row in full}
+    assert all(tuple(sorted(row.items())) in exact for row in kept), what
+    two = {c for row in kept if len(row) == 1
+           for c, v in row.items() if v == 2}
+    reduced = {_mod2_signature(row, two) for row in kept}
+    assert all(_mod2_signature(row, two) in reduced for row in full), what
+    return len(kept), len(full)
+
+
+def _sweep_fold_systems():
+    """(group, reps) for the order <= 81 groups at n = 2, then every
+    determinant class of the bi-cyclic ones."""
+    for factors in invariant_chains(81):
+        g = make_group(factors)
+        reps = sign_class_reps(g, 2)
+        yield g, reps
+        if len(factors) == 2 and factors[0] >= 3:
+            for cls in det_classes(g):
+                in_class = in_det_class(g, cls)
+                yield g, [r for r in reps if in_class(r)]
+
+
+def test_sign_class_fold_lattice_matches_full_fold():
+    kept = full = systems = 0
+    for g, reps in _sweep_fold_systems():
+        k, f = _assert_fold_lattice_equal(g, reps, g.literal())
+        kept, full, systems = kept + k, full + f, systems + 1
+    assert systems == 149 + 30
+    assert kept < full
+
+
+@pytest.mark.slow
+def test_sign_class_fold_lattice_matches_full_fold_wide():
+    # the 124 of the fold docstring's 273 groups beyond order 81
+    wide = ([(k,) for k in range(82, 200)]
+            + [(11, 11), (13, 13), (3, 30), (4, 40), (2, 90), (6, 24)])
+    for factors in wide:
+        g = make_group(factors)
+        _assert_fold_lattice_equal(g, sign_class_reps(g, 2), factors)
 
 
 def test_key_basis_snf_bound():
