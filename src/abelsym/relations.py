@@ -175,50 +175,49 @@ def _sign_class_matrix(group, reps, n):
     with entry j negated (s = -1) unless entry i or j is self-inverse.  A
     rep with a self-inverse entry gets the row {k: 2}.
 
-    At n = 2 a folded blowup row touches three sign classes and is built
-    from each; only the build from the class of smallest index is kept
-    (ties kept).  Each dropped row equals +- a kept row once its entries on
-    the columns with a {c: 2} row are reduced mod 2, so it lies in the kept
-    rows' lattice, and the two row lattices are equal.  That is a check,
-    not a proof: it holds row by row on 273 groups, the 149 of order <= 81
-    with their 30 determinant-class systems and 124 larger ones (the slow
-    test in tests/test_relations.py).  At n >= 3 every row is kept.
+    At n = 2 a folded blowup row is kept only when its own rep's index k
+    is no larger than the indices u, v of its two other columns (ties
+    kept); the kept rows span the same lattice as all of them.  Proof: in
+    the quotient Q of the key module by the sign rows, e(x, -y) = -e(x, y)
+    for every key, also when y = -y, as then 2 e(x, y) = 0.  So in Q the
+    blowup at a key {a, b} reads -(e(x, y) + e(y, z) + e(z, x)) for the
+    zero-sum triple (x, y, z) = (b, a - b, -a): symmetric in the triple
+    and unchanged when it is negated, as Manin's three-term relation.  A
+    row built at rep k with sign s is thus +- its triple's relation in Q,
+    and the triple's three pairs are the classes k, u, v.  The zero-sum
+    triples through a rep (a, b) are, up to negation, the two built there
+    with s = 1 and s = -1, which are one triple when a or b is
+    self-inverse, so skipping s = -1 there loses none.  Hence every
+    triple is built from each class it touches, also from the one of
+    least index, where it is kept, and a dropped row equals +- a kept row
+    in Q, that is up to even entries on columns with a {c: 2} row, all
+    of which are kept.  The slow test in tests/test_relations.py checks
+    this row by row on 273 groups.  At n >= 3 every row is kept.
     """
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
     diff = difference_codes(group)
     index = {t: k for k, t in enumerate(reps)}
+    self_inverse = {c for c, d in enumerate(neg) if c == d}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    once = n == 2
     rows = []
-    if n == 2:  # the hot case, inlined: rows k <= u, v only
-        for k, (a, b) in enumerate(reps):
-            fixed = neg[a] == a or neg[b] == b
-            if fixed:
-                rows.append({k: 2})
-            for s, bs in ((1, b), (-1, neg[b])):
-                x = diff[a][bs]  # a - bs, and bs - a = -x
-                c = lo[x]
-                u = index[(c, b) if c <= b else (b, c)]
-                v = index[(a, c) if a <= c else (c, a)]
-                if k <= u and k <= v:
-                    rows.append(sparse_add({k: s}, (  # odd sum: never 0
-                        (u, -s * sg[x]), (v, -sg[neg[x]]))))
-                if fixed:
-                    break  # the s = -1 row is the s = 1 row again
-        return SparseIntMatrix.trusted(len(reps), rows)
     for k, r in enumerate(reps):
-        if any(neg[c] == c for c in r):
+        if not self_inverse.isdisjoint(r):
             rows.append({k: 2})
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = r[i], r[j]
-                for s, bs in ((1, b), (-1, neg[b])):
-                    if s < 0 and (neg[a] == a or bs == b):
-                        break  # the s = 1 row again
-                    x, y = diff[a][bs], diff[bs][a]
-                    rows.append(sparse_add({k: s}, (  # odd sum: never 0
-                        (index[replace_code(r, i, lo[x])], -s * sg[x]),
-                        (index[replace_code(r, j, lo[y])], -sg[y]))))
+        for i, j in pairs:
+            a, b = r[i], r[j]
+            for s, bs in ((1, b), (-1, neg[b])):
+                if s < 0 and (neg[a] == a or bs == b):
+                    break  # the s = 1 row again
+                x, y = diff[a][bs], diff[bs][a]
+                u = index[replace_code(r, i, lo[x])]
+                v = index[replace_code(r, j, lo[y])]
+                if once and (u < k or v < k):
+                    continue  # kept where its triple has the least rep
+                rows.append(sparse_add({k: s}, (  # odd sum: never 0
+                    (u, -s * sg[x]), (v, -sg[y]))))
     return SparseIntMatrix.trusted(len(reps), rows)
 
 
