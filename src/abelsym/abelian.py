@@ -336,16 +336,21 @@ def negation_codes(group):
     return neg
 
 
-def difference_codes(group):
-    """diff[a][b] = code of chi_a - chi_b, for all codes a and b.
-
-    |G|^2 entries, so it is built per call and never cached.
-    """
-    diff, size = [[0]], 1
-    for f in reversed(group.factors):
-        diff = [[(da - db) % f * size + x for db in range(f) for x in row]
-                for da in range(f) for row in diff]
+def difference_codes(group, rows=None):
+    """diff[a][b] = code of chi_a - chi_b, for every code b and the codes a
+    in `rows` (all by default), each row built from a's first digit and the
+    whole table of the later factors; the other rows are None.  Up to |G|^2
+    entries, so it is built per call and never cached."""
+    low, size = [[0]], 1
+    for f in reversed(group.factors[1:]):
+        low = [[(da - db) % f * size + x for db in range(f) for x in row]
+               for da in range(f) for row in low]
         size *= f
+    f, diff = group.factors[0], [None] * group.order
+    for a in range(group.order) if rows is None else rows:
+        da, rest = divmod(a, size)
+        diff[a] = [(da - db) % f * size + x for db in range(f)
+                   for x in low[rest]]
     return diff
 
 

@@ -6,17 +6,17 @@ with Python-int entries, so nothing ever overflows.  The engine eliminates
 unit pivots (+-1 entries); each is a Smith divisor.  It first quotients by
 the rows e_a +- e_b, which say that two columns agree up to sign, with a
 signed union-find: every merge is a unit pivot, a cycle whose signs cancel
-drops its row and one whose signs do not leaves 2 e_root.  The other rows
-are remapped onto the roots, where each row repeated up to sign (such as
-the blowup rows of a key and of its sign images) is kept once, and then
-eliminated in Markowitz order.  When no unit entry is left it peels the
-content: the live rows are divided by the gcd g of their entries, every
-later divisor is scaled by g, and unit pivots resume.  A residue of
-content 1 with no unit entry, which the relation matrices here rarely
-leave, gets gcd row and column steps on its least entries until one is a
-unit.  Span membership reduces against the recorded pivot rows, each
-merge recorded as its row over the two roots it joins, and a
-fraction-free echelon of that residue.
+drops its row and one whose signs do not leaves 2 e_root.  Once a column
+was joined, the other rows are remapped onto the roots, where each row
+repeated up to sign (as the blowup rows of a key and of its sign images) is
+kept once; else they are copied.  Then they are eliminated in Markowitz
+order.  When no unit entry is left it peels the content: the live rows are
+divided by the gcd g of their entries, every later divisor is scaled by g,
+and unit pivots resume.  A residue of content 1 with no unit entry, which
+the relation matrices here rarely leave, gets gcd row and column steps on
+its least entries until one is a unit.  Span membership reduces against the
+recorded pivot rows, each merge recorded as its row over the two roots it
+joins, and a fraction-free echelon of that residue.
 """
 
 from __future__ import annotations
@@ -58,6 +58,21 @@ def sparse_add(row, terms):
             else:
                 del row[k]
     return row
+
+
+def drop_repeats(rows):
+    """The nonzero rows, in order, less each equal to an earlier row or to
+    its negative (compared by entries sorted by column, signed so that the
+    first is positive); this changes neither the row lattice nor the span."""
+    kept, seen = [], set()
+    for row in rows:
+        sig = tuple(sorted(row.items()))
+        if sig[0][1] < 0:
+            sig = tuple((c, -v) for c, v in sig)
+        if sig not in seen:
+            seen.add(sig)
+            kept.append(row)
+    return kept
 
 
 class SparseIntMatrix:
@@ -177,14 +192,10 @@ def _contract_two_term(rows, pivots):
     it is zero at every earlier pivot column, none of which is a root.
 
     Returns (merges, rest): the number of unit pivots and, as new dicts,
-    every other row, the closed cycles included, remapped onto the final
-    roots through a table resolved once per joined column.  A remapped row
-    equal to an earlier one or to its negative is dropped: it changes
-    neither the row lattice nor the span.  Rows are compared by their
-    entries sorted by column, signed so that the first one is positive.
-    When nothing was joined and every row sums to -1, as plain blowup rows
-    do, no row is the negative of another and the rows are only copied; the
-    sign-class fold, with no two-term rows, still drops its repeats here.
+    every other row: copied when nothing was joined, else, the closed
+    cycles included, remapped onto the final roots through a table resolved
+    once per joined column and kept once up to sign by `drop_repeats`.
+    Repeats needing no join, as in the n >= 3 fold, are dropped where built.
     """
     forest = SignedUnionFind()
     find = forest.find
@@ -209,29 +220,25 @@ def _contract_two_term(rows, pivots):
                 continue
         if row:
             rest.append(row)
-    if not forest.link and all(sum(row.values()) == -1 for row in rest):
+    if not forest.link:
         return merges, [dict(row) for row in rest]
     root = {c: find(c) for c in forest.link}
-    kept, seen = [], set()
-    for row in rest:
-        out = {}
-        for c, v in row.items():
-            if c in root:
-                c, s = root[c]
-                v *= s
-            v += out.get(c, 0)
-            if v:
-                out[c] = v
-            else:
-                del out[c]
-        if out:
-            sig = tuple(sorted(out.items()))
-            if sig[0][1] < 0:
-                sig = tuple((c, -v) for c, v in sig)
-            if sig not in seen:
-                seen.add(sig)
-                kept.append(out)
-    return merges, kept
+
+    def remapped():     # one at a time: most are repeats, dropped at once
+        for row in rest:
+            out = {}
+            for c, v in row.items():
+                if c in root:
+                    c, s = root[c]
+                    v *= s
+                v += out.get(c, 0)
+                if v:
+                    out[c] = v
+                else:
+                    del out[c]
+            if out:
+                yield out
+    return merges, drop_repeats(remapped())
 
 
 def _unit_eliminate(rows, pivots=None):
@@ -240,8 +247,8 @@ def _unit_eliminate(rows, pivots=None):
 
     The rows with exactly two entries, both +-1, are settled first by a
     signed union-find (see _contract_two_term); each merge is a unit pivot,
-    done in bulk.  The other rows, remapped onto the roots and each kept
-    once up to sign, then go through passes that pivot on +-1 entries,
+    done in bulk.  The other rows, remapped (each kept once up to sign if
+    a column was joined), go through passes that pivot on +-1 entries,
     cheapest (row length - 1) * (column count - 1) first.  A pivot clears
     its column from every other row by row operations; the column
     operations that clear the rest of the pivot row touch no other row, so

@@ -33,8 +33,8 @@ from fractions import Fraction
 
 from .abelian import difference_codes, negation_codes, parse_group
 from .arith import divisors, prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
-                      require, smith_normal_form, sparse_add)
+from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, drop_repeats,
+                      rank_over_Q, require, smith_normal_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
                       enumerate_det_class, enumerate_generators, in_det_class,
                       replace_code, sign_class_reps)
@@ -173,7 +173,9 @@ def _sign_class_matrix(group, reps, n):
     Folding ignores negating the whole key and flips off {i, j}, so the
     blowup at any key folds to +- the (i, j) blowup at a rep r, or at r
     with entry j negated (s = -1) unless entry i or j is self-inverse.  A
-    rep with a self-inverse entry gets the row {k: 2}.
+    rep with a self-inverse entry gets the row {k: 2}.  A blowup row's
+    other columns are the classes of x = a - s b and y = -x (b - a is
+    -(a - b)), so only the difference rows of codes a = lo[a] are built.
 
     At n = 2 a folded blowup row is kept only when its own rep's index k
     is no larger than the indices u, v of its two other columns (ties
@@ -192,12 +194,16 @@ def _sign_class_matrix(group, reps, n):
     least index, where it is kept, and a dropped row equals +- a kept row
     in Q, that is up to even entries on columns with a {c: 2} row, all
     of which are kept.  The slow test in tests/test_relations.py checks
-    this row by row on 273 groups.  At n >= 3 every row is kept.
+    this row by row on 273 groups.  The rule reads codes before any index
+    lookup: reps are indexed in sorted code order and a <= b, so with
+    c = lo[x] the column v = (a, c) sorted precedes k = (a, b) iff c < b,
+    and c >= b puts u = (b, c) after k too.  At n >= 3 every row is built
+    and `drop_repeats` keeps each once up to sign.
     """
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
-    diff = difference_codes(group)
+    diff = difference_codes(group, [c for c, d in enumerate(lo) if c == d])
     index = {t: k for k, t in enumerate(reps)}
     self_inverse = {c for c, d in enumerate(neg) if c == d}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -211,14 +217,16 @@ def _sign_class_matrix(group, reps, n):
             for s, bs in ((1, b), (-1, neg[b])):
                 if s < 0 and (neg[a] == a or bs == b):
                     break  # the s = 1 row again
-                x, y = diff[a][bs], diff[bs][a]
+                x = diff[a][bs]
+                if once and lo[x] < b:
+                    continue  # kept where its triple has the least rep
+                y = neg[x]
                 u = index[replace_code(r, i, lo[x])]
                 v = index[replace_code(r, j, lo[y])]
-                if once and (u < k or v < k):
-                    continue  # kept where its triple has the least rep
                 rows.append(sparse_add({k: s}, (  # odd sum: never 0
                     (u, -s * sg[x]), (v, -sg[y]))))
-    return SparseIntMatrix.trusted(len(reps), rows)
+    return SparseIntMatrix.trusted(len(reps),
+                                   rows if once else drop_repeats(rows))
 
 
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):

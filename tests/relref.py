@@ -167,3 +167,16 @@ def full_sign_class_fold(group, reps, n):
                         (index[replace_code(r, i, lo[x])], -s * sg[x]),
                         (index[replace_code(r, j, lo[y])], -sg[y]))))
     return rows
+
+
+def first_up_to_sign(rows):
+    """The rows, in order, without those equal to an earlier row or to its
+    negative."""
+    seen, out = set(), []
+    for row in rows:
+        entries = frozenset(row.items())
+        if entries not in seen:
+            out.append(row)
+            seen.add(entries)
+            seen.add(frozenset((c, -v) for c, v in row.items()))
+    return out

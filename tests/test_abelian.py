@@ -145,6 +145,22 @@ def test_character_codes():
             assert chars[diff[a.code][b.code]] is a - b
 
 
+def test_difference_code_rows():
+    # every presentation, trivial and out-of-order factors included: the
+    # full table is character subtraction, and a partial table builds
+    # exactly the wanted rows of it and skips the others
+    for g in presentations(40):
+        chars = g.characters()
+        full = difference_codes(g)
+        assert full == [[(a - b).code for b in chars] for a in chars], g
+        neg = negation_codes(g)
+        for rows in ([c for c, d in enumerate(neg) if c <= d],
+                     range(g.order - 1, -1, -3), ()):
+            part = difference_codes(g, rows)
+            assert part == [full[a] if a in rows else None
+                            for a in range(g.order)], (g, rows)
+
+
 def test_proper_cyclic_subgroups_cyclic():
     g = make_group((12,))
     subs = proper_cyclic_subgroups(g)

@@ -351,32 +351,46 @@ def test_contraction_keeps_each_row_once():
     assert not checker.contains([0, 1, 0, 0, 0])
 
 
+def _assert_copies(rest, rows):
+    """rest equals the nonzero rows and shares no dict with them."""
+    kept = [row for row in rows if row]
+    assert rest == kept
+    assert not {id(row) for row in rest} & {id(row) for row in rows}
+
+
 def test_contraction_copies_plain_rows_and_folds_repeats():
-    # plain rows (nothing to join, each summing to -1) come back as they
-    # are; the n = 3 sign-class fold of Z/5 also has no two-term row, but
-    # 22 of its 47 rows repeat others up to sign
+    # with nothing to join the rows come back as copies: the plain blowup
+    # rows, and the n = 3 sign-class fold of Z/5, which itself drops 22 of
+    # the 47 rows it builds; in the minus key basis the sign rows join
+    # columns and the remapped blowup rows are kept once up to sign
     plain = build_relations(make_group((9,)), 2, Variant.PLAIN).rel.rows
-    assert _contract_two_term(plain, None) == (0, plain)
+    merges, rest = _contract_two_term(plain, None)
+    assert merges == 0
+    _assert_copies(rest, plain)
     g = make_group((5,))
     fold = _sign_class_matrix(g, sign_class_reps(g, 3), 3)
     merges, rest = _contract_two_term(fold.rows, None)
-    assert (merges, fold.nrows, len(rest)) == (0, 47, 25)
+    assert (merges, fold.nrows) == (0, 25)
+    _assert_copies(rest, fold.rows)
+    minus = build_relations(make_group((9,)), 2, Variant.MINUS).rel.rows
+    merges, rest = _contract_two_term(minus, None)
+    assert merges > 0 and len(rest) < len(minus) - merges
     assert _distinct_up_to_sign(rest)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_two_term_cases())
 def test_contraction_returns_no_repeats(rows):
-    # every remapped row is kept once up to sign, unless nothing is joined
-    # and every row sums to -1: then the nonzero rows come back as copies
+    # once a column is joined every remapped row is kept once up to sign;
+    # with nothing joined the nonzero rows come back as copies, repeats
+    # and all
     rows = mat(rows).rows
     merges, rest = _contract_two_term(rows, None)
-    kept = [row for row in rows if row]
     assert all(rest)
-    if not merges and all(sum(row.values()) == -1 for row in kept):
-        assert rest == kept and all(a is not b for a, b in zip(rest, kept))
-    else:
+    if merges:
         assert _distinct_up_to_sign(rest)
+    else:
+        _assert_copies(rest, rows)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,7 @@
 """Relation systems, brute dimensions, torsion, and the closed forms."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,8 +18,8 @@ from abelsym.symbols import (canonicalize, det_class, det_classes,
                              enumerate_det_class, enumerate_generators,
                              in_det_class, sign_class_reps)
 from rankref import reference_rank
-from relref import (NON_INVARIANT, ReferenceBuilder, full_sign_class_fold,
-                    invariant_chains, presentations)
+from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
+                    full_sign_class_fold, invariant_chains, presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -340,6 +342,50 @@ def test_sign_class_fold_lattice_matches_full_fold():
         kept, full, systems = kept + k, full + f, systems + 1
     assert systems == 149 + 30
     assert kept < full
+
+
+# sha256 of the n = 2 folds of `_sweep_fold_systems`, entries, entry order
+# and row order included, as built when the fold looked u and v up before
+# testing its once-rule
+SWEEP_FOLD_SHA256 = (
+    "48e79db33ba5c067aa8a530d9702f058aa28a6b9e5f3afa97e248e66feb1de89")
+
+
+def test_sign_class_fold_pinned():
+    folds = [[list(row.items()) for row in
+              relations._sign_class_matrix(g, reps, 2).rows]
+             for g, reps in _sweep_fold_systems()]
+    assert sum(map(len, folds)) == 22142
+    digest = hashlib.sha256(repr(folds).encode()).hexdigest()
+    assert digest == SWEEP_FOLD_SHA256
+
+
+def _assert_fold_drops_repeats(g, n):
+    """The fold at n >= 3 is the full fold with each row kept once up to
+    sign, the first occurrence, in order; returns (kept, full) counts."""
+    reps = sign_class_reps(g, n)
+    rows = relations._sign_class_matrix(g, reps, n).rows
+    full = full_sign_class_fold(g, reps, n)
+    assert rows == first_up_to_sign(full), (g.literal(), n)
+    assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
+    return len(rows), len(full)
+
+
+def test_sign_class_fold_drops_repeats_beyond_n_2():
+    counts = {(factors, n): _assert_fold_drops_repeats(make_group(factors), n)
+              for factors, n in _FOLD_CASES if n >= 3}
+    assert counts[(5,), 3] == (25, 47)
+    assert counts[(9,), 3] == (84, 171)
+    at_3 = [c for (_, n), c in counts.items() if n == 3]
+    assert tuple(map(sum, zip(*at_3))) == (11038, 21662)
+
+
+@pytest.mark.slow
+def test_sign_class_fold_drops_repeats_at_n_3_wide():
+    # tier 1 stops at order 24
+    for g in map(make_group, invariant_chains(40)):
+        if g.order > 24:
+            _assert_fold_drops_repeats(g, 3)
 
 
 @pytest.mark.slow
