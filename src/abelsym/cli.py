@@ -228,8 +228,11 @@ def _table_row(config, group, graded):
 
 
 def cmd_table(config):
-    rows = [_table_row(config, group, graded)
-            for group, graded in _table_groups(config)]
+    try:
+        groups = _table_groups(config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    rows = [_table_row(config, group, graded) for group, graded in groups]
 
     if config.fmt == "json":
         body = {"family": config.family,
@@ -390,7 +393,10 @@ def cmd_verify(config):
         "formulas": lambda: _verify_formulas(config),
         "iso": lambda: _verify_iso(config),
     }[config.check]
-    report = handler()
+    try:
+        report = handler()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     if config.fmt == "json":
         _print([json.dumps(report.to_json(), sort_keys=True, default=str)])

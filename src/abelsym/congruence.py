@@ -7,8 +7,10 @@ generate the dual group and have determinant 1 mod N; those quadruples are
 the generators of the Manin relation space built here.  Inside, a coset is
 its residue quad (a, b, c, d), a plain int tuple in lexicographic order;
 `CosetSymbol` objects are built only for returned values.  `iso_check`
-certifies that the two presentations span one space with a stacked rank:
-over Q, rows A and B do iff rank [A; B] = rank A = rank B.
+certifies that the coset and symbol presentations are one: mapped onto the
+keys, the coset rows are the symbol rows up to sign, and equal row sets
+under a bijection of bases present isomorphic modules over Z, torsion
+included.
 
 Everything countable is computed twice on purpose: coset counts against the
 index formula, cusps as transformation orbits against the closed form,
@@ -28,7 +30,7 @@ from math import gcd
 from .abelian import make_group, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SignedUnionFind,
-                      SparseIntMatrix, rank_over_Q, require,
+                      SparseIntMatrix, require, row_signature,
                       smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         build_relations, formula_dimension, relation_rows)
@@ -561,75 +563,46 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
               snf_bound=DEFAULT_SNF_BOUND):
     """Match the minus-variant symbol presentation against the coset one.
 
-    For N >= 3 the keys of unit determinant class biject with the cosets:
-    the key (a1, c1), (a2, c2), as codes a MN + c, becomes the coset with
-    those columns, ordered so the determinant is +1 mod N.  Every relation
-    row of each side, pushed through the bijection, must lie in the other
-    side's rational span, and dimension and torsion must agree.  The span
-    checks are one stacked rank: over Q the row sets A and B span the same
-    space iff rank [A; B] = rank A = rank B, with rank A and rank B read off
-    the two Smith forms.  At N = 2 the cosets double-cover the keys, the
-    swap rows collapse to zero, and the same checks run over the quotient,
-    where the projected coset rows get a rank of their own.
+    The coset (a, b; c, d) goes to the key whose codes are a MN + c and
+    b MN + d, sorted.  At N >= 3 the keys are those of unit determinant
+    class and each is hit once, so the map is a bijection of bases.  At
+    N = 2 each key is hit twice, by a coset and its column swap, so the
+    swap rows span the map's kernel and drop out as zero rows.  Either way
+    the coset rows pushed onto the keys must equal the symbol rows up to
+    sign, as sets, one check per direction: equal row sets under a
+    bijection of bases present isomorphic modules over Z, torsion
+    included, as equal spans over Q would not.  The two Smith forms must
+    then agree on dimension and torsion too.
     """
     _check_level(n, m)
     k = n * m
     grp = make_group((n, k))
     level = (n, m)
     if n >= 3:
-        keys = enumerate_det_class(grp, 1, bound=enum_bound)
+        keys, cover = enumerate_det_class(grp, 1, bound=enum_bound), 1
     else:
-        keys = enumerate_generators(grp, 2, bound=enum_bound)
+        keys, cover = enumerate_generators(grp, 2, bound=enum_bound), 2
     sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
     man_system, man_report = manin_space(
         n, m, with_O=n == 2, enum_bound=enum_bound, snf_bound=snf_bound)
     snf = smith_normal_form(sym_system.rel, bound=snf_bound)
-    if n >= 3:
-        quads = [s.quad() for s in man_system.basis]
-        index = {s: i for i, s in enumerate(quads)}
-        perm = []   # key index -> coset index
-        for x, y in (key.codes for key in keys):
-            (a1, c1), (a2, c2) = divmod(x, k), divmod(y, k)
-            s = ((a1, a2, c1, c2) if (a1 * c2 - a2 * c1) % n == 1
-                 else (a2, a1, c2, c1))
-            j = index.get(s)
-            require(j is not None, "key %r goes to %r, not a coset of level "
-                    "%r", (x, y), s, level)
-            perm.append(j)
-        require(len(set(perm)) == len(keys) == len(quads), "%d keys map to "
-                "%d distinct cosets of %d at level %r", len(keys),
-                len(set(perm)), len(quads), level)
-        for key, j in zip(keys, perm):
-            a, b, c, d = quads[j]
-            back = tuple(sorted((a * k + c, b * k + d)))
-            require(back == key.codes, "key %r goes to %r and back to %r",
-                    key.codes, quads[j], back)
-        ncols, coset_rows = len(quads), man_system.rel.rows
-        coset_rank = len(quads) - man_report.dim_q
-        sym_rows = [{perm[i]: v for i, v in row.items()}
-                    for row in sym_system.rel.rows]
-    else:
-        # collapse cosets onto keys; the swap rows become zero rows
-        index = {key.codes: i for i, key in enumerate(keys)}
-        proj = [index.get(tuple(sorted((s.a * k + s.c, s.b * k + s.d))))
-                for s in man_system.basis]     # coset index -> key index
-        hits = Counter(proj)
-        require(set(hits) == set(range(len(keys))) and set(hits.values())
-                == {2}, "cosets cover %d of %d keys, %r times each, at level "
-                "%r", len(hits), len(keys), sorted(set(hits.values())), level)
-        coset_rows = []
-        for row in man_system.rel.rows:
-            out = sparse_add({}, ((proj[j], v) for j, v in row.items()))
-            if out:
-                coset_rows.append(out)
-        ncols, sym_rows = len(keys), sym_system.rel.rows
-        coset_rank = rank_over_Q(SparseIntMatrix.trusted(ncols, coset_rows))
-    both = rank_over_Q(SparseIntMatrix.trusted(ncols, coset_rows + sym_rows))
-    require(both == coset_rank, "symbol relations leave the other side's "
-            "rational span at level %r", level)
-    require(both == snf.rank, "%s relations leave the other side's rational "
-            "span at level %r", "coset" if n >= 3 else "projected coset",
-            level)
+    index = {key.codes: i for i, key in enumerate(keys)}
+    proj = [index.get(tuple(sorted((s.a * k + s.c, s.b * k + s.d))))
+            for s in man_system.basis]     # coset index -> key index
+    hits = Counter(proj)
+    require(set(hits) == set(range(len(keys))) and set(hits.values())
+            == {cover}, "cosets cover %d of %d keys, %r times each, at level "
+            "%r", len(hits), len(keys), sorted(set(hits.values())), level)
+    sym_rows = {row_signature(row) for row in sym_system.rel.rows}
+    pushed = (sparse_add({}, ((proj[j], v) for j, v in row.items()))
+              for row in man_system.rel.rows)
+    coset_rows = {row_signature(row) for row in pushed if row}
+    require(coset_rows <= sym_rows, "coset relations missing from the "
+            "symbol side at level %r: %d of %d", level,
+            len(coset_rows - sym_rows), len(coset_rows))
+    require(sym_rows <= coset_rows, "symbol relations missing from the "
+            "coset side at level %r: %d of %d", level,
+            len(sym_rows - coset_rows), len(sym_rows))
     return _matched(IsoReport(level, grp.literal(), len(keys),
                               len(man_system.basis), len(keys) - snf.rank,
                               man_report.dim_q, snf.torsion,

@@ -60,15 +60,22 @@ def sparse_add(row, terms):
     return row
 
 
+def row_signature(row):
+    """A nonzero row's entries sorted by column and signed so the first is
+    positive: rows share it iff they are equal up to sign."""
+    sig = tuple(sorted(row.items()))
+    if sig[0][1] < 0:
+        sig = tuple((c, -v) for c, v in sig)
+    return sig
+
+
 def drop_repeats(rows):
-    """The nonzero rows, in order, less each equal to an earlier row or to
-    its negative (compared by entries sorted by column, signed so that the
-    first is positive); this changes neither the row lattice nor the span."""
+    """The nonzero rows, in order, less each equal up to sign to an earlier
+    one (same `row_signature`); this changes neither the row lattice nor
+    the span."""
     kept, seen = [], set()
     for row in rows:
-        sig = tuple(sorted(row.items()))
-        if sig[0][1] < 0:
-            sig = tuple((c, -v) for c, v in sig)
+        sig = row_signature(row)
         if sig not in seen:
             seen.add(sig)
             kept.append(row)

@@ -282,6 +282,16 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "dims", "--group", "9", "--n", "0",
                        "--no-cache")
     assert code == 2
+    # the library's ValueError on bad input is a usage error, in both formats
+    for argv in ([["verify", "--check", c, "--group", "9", "--n", "1"]
+                  for c in ("kernel", "comult", "delta")]
+                 + [["table", "--family", "pxp", "--primes", p]
+                    for p in ("0", "200")]
+                 + [["table", "--family", "cyclic", "--stop", "100000"]]):
+        code, out, err = run(capsys, *argv, "--no-cache")
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        code, out, _ = run(capsys, *argv, "--format", "json", "--no-cache")
+        assert code == 2 and "error" in json.loads(out), argv
 
 
 def test_bound_exit_code(capsys):

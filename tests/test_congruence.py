@@ -189,6 +189,17 @@ def test_iso_check():
     assert rep23.cosets == 2 * rep23.keys  # double cover at N = 2
 
 
+@pytest.mark.slow
+def test_iso_check_wide():
+    # every level of coset index <= 6,000; the larger Manin spaces outgrow
+    # the default Smith form guard
+    levels = [(n, m) for n in range(2, 30) for m in range(1, 60)
+              if coset_index(n, m) <= 6000]
+    assert len(levels) == 98
+    for n, m in levels:
+        assert iso_check(n, m, snf_bound=20000).ok, (n, m)
+
+
 def run_optimized(code):
     """Exit code of `code` run by a fresh `python -O` on this abelsym."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(abelsym.__file__)))
@@ -198,29 +209,34 @@ def run_optimized(code):
     return proc.returncode
 
 
-# Each patch breaks one span direction of iso_check's stacked rank
-# comparison; (patch, level, start of the message that must fire).
+# Each patch breaks one direction of iso_check's row-set comparison, at
+# N >= 3 and at N = 2; (patch, level, start of the message that must fire).
+PLAIN_SYMBOLS = """
+    real = C.build_relations
+    C.build_relations = lambda g, n, v, keys: real(g, n, "plain", keys=keys)
+"""
+# a doubled row leaves the span over Q, and even the lattice, as it was
+DOUBLED_SYMBOL_ROW = """
+    real = C.build_relations
+
+    def doubled(*args, **kwargs):
+        system = real(*args, **kwargs)
+        row = system.rel.rows[-1]
+        system.rel = system.rel.with_rows([{c: 2 * v for c, v in row.items()}])
+        return system
+    C.build_relations = doubled
+"""
 SPAN_FAILURES = [
-    # a stacked rank above the coset rank: symbols outside the coset span
-    ("""
-        real = C.rank_over_Q
-        C.rank_over_Q = lambda mat: real(mat) + 1
-    """, (7, 2), "symbol relations leave"),
-    # without the sign rows the symbol span misses the coset turn rows
-    ("""
-        real = C.build_relations
-        C.build_relations = lambda g, n, v, keys: real(g, n, "plain",
-                                                       keys=keys)
-    """, (7, 2), "coset relations leave"),
-    ("""
-        real = C.rank_over_Q
-        C.rank_over_Q = lambda mat: real(mat) + 1
-    """, (2, 8), "projected coset relations leave"),
+    # without the sign rows the symbols miss the coset turn rows
+    (PLAIN_SYMBOLS, (7, 2), "coset relations missing"),
+    (PLAIN_SYMBOLS, (2, 8), "coset relations missing"),
+    (DOUBLED_SYMBOL_ROW, (7, 2), "symbol relations missing"),
+    (DOUBLED_SYMBOL_ROW, (2, 8), "symbol relations missing"),
 ]
 
 
 def test_iso_check_span_failure_raises_under_optimize():
-    # the span checks must not be assert statements, which -O strips
+    # the row checks must not be assert statements, which -O strips
     for patch, level, message in SPAN_FAILURES:
         assert run_optimized("""
 import abelsym
