@@ -33,7 +33,7 @@ from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SignedUnionFind,
                       SparseIntMatrix, require, row_signature,
                       smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
-                        build_relations, formula_dimension, relation_rows)
+                        build_relations, formula_dimension)
 from .symbols import (DEFAULT_ENUM_BOUND, enumerate_det_class,
                       enumerate_generators)
 
@@ -284,6 +284,14 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     determinant sign otherwise).  The degenerate rule "e_s = 0 when s is
     fixed by its own turn or rotation" never fires: a fixed point would
     have determinant 0 mod N, and construction checks that none occurs.
+
+    Each row is built once.  A split row has three distinct cosets (x = s,
+    y = s or x = y would force det = 0 mod N; checked) and, like a swap
+    row, is fixed by its one +1 entry s; neither equals a turn row, whose
+    entries are both +1.  Two turn rows coincide only when s' is the turn
+    sS of s and s'S = -s = s, which needs 2c = 2d = 0 mod MN with gcd(c,
+    d, MN) = 1, so MN <= 2: there the turn row of s' is skipped when its
+    turn is an earlier coset and -s' = s'.
     """
     _check_level(n, m)
     if with_O and n != 2:
@@ -296,21 +304,23 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
 
     # column operations of determinant one (and the swap at N = 2) keep the
     # column span and the determinant mod N: the images are cosets
-    def templates():
-        for s in quads:
-            a, b, c, d = s
-            na, nc = -a % n, -c % k
-            turned = (b, na, d, nc)
-            rotated = ((a + b) % n, na, (c + d) % k, nc)
-            require(turned != s and rotated != s, "coset %r of level %r is "
-                    "fixed by its turn or rotation", s, level)
-            yield [(s, 1), (turned, 1)]
-            yield [(s, 1), (((a - b) % n, b, (c - d) % k, d), -1),
-                   ((a, (b - a) % n, c, (d - c) % k), -1)]
-            if with_O:
-                yield [(s, 1), ((b, a, d, c), -1)]
-
-    rows = relation_rows(index, templates())
+    rows = []
+    for i, s in enumerate(quads):
+        a, b, c, d = s
+        na, nc = -a % n, -c % k
+        turned = (b, na, d, nc)
+        rotated = ((a + b) % n, na, (c + d) % k, nc)
+        split = {i: 1, index[((a - b) % n, b, (c - d) % k, d)]: -1,
+                 index[(a, (b - a) % n, c, (d - c) % k)]: -1}
+        require(turned != s and rotated != s and len(split) == 3,
+                "coset %r of level %r is fixed by its turn or rotation or "
+                "repeats a split term", s, level)
+        t = index[turned]
+        if t > i or (na, -b % n, nc, -d % k) != s:
+            rows.append({i: 1, t: 1})
+        rows.append(split)
+        if with_O:
+            rows.append({i: 1, index[(b, a, d, c)]: -1})
     rel = SparseIntMatrix.trusted(len(quads), rows)
     cosets = [CosetSymbol._unchecked(*s, level) for s in quads]
     grp = make_group((n, n * m))

@@ -16,7 +16,9 @@ and unit pivots resume.  A residue of content 1 with no unit entry, which
 the relation matrices here rarely leave, gets gcd row and column steps on
 its least entries until one is a unit.  Span membership reduces against the
 recorded pivot rows, each merge recorded as its row over the two roots it
-joins, and a fraction-free echelon of that residue.
+joins, and a fraction-free echelon of that residue.  Each checker reduces
+a distinct query only once: a row equal up to sign to an earlier one, once
+cleared of denominators, gets the earlier verdict.
 """
 
 from __future__ import annotations
@@ -103,9 +105,10 @@ class SparseIntMatrix:
             for c, v in row.items():
                 if not 0 <= c < ncols:
                     raise ValueError("column index %r out of range" % (c,))
-                v = int(v)
+                if getattr(v, "denominator", None) != 1:
+                    raise ValueError("matrix entry %r is not integral" % (v,))
                 if v:
-                    d[c] = v
+                    d[c] = int(v)
             clean.append(d)
         self.nrows = nrows
         self.ncols = ncols
@@ -403,12 +406,16 @@ class SpanChecker:
     columns of the rows before it: the unit pivot rows of the elimination
     engine, then a fraction-free echelon of its residue.  A query is
     reduced against them in pivot order, exactly over Z, and lies in the
-    span iff nothing is left.
+    span iff nothing is left.  Rows equal up to sign lie in the span
+    together, so each checker keeps its verdicts under the `row_signature`
+    of the query cleared of denominators and reduces each distinct query
+    only once.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self._pivots = []       # (pivot col, row), in pivot order
+        self._verdicts = {}     # row_signature of a query -> membership
         _, _, residue = _unit_eliminate(matrix.rows, self._pivots)
         self._order = {c: k for k, (c, _) in enumerate(self._pivots)}
         for row in residue:
@@ -452,35 +459,43 @@ class SpanChecker:
         return row
 
     def contains(self, row):
+        """Whether the row, a dict or full vector of int or Fraction
+        entries, lies in the span over Q; the row itself is not changed."""
         row = _integerize(_as_row_dict(row, self.matrix.ncols))
-        return not self._reduce(row)
+        if not row:
+            return True
+        sig = row_signature(row)
+        verdict = self._verdicts.get(sig)
+        if verdict is None:
+            verdict = self._verdicts[sig] = not self._reduce(row)
+        return verdict
 
 
 def _as_row_dict(row, ncols):
     """Accept either a {col: value} mapping or a full-length vector."""
     if isinstance(row, dict):
+        if row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError("query column out of range for %d columns"
+                             % ncols)
         return row
     row = list(row)
     if len(row) != ncols:
         raise ValueError("vector length %d does not match %d columns"
                          % (len(row), ncols))
-    return {i: v for i, v in enumerate(row) if v}
+    return dict(enumerate(row))
 
 
 def _integerize(row):
-    """Clear denominators from a {col: int|Fraction} row."""
+    """A new {col: int} row, the {col: int|Fraction} row times the lcm of
+    its denominators, zeros dropped; other entries raise ValueError."""
+    try:
+        parts = [(c, v.numerator, v.denominator) for c, v in row.items()]
+    except AttributeError:
+        raise ValueError("query entries must be int or Fraction") from None
     lcm = 1
-    for v in row.values():
-        den = getattr(v, "denominator", 1)
+    for _, _, den in parts:
         lcm = lcm * den // gcd(lcm, den)
-    out = {}
-    for c, v in row.items():
-        num = getattr(v, "numerator", v)
-        den = getattr(v, "denominator", 1)
-        val = int(num) * (lcm // den)
-        if val:
-            out[c] = val
-    return out
+    return {c: int(num) * (lcm // den) for c, num, den in parts if num}
 
 
 def row_span_membership(matrix, row):

@@ -338,20 +338,32 @@ def delta_sum(key, i=0, j=1):
 
     Flipping the signs of two fixed entries in all four combinations yields
     a sum that lies in the rational span of the blowup relations for every
-    key; the membership is a useful end-to-end exactness probe.
+    key; the membership is a useful end-to-end exactness probe.  Negating
+    the entry at i or j permutes the four terms, so the sum is constant on
+    the sign class at (i, j) (all of it at n = 2, where the positions stay
+    put), and a `SpanChecker` answers the class's repeats from its memo.
     """
     n = len(key)
     if n < 2:
         raise ValueError("the sign sum needs keys with n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("positions must be distinct and within the key")
-    chars = key.group.characters()
+    factors = key.group.factors
+
+    def neg(code):      # the code of -chi, digit by mixed-radix digit
+        out, size = 0, 1
+        for f in reversed(factors):
+            code, d = divmod(code, f)
+            out += -d % f * size
+            size *= f
+        return out
+
     codes = list(key.codes)
     ci, cj = codes[i], codes[j]
     terms = {}
     # sign flips keep the span: the images need no re-validation
-    for a in (ci, (-chars[ci]).code):
-        for b in (cj, (-chars[cj]).code):
+    for a in (ci, neg(ci)):
+        for b in (cj, neg(cj)):
             codes[i], codes[j] = a, b
             t = tuple(sorted(codes))
             terms[t] = terms.get(t, 0) + 1

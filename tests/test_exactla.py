@@ -191,6 +191,23 @@ def test_snf_of_larger_dense_matrices(data):
     assert res.divisors[0] == content
 
 
+def _assert_verdicts(checker, query, member, combo):
+    """The checker's verdict on the query is `member` as a vector, as a
+    dict (left unchanged), negated, scaled by 2 and by 1/3, and again once
+    the member `combo` was asked in between."""
+    as_dict = {j: v for j, v in enumerate(query) if v}
+    copy = dict(as_dict)
+    asks = [query, as_dict, {j: -v for j, v in as_dict.items()},
+            [2 * v for v in query],
+            {j: Fraction(v, 3) for j, v in as_dict.items()}]
+    for ask in asks:
+        assert checker.contains(ask) == member
+    assert as_dict == copy
+    assert checker.contains(combo)
+    for ask in asks:
+        assert checker.contains(ask) == member
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_span_membership_matches_reference_rank(data):
@@ -199,13 +216,13 @@ def test_span_membership_matches_reference_rank(data):
     query = data.draw(st.lists(st.integers(-9, 9), min_size=ncols,
                                max_size=ncols))
     member = reference_rank(rows + [query]) == reference_rank(rows)
-    assert SpanChecker(mat(rows)).contains(query) == member
+    checker = SpanChecker(mat(rows))
     # a combination of the rows is always a member
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=nrows,
                                 max_size=nrows))
     combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
              for j in range(ncols)]
-    assert SpanChecker(mat(rows)).contains(combo)
+    _assert_verdicts(checker, query, member, combo)
 
 
 def test_span_membership_is_over_Q():
@@ -222,6 +239,50 @@ def test_matrix_validation():
     m = SparseIntMatrix(2, 2, [{0: 3, 1: 0}, {1: -1}])
     assert m.rows == [{0: 3}, {1: -1}]  # the explicit zero is dropped
     assert m.nnz() == 2
+    # integral entries of any rational type are kept as ints
+    m = SparseIntMatrix(1, 2, [{0: Fraction(4, 2), 1: True}])
+    assert m.rows == [{0: 2, 1: 1}] and type(m.rows[0][1]) is int
+    for entry in (0.5, 2.0, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError):
+            SparseIntMatrix(1, 2, [{0: entry, 1: 1}])
+
+
+def test_span_queries_reject_non_rational_entries():
+    # e0 is not in the span of {0: 1, 1: 1} and {1: 2, 2: 1}; int(0.5)
+    # would turn the query {0: 0.5} into the zero row, a member
+    checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
+    assert not checker.contains({0: Fraction(1, 2)})
+    for query in ({0: 0.5}, [0.5, 0, 0], {0: 1, 1: 0.0}, [1, 0.0, 0],
+                  {0: "1"}):
+        with pytest.raises(ValueError):
+            checker.contains(query)
+
+
+def test_span_query_columns_are_checked():
+    checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
+    assert checker.contains({0: 1, 1: 1}) and checker.contains({})
+    for query in ({5: 1}, {3: 1}, {-1: 1}, {0: 1, 3: 0}, [1, 0],
+                  [1, 0, 0, 0]):
+        with pytest.raises(ValueError):
+            checker.contains(query)
+
+
+def test_span_checker_reduces_each_distinct_query_once():
+    checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
+    reduced = []
+    real = checker._reduce
+    checker._reduce = lambda row: reduced.append(dict(row)) or real(row)
+    asks = [({0: 1}, False), ({0: -1}, False),
+            ([Fraction(1, 3), 0, 0], False), ({0: 2, 1: 2}, True),
+            ({0: 1, 1: 1}, True), ({0: -1, 1: -1}, True), ({0: 1}, False),
+            ({}, True), ([0, -1, Fraction(-1, 2)], True), ({1: 2, 2: 1}, True)]
+    for query, member in asks:
+        assert checker.contains(query) == member
+    # e0; 2 e0 + 2 e1 and e0 + e1, whose signatures differ; 2 e1 + e2
+    assert reduced == [{0: 1}, {0: 2, 1: 2}, {0: 1, 1: 1}, {1: -2, 2: -1}]
+    # the verdicts live on the checker: a new one reduces again
+    fresh = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
+    assert fresh._verdicts == {} and not fresh.contains({0: -1})
 
 
 @st.composite
@@ -299,14 +360,13 @@ def test_span_membership_with_two_term_rows(data):
         for c in only:
             query[c] += data.draw(st.sampled_from([1, -1, 2]))
         queries.append(query)
-    for query in queries:
-        member = reference_rank(rows + [query]) == reference_rank(rows)
-        assert checker.contains(query) == member
     coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
                                 max_size=len(rows)))
     combo = [sum(c * row[j] for c, row in zip(coeffs, rows))
              for j in range(ncols)]
-    assert checker.contains(combo)
+    for query in queries:
+        member = reference_rank(rows + [query]) == reference_rank(rows)
+        _assert_verdicts(checker, query, member, combo)
 
 
 def test_contraction_alone_settles_the_matrix():
