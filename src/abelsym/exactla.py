@@ -9,8 +9,9 @@ signed union-find: every merge is a unit pivot, a cycle whose signs cancel
 drops its row and one whose signs do not leaves 2 e_root.  Once a column
 was joined, the other rows are remapped onto the roots, where each row
 repeated up to sign (as the blowup rows of a key and of its sign images) is
-kept once; else they are copied.  Then they are eliminated in Markowitz
-order.  When no unit entry is left it peels the content: the live rows are
+kept once; else they are copied.  Then each step pivots on a column of
+least live row count, kept in buckets by count, and there on the shortest
+row with a unit entry.  When none is left it peels the content: the rows are
 divided by the gcd g of their entries, every later divisor is scaled by g,
 and unit pivots resume.  A residue of content 1 with no unit entry, which
 the relation matrices here rarely leave, gets gcd row and column steps on
@@ -24,6 +25,7 @@ cleared of denominators, gets the earlier verdict.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from math import gcd
 
 # Resource guards.  Callers may override per invocation.
@@ -252,21 +254,26 @@ def _contract_two_term(rows, pivots):
 
 
 def _unit_eliminate(rows, pivots=None):
-    """Two-term contraction, then Markowitz unit-pivot elimination with
-    content peeling.
+    """Two-term contraction, then unit-pivot elimination with content
+    peeling.
 
     The rows with exactly two entries, both +-1, are settled first by a
     signed union-find (see _contract_two_term); each merge is a unit pivot,
     done in bulk.  The other rows, remapped (each kept once up to sign if
-    a column was joined), go through passes that pivot on +-1 entries,
-    cheapest (row length - 1) * (column count - 1) first.  A pivot clears
+    a column was joined), go through passes that pivot on +-1 entries:
+    each step takes a column of least live row count from buckets keyed by
+    count, and there the shortest row with a +-1 entry.  A pivot clears
     its column from every other row by row operations; the column
     operations that clear the rest of the pivot row touch no other row, so
-    the row is simply retired, contributing one divisor.  When given,
-    `pivots` receives each retired (column, row) in pivot order, the merges
-    first.  Once no unit entry is left, the live rows are divided by the
-    gcd g of their entries and the next pass runs at a scale g times
-    larger, since SNF(gA) = g SNF(A).
+    the row is simply retired, contributing one divisor.  Only the pivot
+    row's columns change: each goes back into the bucket of its new count,
+    an O(1) append, and an entry whose count is stale or whose column has
+    no unit entry is skipped when it comes up.  On these relation matrices
+    that makes no more fill than a Markowitz order, with no heap to keep.
+    When given, `pivots` receives each retired (column, row) in pivot
+    order, the merges first.  Once no unit entry is left, the live rows
+    are divided by the gcd g of their entries and the next pass re-buckets
+    the live columns at a scale g times larger, since SNF(gA) = g SNF(A).
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
@@ -279,21 +286,28 @@ def _unit_eliminate(rows, pivots=None):
             cols.setdefault(c, set()).add(i)
     divisors = [1] * merges
     scale = 1
-    heappush, heappop = heapq.heappush, heapq.heappop
     while True:
-        heap = [((len(row) - 1) * (len(cols[c]) - 1), i, c)
-                for i, row in rows.items()
-                for c, v in row.items() if v in (1, -1)]
-        heapq.heapify(heap)
-        while heap:
-            cost, pi, pc = heappop(heap)
-            row = rows.get(pi)
-            if row is None or row.get(pc) not in (1, -1):
+        buckets = defaultdict(list)  # count -> columns, at most len(rows)
+        for c, s in cols.items():
+            buckets[len(s)].append(c)
+        low = 1
+        while low <= len(rows):
+            bucket = buckets.get(low)
+            if not bucket:
+                low += 1
                 continue
-            true_cost = (len(row) - 1) * (len(cols[pc]) - 1)
-            if true_cost > cost and heap and heap[0][0] < true_cost:
-                heappush(heap, (true_cost, pi, pc))
+            pc = bucket.pop()
+            s = cols.get(pc)
+            if s is None or len(s) != low:
                 continue
+            pi = None
+            for j in s:     # the shortest row with a unit entry at pc
+                if rows[j][pc] in (1, -1) and (pi is None or
+                                               len(rows[j]) < len(rows[pi])):
+                    pi = j
+            if pi is None:
+                continue
+            row = rows.pop(pi)
             pv = row[pc]
             rest = [(c, v) for c, v in row.items() if c != pc]
             for j in cols.pop(pc):
@@ -307,9 +321,6 @@ def _unit_eliminate(rows, pivots=None):
                         if c not in other:
                             cols[c].add(j)
                         other[c] = val
-                        if val == 1 or val == -1:
-                            heappush(heap, ((len(other) - 1)
-                                            * (len(cols[c]) - 1), j, c))
                     elif c in other:
                         del other[c]
                         cols[c].discard(j)
@@ -318,9 +329,13 @@ def _unit_eliminate(rows, pivots=None):
             for c, _ in rest:
                 s = cols[c]
                 s.discard(pi)
-                if not s:
+                if s:
+                    k = len(s)
+                    buckets[k].append(c)
+                    if k < low:
+                        low = k
+                else:
                     del cols[c]
-            del rows[pi]
             divisors.append(scale)
             if pivots is not None:
                 pivots.append((pc, row))

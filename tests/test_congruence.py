@@ -90,9 +90,11 @@ def test_manin_dimensions():
 
 def test_manin_repeat_rows_only_at_level_2_1():
     # one turn and one split row per coset, plus a swap row with_O; at
-    # (2, 1), MN = 2 makes -s = s and relation_rows drops 3 repeats, so a
-    # Manin-side fold must not drop its repeat check without replacing it.
-    # No other level of coset index <= 6,000 repeats a row.
+    # (2, 1), MN = 2 makes -s = s, and manin_space builds only 9 rows (15
+    # with the swap): it skips the turn row of a coset s' whose turn is an
+    # earlier coset and -s' = s', as that row is the earlier coset's turn
+    # row again, so a Manin-side fold must keep that skip.  No other level
+    # of coset index <= 6,000 repeats a row.
     for level, with_O, built, kept in (((2, 1), False, 12, 9),
                                        ((2, 1), True, 18, 15),
                                        ((2, 2), True, 72, 72),

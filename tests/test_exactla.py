@@ -2,19 +2,19 @@
 
 import hashlib
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abelsym import Variant, build_relations, make_group, manin_space
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
-                             _contract_two_term, dense_snf_with_transforms,
-                             rank_over_Q, row_span_membership,
-                             smith_normal_form)
+                             _contract_two_term, _unit_eliminate,
+                             dense_snf_with_transforms, rank_over_Q,
+                             row_span_membership, smith_normal_form)
 from abelsym.relations import _sign_class_matrix
 from abelsym.symbols import sign_class_reps
-from rankref import reference_det, reference_rank
+from rankref import reference_det, reference_rank, reference_rank_mod_p
 from relref import invariant_chains
 
 
@@ -459,6 +459,32 @@ def test_span_checker_rank_matches_reference(rows):
     assert SpanChecker(mat(rows)).rank == reference_rank(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_snf_cases(), _two_term_cases()))
+@example([[0, 2], [2, 2]])
+@example([[0, 0, 0, 0, 2, -1], [0, 0, 0, 0, -3, 1]])
+def test_unit_elimination_invariants(rows):
+    # the residue has no unit entry left for a missed pivot, and content 1
+    # once peeled; each pivot row is a unit at its own column and clear of
+    # the columns pivoted before it, which SpanChecker relies on.  The two
+    # examples keep a unit entry in the residue if a column whose count
+    # fell is not put back into its bucket, or if the search for the least
+    # count does not go back down to it.
+    pivots = []
+    divisors, _, residue = _unit_eliminate(mat(rows).rows, pivots)
+    assert len(divisors) == len(pivots)
+    content = 0
+    for row in residue:
+        assert row and all(v not in (0, 1, -1) for v in row.values())
+        content = gcd(content, *row.values())
+    assert content == (1 if residue else 0)
+    earlier = set()
+    for pc, row in pivots:
+        assert row[pc] in (1, -1) and 0 not in row.values()
+        assert earlier.isdisjoint(row)
+        earlier.add(pc)
+
+
 def test_span_checker_rank_on_relation_matrices():
     rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
     manin, _ = manin_space(2, 8)
@@ -486,3 +512,79 @@ def test_engine_divisors_pinned():
         parts.append((level, "MANIN", smith_normal_form(system.rel).divisors))
     digest = hashlib.sha256(repr(parts).encode()).hexdigest()
     assert digest == ENGINE_DIVISORS_SHA256
+
+
+# sha256 of the Smith divisors of five large systems with torsion, computed
+# with the engine before it took its pivots from column-count buckets
+LARGE_DIVISORS_SHA256 = (
+    "d355afef98388bca4aa05486035a11f6212ee7c2cce48ed598126a33b3e92f80")
+
+
+def _minus_fold(group, n=2):
+    return _sign_class_matrix(group, sign_class_reps(group, n), n)
+
+
+@pytest.mark.slow
+def test_large_engine_divisors_pinned():
+    parts = []
+    for chain, n, variant in (((251,), 2, "PLAIN"), ((31,), 3, "PLAIN"),
+                              ((11, 11), 2, "PLAIN"), ((23, 23), 2, "MINUS"),
+                              ((1009,), 2, "MINUS")):
+        group = make_group(chain)
+        if variant == "MINUS":
+            rel = _minus_fold(group, n)
+        else:
+            rel = build_relations(group, n, Variant.PLAIN).rel
+        parts.append((chain, n, variant,
+                      smith_normal_form(rel, bound=10 ** 6).divisors))
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert digest == LARGE_DIVISORS_SHA256
+
+
+def _prime_factors(n):
+    primes, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    return primes | ({n} if n > 1 else set())
+
+
+def _assert_p_local_ranks(rel, label):
+    """rank_Q - rank_{F_p} is the number of Smith divisors that p divides,
+    for each prime p of the torsion and for the least prime dividing none;
+    the F_p ranks come from rankref, not from the engine."""
+    snf = smith_normal_form(rel)
+    nonzero = [d for d in snf.divisors if d]
+    primes = set().union(*map(_prime_factors, snf.torsion))
+    q = 2
+    while q in primes or _prime_factors(q) != {q}:
+        q += 1
+    for p in sorted(primes) + [q]:
+        assert (snf.rank - reference_rank_mod_p(rel.rows, p)
+                == sum(d % p == 0 for d in nonzero)), (label, p)
+
+
+def test_p_local_ranks_certify_smith_forms():
+    for chain in invariant_chains(40):
+        group = make_group(chain)
+        _assert_p_local_ranks(_minus_fold(group), (chain, "minus fold"))
+        _assert_p_local_ranks(build_relations(group, 2, Variant.PLAIN).rel,
+                              (chain, "plain"))
+    for level in ((11, 1), (7, 2), (2, 8)):
+        _assert_p_local_ranks(manin_space(*level)[0].rel, level)
+
+
+@pytest.mark.slow
+def test_p_local_ranks_on_larger_groups():
+    # the minus folds of the rest of the sweep population; plain systems
+    # only up to order 56, as the mod-p echelon fills in beyond
+    for chain in invariant_chains(81):
+        if prod(chain) > 40:
+            group = make_group(chain)
+            _assert_p_local_ranks(_minus_fold(group), (chain, "minus fold"))
+            if prod(chain) <= 56:
+                _assert_p_local_ranks(
+                    build_relations(group, 2, Variant.PLAIN).rel,
+                    (chain, "plain"))
