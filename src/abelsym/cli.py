@@ -21,13 +21,12 @@ from .congruence import (coset_index, coset_of, cusp_formula,
                          cusp_orbit_count, enumerate_cosets, genus,
                          iso_check, level2_consistency, lift_coset,
                          manin_space)
-from .exactla import (BoundExceeded, DEFAULT_SNF_BOUND, SpanChecker,
-                      rank_over_Q)
+from .exactla import BoundExceeded, DEFAULT_SNF_BOUND, SpanChecker
 from .relations import (Variant, build_relations, dimension,
                         dimension_graded, formula_dimension)
 from .structmaps import (VerificationReport, check_record, delta_sum,
                          verify_comultiplication, verify_kernel_iso)
-from .symbols import DEFAULT_ENUM_BOUND, det_classes, enumerate_det_class
+from .symbols import DEFAULT_ENUM_BOUND, det_classes
 
 # The bi-cyclic groups whose n = 2 dimensions the library reproduces as a
 # reference table, as invariant-factor pairs (N1, N2) with N1 | N2.
@@ -277,15 +276,14 @@ def _verify_grading(config):
         raise UsageError("the grading check needs a bi-cyclic group with "
                          "N >= 3, got %s" % group.literal())
     classes = det_classes(group)
-    keys = enumerate_det_class(group, classes[0], bound=config.enum_bound)
-    system = build_relations(group, 2, Variant.MINUS, keys=keys)
-    class_dim = len(keys) - (rank_over_Q(system.rel) if keys else 0)
+    graded = dimension_graded(group, Variant.MINUS,
+                              enum_bound=config.enum_bound)
     full = _brute_report(config, group, 2, Variant.MINUS)
     checks = [
         check_record("grading-class-count", group, 2, len(classes),
                      totient(form[0]) // 2),
         check_record("grading-identity", group, 2, full.dim_q,
-                     class_dim * len(classes)),
+                     graded.dim_q),
     ]
     return VerificationReport(group, 2, checks)
 

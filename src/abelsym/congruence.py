@@ -6,11 +6,13 @@ finite and biject with the ordered character pairs of Z/N x Z/MN that
 generate the dual group and have determinant 1 mod N; those quadruples are
 the generators of the Manin relation space built here.  Inside, a coset is
 its residue quad (a, b, c, d), a plain int tuple in lexicographic order;
-`CosetSymbol` objects are built only for returned values.  `iso_check`
-certifies that the coset and symbol presentations are one: mapped onto the
-keys, the coset rows are the symbol rows up to sign, and equal row sets
-under a bijection of bases present isomorphic modules over Z, torsion
-included.
+`CosetSymbol` objects are built only for returned values.  The Smith forms
+run on the Manin relations folded over the turn orbits (`_coset_fold`), as
+the symbol side folds its sign rows over sign classes.  `iso_check`
+certifies that the coset and symbol presentations are one: the orbits map
+onto the sign classes, and the two folds' rows are equal up to sign and to
+even entries on their 2 e = 0 columns, and equal row sets under a
+bijection of bases present isomorphic modules over Z, torsion included.
 
 Everything countable is computed twice on purpose: coset counts against the
 index formula, cusps as transformation orbits against the closed form,
@@ -23,19 +25,16 @@ disagreement is itself testable.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 
-from .abelian import make_group, spans_dual
+from .abelian import make_group, negation_codes, spans_dual
 from .arith import prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SignedUnionFind,
-                      SparseIntMatrix, require, row_signature,
-                      smith_normal_form, sparse_add)
+from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
+                      require, smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
-                        build_relations, formula_dimension)
-from .symbols import (DEFAULT_ENUM_BOUND, enumerate_det_class,
-                      enumerate_generators)
+                        _key_count, _sign_class_matrix, formula_dimension)
+from .symbols import DEFAULT_ENUM_BOUND, in_det_class, sign_class_reps
 
 __all__ = [
     "IntMatrix2", "CosetSymbol", "LevelInvariants", "IsoReport",
@@ -274,6 +273,74 @@ def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
             for quad in _coset_quads(n, m, bound)]
 
 
+def _coset_fold(level, quads, index, with_O):
+    """The Manin relations folded over the turn orbits: (reps, matrix).
+
+    The turn S sends s = (a, b; c, d) to sS = (b, -a; d, -c) and S^2 = -I,
+    so the turn rows e_s + e_sS make each orbit {s, sS, -s, -sS} one
+    column, its cosets +-1 times it with signs (+, -, +, -); with_O also
+    joins the swap images sO = (b, a; d, c) with sign +.  The signs are
+    the character of <S, O> that is -1 on S and +1 on O, so the two-term
+    rows present the free module on the orbits less 2 e_k = 0 for each
+    orbit k that gives some coset both signs (at N = 2 with the swap, a
+    coset with 2c = 0 or 2d = 0 mod MN), which gets the row {k: 2}.  The
+    orbits are indexed in the order of their least cosets, the reps r.
+
+    The split row at s, e_s - e_sT1 - e_sT2 with sT1 = (a - b, b; c - d, d)
+    and sT2 = (a, b - a; c, d - c), is built at r and at rS only, and kept
+    only when r's index k is no larger than the indices u, v of the orbits
+    of sT1 and sT2 (ties kept); the kept rows span the same lattice as the
+    split rows at every coset.  Proof: write a coset as its columns (x, y)
+    and let Q be the quotient by the two-term rows, where e(y, -x) =
+    -e(x, y), e(-x, -y) = e(x, y) and, with the swap, e(y, x) = e(x, y).
+    In Q the split row at (x, y) reads -(e(p, q) + e(q, o) + e(o, p)) for
+    the zero-sum triple (p, q, o) = (x - y, y, -x): symmetric under its
+    rotation and unchanged when it is negated, as Manin's three-term
+    relation, so it is one relation R_T of the triple T of cosets (p, q),
+    (q, o), (o, p), whose orbits are those of sT1, sS and sT2.  The split
+    rows at -s and at sO are the one at s in Q (O trades T1 and T2), so
+    an orbit's rows are those at r and rS, and the triple of the row at
+    t = -sS holds s: every R_T is built from the orbit of each coset of
+    T, hence also from the least, where it is kept, and a dropped row
+    equals +- a kept row in Q, that is up to even entries on columns with
+    a {k: 2} row, all of which are kept.  Under the coset-to-key map
+    (x, y) -> {x, y}, R_T is the zero-sum triple relation that
+    `_sign_class_matrix` keeps once, and `iso_check` compares the two
+    folds row by row.
+    """
+    n, m = level
+    k = n * m
+    fold = [None] * len(quads)      # coset -> (orbit, sign)
+    reps, torsion = [], set()
+    for i, s in enumerate(quads):
+        if fold[i] is None:
+            o = len(reps)
+            reps.append(s)
+            a, b, c, d = s
+            na, nb, nc, nd = -a % n, -b % n, -c % k, -d % k
+            images = [(s, 1), ((b, na, d, nc), -1), ((na, nb, nc, nd), 1),
+                      ((nb, a, nd, c), -1)]
+            if with_O:
+                images += [((y, x, w, z), e) for (x, y, z, w), e in images]
+            for t, e in images:
+                j = index[t]
+                if fold[j] is None:
+                    fold[j] = (o, e)
+                elif fold[j][1] != e:
+                    torsion.add(o)
+    rows = []
+    for o, (a, b, c, d) in enumerate(reps):
+        if o in torsion:
+            rows.append({o: 2})
+        for (x, y, z, w), e in (((a, b, c, d), 1),
+                                ((b, -a % n, d, -c % k), -1)):
+            u, su = fold[index[((x - y) % n, y, (z - w) % k, w)]]
+            v, sv = fold[index[(x, (y - x) % n, z, (w - z) % k)]]
+            if o <= u and o <= v:
+                rows.append(sparse_add({o: e}, ((u, -su), (v, -sv))))
+    return reps, SparseIntMatrix.trusted(len(reps), rows)
+
+
 def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
                 snf_bound=DEFAULT_SNF_BOUND):
     """Relation system and report for the coset symbol space at (n, m).
@@ -291,7 +358,10 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     entries are both +1.  Two turn rows coincide only when s' is the turn
     sS of s and s'S = -s = s, which needs 2c = 2d = 0 mod MN with gcd(c,
     d, MN) = 1, so MN <= 2: there the turn row of s' is skipped when its
-    turn is an earlier coset and -s' = s'.
+    turn is an earlier coset and -s' = s'.  The returned system keeps these
+    rows over the cosets; the Smith form, and so the report, is taken of
+    the same relations folded over the turn orbits (see _coset_fold), about
+    a quarter of the columns, and `snf_bound` caps that matrix.
     """
     _check_level(n, m)
     if with_O and n != 2:
@@ -326,9 +396,10 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel)
-    snf = smith_normal_form(rel, bound=snf_bound)
+    reps, fold = _coset_fold(level, quads, index, with_O)
+    snf = smith_normal_form(fold, bound=snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
-    report = DimensionReport(grp, 2, variant, "MANIN", len(cosets) - snf.rank,
+    report = DimensionReport(grp, 2, variant, "MANIN", len(reps) - snf.rank,
                              snf.torsion, len(cosets), ms)
     return system, report
 
@@ -349,13 +420,16 @@ def cusp_formula(n, m):
 
 def _orbit_roots(size, links):
     """Root of each of range(size) after a union-find over the links."""
-    forest = SignedUnionFind()
-    find = forest.find
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]   # path halving
+        return x
+
     for i, j in links:
-        (ri, _), (rj, _) = find(i), find(j)
-        if ri != rj:
-            forest.union(ri, rj, 1)
-    return [find(i)[0] for i in range(size)]
+        parent[find(i)] = find(j)
+    return [find(i) for i in range(size)]
 
 
 def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -569,51 +643,78 @@ def _matched(report):
     return report
 
 
+def _two_columns(rows):
+    """The columns k with a row {k: 2}."""
+    return {c for row in rows for c in row if row == {c: 2}}
+
+
+def _row_classes(rows, twos):
+    """The nonzero rows up to sign and to even entries on the columns in
+    `twos`: each as the lesser of its two signs, those entries mod 2."""
+    def signed(row, s):
+        return tuple(sorted((c, v % 2 if c in twos else s * v)
+                            for c, v in row.items() if c not in twos or v % 2))
+    return {min(signed(row, 1), signed(row, -1)) for row in rows} - {()}
+
+
 def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
               snf_bound=DEFAULT_SNF_BOUND):
     """Match the minus-variant symbol presentation against the coset one.
 
-    The coset (a, b; c, d) goes to the key whose codes are a MN + c and
-    b MN + d, sorted.  At N >= 3 the keys are those of unit determinant
-    class and each is hit once, so the map is a bijection of bases.  At
-    N = 2 each key is hit twice, by a coset and its column swap, so the
-    swap rows span the map's kernel and drop out as zero rows.  Either way
-    the coset rows pushed onto the keys must equal the symbol rows up to
-    sign, as sets, one check per direction: equal row sets under a
-    bijection of bases present isomorphic modules over Z, torsion
-    included, as equal spans over Q would not.  The two Smith forms must
-    then agree on dimension and torsion too.
+    Both sides are folded over their two-term rows: the symbols over sign
+    classes by `_sign_class_matrix` (of determinant 1 at N >= 3), the
+    cosets over turn orbits by `_coset_fold` (with the swap at N = 2).
+    The coset (a, b; c, d) goes to the key with codes a MN + c and
+    b MN + d, its orbit to that key's class with the key's sign, and each
+    class must be hit by exactly one orbit.  Both folds present the free
+    module on their columns less 2 e_k = 0 on some, with rows that may
+    differ by even entries there: so those columns must match, and the
+    other rows, with those entries mod 2, must be equal up to sign, as
+    sets, one check per direction.  Equal row sets under a bijection of
+    bases present isomorphic modules over Z, torsion included, as equal
+    spans over Q would not.  The two Smith forms must agree too.
     """
     _check_level(n, m)
     k = n * m
     grp = make_group((n, k))
     level = (n, m)
+    reps = sign_class_reps(grp, 2, enum_bound)
     if n >= 3:
-        keys, cover = enumerate_det_class(grp, 1, bound=enum_bound), 1
-    else:
-        keys, cover = enumerate_generators(grp, 2, bound=enum_bound), 2
-    sym_system = build_relations(grp, 2, Variant.MINUS, keys=keys)
-    man_system, man_report = manin_space(
-        n, m, with_O=n == 2, enum_bound=enum_bound, snf_bound=snf_bound)
-    snf = smith_normal_form(sym_system.rel, bound=snf_bound)
-    index = {key.codes: i for i, key in enumerate(keys)}
-    proj = [index.get(tuple(sorted((s.a * k + s.c, s.b * k + s.d))))
-            for s in man_system.basis]     # coset index -> key index
-    hits = Counter(proj)
-    require(set(hits) == set(range(len(keys))) and set(hits.values())
-            == {cover}, "cosets cover %d of %d keys, %r times each, at level "
-            "%r", len(hits), len(keys), sorted(set(hits.values())), level)
-    sym_rows = {row_signature(row) for row in sym_system.rel.rows}
-    pushed = (sparse_add({}, ((proj[j], v) for j, v in row.items()))
-              for row in man_system.rel.rows)
-    coset_rows = {row_signature(row) for row in pushed if row}
+        in_class = in_det_class(grp, 1)
+        reps = [r for r in reps if in_class(r)]
+    sym_rel = _sign_class_matrix(grp, reps, 2)
+    quads = _coset_quads(n, m, enum_bound)
+    orbits, coset_rel = _coset_fold(level, quads, {
+        s: i for i, s in enumerate(quads)}, n == 2)
+    neg = negation_codes(grp)
+    index = {r: i for i, r in enumerate(reps)}
+    proj, sign = [], []             # orbit index -> class index, sign
+    for a, b, c, d in orbits:
+        x, y = a * k + c, b * k + d
+        lx, ly = min(x, neg[x]), min(y, neg[y])
+        proj.append(index.get((lx, ly) if lx <= ly else (ly, lx)))
+        sign.append(1 if (lx == x) == (ly == y) else -1)
+    require(len(proj) == len(reps) and set(proj) == set(range(len(reps))),
+            "turn orbits cover %d of %d sign classes, %d orbits in all, at "
+            "level %r", len(set(proj) - {None}), len(reps), len(proj), level)
+    pushed = [{proj[o]: sign[o] * v for o, v in row.items()}
+              for row in coset_rel.rows]
+    twos = _two_columns(sym_rel.rows)
+    coset_twos = {proj[o] for o in _two_columns(coset_rel.rows)}
+    require(coset_twos == twos, "columns with 2 e = 0 differ at level %r: "
+            "%d coset orbits, %d sign classes", level, len(coset_twos),
+            len(twos))
+    sym_rows = _row_classes(sym_rel.rows, twos)
+    coset_rows = _row_classes(pushed, twos)
     require(coset_rows <= sym_rows, "coset relations missing from the "
             "symbol side at level %r: %d of %d", level,
             len(coset_rows - sym_rows), len(coset_rows))
     require(sym_rows <= coset_rows, "symbol relations missing from the "
             "coset side at level %r: %d of %d", level,
             len(sym_rows - coset_rows), len(sym_rows))
-    return _matched(IsoReport(level, grp.literal(), len(keys),
-                              len(man_system.basis), len(keys) - snf.rank,
-                              man_report.dim_q, snf.torsion,
-                              man_report.torsion))
+    coset_snf = smith_normal_form(coset_rel, bound=snf_bound)
+    sym_snf = smith_normal_form(sym_rel, bound=snf_bound)
+    return _matched(IsoReport(level, grp.literal(), _key_count(grp, reps),
+                              len(quads), len(reps) - sym_snf.rank,
+                              len(orbits) - coset_snf.rank, sym_snf.torsion,
+                              coset_snf.torsion))

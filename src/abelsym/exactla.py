@@ -3,23 +3,19 @@
 Rank over Q, Smith normal form, and row-span membership, all from one
 elimination engine.  Matrices are stored row-wise as dicts {column: value}
 with Python-int entries, so nothing ever overflows.  The engine eliminates
-unit pivots (+-1 entries); each is a Smith divisor.  It first quotients by
-the rows e_a +- e_b, which say that two columns agree up to sign, with a
-signed union-find: every merge is a unit pivot, a cycle whose signs cancel
-drops its row and one whose signs do not leaves 2 e_root.  Once a column
-was joined, the other rows are remapped onto the roots, where each row
-repeated up to sign (as the blowup rows of a key and of its sign images) is
-kept once; else they are copied.  Then each step pivots on a column of
-least live row count, kept in buckets by count, and there on the shortest
-row with a unit entry.  When none is left it peels the content: the rows are
-divided by the gcd g of their entries, every later divisor is scaled by g,
-and unit pivots resume.  A residue of content 1 with no unit entry, which
-the relation matrices here rarely leave, gets gcd row and column steps on
-its least entries until one is a unit.  Span membership reduces against the
-recorded pivot rows, each merge recorded as its row over the two roots it
-joins, and a fraction-free echelon of that residue.  Each checker reduces
-a distinct query only once: a row equal up to sign to an earlier one, once
-cleared of denominators, gets the earlier verdict.
+unit pivots (+-1 entries); each is a Smith divisor.  Each step pivots on a
+column of least live row count, kept in buckets by count, and there on the
+shortest row with a unit entry.  When none is left it peels the content:
+the rows are divided by the gcd g of their entries, every later divisor is
+scaled by g, and unit pivots resume.  A residue of content 1 with no unit
+entry, which the relation matrices here rarely leave, gets gcd row and
+column steps on its least entries until one is a unit.  Two-term rows get
+no path of their own: `dimension` and `manin_space` fold theirs into the
+columns before elimination, as modular-symbols codes do, and any others
+are eliminated as ordinary rows.  Span membership reduces against the
+recorded pivot rows and a fraction-free echelon of that residue.  Each
+checker reduces a distinct query only once: a row equal up to sign to an
+earlier one, once cleared of denominators, gets the earlier verdict.
 """
 
 from __future__ import annotations
@@ -158,133 +154,33 @@ class SnfResult:
         return "SnfResult(divisors=%r, rank=%d)" % (self.divisors, self.rank)
 
 
-class SignedUnionFind:
-    """Union-find over hashable items, each tied to its root by a sign:
-    x = sign * root.  Union by size and path compression keep every find
-    short (depth at most log2 of the item count)."""
-
-    __slots__ = ("link", "size")
-
-    def __init__(self):
-        self.link = {}      # joined item -> (parent, sign): x = sign parent
-        self.size = {}      # root -> number of items joined to it, if > 1
-
-    def find(self, x):
-        """(root, sign) with x = sign * root."""
-        up = self.link.get(x)
-        if up is None:
-            return x, 1
-        p, s = up
-        if p in self.link:
-            r, t = self.find(p)
-            s *= t
-            self.link[x] = (r, s)
-            return r, s
-        return p, s
-
-    def union(self, a, b, sign):
-        """Join the distinct roots a and b so that a = sign * b, the smaller
-        tree below the larger; returns the root that stops being one."""
-        size = self.size
-        if size.get(a, 1) > size.get(b, 1):
-            a, b = b, a
-        self.link[a] = (b, sign)        # sign is its own inverse
-        size[b] = size.get(b, 1) + size.pop(a, 1)
-        return a
-
-
-def _contract_two_term(rows, pivots):
-    """Quotient by the rows with exactly two entries, both +-1.
-
-    A signed union-find over the columns: the row s e_a + t e_b says
-    e_a = -st e_b, a unit pivot on one root retiring the row.  A row whose
-    columns are already joined closes a cycle: it is dropped when its signs
-    cancel and otherwise leaves {root: +-2}.  Each merge is recorded in
-    `pivots` (when given) as (child, row over the two roots it joins), so
-    it is zero at every earlier pivot column, none of which is a root.
-
-    Returns (merges, rest): the number of unit pivots and, as new dicts,
-    every other row: copied when nothing was joined, else, the closed
-    cycles included, remapped onto the final roots through a table resolved
-    once per joined column and kept once up to sign by `drop_repeats`.
-    Repeats needing no join, as in the n >= 3 fold, are dropped where built.
-    """
-    forest = SignedUnionFind()
-    find = forest.find
-    merges = 0
-    rest = []
-    for row in rows:
-        if len(row) == 2:
-            (a, sa), (b, sb) = row.items()
-            if sa in (1, -1) and sb in (1, -1):
-                a, s = find(a)
-                b, t = find(b)
-                sa *= s
-                sb *= t
-                if a == b:
-                    if sa == sb:
-                        rest.append({a: sa + sb})
-                    continue
-                child = forest.union(a, b, -sa * sb)
-                merges += 1
-                if pivots is not None:
-                    pivots.append((child, {a: sa, b: sb}))
-                continue
-        if row:
-            rest.append(row)
-    if not forest.link:
-        return merges, [dict(row) for row in rest]
-    root = {c: find(c) for c in forest.link}
-
-    def remapped():     # one at a time: most are repeats, dropped at once
-        for row in rest:
-            out = {}
-            for c, v in row.items():
-                if c in root:
-                    c, s = root[c]
-                    v *= s
-                v += out.get(c, 0)
-                if v:
-                    out[c] = v
-                else:
-                    del out[c]
-            if out:
-                yield out
-    return merges, drop_repeats(remapped())
-
-
 def _unit_eliminate(rows, pivots=None):
-    """Two-term contraction, then unit-pivot elimination with content
-    peeling.
+    """Unit-pivot elimination with content peeling.
 
-    The rows with exactly two entries, both +-1, are settled first by a
-    signed union-find (see _contract_two_term); each merge is a unit pivot,
-    done in bulk.  The other rows, remapped (each kept once up to sign if
-    a column was joined), go through passes that pivot on +-1 entries:
-    each step takes a column of least live row count from buckets keyed by
-    count, and there the shortest row with a +-1 entry.  A pivot clears
-    its column from every other row by row operations; the column
-    operations that clear the rest of the pivot row touch no other row, so
-    the row is simply retired, contributing one divisor.  Only the pivot
-    row's columns change: each goes back into the bucket of its new count,
-    an O(1) append, and an entry whose count is stale or whose column has
-    no unit entry is skipped when it comes up.  On these relation matrices
-    that makes no more fill than a Markowitz order, with no heap to keep.
-    When given, `pivots` receives each retired (column, row) in pivot
-    order, the merges first.  Once no unit entry is left, the live rows
-    are divided by the gcd g of their entries and the next pass re-buckets
-    the live columns at a scale g times larger, since SNF(gA) = g SNF(A).
+    Passes pivot on +-1 entries: each step takes a column of least live
+    row count from buckets keyed by count, and there the shortest row with
+    a +-1 entry.  A pivot clears its column from every other row by row
+    operations; the column operations that clear the rest of the pivot row
+    touch no other row, so the row is simply retired, contributing one
+    divisor.  Only the pivot row's columns change: each goes back into the
+    bucket of its new count, an O(1) append, and an entry whose count is
+    stale or whose column has no unit entry is skipped when it comes up.
+    On these relation matrices that makes no more fill than a Markowitz
+    order, with no heap to keep.  When given, `pivots` receives each
+    retired (column, row) in pivot order.  Once no unit entry is left, the
+    live rows are divided by the gcd g of their entries and the next pass
+    re-buckets the live columns at a scale g times larger, since
+    SNF(gA) = g SNF(A).  The rows are copied, not changed.
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
     """
-    merges, rest = _contract_two_term(rows, pivots)
-    rows = dict(enumerate(rest))
+    rows = {i: dict(row) for i, row in enumerate(rows) if row}
     cols = {}
     for i, row in rows.items():
         for c in row:
             cols.setdefault(c, set()).add(i)
-    divisors = [1] * merges
+    divisors = []
     scale = 1
     while True:
         buckets = defaultdict(list)  # count -> columns, at most len(rows)

@@ -10,8 +10,10 @@ run on the keys' code tuples through negation and difference tables built
 per system; their images keep the key's span, so they are looked up in the
 basis without re-validating them.  The blowup and plus templates go through
 `relation_rows`; `build_relations` appends the minus variant's sign rows
-from `_sign_rows`, already deduplicated, for the callers that need the key
-basis.  `dimension` folds them into the columns instead, as modular-symbols
+from `_sign_rows`, already deduplicated, for callers that want the key
+basis, and `kernel_rows` hands the same rows to the kernel checks.  The
+library's own minus computations (`dimension`, `dimension_graded` and
+`iso_check`) fold them into the columns instead, as modular-symbols
 codes quotient by the two-term relations first: with lo[c] = min(c, -c), a
 code tuple is (-1)^(entries with lo[c] != c) times its representative (rep),
 its sorted lo codes, and a rep with a self-inverse entry gets 2 e_rep = 0.

@@ -304,7 +304,7 @@ def test_bound_exit_code(capsys):
 def test_snf_bound_exit_code(capsys):
     # the minus variant hands the engine 12 folded rows over 12 sign
     # classes, each blowup row built once; the bound is checked on that
-    # matrix as built, before any contraction
+    # matrix as built
     code, out, err = run(capsys, "dims", "--group", "9", "--variant",
                          "minus", "--torsion", "--snf-bound", "11",
                          "--no-cache")
@@ -322,15 +322,16 @@ def test_minus_enum_bound_exit_code(capsys):
 
 
 
-@pytest.mark.parametrize("level, shape", [("7,2", "2016x1008"),
-                                          ("2,8", "1152x384")])
-def test_iso_snf_bound_exit_code(capsys, level, shape):
-    # the Manin space's Smith form runs first, so the bound names its shape
+@pytest.mark.parametrize("level, bound, shape", [("7,2", 100, "168x252"),
+                                                 ("2,8", 40, "52x56")])
+def test_iso_snf_bound_exit_code(capsys, level, bound, shape):
+    # the coset fold's Smith form runs first, so the bound names its shape:
+    # kept split rows by turn orbits, the swap joined in at N = 2
     code, out, err = run(capsys, "verify", "--check", "iso", "--level",
-                         level, "--snf-bound", "100", "--no-cache")
+                         level, "--snf-bound", str(bound), "--no-cache")
     assert code == 3 and out == ""
-    assert err == ("error: smith_normal_form bound exceeded: %s > 100\n"
-                   % shape)
+    assert err == ("error: smith_normal_form bound exceeded: %s > %d\n"
+                   % (shape, bound))
 
 @pytest.mark.parametrize("method", ["brute", "both"])
 def test_dims_plus_beyond_length_one_is_a_usage_error(capsys, method):

@@ -19,7 +19,12 @@ from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
                                 eps_fixed, gamma_member, genus, iso_check,
                                 level2_consistency, level_invariants,
                                 lift_coset, manin_space)
+from abelsym.exactla import smith_normal_form
 from abelsym.relations import Variant, formula_dimension
+
+# every level of coset index <= 6,000
+WIDE_LEVELS = [(n, m) for n in range(2, 30) for m in range(1, 60)
+               if coset_index(n, m) <= 6000]
 
 # index of the level subgroup, frozen against the enumeration
 COSET_COUNTS = {
@@ -93,8 +98,7 @@ def test_manin_repeat_rows_only_at_level_2_1():
     # (2, 1), MN = 2 makes -s = s, and manin_space builds only 9 rows (15
     # with the swap): it skips the turn row of a coset s' whose turn is an
     # earlier coset and -s' = s', as that row is the earlier coset's turn
-    # row again, so a Manin-side fold must keep that skip.  No other level
-    # of coset index <= 6,000 repeats a row.
+    # row again.  No other level of coset index <= 6,000 repeats a row.
     for level, with_O, built, kept in (((2, 1), False, 12, 9),
                                        ((2, 1), True, 18, 15),
                                        ((2, 2), True, 72, 72),
@@ -103,6 +107,31 @@ def test_manin_repeat_rows_only_at_level_2_1():
         per_coset = 3 if with_O else 2
         assert (per_coset * len(system.basis), system.rel.nrows) \
             == (built, kept), level
+
+
+def _assert_fold_matches_unfolded(levels):
+    """manin_space reports the Smith form of its turn-orbit fold; it must
+    equal that of the unfolded system it returns, plain and, at N = 2,
+    with the swap, whose torsion level2_consistency checks as well."""
+    for n, m in levels:
+        for with_O in ((False, True) if n == 2 else (False,)):
+            system, rep = manin_space(n, m, with_O=with_O, snf_bound=20000)
+            snf = smith_normal_form(system.rel, bound=20000)
+            assert (rep.dim_q, rep.torsion) == (
+                system.rel.ncols - snf.rank, snf.torsion), (n, m, with_O)
+        if n == 2 and m > 2:
+            level2_consistency(m)
+
+
+def test_manin_fold_matches_unfolded_smith_form():
+    levels = [level for level in WIDE_LEVELS if coset_index(*level) <= 1500]
+    assert len(levels) == 42
+    _assert_fold_matches_unfolded(levels)
+
+
+@pytest.mark.slow
+def test_manin_fold_matches_unfolded_smith_form_wide():
+    _assert_fold_matches_unfolded(WIDE_LEVELS)
 
 
 def test_manin_matches_genus_bookkeeping():
@@ -193,12 +222,9 @@ def test_iso_check():
 
 @pytest.mark.slow
 def test_iso_check_wide():
-    # every level of coset index <= 6,000; the larger Manin spaces outgrow
-    # the default Smith form guard
-    levels = [(n, m) for n in range(2, 30) for m in range(1, 60)
-              if coset_index(n, m) <= 6000]
-    assert len(levels) == 98
-    for n, m in levels:
+    # the larger Manin spaces outgrow the default Smith form guard
+    assert len(WIDE_LEVELS) == 98
+    for n, m in WIDE_LEVELS:
         assert iso_check(n, m, snf_bound=20000).ok, (n, m)
 
 
@@ -211,29 +237,50 @@ def run_optimized(code):
     return proc.returncode
 
 
-# Each patch breaks one direction of iso_check's row-set comparison, at
-# N >= 3 and at N = 2; (patch, level, start of the message that must fire).
+# Each patch breaks one check of iso_check's row-set comparison, at N >= 3
+# and at N = 2; (patch, level, start of the message that must fire).
+# The symbol fold with its signs dropped presents a module where negating
+# an entry keeps the symbol, as a plain presentation has it.
 PLAIN_SYMBOLS = """
-    real = C.build_relations
-    C.build_relations = lambda g, n, v, keys: real(g, n, "plain", keys=keys)
-"""
-# a doubled row leaves the span over Q, and even the lattice, as it was
-DOUBLED_SYMBOL_ROW = """
-    real = C.build_relations
+    real = C._sign_class_matrix
 
-    def doubled(*args, **kwargs):
-        system = real(*args, **kwargs)
-        row = system.rel.rows[-1]
-        system.rel = system.rel.with_rows([{c: 2 * v for c, v in row.items()}])
-        return system
-    C.build_relations = doubled
+    def unsigned(*args):
+        rel = real(*args)
+        rel.rows = [{c: abs(v) for c, v in row.items()} for row in rel.rows]
+        return rel
+    C._sign_class_matrix = unsigned
+"""
+# a doubled row leaves the span over Q, and even the lattice, as it was;
+# it is one with an entry off the {k: 2} columns, as otherwise doubling it
+# gives a multiple of the {k: 2} rows, which is no fault
+DOUBLED_SYMBOL_ROW = """
+    real = C._sign_class_matrix
+
+    def doubled(*args):
+        rel = real(*args)
+        twos = C._two_columns(rel.rows)
+        row = next(r for r in reversed(rel.rows) if not twos.issuperset(r))
+        return rel.with_rows([{c: 2 * v for c, v in row.items()}])
+    C._sign_class_matrix = doubled
+"""
+# without its {k: 2} rows the coset fold loses the swap quotient's
+# 2-torsion; the rows compared mod 2 on those columns would still match
+DROPPED_TWO_ROWS = """
+    real = C._coset_fold
+
+    def dropped(*args):
+        reps, rel = real(*args)
+        rows = [row for row in rel.rows if list(row.values()) != [2]]
+        return reps, C.SparseIntMatrix.trusted(rel.ncols, rows)
+    C._coset_fold = dropped
 """
 SPAN_FAILURES = [
-    # without the sign rows the symbols miss the coset turn rows
+    # the unsigned symbol rows miss the signed coset rows
     (PLAIN_SYMBOLS, (7, 2), "coset relations missing"),
     (PLAIN_SYMBOLS, (2, 8), "coset relations missing"),
     (DOUBLED_SYMBOL_ROW, (7, 2), "symbol relations missing"),
     (DOUBLED_SYMBOL_ROW, (2, 8), "symbol relations missing"),
+    (DROPPED_TWO_ROWS, (2, 8), "columns with 2 e = 0 differ"),
 ]
 
 
@@ -322,38 +369,44 @@ BROKEN_ROUTES = {
                   "C.iso_check(3, 1)"),
     "iso_check_n2": ("C.IsoReport.ok = property(lambda self: False)",
                      "C.iso_check(2, 2)"),
-    # keys of determinant class 2 have no coset to go to
+    # sign classes of determinant class 2 have no turn orbit to go to
     "iso_check_bijection": ("""
-        real = C.enumerate_det_class
-        C.enumerate_det_class = lambda g, k, bound: real(g, 2, bound=bound)
+        real = C.in_det_class
+        C.in_det_class = lambda g, k: real(g, 2)
     """, "C.iso_check(5, 1)"),
-    # a key listed twice goes to one coset twice
+    # a sign class listed twice: one orbit goes to its second copy only
     "iso_check_distinct": ("""
-        real = C.enumerate_det_class
-        C.enumerate_det_class = lambda g, k, bound: real(g, k)[:1] + real(g, k)
+        real = C.sign_class_reps
+        C.sign_class_reps = lambda g, n, bound: (real(g, n, bound)[:1]
+                                                 + real(g, n, bound))
     """, "C.iso_check(5, 1)"),
-    # one coset repeated in place of another: its key is covered three times
+    # one orbit rep repeated in place of another: its class is hit twice
     "iso_check_n2_cover": ("""
-        real = C.manin_space
+        real = C._coset_fold
 
-        def skewed(*args, **kwargs):
-            system, report = real(*args, **kwargs)
-            system.basis[0] = system.basis[1]
-            return system, report
-        C.manin_space = skewed
+        def skewed(*args):
+            reps, rel = real(*args)
+            reps[0] = reps[1]
+            return reps, rel
+        C._coset_fold = skewed
     """, "C.iso_check(2, 3)"),
-    # an extra coset with no rows: both row sets stay equal and every key
+    # an extra orbit with no rows: both row sets stay equal and every class
     # is still hit, but one of them twice, which only the cover count sees
     "iso_check_cover": ("""
-        real = C.manin_space
+        real = C._coset_fold
 
-        def padded(*args, **kwargs):
-            system, report = real(*args, **kwargs)
-            system.basis.append(system.basis[0])
-            return system, report
-        C.manin_space = padded
+        def padded(*args):
+            reps, rel = real(*args)
+            return reps + reps[:1], rel
+        C._coset_fold = padded
     """, "C.iso_check(5, 1)"),
 }
+
+
+# The start of the message that must fire, where one check is meant.
+ROUTE_MESSAGES = {route: "turn orbits cover" for route in (
+    "iso_check_bijection", "iso_check_distinct", "iso_check_n2_cover",
+    "iso_check_cover")}
 
 
 @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
@@ -365,10 +418,10 @@ from abelsym import congruence as C
 %s
 try:
     %s
-except abelsym.ConsistencyError:
-    raise SystemExit(0)
+except abelsym.ConsistencyError as exc:
+    raise SystemExit(0 if str(exc).startswith(%r) else 2)
 raise SystemExit(1)
-""" % (textwrap.dedent(patch), call)) == 0
+""" % (textwrap.dedent(patch), call, ROUTE_MESSAGES.get(route, ""))) == 0
 
 
 def test_quotient_checks_raise_under_optimize():
@@ -420,8 +473,8 @@ ROUTES = """
         spans = [spans_dual([g.character(r) for r in rows], g)
                  for rows in product(g.elements(), repeat=3)]
         small = build_relations(make_group((2, 4)), 2, Variant.MINUS)
-        # half its rows are e_s +- e_t: the two-term contraction merges 27
-        # of its 39 columns
+        # half its rows are e_s +- e_t, which the engine pivots on as on
+        # any other rows
         rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
         checker = SpanChecker(rel)
         members = [checker.contains({i: 1, j: s})
@@ -433,7 +486,7 @@ ROUTES = """
         deltas = [sorted((k.codes, c.numerator, c.denominator)
                          for k, c in delta_sum(key).items())
                   for key in enumerate_generators(make_group((9,)), 2)]
-        # 6,279 rows, most of them repeated up to sign after the contraction
+        # 6,279 rows over the key basis, its sign rows included
         big = build_relations(make_group((79,)), 2, Variant.MINUS).rel
         big_snf = smith_normal_form(big, bound=10_000)
         # dimension() folds the sign rows into the columns; the key basis
@@ -454,7 +507,7 @@ ROUTES = """
 
 def test_int_routes_under_optimize():
     # the code-tuple enumeration, assembly, per-prime test, sign rows,
-    # two-term contraction and its dropped repeats, structure-map batteries,
+    # elimination of two-term rows, structure-map batteries,
     # delta sums and the sign-class fold give the same answers with asserts
     # stripped, so none of them rests on an assert
     scope = {}

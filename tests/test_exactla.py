@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from abelsym import Variant, build_relations, make_group, manin_space
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
-                             _contract_two_term, _unit_eliminate,
-                             dense_snf_with_transforms, rank_over_Q,
-                             row_span_membership, smith_normal_form)
+                             _unit_eliminate, dense_snf_with_transforms,
+                             rank_over_Q, row_span_membership,
+                             smith_normal_form)
 from abelsym.relations import _sign_class_matrix
 from abelsym.symbols import sign_class_reps
 from rankref import reference_det, reference_rank, reference_rank_mod_p
@@ -82,8 +82,8 @@ def test_snf_bound():
 
 
 def test_snf_bound_is_on_the_input_shape():
-    # 12 two-term +-1 rows over 4 columns contract to a single {root: 2}
-    # row, but the bound caps the matrix as given
+    # 12 rows over 4 columns, 10 of them e0 +- e1, have only 4 divisors,
+    # but the bound caps the matrix as given
     rows = [[1, (-1) ** i, 0, 0] for i in range(10)] + [[0, 1, 1, 0],
                                                         [0, 0, 1, -1]]
     m = mat(rows)
@@ -308,14 +308,14 @@ def _two_term_cases(draw):
         rows.append(row)
         if draw(st.integers(0, 3)) == 0:
             again = row[:]
-            again[b] *= draw(sign)  # flipped: {root: 2}; same: dropped
+            again[b] *= draw(sign)  # flipped: 2 e_b = 0; same: a repeat
             rows.append(again)
     loose = draw(st.lists(st.lists(st.integers(-4, 4), min_size=ncols,
                                    max_size=ncols), max_size=3))
     rows += loose
     for row in loose:
-        # repeats, some negated, and repeats with the entry at a joined
-        # column a moved to its partner b: equal only after the remap
+        # repeats, some negated, and repeats with the entry at a column a
+        # moved to its two-term partner b: equal modulo that two-term row
         if draw(st.booleans()):
             rows.append([v * draw(sign) for v in row])
         movable = [(a, b) for x, y in two for a, b in ((x, y), (y, x))
@@ -353,7 +353,7 @@ def test_span_membership_with_two_term_rows(data):
     queries = [data.draw(st.lists(st.integers(-3, 3), min_size=ncols,
                                   max_size=ncols))]
     if merged:
-        # supported only on columns the contraction joined
+        # supported only on columns that two-term rows tie together
         only = data.draw(st.lists(st.sampled_from(merged), min_size=1,
                                   max_size=3))
         query = [0] * ncols
@@ -370,11 +370,10 @@ def test_span_membership_with_two_term_rows(data):
 
 
 def test_contraction_alone_settles_the_matrix():
-    # e0 = -e1 = -e2 = e3, e4 = e5; the row e0 - e3 closes its cycle
+    # two-term rows only: e0 = -e1 = -e2 = e3, e4 = e5, and the row e0 - e3
+    # closes its cycle; the engine pivots on them as on any other rows
     rows = [[1, 1, 0, 0, 0, 0], [0, 1, -1, 0, 0, 0], [0, 0, 1, 1, 0, 0],
             [1, 0, 0, -1, 0, 0], [0, 0, 0, 0, 1, -1], [0, 1, 0, 1, 0, 0]]
-    merges, rest = _contract_two_term(mat(rows).rows, None)
-    assert (merges, rest) == (4, [])
     res = smith_normal_form(mat(rows))
     assert res.divisors == _dense_divisors(rows) == (1, 1, 1, 1, 0, 0)
     checker = SpanChecker(mat(rows))
@@ -385,72 +384,16 @@ def test_contraction_alone_settles_the_matrix():
     assert not checker.contains([0, 0, 0, 0, 1, 1])
 
 
-def _distinct_up_to_sign(rows):
-    seen = set()
-    for row in rows:
-        for sign in (1, -1):
-            if frozenset((c, sign * v) for c, v in row.items()) in seen:
-                return False
-        seen.add(frozenset(row.items()))
-    return True
-
-
 def test_contraction_keeps_each_row_once():
-    # e0 = -e3, so e0 + e1 + e2 and e1 + e2 - e3 both land on
-    # e1 + e2 - e3, and so does the negative of the second
+    # e0 = -e3 makes e0 + e1 + e2 and e1 + e2 - e3 one relation, which the
+    # last row repeats negated: the rank counts it once
     rows = [[1, 0, 0, 1, 0], [1, 1, 1, 0, 0], [0, 1, 1, -1, 0],
             [0, 0, 1, 0, 2], [0, -1, -1, 1, 0]]
-    pivots = []
-    merges, rest = _contract_two_term(mat(rows).rows, pivots)
-    assert merges == 1 and pivots == [(0, {0: 1, 3: 1})]
-    assert rest == [{1: 1, 2: 1, 3: -1}, {2: 1, 4: 2}]
     assert smith_normal_form(mat(rows)).divisors == _dense_divisors(rows)
     checker = SpanChecker(mat(rows))
     assert checker.rank == reference_rank(rows) == 3
     assert checker.contains([0, 1, 1, -1, 0])
     assert not checker.contains([0, 1, 0, 0, 0])
-
-
-def _assert_copies(rest, rows):
-    """rest equals the nonzero rows and shares no dict with them."""
-    kept = [row for row in rows if row]
-    assert rest == kept
-    assert not {id(row) for row in rest} & {id(row) for row in rows}
-
-
-def test_contraction_copies_plain_rows_and_folds_repeats():
-    # with nothing to join the rows come back as copies: the plain blowup
-    # rows, and the n = 3 sign-class fold of Z/5, which itself drops 22 of
-    # the 47 rows it builds; in the minus key basis the sign rows join
-    # columns and the remapped blowup rows are kept once up to sign
-    plain = build_relations(make_group((9,)), 2, Variant.PLAIN).rel.rows
-    merges, rest = _contract_two_term(plain, None)
-    assert merges == 0
-    _assert_copies(rest, plain)
-    g = make_group((5,))
-    fold = _sign_class_matrix(g, sign_class_reps(g, 3), 3)
-    merges, rest = _contract_two_term(fold.rows, None)
-    assert (merges, fold.nrows) == (0, 25)
-    _assert_copies(rest, fold.rows)
-    minus = build_relations(make_group((9,)), 2, Variant.MINUS).rel.rows
-    merges, rest = _contract_two_term(minus, None)
-    assert merges > 0 and len(rest) < len(minus) - merges
-    assert _distinct_up_to_sign(rest)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_two_term_cases())
-def test_contraction_returns_no_repeats(rows):
-    # once a column is joined every remapped row is kept once up to sign;
-    # with nothing joined the nonzero rows come back as copies, repeats
-    # and all
-    rows = mat(rows).rows
-    merges, rest = _contract_two_term(rows, None)
-    assert all(rest)
-    if merges:
-        assert _distinct_up_to_sign(rest)
-    else:
-        _assert_copies(rest, rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -492,9 +435,10 @@ def test_span_checker_rank_on_relation_matrices():
         assert SpanChecker(m).rank == rank_over_Q(m) > 0
 
 
-# sha256 of the Smith divisors below, as computed before the contraction
-# dropped repeated rows: minus and plain at n = 2 for every group of order
-# <= 40, then the Manin spaces at levels (11, 1), (7, 2) and (2, 8)
+# sha256 of the Smith divisors below, as computed before the engine's former
+# two-term contraction dropped repeated rows: minus and plain at n = 2 for
+# every group of order <= 40, then the Manin spaces at levels (11, 1), (7, 2)
+# and (2, 8)
 ENGINE_DIVISORS_SHA256 = (
     "7d11079f6b477a8a95cee1d2b0a967cd567ecee928d73bec14adfb11f769aa2b")
 
