@@ -239,6 +239,15 @@ def spans_dual(chars, group=None):
     return True
 
 
+def _fp_reduce(basis, vec, p):
+    """The remainder of `vec` over F_p against a basis as `_fp_extend`'s."""
+    for piv, row in basis:
+        c = vec[piv]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    return vec
+
+
 def _fp_extend(basis, vec, p):
     """Reduced echelon basis of span(basis) + <vec> over F_p.
 
@@ -248,10 +257,7 @@ def _fp_extend(basis, vec, p):
     """
     if len(basis) == len(vec):
         return basis
-    for piv, row in basis:
-        c = vec[piv]
-        if c:
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
+    vec = _fp_reduce(basis, vec, p)
     piv = next((i for i, x in enumerate(vec) if x), None)
     if piv is None:
         return basis
@@ -270,7 +276,8 @@ def generating_code_tuples(group, n, codes=None):
     spans_dual made incremental: nondecreasing code tuples are walked
     position by position, carrying the prefix's span in each G/pG.  A prefix
     is dropped once the positions left cannot fill some G/pG, and the last
-    position reads, per prefix span, a table of the codes that complete it.
+    position reads, per prefix span, a table of the codes that complete it:
+    those leaving a remainder in each G/pG where it is one dimension short.
     `codes`, a sorted list, restricts the entries to those codes: the output
     is then the full output filtered to tuples over them, in the same order.
     """
@@ -300,8 +307,7 @@ def generating_code_tuples(group, n, codes=None):
         row = [True] * order
         for (p, pos), basis, img in zip(slots, state, images):
             if len(basis) < len(pos):
-                good = {v: len(_fp_extend(basis, v, p)) == len(pos)
-                        for v in set(img)}
+                good = {v: any(_fp_reduce(basis, v, p)) for v in set(img)}
                 row = [ok and good[v] for ok, v in zip(row, img)]
         return row
 
@@ -336,22 +342,24 @@ def negation_codes(group):
     return neg
 
 
-def difference_codes(group, rows=None):
-    """diff[a][b] = code of chi_a - chi_b, for every code b and the codes a
-    in `rows` (all by default), each row built from a's first digit and the
-    whole table of the later factors; the other rows are None.  Up to |G|^2
-    entries, so it is built per call and never cached."""
-    low, size = [[0]], 1
-    for f in reversed(group.factors[1:]):
-        low = [[(da - db) % f * size + x for db in range(f) for x in row]
-               for da in range(f) for row in low]
-        size *= f
-    f, diff = group.factors[0], [None] * group.order
-    for a in range(group.order) if rows is None else rows:
-        da, rest = divmod(a, size)
-        diff[a] = [(da - db) % f * size + x for db in range(f)
-                   for x in low[rest]]
-    return diff
+def sum_codes(group):
+    """(spread, wrap), wrap[spread[a] + spread[b]] = code of chi_a + chi_b:
+    spread puts each digit d < f in a field of width 2f - 1, where two never
+    carry, and wrap takes each field mod f (on Z/N, (a + b) % N)."""
+    spread, wrap, size, width = [0], [0], 1, 1
+    for f in reversed(group.factors):
+        spread = [d * width + x for d in range(f) for x in spread]
+        wrap = [d % f * size + x for d in range(2 * f - 1) for x in wrap]
+        size, width = size * f, width * (2 * f - 1)
+    return spread, wrap
+
+
+def difference_codes(group):
+    """diff[a][b] = code of chi_a - chi_b.  |G|^2 entries, so it is built
+    per call and never cached."""
+    spread, wrap = sum_codes(group)
+    negs = [spread[c] for c in negation_codes(group)]
+    return [[wrap[x + y] for y in negs] for x in spread]
 
 
 class SubgroupHandle:

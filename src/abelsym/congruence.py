@@ -33,7 +33,7 @@ from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
                       require, smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
-                        _key_count, _sign_class_matrix, formula_dimension)
+                        _sign_class_matrix, formula_dimension)
 from .symbols import DEFAULT_ENUM_BOUND, in_det_class, sign_class_reps
 
 __all__ = [
@@ -682,7 +682,7 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     if n >= 3:
         in_class = in_det_class(grp, 1)
         reps = [r for r in reps if in_class(r)]
-    sym_rel = _sign_class_matrix(grp, reps, 2)
+    sym_rel, keys = _sign_class_matrix(grp, reps, 2)
     quads = _coset_quads(n, m, enum_bound)
     orbits, coset_rel = _coset_fold(level, quads, {
         s: i for i, s in enumerate(quads)}, n == 2)
@@ -714,7 +714,7 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
             len(sym_rows - coset_rows), len(sym_rows))
     coset_snf = smith_normal_form(coset_rel, bound=snf_bound)
     sym_snf = smith_normal_form(sym_rel, bound=snf_bound)
-    return _matched(IsoReport(level, grp.literal(), _key_count(grp, reps),
+    return _matched(IsoReport(level, grp.literal(), keys,
                               len(quads), len(reps) - sym_snf.rank,
                               len(orbits) - coset_snf.rank, sym_snf.torsion,
                               coset_snf.torsion))

@@ -10,16 +10,16 @@ run on the keys' code tuples through negation and difference tables built
 per system; their images keep the key's span, so they are looked up in the
 basis without re-validating them.  The blowup and plus templates go through
 `relation_rows`; `build_relations` appends the minus variant's sign rows
-from `_sign_rows`, already deduplicated, for callers that want the key
-basis, and `kernel_rows` hands the same rows to the kernel checks.  The
-library's own minus computations (`dimension`, `dimension_graded` and
-`iso_check`) fold them into the columns instead, as modular-symbols
-codes quotient by the two-term relations first: with lo[c] = min(c, -c), a
-code tuple is (-1)^(entries with lo[c] != c) times its representative (rep),
-its sorted lo codes, and a rep with a self-inverse entry gets 2 e_rep = 0.
-It walks only the reps, never the keys, and at n = 2 builds each folded
-three-term row once, from the first of the sign classes it touches, as
-modular-symbols codes build Manin's three-term relation once per orbit.
+from `_sign_rows`, already deduplicated, and `kernel_rows` hands the same
+rows to the kernel checks.  The library's own minus computations
+(`dimension`, `dimension_graded`, `iso_check`) fold them into the columns
+instead, as modular-symbols codes quotient by the two-term relations first:
+with lo[c] = min(c, -c), a code tuple is (-1)^(entries with lo[c] != c)
+times its representative (rep), its sorted lo codes, and a rep with a
+self-inverse entry gets 2 e_rep = 0.  One pass over the reps, never the
+keys, counts the keys and, at n = 2, builds each folded three-term row once,
+from the first sign class it touches, reading each difference off the codes'
+digits, as modular-symbols codes build Manin's relation once per orbit.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -32,8 +32,10 @@ from __future__ import annotations
 import enum
 import time
 from fractions import Fraction
+from math import prod
 
-from .abelian import difference_codes, negation_codes, parse_group
+from .abelian import (difference_codes, negation_codes, parse_group,
+                      sum_codes)
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, drop_repeats,
                       rank_over_Q, require, smith_normal_form, sparse_add)
@@ -154,30 +156,17 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
-def _key_count(group, reps):
-    """The number of keys the reps stand for, one per sign pattern: m + 1
-    for each code c with -c != c that a rep holds m times."""
-    neg = negation_codes(group)
-    count = 0
-    for r in reps:
-        keys = 1
-        for c in set(r):
-            if neg[c] != c:
-                keys *= r.count(c) + 1
-        count += keys
-    return count
-
-
 def _sign_class_matrix(group, reps, n):
     """The minus relation matrix over the sorted reps, the sign rows folded
-    in.
+    in, and the number of keys the reps stand for.
 
     Folding ignores negating the whole key and flips off {i, j}, so the
     blowup at any key folds to +- the (i, j) blowup at a rep r, or at r
     with entry j negated (s = -1) unless entry i or j is self-inverse.  A
     rep with a self-inverse entry gets the row {k: 2}.  A blowup row's
-    other columns are the classes of x = a - s b and y = -x (b - a is
-    -(a - b)), so only the difference rows of codes a = lo[a] are built.
+    other columns are the classes of x = a - s b, read off the codes'
+    digits by `sum_codes`, and y = -x (b - a is -(a - b)).  A rep stands
+    for m + 1 keys for each code c with -c != c it holds m times.
 
     At n = 2 a folded blowup row is kept only when its own rep's index k
     is no larger than the indices u, v of its two other columns (ties
@@ -199,36 +188,48 @@ def _sign_class_matrix(group, reps, n):
     this row by row on 273 groups.  The rule reads codes before any index
     lookup: reps are indexed in sorted code order and a <= b, so with
     c = lo[x] the column v = (a, c) sorted precedes k = (a, b) iff c < b,
-    and c >= b puts u = (b, c) after k too.  At n >= 3 every row is built
-    and `drop_repeats` keeps each once up to sign.
+    and c >= b puts u = (b, c) after k too, all three distinct unless
+    a = b or c = b.  At n >= 3 `drop_repeats` keeps each row once up to sign.
     """
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
-    diff = difference_codes(group, [c for c, d in enumerate(lo) if c == d])
+    flip = [c != d for c, d in enumerate(neg)]
+    spread, wrap = sum_codes(group)
     index = {t: k for k, t in enumerate(reps)}
-    self_inverse = {c for c, d in enumerate(neg) if c == d}
+    rows, count = [], 0
+    if n == 2:
+        for k, (a, b) in enumerate(reps):
+            fa, fb = flip[a], flip[b]
+            if not (fa and fb):
+                rows.append({k: 2})
+            count += (1 + fa) * (1 + fb) if a != b else 1 + 2 * fa
+            for s, d in ((1, neg[b]), (-1, b)):     # x = a - s b = a + d
+                x = wrap[spread[a] + spread[d]]
+                c = lo[x]
+                if c >= b:  # kept where its triple has the least rep
+                    u, v = index[b, c], index[a, c]
+                    su, sv = -s * sg[x], -sg[neg[x]]
+                    rows.append({k: s, u: su, v: sv} if a != b != c else
+                                sparse_add({k: s}, ((u, su), (v, sv))))
+                if not (fa and fb):
+                    break  # the s = -1 row is the s = 1 row again
+        return SparseIntMatrix.trusted(len(reps), rows), count
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    once = n == 2
-    rows = []
     for k, r in enumerate(reps):
-        if not self_inverse.isdisjoint(r):
+        if not all(flip[c] for c in r):
             rows.append({k: 2})
+        count += prod(r.count(c) + 1 for c in set(r) if flip[c])
         for i, j in pairs:
             a, b = r[i], r[j]
-            for s, bs in ((1, b), (-1, neg[b])):
-                if s < 0 and (neg[a] == a or bs == b):
-                    break  # the s = 1 row again
-                x = diff[a][bs]
-                if once and lo[x] < b:
-                    continue  # kept where its triple has the least rep
-                y = neg[x]
-                u = index[replace_code(r, i, lo[x])]
-                v = index[replace_code(r, j, lo[y])]
+            for s, d in ((1, neg[b]), (-1, b)):
+                x = wrap[spread[a] + spread[d]]
                 rows.append(sparse_add({k: s}, (  # odd sum: never 0
-                    (u, -s * sg[x]), (v, -sg[y]))))
-    return SparseIntMatrix.trusted(len(reps),
-                                   rows if once else drop_repeats(rows))
+                    (index[replace_code(r, i, lo[x])], -s * sg[x]),
+                    (index[replace_code(r, j, lo[x])], -sg[neg[x]]))))
+                if not (flip[a] and flip[b]):
+                    break  # the s = -1 row is the s = 1 row again
+    return SparseIntMatrix.trusted(len(reps), drop_repeats(rows)), count
 
 
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
@@ -313,8 +314,7 @@ def dimension(group, n, variant, want_torsion=False,
     variant = Variant.parse(variant)
     if variant is Variant.MINUS:
         reps = sign_class_reps(group, n, enum_bound)
-        rel = _sign_class_matrix(group, reps, n)
-        count = _key_count(group, reps)
+        rel, count = _sign_class_matrix(group, reps, n)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
         rel, count = system.rel, len(system.basis)
@@ -341,8 +341,7 @@ def dimension_graded(group, variant, want_torsion=False,
         in_class = in_det_class(group, classes[0])
         reps = [r for r in sign_class_reps(group, 2, enum_bound)
                 if in_class(r)]
-        rel = _sign_class_matrix(group, reps, 2)
-        count = _key_count(group, reps)
+        rel, count = _sign_class_matrix(group, reps, 2)
     else:
         keys = enumerate_det_class(group, classes[0], bound=enum_bound)
         rel = build_relations(group, 2, variant, keys=keys).rel

@@ -39,6 +39,7 @@ __all__ = [
     "delta_sum", "minus_reduce", "multiply", "nu", "omega_generators",
     "plus_reduce", "psi", "verify_comultiplication", "verify_kernel_iso",
 ]
+_COUNTS = tuple(map(Fraction, range(5)))    # delta_sum's shared term counts
 
 
 def _minus_codes(neg, codes):
@@ -362,12 +363,13 @@ def delta_sum(key, i=0, j=1):
     ci, cj = codes[i], codes[j]
     terms = {}
     # sign flips keep the span: the images need no re-validation
-    for a in (ci, neg(ci)):
-        for b in (cj, neg(cj)):
-            codes[i], codes[j] = a, b
-            t = tuple(sorted(codes))
-            terms[t] = terms.get(t, 0) + 1
-    return _formal(key.group, terms)
+    for a, b in product((ci, neg(ci)), (cj, neg(cj))):
+        codes[i], codes[j] = a, b
+        t = tuple(sorted(codes))
+        terms[t] = terms.get(t, 0) + 1
+    out = FormalSum()
+    out.terms = {SymbolKey(key.group, t): _COUNTS[c] for t, c in terms.items()}
+    return out
 
 
 def omega_generators(group, n):

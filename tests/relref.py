@@ -11,7 +11,7 @@ fold that builds each n = 2 row once against it.
 
 from itertools import combinations_with_replacement
 
-from abelsym.abelian import difference_codes, make_group, negation_codes
+from abelsym.abelian import make_group, negation_codes
 from abelsym.exactla import dense_snf_with_transforms, sparse_add
 from abelsym.relations import Variant
 from abelsym.symbols import replace_code
@@ -150,7 +150,7 @@ def full_sign_class_fold(group, reps, n):
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
-    diff = difference_codes(group)
+    chars = group.characters()
     index = {t: k for k, t in enumerate(reps)}
     rows = []
     for k, r in enumerate(reps):
@@ -162,7 +162,8 @@ def full_sign_class_fold(group, reps, n):
                 for s, bs in ((1, b), (-1, neg[b])):
                     if s < 0 and (neg[a] == a or bs == b):
                         break
-                    x, y = diff[a][bs], diff[bs][a]
+                    x = (chars[a] - chars[bs]).code
+                    y = (chars[bs] - chars[a]).code
                     rows.append(sparse_add({k: s}, (
                         (index[replace_code(r, i, lo[x])], -s * sg[x]),
                         (index[replace_code(r, j, lo[y])], -sg[y]))))

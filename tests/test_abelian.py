@@ -11,7 +11,7 @@ from itertools import combinations_with_replacement
 from abelsym.abelian import (difference_codes, generating_code_tuples,
                              make_group, negation_codes, pairing, parse_group,
                              proper_cyclic_subgroups, quotient_data,
-                             spans_dual)
+                             spans_dual, sum_codes)
 from relref import presentations, reference_spans_dual
 
 
@@ -115,13 +115,16 @@ def test_spans_dual_single_char_gcd_rule(a, b):
 def test_spans_dual_matches_dense_reference():
     # every n-multiset, n = 1..3, over all groups of order <= 16, rank 3
     # and 4 and non-invariant presentations included; the walk in
-    # generating_code_tuples must keep exactly the spanning ones, in order
+    # generating_code_tuples must keep exactly the spanning ones, in order.
+    # n = 4 on 2x2x2x2 and 2x2x4 is where a three-dimensional prefix basis
+    # meets the last position's remainder test
     groups = presentations(16)
     literals = {g.literal() for g in groups}
     assert {"2x2x2x2", "2x2x4", "2x3", "4x2", "3x1x3"} <= literals
     for g in groups:
         chars = g.characters()
-        for n in (1, 2, 3):
+        top = 4 if g.literal() in ("2x2x2x2", "2x2x4") else 3
+        for n in range(1, top + 1):
             kept = []
             for combo in combinations_with_replacement(chars, n):
                 want = reference_spans_dual(combo, g)
@@ -147,18 +150,25 @@ def test_character_codes():
 
 def test_difference_code_rows():
     # every presentation, trivial and out-of-order factors included: the
-    # full table is character subtraction, and a partial table builds
-    # exactly the wanted rows of it and skips the others
+    # table is character subtraction
     for g in presentations(40):
         chars = g.characters()
-        full = difference_codes(g)
-        assert full == [[(a - b).code for b in chars] for a in chars], g
-        neg = negation_codes(g)
-        for rows in ([c for c, d in enumerate(neg) if c <= d],
-                     range(g.order - 1, -1, -3), ()):
-            part = difference_codes(g, rows)
-            assert part == [full[a] if a in rows else None
-                            for a in range(g.order)], (g, rows)
+        assert difference_codes(g) == [[(a - b).code for b in chars]
+                                       for a in chars], g
+
+
+def test_sum_codes():
+    # every presentation: the spread digits of two codes add without
+    # carries, and wrap reads the sum's code; Z/N reads (a + b) % N
+    for g in presentations(40):
+        chars = g.characters()
+        spread, wrap = sum_codes(g)
+        assert [[wrap[spread[a.code] + spread[b.code]] for b in chars]
+                for a in chars] == [[(a + b).code for b in chars]
+                                    for a in chars], g
+        assert len(wrap) < 2 ** len(g.factors) * g.order, g
+    spread, wrap = sum_codes(make_group((7,)))
+    assert spread == list(range(7)) and wrap == [c % 7 for c in range(13)]
 
 
 def test_proper_cyclic_subgroups_cyclic():

@@ -245,9 +245,9 @@ PLAIN_SYMBOLS = """
     real = C._sign_class_matrix
 
     def unsigned(*args):
-        rel = real(*args)
+        rel, keys = real(*args)
         rel.rows = [{c: abs(v) for c, v in row.items()} for row in rel.rows]
-        return rel
+        return rel, keys
     C._sign_class_matrix = unsigned
 """
 # a doubled row leaves the span over Q, and even the lattice, as it was;
@@ -257,10 +257,10 @@ DOUBLED_SYMBOL_ROW = """
     real = C._sign_class_matrix
 
     def doubled(*args):
-        rel = real(*args)
+        rel, keys = real(*args)
         twos = C._two_columns(rel.rows)
         row = next(r for r in reversed(rel.rows) if not twos.issuperset(r))
-        return rel.with_rows([{c: 2 * v for c, v in row.items()}])
+        return rel.with_rows([{c: 2 * v for c, v in row.items()}]), keys
     C._sign_class_matrix = doubled
 """
 # without its {k: 2} rows the coset fold loses the swap quotient's

@@ -465,7 +465,7 @@ LARGE_DIVISORS_SHA256 = (
 
 
 def _minus_fold(group, n=2):
-    return _sign_class_matrix(group, sign_class_reps(group, n), n)
+    return _sign_class_matrix(group, sign_class_reps(group, n), n)[0]
 
 
 @pytest.mark.slow

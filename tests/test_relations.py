@@ -278,15 +278,15 @@ def test_graded_sign_class_fold_matches_key_basis_classes():
 def test_sign_class_fold_of_2x4():
     # the torsion that the closed form misses: five sign classes
     g = make_group((2, 4))
-    assert relations._sign_class_matrix(
-        g, sign_class_reps(g, 2), 2).ncols == 5
+    rel, keys = relations._sign_class_matrix(g, sign_class_reps(g, 2), 2)
+    assert (rel.ncols, keys) == (5, 12)
     rep = dimension(g, 2, Variant.MINUS, want_torsion=True)
     assert (rep.dim_q, rep.torsion, rep.generator_count) == (0, (2, 2, 2), 12)
 
 
 def test_sign_class_reps_match_filtered_keys():
     # the rep walk is the key walk filtered to codes c = lo[c], in order,
-    # and the reps' sign patterns count the keys
+    # and the fold counts the keys by the reps' sign patterns
     for factors, n in _FOLD_CASES:
         g = make_group(factors)
         neg = negation_codes(g)
@@ -294,7 +294,8 @@ def test_sign_class_reps_match_filtered_keys():
         reps = sign_class_reps(g, n)
         assert reps == [key.codes for key in keys
                         if all(c <= neg[c] for c in key.codes)], (factors, n)
-        assert relations._key_count(g, reps) == len(keys), (factors, n)
+        assert relations._sign_class_matrix(g, reps, n)[1] == len(keys), \
+            (factors, n)
 
 
 def _mod2_signature(row, two):
@@ -311,7 +312,7 @@ def _assert_fold_lattice_equal(g, reps, what):
     """The kept rows are rows of the full fold, and every full row is +- a
     kept row plus even entries on the {c: 2} columns, which the kept
     {c: 2} rows span: the two row lattices are equal."""
-    kept = relations._sign_class_matrix(g, reps, 2).rows
+    kept = relations._sign_class_matrix(g, reps, 2)[0].rows
     full = full_sign_class_fold(g, reps, 2)
     exact = {tuple(sorted(row.items())) for row in full}
     assert all(tuple(sorted(row.items())) in exact for row in kept), what
@@ -344,6 +345,19 @@ def test_sign_class_fold_lattice_matches_full_fold():
     assert kept < full
 
 
+def test_sign_class_fold_on_every_presentation():
+    # the fold's digit arithmetic on trivial and out-of-order factors,
+    # which the invariant chains above never have
+    literals = set()
+    for g in presentations(40):
+        reps = sign_class_reps(g, 2)
+        _assert_fold_lattice_equal(g, reps, g.literal())
+        assert relations._sign_class_matrix(g, reps, 2)[1] \
+            == len(enumerate_generators(g, 2)), g.literal()
+        literals.add(g.literal())
+    assert {"4x2", "3x1x3", "1x5", "2x5x2"} <= literals
+
+
 # sha256 of the n = 2 folds of `_sweep_fold_systems`, entries, entry order
 # and row order included, as built when the fold looked u and v up before
 # testing its once-rule
@@ -353,7 +367,7 @@ SWEEP_FOLD_SHA256 = (
 
 def test_sign_class_fold_pinned():
     folds = [[list(row.items()) for row in
-              relations._sign_class_matrix(g, reps, 2).rows]
+              relations._sign_class_matrix(g, reps, 2)[0].rows]
              for g, reps in _sweep_fold_systems()]
     assert sum(map(len, folds)) == 22142
     digest = hashlib.sha256(repr(folds).encode()).hexdigest()
@@ -364,7 +378,7 @@ def _assert_fold_drops_repeats(g, n):
     """The fold at n >= 3 is the full fold with each row kept once up to
     sign, the first occurrence, in order; returns (kept, full) counts."""
     reps = sign_class_reps(g, n)
-    rows = relations._sign_class_matrix(g, reps, n).rows
+    rows = relations._sign_class_matrix(g, reps, n)[0].rows
     full = full_sign_class_fold(g, reps, n)
     assert rows == first_up_to_sign(full), (g.literal(), n)
     assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
@@ -378,6 +392,8 @@ def test_sign_class_fold_drops_repeats_beyond_n_2():
     assert counts[(9,), 3] == (84, 171)
     at_3 = [c for (_, n), c in counts.items() if n == 3]
     assert tuple(map(sum, zip(*at_3))) == (11038, 21662)
+    for g in presentations(16):  # trivial and out-of-order factors too
+        _assert_fold_drops_repeats(g, 3)
 
 
 @pytest.mark.slow
