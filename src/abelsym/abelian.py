@@ -6,7 +6,7 @@ pairing <b, g> = sum b_i g_i / n_i mod 1, which makes the dual group an
 explicit copy of the group itself.  Each character also has an integer code,
 the mixed-radix value of its residue tuple (first factor most significant),
 which is its position in the lexicographic list `characters()`; hot loops
-work on codes through the negation and difference tables built here.
+work on codes through the negation and sum tables built here.
 Whether characters generate the dual is decided one prime at a time
 (`spans_dual`).  Quotient presentations are derived from Smith normal forms
 with recorded transforms, so projection and the dual-side
@@ -352,14 +352,6 @@ def sum_codes(group):
         wrap = [d % f * size + x for d in range(2 * f - 1) for x in wrap]
         size, width = size * f, width * (2 * f - 1)
     return spread, wrap
-
-
-def difference_codes(group):
-    """diff[a][b] = code of chi_a - chi_b.  |G|^2 entries, so it is built
-    per call and never cached."""
-    spread, wrap = sum_codes(group)
-    negs = [spread[c] for c in negation_codes(group)]
-    return [[wrap[x + y] for y in negs] for x in spread]
 
 
 class SubgroupHandle:

@@ -69,19 +69,6 @@ def row_signature(row):
     return sig
 
 
-def drop_repeats(rows):
-    """The nonzero rows, in order, less each equal up to sign to an earlier
-    one (same `row_signature`); this changes neither the row lattice nor
-    the span."""
-    kept, seen = [], set()
-    for row in rows:
-        sig = row_signature(row)
-        if sig not in seen:
-            seen.add(sig)
-            kept.append(row)
-    return kept
-
-
 class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 

@@ -5,21 +5,21 @@ its two one-step modifications); the minus variant adds the sign relation
 (negating one entry negates the symbol); the plus variant exists only for
 length-1 symbols and identifies a character with its negative.  Reordering
 is not a matrix row here: the basis is already canonical (sorted) keys, so
-every relation template is instantiated at every position pair.  Templates
-run on the keys' code tuples through negation and difference tables built
-per system; their images keep the key's span, so they are looked up in the
-basis without re-validating them.  The blowup and plus templates go through
-`relation_rows`; `build_relations` appends the minus variant's sign rows
-from `_sign_rows`, already deduplicated, and `kernel_rows` hands the same
-rows to the kernel checks.  The library's own minus computations
-(`dimension`, `dimension_graded`, `iso_check`) fold them into the columns
-instead, as modular-symbols codes quotient by the two-term relations first:
-with lo[c] = min(c, -c), a code tuple is (-1)^(entries with lo[c] != c)
-times its representative (rep), its sorted lo codes, and a rep with a
-self-inverse entry gets 2 e_rep = 0.  One pass over the reps, never the
-keys, counts the keys and, at n = 2, builds each folded three-term row once,
-from the first sign class it touches, reading each difference off the codes'
-digits, as modular-symbols codes build Manin's relation once per orbit.
+every relation is taken at every position pair.  Rows are built on the
+keys' code tuples, each difference read off the codes' digits, and each
+relation once, by rules proved in the builders, as modular-symbols codes
+build Manin's relation once per orbit; no pass hashes repeats away after.
+The images keep the key's span, so they are looked up in the basis without
+re-validating them.  `_blowup_rows` builds the blowups; `build_relations`
+appends the minus variant's sign rows from `_sign_rows`, and `kernel_rows`
+hands the same rows to the kernel checks.  The library's own minus
+computations (`dimension`, `dimension_graded`, `iso_check`) fold them into
+the columns instead, as modular-symbols codes quotient by the two-term
+relations first: with lo[c] = min(c, -c), a code tuple is (-1)^(entries
+with lo[c] != c) times its representative (rep), its sorted lo codes, and
+a rep with a self-inverse entry gets 2 e_rep = 0.  One pass over the reps,
+never the keys, counts the keys and builds each folded row from the least
+sign class its relation touches.
 
 Dimensions over Q come from exact ranks of the relation matrix; torsion of
 the presented quotient from its Smith normal form.  The closed forms of the
@@ -34,11 +34,10 @@ import time
 from fractions import Fraction
 from math import prod
 
-from .abelian import (difference_codes, negation_codes, parse_group,
-                      sum_codes)
+from .abelian import negation_codes, parse_group, sum_codes
 from .arith import divisors, prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, drop_repeats,
-                      rank_over_Q, require, smith_normal_form, sparse_add)
+from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
+                      require, smith_normal_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
                       enumerate_det_class, enumerate_generators, in_det_class,
                       replace_code, sign_class_reps)
@@ -89,47 +88,49 @@ class RelationSystem:
             len(self.basis), self.rel.nrows)
 
 
-def relation_rows(index, relations):
-    """Sparse rows of the given relations over an indexed basis.
+def _blowup_rows(group, codes, index, n):
+    """The blowup rows e_t - e_(t, b_i -> b_i - b_j) - e_(t, b_j -> b_j -
+    b_i) at every key t and pair i < j, each built once, first occurrences
+    in (key, pair) order.
 
-    Each relation is a list of (key, coeff) terms.  Terms on one key are
-    summed; zero rows and repeated rows are dropped, keeping the first
-    occurrence, so the row order follows the relation order.
+    With a = t[i] <= b = t[j] and x = a - b, read off the codes' digits by
+    `sum_codes`, the image at i is t itself iff b = 0 and the one at j iff
+    a = 0 (code 0 is the zero character, the least code, so b = 0 forces
+    a = 0); the two images are one key iff a = b.  So a = 0 gives the
+    one-term row -e(t with a replaced by -b), a = b != 0 gives {k: 1,
+    u: -2}, and otherwise the three columns are distinct.  The row depends
+    only on a, b and the other entries, and keys are sorted, so pair (i, j)
+    repeats (i - 1, j) when t[i - 1] = a and (i, j - 1) when j - 1 > i and
+    t[j - 1] = b; those are skipped.  Other rows of two or three terms never
+    repeat: their one positive entry is their key's, and at one key their
+    columns fix a and b (t less a plus a - b is t less a' plus a' - b' only
+    if a' = a and b' = b, as b, b' != 0, and is t less b' plus b' - a' only
+    if a = b' and b = a').  One-term rows do repeat at other keys (on
+    Z/2 at n = 4, (0,0,1,1) at (0, 1) and (0,0,0,1) at (0, 3)), so each is
+    kept once, by its column.  Coefficients sum to -1, so no row is zero or
+    another's negative.
     """
-    rows = []
-    seen = set()
-    for parts in relations:
-        row = sparse_add({}, ((index[key], coeff) for key, coeff in parts))
-        if not row:
-            continue
-        sig = tuple(sorted(row.items()))
-        if sig not in seen:
-            seen.add(sig)
-            rows.append(row)
+    neg = negation_codes(group)
+    spread, wrap = sum_codes(group)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, ones = [], set()
+    for k, t in enumerate(codes):
+        for i, j in pairs:
+            a, b = t[i], t[j]
+            if i and t[i - 1] == a or j > i + 1 and t[j - 1] == b:
+                continue
+            x = wrap[spread[a] + spread[neg[b]]]
+            u = index[replace_code(t, i, x)]
+            if a == 0:
+                if u not in ones:
+                    ones.add(u)
+                    rows.append({u: -1})
+            elif a == b:
+                rows.append({k: 1, u: -2})
+            else:
+                rows.append({k: 1, u: -1,
+                             index[replace_code(t, j, neg[x])]: -1})
     return rows
-
-
-def _templates(group, codes, n, variant):
-    """The variant's relation templates on code tuples, at every key.
-
-    A blowup b_i -> b_i - b_j and a negation keep the span of a key, so
-    their images are keys too.  Only the i < j blowups are instantiated:
-    the (j, i) blowup is the same relation.
-    """
-    if not codes:
-        return
-    if n >= 2 and variant in (Variant.PLAIN, Variant.MINUS):
-        diff = difference_codes(group)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for t in codes:
-            for i, j in pairs:
-                bi, bj = t[i], t[j]
-                yield [(t, 1), (replace_code(t, i, diff[bi][bj]), -1),
-                       (replace_code(t, j, diff[bj][bi]), -1)]
-    if variant is Variant.PLUS:
-        neg = negation_codes(group)
-        for t in codes:
-            yield [(t, 1), ((neg[t[0]],), -1)]
 
 
 def _sign_rows(group, codes, index, n):
@@ -189,7 +190,21 @@ def _sign_class_matrix(group, reps, n):
     lookup: reps are indexed in sorted code order and a <= b, so with
     c = lo[x] the column v = (a, c) sorted precedes k = (a, b) iff c < b,
     and c >= b puts u = (b, c) after k too, all three distinct unless
-    a = b or c = b.  At n >= 3 `drop_repeats` keeps each row once up to sign.
+    a = b or c = b.
+
+    At n >= 3 the proof runs pair by pair: with the other entries held
+    fixed, the blowup at positions (i, j) is in Q the triple relation of
+    (b, a - s b, -a), whose three pairs, completed by those entries, are
+    the classes k, u, v.  So a row is again kept only when k <= u and
+    k <= v.  A rep holding the values a, b at several pairs of positions
+    builds the same rows at each, so (i, j) is skipped when r[i - 1] = a,
+    or j - 1 > i and r[j - 1] = b.  At one rep and pair, rows with k, u, v
+    distinct differ in u (a - b = +-(a + b) makes a or b self-inverse).
+    Where a column cancels, several reps can make the same one-term row
+    (on Z/4 at n = 3 the reps (0, 0, 1) and (0, 1, 1) both give
+    +-e(0, 1, 1)); each is kept once, by its column and |coefficient|.
+    The tests check on every n >= 3 case they run that no kept row repeats
+    up to sign.
     """
     neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
@@ -216,20 +231,31 @@ def _sign_class_matrix(group, reps, n):
                     break  # the s = -1 row is the s = 1 row again
         return SparseIntMatrix.trusted(len(reps), rows), count
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ones = set()
     for k, r in enumerate(reps):
         if not all(flip[c] for c in r):
             rows.append({k: 2})
         count += prod(r.count(c) + 1 for c in set(r) if flip[c])
         for i, j in pairs:
             a, b = r[i], r[j]
-            for s, d in ((1, neg[b]), (-1, b)):
+            if i and r[i - 1] == a or j > i + 1 and r[j - 1] == b:
+                continue  # the rows at (i - 1, j) or (i, j - 1) again
+            # the s = -1 row is the s = 1 row again unless both entries flip
+            for s, d in ((1, neg[b]), (-1, b))[:1 + (flip[a] and flip[b])]:
                 x = wrap[spread[a] + spread[d]]
-                rows.append(sparse_add({k: s}, (  # odd sum: never 0
-                    (index[replace_code(r, i, lo[x])], -s * sg[x]),
-                    (index[replace_code(r, j, lo[x])], -sg[neg[x]]))))
-                if not (flip[a] and flip[b]):
-                    break  # the s = -1 row is the s = 1 row again
-    return SparseIntMatrix.trusted(len(reps), drop_repeats(rows)), count
+                u = index[replace_code(r, i, lo[x])]
+                v = index[replace_code(r, j, lo[x])]
+                if k > u or k > v:
+                    continue  # kept where its triple has the least rep
+                row = sparse_add({k: s}, ((u, -s * sg[x]),  # odd sum: never 0
+                                          (v, -sg[neg[x]])))
+                if len(row) == 1:
+                    (c, e), = row.items()
+                    if (c, abs(e)) in ones:
+                        continue
+                    ones.add((c, abs(e)))
+                rows.append(row)
+    return SparseIntMatrix.trusted(len(reps), rows), count
 
 
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
@@ -246,7 +272,12 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
         keys = enumerate_generators(group, n, bound=bound)
     codes = [key.codes for key in keys]
     index = {t: i for i, t in enumerate(codes)}
-    rows = relation_rows(index, _templates(group, codes, n, variant))
+    if variant is Variant.PLUS:
+        neg = negation_codes(group)
+        rows = [{k: 1, index[(neg[c],)]: -1}
+                for k, (c,) in enumerate(codes) if neg[c] != c]
+    else:
+        rows = _blowup_rows(group, codes, index, n)
     if variant is Variant.MINUS:
         rows += _sign_rows(group, codes, index, n)
     rel = SparseIntMatrix.trusted(len(keys), rows)

@@ -13,11 +13,12 @@ the products  M_1^+(G') (x) M_{n-1}^-(G/G')  over those subgroups.
 The maps run on code tuples (see symbols) with integer coefficients.  A
 call lists the proper cyclic subgroups once and builds one `_Split` per
 subgroup, kept only for that call: the quotient and Z/d, the annihilator
-as ambient code -> quotient code, dual_restrict and the lifts per code, and
-a memo of the quotient code tuples that are keys and their minus reduction.
-The batteries use 2 psi, which has integer coefficients; span membership
-is over Q, so the scaling changes no verdict.  The public maps run the same
-routines on one-shot tables and return Fraction coefficients.
+as ambient code -> quotient code, dual_restrict and the lifts per code, a
+memo of the quotient code tuples that are keys and their minus reduction,
+and a memo of each code tuple's split images.  The batteries use 2 psi,
+which has integer coefficients; span membership is over Q, so the scaling
+changes no verdict.  The public maps run the same routines on one-shot
+tables and return Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class _Split:
     """Code tables of one proper cyclic subgroup, built for one call."""
 
     __slots__ = ("sub", "q", "cyc", "neg", "qneg", "emb", "ann", "restrict",
-                 "lifts", "_right")
+                 "lifts", "_right", "_images")
 
     def __init__(self, sub):
         q = self.q = quotient_data(sub.ambient, sub)
@@ -170,7 +171,7 @@ class _Split:
                          for ch in sub.ambient.characters()]
         self.lifts = {a: q.lift_restriction(a).code
                       for a in range(d) if gcd(a, d) == 1}
-        self._right = {}
+        self._right, self._images = {}, {}
 
     def right(self, qcodes):
         """minus_reduce of a sorted quotient code tuple, or None when it is
@@ -183,19 +184,22 @@ class _Split:
                 if spans_dual([chars[c] for c in qcodes], quot) else None)
         return self._right[qcodes]
 
-
-def _split(rec, codes, nprime):
-    """comultiply on a code tuple: {(left residues, right rep): coeff}."""
-    n = len(codes)
-    out = {}
-    for right_pos in combinations(range(n), n - nprime):
-        qcodes = [rec.ann.get(codes[j]) for j in right_pos]
-        red = None if None in qcodes else rec.right(tuple(sorted(qcodes)))
-        if red is not None:
-            left = tuple(sorted(rec.restrict[codes[i]] for i in range(n)
-                                if i not in right_pos))
-            sparse_add(out, (((left, red[0]), red[1]),))
-    return out
+    def split(self, codes, nprime):
+        """comultiply on a code tuple: {(left residues, right rep): coeff},
+        memoized, so callers must not mutate it."""
+        out = self._images.get((codes, nprime))
+        if out is None:
+            n = len(codes)
+            out = self._images[codes, nprime] = {}
+            for right_pos in combinations(range(n), n - nprime):
+                qcodes = [self.ann.get(codes[j]) for j in right_pos]
+                red = None if None in qcodes else self.right(
+                    tuple(sorted(qcodes)))
+                if red is not None:
+                    left = tuple(sorted(self.restrict[codes[i]] for i
+                                        in range(n) if i not in right_pos))
+                    sparse_add(out, (((left, red[0]), red[1]),))
+        return out
 
 
 def _merge(rec, left, right):
@@ -223,7 +227,7 @@ def _nu(splits, row):
         d = rec.sub.order
         comp = {}
         for codes, coeff in row.items():
-            for ((a,), right), c in _split(rec, codes, 1).items():
+            for ((a,), right), c in rec.split(codes, 1).items():
                 sparse_add(comp, ((((min(a, d - a),), right), c * coeff),))
         out.append(comp)
     return out
@@ -292,7 +296,7 @@ def comultiply(sub, key, nprime):
     rec = _Split(sub)
     if rec.q.quotient.order == 1:
         raise ValueError("the quotient is trivial; nothing to push right")
-    return _tensor(Variant.PLAIN, rec, _split(rec, key.codes, nprime))
+    return _tensor(Variant.PLAIN, rec, rec.split(key.codes, nprime))
 
 
 def nu(group, n, x):
@@ -531,15 +535,11 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             tensor_checker = SpanChecker(
                 SparseIntMatrix(len(rows), len(pair_index), rows))
 
-            split_cache = {}
             for row in src.rel.rows:
                 fwd_total += 1
                 vec = {}
                 for c, v in row.items():
-                    image = split_cache.get(c)
-                    if image is None:
-                        image = _split(rec, src.basis[c].codes, k)
-                        split_cache[c] = image
+                    image = rec.split(src.basis[c].codes, k)
                     sparse_add(vec, ((pair_index[pair], coeff * v)
                                      for pair, coeff in image.items()))
                 if not vec or tensor_checker.contains(vec):

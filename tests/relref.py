@@ -4,9 +4,12 @@ Independent of abelsym's code tuples and per-prime test: generation is read
 off a dense Smith normal form, and the relation templates are instantiated
 on character tuples at every ordered position pair, each image sorted and
 validated.  Tests compare abelsym's symbol keys and relation rows with these.
-`full_sign_class_fold` is the minus fold over sign-class reps with every
-folded blowup row kept, as built from each rep it touches; tests compare the
-fold that builds each n = 2 row once against it.
+`hash_set_rows` is the code-tuple builder that abelsym used before it built
+each row once by rule: every template at every key, then a set drops zero
+rows and exact repeats, keeping first occurrences.  `full_sign_class_fold`
+is the minus fold over sign-class reps with every folded blowup row kept,
+as built from each rep it touches; tests compare the fold that builds each
+row once against it.
 """
 
 from itertools import combinations_with_replacement
@@ -140,6 +143,33 @@ class ReferenceBuilder:
     def basis(self):
         """The keys as tuples of residue tuples."""
         return [tuple(ch.residues for ch in key) for key in self.keys]
+
+
+def hash_set_rows(group, keys, n, variant):
+    """The rows of `build_relations(group, n, variant, keys)` for the plain
+    and minus variants, built with every relation template at every key,
+    each (i < j) blowup b_i -> b_i - b_j and each sign flip of the minus
+    variant, and then summed into sparse rows, less zero rows and rows
+    equal to an earlier one, on the keys' code tuples."""
+    chars = group.characters()
+    neg = negation_codes(group)
+    codes = [key.codes for key in keys]
+    index = {t: k for k, t in enumerate(codes)}
+    relations = [[(t, 1), (replace_code(t, i, x), -1),
+                  (replace_code(t, j, neg[x]), -1)]
+                 for t in codes for i in range(n) for j in range(i + 1, n)
+                 for x in [(chars[t[i]] - chars[t[j]]).code]]
+    if variant is Variant.MINUS:
+        relations += [[(t, 1), (replace_code(t, i, neg[t[i]]), 1)]
+                      for t in codes for i in range(n)]
+    rows, seen = [], set()
+    for parts in relations:
+        row = sparse_add({}, ((index[t], c) for t, c in parts))
+        sig = tuple(sorted(row.items()))
+        if row and sig not in seen:
+            seen.add(sig)
+            rows.append(row)
+    return rows
 
 
 def full_sign_class_fold(group, reps, n):

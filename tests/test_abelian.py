@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations_with_replacement
 
-from abelsym.abelian import (difference_codes, generating_code_tuples,
-                             make_group, negation_codes, pairing, parse_group,
+from abelsym.abelian import (generating_code_tuples, make_group,
+                             negation_codes, pairing, parse_group,
                              proper_cyclic_subgroups, quotient_data,
                              spans_dual, sum_codes)
 from relref import presentations, reference_spans_dual
@@ -141,30 +141,23 @@ def test_character_codes():
     assert [ch.code for ch in chars] == list(range(12))
     assert g.code((1, 5, 7)) == chars.index(g.character((1, 0, 3)))
     neg = negation_codes(g)
-    diff = difference_codes(g)
     for a in chars:
         assert chars[neg[a.code]] is -a
-        for b in chars:
-            assert chars[diff[a.code][b.code]] is a - b
-
-
-def test_difference_code_rows():
-    # every presentation, trivial and out-of-order factors included: the
-    # table is character subtraction
-    for g in presentations(40):
-        chars = g.characters()
-        assert difference_codes(g) == [[(a - b).code for b in chars]
-                                       for a in chars], g
 
 
 def test_sum_codes():
     # every presentation: the spread digits of two codes add without
-    # carries, and wrap reads the sum's code; Z/N reads (a + b) % N
+    # carries, and wrap reads the sum's code, and with the negation table
+    # the difference; Z/N reads (a + b) % N
     for g in presentations(40):
         chars = g.characters()
         spread, wrap = sum_codes(g)
+        neg = negation_codes(g)
         assert [[wrap[spread[a.code] + spread[b.code]] for b in chars]
                 for a in chars] == [[(a + b).code for b in chars]
+                                    for a in chars], g
+        assert [[wrap[spread[a.code] + spread[neg[b.code]]] for b in chars]
+                for a in chars] == [[(a - b).code for b in chars]
                                     for a in chars], g
         assert len(wrap) < 2 ** len(g.factors) * g.order, g
     spread, wrap = sum_codes(make_group((7,)))

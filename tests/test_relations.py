@@ -19,7 +19,8 @@ from abelsym.symbols import (canonicalize, det_class, det_classes,
                              in_det_class, sign_class_reps)
 from rankref import reference_rank
 from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
-                    full_sign_class_fold, invariant_chains, presentations)
+                    full_sign_class_fold, hash_set_rows, invariant_chains,
+                    presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (
@@ -222,6 +223,28 @@ def test_build_relations_matches_reference(n, variants, limit):
                 == ref.rows(variant), (g, variant)
 
 
+# n = 4 is where one-term rows repeat at keys that the rule "a zero entry
+# next to b: keep iff b <= -b" would not catch, 1-7 per group here
+_ROW_CASES = ([(make_group(f), 2) for f in invariant_chains(81)]
+              + [(g, 3) for g in presentations(24)]
+              + [(make_group(f), 4) for f in [(k,) for k in range(2, 9)]
+                 + [(2, 2), (2, 4), (4, 2), (3, 1, 3)]])
+
+
+def test_blowup_rows_match_hash_set_builder():
+    # each row built once by rule, against every template at every key with
+    # a set dropping the repeats: the same rows, row order and dict order
+    # (the plain rows are the minus key basis less its sign rows), and no
+    # row repeats up to sign
+    for g, n in _ROW_CASES:
+        keys = enumerate_generators(g, n)
+        rows = build_relations(g, n, Variant.MINUS, keys=keys).rel.rows
+        assert [list(row.items()) for row in rows] == [
+            list(row.items()) for row in hash_set_rows(
+                g, keys, n, Variant.MINUS)], (g.literal(), n)
+        assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
+
+
 def _key_basis_minus(g, n, keys=None):
     """(dim, torsion, keys) of the minus system over the key basis, with
     its sign rows, from its Smith form."""
@@ -308,12 +331,12 @@ def _mod2_signature(row, two):
     return min(sigs)
 
 
-def _assert_fold_lattice_equal(g, reps, what):
+def _assert_fold_lattice_equal(g, reps, what, n=2):
     """The kept rows are rows of the full fold, and every full row is +- a
     kept row plus even entries on the {c: 2} columns, which the kept
     {c: 2} rows span: the two row lattices are equal."""
-    kept = relations._sign_class_matrix(g, reps, 2)[0].rows
-    full = full_sign_class_fold(g, reps, 2)
+    kept = relations._sign_class_matrix(g, reps, n)[0].rows
+    full = full_sign_class_fold(g, reps, n)
     exact = {tuple(sorted(row.items())) for row in full}
     assert all(tuple(sorted(row.items())) in exact for row in kept), what
     two = {c for row in kept if len(row) == 1
@@ -374,26 +397,41 @@ def test_sign_class_fold_pinned():
     assert digest == SWEEP_FOLD_SHA256
 
 
-def _assert_fold_drops_repeats(g, n):
-    """The fold at n >= 3 is the full fold with each row kept once up to
-    sign, the first occurrence, in order; returns (kept, full) counts."""
+def _assert_fold_once(g, n):
+    """The fold at n >= 3 spans the full fold's lattice and keeps no row
+    twice up to sign; returns (kept, full) counts."""
     reps = sign_class_reps(g, n)
+    counts = _assert_fold_lattice_equal(g, reps, (g.literal(), n), n)
     rows = relations._sign_class_matrix(g, reps, n)[0].rows
-    full = full_sign_class_fold(g, reps, n)
-    assert rows == first_up_to_sign(full), (g.literal(), n)
     assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
-    return len(rows), len(full)
+    return counts
 
 
 def test_sign_class_fold_drops_repeats_beyond_n_2():
-    counts = {(factors, n): _assert_fold_drops_repeats(make_group(factors), n)
+    counts = {(factors, n): _assert_fold_once(make_group(factors), n)
               for factors, n in _FOLD_CASES if n >= 3}
-    assert counts[(5,), 3] == (25, 47)
-    assert counts[(9,), 3] == (84, 171)
-    at_3 = [c for (_, n), c in counts.items() if n == 3]
-    assert tuple(map(sum, zip(*at_3))) == (11038, 21662)
+    assert counts[(5,), 3] == (19, 47)
+    assert counts[(9,), 3] == (66, 171)
+    for n, want in ((3, (8361, 21662)), (4, (635, 2117))):
+        at_n = [c for (_, m), c in counts.items() if m == n]
+        assert tuple(map(sum, zip(*at_n))) == want
     for g in presentations(16):  # trivial and out-of-order factors too
-        _assert_fold_drops_repeats(g, 3)
+        _assert_fold_once(g, 3)
+    for factors in ((4, 2), (3, 1, 3)):
+        _assert_fold_once(make_group(factors), 4)
+
+
+def test_sign_class_fold_repeats_at_n_2():
+    # the n = 2 fold is pinned by SWEEP_FOLD_SHA256; of all its groups of
+    # order <= 81 only Z/4 keeps a row twice up to sign, the one-term rows
+    # {1: 1} from the rep (0, 1) and {1: -1} from (1, 1)
+    repeats = {}
+    for g in presentations(81):
+        rows = relations._sign_class_matrix(g, sign_class_reps(g, 2), 2)[0]
+        extra = rows.nrows - len(first_up_to_sign(rows.rows))
+        if extra:
+            repeats[g.literal()] = extra
+    assert repeats == {"4": 1}
 
 
 @pytest.mark.slow
@@ -401,7 +439,7 @@ def test_sign_class_fold_drops_repeats_at_n_3_wide():
     # tier 1 stops at order 24
     for g in map(make_group, invariant_chains(40)):
         if g.order > 24:
-            _assert_fold_drops_repeats(g, 3)
+            _assert_fold_once(g, 3)
 
 
 @pytest.mark.slow

@@ -364,13 +364,17 @@ def _refuse_spans(monkeypatch):
 
 
 def _flip_blowup_sign(monkeypatch):
-    real = relations._templates
+    # the third term of each three-term blowup row gets the wrong sign
+    real = relations._blowup_rows
 
     def flipped(*args):
-        for rel in real(*args):
-            yield rel if len(rel) != 3 else rel[:2] + [(rel[2][0],
-                                                        -rel[2][1])]
-    monkeypatch.setattr(relations, "_templates", flipped)
+        rows = real(*args)
+        for row in rows:
+            if len(row) == 3:
+                col = list(row)[2]
+                row[col] = -row[col]
+        return rows
+    monkeypatch.setattr(relations, "_blowup_rows", flipped)
 
 
 # One injected failure per check: (patch, battery, group, n, the battery's
