@@ -285,10 +285,15 @@ def generating_code_tuples(group, n, codes=None):
     if any(n < len(pos) for _, pos in slots):
         return []
     order = group.order
-    elements = list(group.elements())
-    # per prime: the image of each code in G/pG, and memoized span steps
-    images = [[tuple(r[i] % p for i in pos) for r in elements]
-              for p, pos in slots]
+    # per prime: the image of each code in G/pG, digit by digit as codes
+    # are built (see negation_codes), and memoized span steps
+    images = []
+    for p, pos in slots:
+        img = [()]
+        for i, f in reversed(list(enumerate(group.factors))):
+            img = ([(d % p,) + x for d in range(f) for x in img]
+                   if i in pos else img * f)
+        images.append(img)
     steps = [{} for _ in slots]
     lasts = {}
     out = []

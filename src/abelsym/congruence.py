@@ -395,7 +395,7 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     cosets = [CosetSymbol._unchecked(*s, level) for s in quads]
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
-    system = RelationSystem(grp, 2, variant, cosets, rel)
+    system = RelationSystem(grp, 2, variant, cosets, rel, index)
     reps, fold = _coset_fold(level, quads, index, with_O)
     snf = smith_normal_form(fold, bound=snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0

@@ -4,24 +4,23 @@ Rank over Q, Smith normal form, and row-span membership, all from one
 elimination engine.  Matrices are stored row-wise as dicts {column: value}
 with Python-int entries, so nothing ever overflows.  The engine eliminates
 unit pivots (+-1 entries); each is a Smith divisor.  Each step pivots on a
-column of least live row count, kept in buckets by count, and there on the
-shortest row with a unit entry.  When none is left it peels the content:
-the rows are divided by the gcd g of their entries, every later divisor is
-scaled by g, and unit pivots resume.  A residue of content 1 with no unit
-entry, which the relation matrices here rarely leave, gets gcd row and
-column steps on its least entries until one is a unit.  Two-term rows get
-no path of their own: `dimension` and `manin_space` fold theirs into the
-columns before elimination, as modular-symbols codes do, and any others
-are eliminated as ordinary rows.  Span membership reduces against the
-recorded pivot rows and a fraction-free echelon of that residue.  Each
-checker reduces a distinct query only once: a row equal up to sign to an
-earlier one, once cleared of denominators, gets the earlier verdict.
+column of least live row count, kept in a list of buckets by count, and
+there on the shortest row with a unit entry.  When none is left it peels
+the content: the rows are divided by the gcd g of their entries, every
+later divisor is scaled by g, and unit pivots resume.  A residue of content
+1 with no unit entry, which the relation matrices here rarely leave, gets
+gcd row and column steps on its least entries until one is a unit.  Two-term
+rows get no path of their own: `dimension` and `manin_space` fold theirs
+into the columns before elimination, as modular-symbols codes do.  Span
+membership reduces against the recorded pivot rows and a fraction-free
+echelon of that residue.  Each checker reduces a distinct query only once:
+a row equal up to sign to an earlier one, once cleared of denominators,
+gets the earlier verdict.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from math import gcd
 
 # Resource guards.  Callers may override per invocation.
@@ -141,47 +140,56 @@ class SnfResult:
         return "SnfResult(divisors=%r, rank=%d)" % (self.divisors, self.rank)
 
 
-def _unit_eliminate(rows, pivots=None):
+def _unit_eliminate(rows, ncols, pivots=None):
     """Unit-pivot elimination with content peeling.
 
     Passes pivot on +-1 entries: each step takes a column of least live
-    row count from buckets keyed by count, and there the shortest row with
-    a +-1 entry.  A pivot clears its column from every other row by row
-    operations; the column operations that clear the rest of the pivot row
-    touch no other row, so the row is simply retired, contributing one
-    divisor.  Only the pivot row's columns change: each goes back into the
-    bucket of its new count, an O(1) append, and an entry whose count is
-    stale or whose column has no unit entry is skipped when it comes up.
-    On these relation matrices that makes no more fill than a Markowitz
-    order, with no heap to keep.  When given, `pivots` receives each
-    retired (column, row) in pivot order.  Once no unit entry is left, the
-    live rows are divided by the gcd g of their entries and the next pass
-    re-buckets the live columns at a scale g times larger, since
-    SNF(gA) = g SNF(A).  The rows are copied, not changed.
+    row count from buckets, a list indexed by count, and there the shortest
+    row with a +-1 entry, the first in the column's set on a tie.  A pivot
+    clears its column from every other row by row operations; the column
+    operations that clear the rest of the pivot row touch no other row, so
+    the row is simply retired, contributing one divisor.  Only the pivot
+    row's columns change: each goes back into the bucket of its new count,
+    an O(1) append, and an entry whose count is stale or whose column has
+    no unit entry is skipped when it comes up.  On these relation matrices
+    that makes no more fill than a Markowitz order, with no heap to keep.
+    Rows are a list by row id, None once retired, and each of the `ncols`
+    columns keeps the set of its live rows; each pass buckets the columns in
+    order of first appearance, so the pivots follow the rows' order alone.
+    When given, `pivots` receives each retired (column, row) in pivot order,
+    the pivot entry last in the row.  Once no unit entry is left, the live
+    rows are divided by the gcd g of their entries and the next pass
+    re-buckets the columns at a scale g times larger, since SNF(gA) =
+    g SNF(A).  The rows are copied, not changed.
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
     """
-    rows = {i: dict(row) for i, row in enumerate(rows) if row}
-    cols = {}
-    for i, row in rows.items():
-        for c in row:
-            cols.setdefault(c, set()).add(i)
+    rows = [dict(row) if row else None for row in rows]
+    live = len(rows) - rows.count(None)
+    cols = [None] * ncols   # column -> set of its live row ids
+    order = []              # the columns in order of first appearance
+    for i, row in enumerate(rows):
+        for c in row or ():
+            if cols[c] is None:
+                cols[c] = set()
+                order.append(c)
+            cols[c].add(i)
     divisors = []
     scale = 1
     while True:
-        buckets = defaultdict(list)  # count -> columns, at most len(rows)
-        for c, s in cols.items():
-            buckets[len(s)].append(c)
+        buckets = [[] for _ in range(live + 1)]  # count -> columns
+        for c in order:     # dead columns go to bucket 0, never read
+            buckets[len(cols[c])].append(c)
         low = 1
-        while low <= len(rows):
-            bucket = buckets.get(low)
+        while low <= live:
+            bucket = buckets[low]
             if not bucket:
                 low += 1
                 continue
             pc = bucket.pop()
-            s = cols.get(pc)
-            if s is None or len(s) != low:
+            s = cols[pc]
+            if len(s) != low:
                 continue
             pi = None
             for j in s:     # the shortest row with a unit entry at pc
@@ -190,26 +198,31 @@ def _unit_eliminate(rows, pivots=None):
                     pi = j
             if pi is None:
                 continue
-            row = rows.pop(pi)
-            pv = row[pc]
-            rest = [(c, v) for c, v in row.items() if c != pc]
-            for j in cols.pop(pc):
-                if j == pi:
-                    continue
+            row = rows[pi]
+            rows[pi] = None
+            live -= 1
+            pv = row.pop(pc)    # the rest of the row; put back below
+            s.remove(pi)
+            for j in s:
                 other = rows[j]
                 f = other.pop(pc) * pv  # pv is its own inverse
-                for c, v in rest:
-                    val = other.get(c, 0) - f * v
-                    if val:
-                        if c not in other:
-                            cols[c].add(j)
-                        other[c] = val
-                    elif c in other:
-                        del other[c]
-                        cols[c].discard(j)
+                for c, v in row.items():
+                    cur = other.get(c)
+                    if cur is None:
+                        other[c] = -f * v
+                        cols[c].add(j)
+                    else:
+                        cur -= f * v
+                        if cur:
+                            other[c] = cur
+                        else:
+                            del other[c]
+                            cols[c].discard(j)
                 if not other:
-                    del rows[j]
-            for c, _ in rest:
+                    rows[j] = None
+                    live -= 1
+            s.clear()
+            for c in row:
                 s = cols[c]
                 s.discard(pi)
                 if s:
@@ -217,23 +230,22 @@ def _unit_eliminate(rows, pivots=None):
                     buckets[k].append(c)
                     if k < low:
                         low = k
-                else:
-                    del cols[c]
+            row[pc] = pv
             divisors.append(scale)
             if pivots is not None:
                 pivots.append((pc, row))
         g = 0
-        for row in rows.values():
+        for row in filter(None, rows):
             g = gcd(g, *row.values())
             if g == 1:
                 break
         if g <= 1:
             break
         scale *= g
-        for row in rows.values():
+        for row in filter(None, rows):
             for c in row:
                 row[c] //= g
-    return divisors, scale, list(rows.values())
+    return divisors, scale, list(filter(None, rows))
 
 
 def _subtract_multiple(row, f, other):
@@ -282,10 +294,10 @@ def _make_unit(rows):
 
 def _nonzero_divisors(matrix):
     """Nonzero Smith divisors, in chain order, of the whole matrix."""
-    divisors, scale, residue = _unit_eliminate(matrix.rows)
+    divisors, scale, residue = _unit_eliminate(matrix.rows, matrix.ncols)
     while residue:
         _make_unit(residue)
-        more, peel, residue = _unit_eliminate(residue)
+        more, peel, residue = _unit_eliminate(residue, matrix.ncols)
         divisors.extend(scale * d for d in more)
         scale *= peel
     return divisors
@@ -314,7 +326,8 @@ class SpanChecker:
         self.matrix = matrix
         self._pivots = []       # (pivot col, row), in pivot order
         self._verdicts = {}     # row_signature of a query -> membership
-        _, _, residue = _unit_eliminate(matrix.rows, self._pivots)
+        _, _, residue = _unit_eliminate(matrix.rows, matrix.ncols,
+                                        self._pivots)
         self._order = {c: k for k, (c, _) in enumerate(self._pivots)}
         for row in residue:
             row = self._reduce(row)

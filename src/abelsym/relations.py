@@ -60,23 +60,25 @@ class Variant(enum.Enum):
 
 
 class RelationSystem:
-    """Canonical keys (columns) plus the relation rows presenting them."""
+    """Canonical keys (columns) plus the relation rows presenting them;
+    `index` takes a key's code tuple (a coset's quadruple) to its column."""
 
     __slots__ = ("group", "n", "variant", "basis", "rel", "index")
 
-    def __init__(self, group, n, variant, basis, rel):
+    def __init__(self, group, n, variant, basis, rel, index):
         self.group = group
         self.n = n
         self.variant = variant
         self.basis = basis
         self.rel = rel
-        self.index = {key: i for i, key in enumerate(basis)}
+        self.index = index
 
     def vector(self, fsum):
-        """A FormalSum over the basis as a sparse row dict."""
+        """A FormalSum over the basis keys as a sparse row dict."""
         row = {}
         for key, coeff in fsum.items():
-            idx = self.index.get(key)
+            idx = (self.index.get(key.codes) if key.group is self.group
+                   else None)
             if idx is None:
                 raise KeyError("key %r is not in the basis" % (key,))
             row[idx] = coeff
@@ -281,7 +283,7 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     if variant is Variant.MINUS:
         rows += _sign_rows(group, codes, index, n)
     rel = SparseIntMatrix.trusted(len(keys), rows)
-    return RelationSystem(group, n, variant, list(keys), rel)
+    return RelationSystem(group, n, variant, list(keys), rel, index)
 
 
 class DimensionReport:

@@ -466,7 +466,7 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     checks.append(check_record("nu-psi-identity", group, n, passed,
                                len(gens), bad))
 
-    index = {key.codes: i for i, key in enumerate(system.basis)}
+    index = system.index
     krows = kernel_rows(group, n, system.basis)
     passed = 0
     bad = None
@@ -503,7 +503,6 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
         raise ValueError("comultiplication checks need n >= 2")
     src = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     src_checker = SpanChecker(src.rel)
-    src_index = {key.codes: i for i, key in enumerate(src.basis)}
     fwd_pass = fwd_total = 0
     back_pass = back_total = 0
     fwd_bad = back_bad = None
@@ -567,7 +566,7 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                     if term is None:
                         term = _merge(rec, lkey.codes, rkey.codes)
                         merge_cache[(lkey, rkey)] = term
-                    sparse_add(image, ((src_index[t], c * coeff)
+                    sparse_add(image, ((src.index[t], c * coeff)
                                        for t, c in term.items()))
                 if not image or src_checker.contains(image):
                     back_pass += 1

@@ -413,8 +413,9 @@ def test_unit_elimination_invariants(rows):
     # examples keep a unit entry in the residue if a column whose count
     # fell is not put back into its bucket, or if the search for the least
     # count does not go back down to it.
+    m = mat(rows)
     pivots = []
-    divisors, _, residue = _unit_eliminate(mat(rows).rows, pivots)
+    divisors, _, residue = _unit_eliminate(m.rows, m.ncols, pivots)
     assert len(divisors) == len(pivots)
     content = 0
     for row in residue:
@@ -466,6 +467,33 @@ LARGE_DIVISORS_SHA256 = (
 
 def _minus_fold(group, n=2):
     return _sign_class_matrix(group, sign_class_reps(group, n), n)[0]
+
+
+# sha256 of the engine's pivot records, (divisors, scale, each pivot column
+# with its row's sorted entries, residue), computed before the engine kept
+# its rows, columns and buckets in lists: the n = 2 minus fold and plain
+# system of every group of order <= 40, then the Manin spaces at levels
+# (11, 1), (7, 2) and (2, 8)
+PIVOT_RECORDS_SHA256 = (
+    "21cb26a7105c279216f28f4b53b7a62af65340bd70536db6c8d85f7f13940916")
+
+
+def test_engine_pivot_records_pinned():
+    systems = []
+    for chain in invariant_chains(40):
+        group = make_group(chain)
+        systems += [_minus_fold(group),
+                    build_relations(group, 2, Variant.PLAIN).rel]
+    for level in ((11, 1), (7, 2), (2, 8)):
+        systems.append(manin_space(*level)[0].rel)
+    digest = hashlib.sha256()
+    for m in systems:
+        pivots = []
+        divisors, scale, residue = _unit_eliminate(m.rows, m.ncols, pivots)
+        digest.update(repr((divisors, scale, [(pc, sorted(row.items()))
+                                              for pc, row in pivots],
+                            residue)).encode())
+    assert digest.hexdigest() == PIVOT_RECORDS_SHA256
 
 
 @pytest.mark.slow
