@@ -371,6 +371,10 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     k = n * m
     quads = _coset_quads(n, m, enum_bound)
     index = {s: i for i, s in enumerate(quads)}
+    # the fold's Smith form first, freed before the unfolded rows are built
+    fold = _coset_fold(level, quads, index, with_O)[1]
+    orbits, snf = fold.ncols, smith_normal_form(fold, bound=snf_bound)
+    del fold
 
     # column operations of determinant one (and the swap at N = 2) keep the
     # column span and the determinant mod N: the images are cosets
@@ -396,10 +400,8 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     grp = make_group((n, n * m))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel, index)
-    reps, fold = _coset_fold(level, quads, index, with_O)
-    snf = smith_normal_form(fold, bound=snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
-    report = DimensionReport(grp, 2, variant, "MANIN", len(reps) - snf.rank,
+    report = DimensionReport(grp, 2, variant, "MANIN", orbits - snf.rank,
                              snf.torsion, len(cosets), ms)
     return system, report
 

@@ -15,13 +15,14 @@ into the columns before elimination, as modular-symbols codes do.  Span
 membership reduces against the recorded pivot rows and a fraction-free
 echelon of that residue.  Each checker reduces a distinct query only once:
 a row equal up to sign to an earlier one, once cleared of denominators,
-gets the earlier verdict.
+gets the earlier verdict.  Column indices must be integers, kept as ints.
 """
 
 from __future__ import annotations
 
 import heapq
 from math import gcd
+from operator import index
 
 # Resource guards.  Callers may override per invocation.
 DEFAULT_SNF_BOUND = 5000
@@ -87,12 +88,17 @@ class SparseIntMatrix:
         for row in rows:
             d = {}
             for c, v in row.items():
-                if not 0 <= c < ncols:
+                try:
+                    i = index(c)
+                except TypeError:
+                    raise ValueError("column index %r is not an integer"
+                                     % (c,)) from None
+                if not 0 <= i < ncols:
                     raise ValueError("column index %r out of range" % (c,))
                 if getattr(v, "denominator", None) != 1:
                     raise ValueError("matrix entry %r is not integral" % (v,))
                 if v:
-                    d[c] = int(v)
+                    d[i] = int(v)
             clean.append(d)
         self.nrows = nrows
         self.ncols = ncols
@@ -343,7 +349,8 @@ class SpanChecker:
 
     def _reduce(self, row):
         """Eliminate every pivot column from the row, in place; the result
-        is a nonzero multiple of the reduced row, or empty."""
+        is a nonzero multiple of the reduced row, or empty.  One walk over
+        a pivot row subtracts it and queues the pivots it brings in."""
         order = self._order
         todo = [order[c] for c in row if c in order]
         heapq.heapify(todo)
@@ -358,10 +365,19 @@ class SpanChecker:
             else:
                 for c in row:
                     row[c] *= pv
-            for c in prow:
-                if c not in row and c in order:
-                    heapq.heappush(todo, order[c])
-            _subtract_multiple(row, f, prow)
+            for c, v in prow.items():   # row -= f * prow
+                cur = row.get(c)
+                if cur is None:
+                    row[c] = -f * v
+                    k = order.get(c)
+                    if k is not None:
+                        heapq.heappush(todo, k)
+                else:
+                    cur -= f * v
+                    if cur:
+                        row[c] = cur
+                    else:
+                        del row[c]
             if pv not in (1, -1) and row:
                 g = gcd(*row.values())
                 if g > 1:
@@ -372,7 +388,14 @@ class SpanChecker:
     def contains(self, row):
         """Whether the row, a dict or full vector of int or Fraction
         entries, lies in the span over Q; the row itself is not changed."""
-        row = _integerize(_as_row_dict(row, self.matrix.ncols))
+        ncols = self.matrix.ncols
+        if not isinstance(row, dict):   # a full-length vector
+            row = list(row)
+            if len(row) != ncols:
+                raise ValueError("vector length %d does not match %d columns"
+                                 % (len(row), ncols))
+            row = dict(enumerate(row))
+        row = _integerize(row, ncols)
         if not row:
             return True
         sig = row_signature(row)
@@ -382,31 +405,25 @@ class SpanChecker:
         return verdict
 
 
-def _as_row_dict(row, ncols):
-    """Accept either a {col: value} mapping or a full-length vector."""
-    if isinstance(row, dict):
-        if row and not (0 <= min(row) and max(row) < ncols):
-            raise ValueError("query column out of range for %d columns"
-                             % ncols)
-        return row
-    row = list(row)
-    if len(row) != ncols:
-        raise ValueError("vector length %d does not match %d columns"
-                         % (len(row), ncols))
-    return dict(enumerate(row))
-
-
-def _integerize(row):
+def _integerize(row, ncols):
     """A new {col: int} row, the {col: int|Fraction} row times the lcm of
-    its denominators, zeros dropped; other entries raise ValueError."""
+    its denominators, zeros dropped; a column that is not an int in
+    range(ncols), or an entry that is not rational, raises ValueError."""
+    lcm = 1
     try:
-        parts = [(c, v.numerator, v.denominator) for c, v in row.items()]
+        for c, v in row.items():
+            if not 0 <= index(c) < ncols:
+                raise ValueError("query column %r out of range for %d "
+                                 "columns" % (c, ncols))
+            den = v.denominator
+            if den != 1:
+                lcm = lcm * den // gcd(lcm, den)
     except AttributeError:
         raise ValueError("query entries must be int or Fraction") from None
-    lcm = 1
-    for _, _, den in parts:
-        lcm = lcm * den // gcd(lcm, den)
-    return {c: int(num) * (lcm // den) for c, num, den in parts if num}
+    except TypeError:
+        raise ValueError("query column %r is not an integer" % (c,)) from None
+    return {index(c): int(v.numerator) * (lcm // v.denominator)
+            for c, v in row.items() if v}
 
 
 def row_span_membership(matrix, row):

@@ -15,7 +15,8 @@ call lists the proper cyclic subgroups once and builds one `_Split` per
 subgroup, kept only for that call: the quotient and Z/d, the annihilator
 as ambient code -> quotient code, dual_restrict and the lifts per code, a
 memo of the quotient code tuples that are keys and their minus reduction,
-and a memo of each code tuple's split images.  The batteries use 2 psi,
+and a memo of each code tuple's split images, which the comultiplication
+battery sums by linearity over each relation row.  The batteries use 2 psi,
 which has integer coefficients; span membership is over Q, so the scaling
 changes no verdict.  The public maps run the same routines on one-shot
 tables and return Fraction coefficients.
@@ -353,25 +354,27 @@ def delta_sum(key, i=0, j=1):
         raise ValueError("the sign sum needs keys with n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("positions must be distinct and within the key")
-    factors = key.group.factors
-
-    def neg(code):      # the code of -chi, digit by mixed-radix digit
-        out, size = 0, 1
-        for f in reversed(factors):
-            code, d = divmod(code, f)
-            out += -d % f * size
-            size *= f
-        return out
-
-    codes = list(key.codes)
-    ci, cj = codes[i], codes[j]
+    ci = a = key.codes[i]
+    cj = b = key.codes[j]
+    ni = nj = 0
+    size = 1
+    for f in reversed(key.group.factors):  # -chi, digit by mixed-radix digit
+        a, da = divmod(a, f)
+        b, db = divmod(b, f)
+        ni += -da % f * size
+        nj += -db % f * size
+        size *= f
+    rest = [c for k, c in enumerate(key.codes) if k != i and k != j]
     terms = {}
     # sign flips keep the span: the images need no re-validation
-    for a, b in product((ci, neg(ci)), (cj, neg(cj))):
-        codes[i], codes[j] = a, b
-        t = tuple(sorted(codes))
-        terms[t] = terms.get(t, 0) + 1
-    out = FormalSum()
+    for a in (ci, ni):
+        for b in (cj, nj):
+            if rest:
+                t = tuple(sorted(rest + [a, b]))
+            else:
+                t = (a, b) if a <= b else (b, a)
+            terms[t] = terms.get(t, 0) + 1
+    out = FormalSum.__new__(FormalSum)
     out.terms = {SymbolKey(key.group, t): _COUNTS[c] for t, c in terms.items()}
     return out
 
@@ -534,13 +537,16 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             tensor_checker = SpanChecker(
                 SparseIntMatrix(len(rows), len(pair_index), rows))
 
+            images = [[(pair_index[pair], coeff) for pair, coeff
+                       in rec.split(key.codes, k).items()]
+                      for key in src.basis]
             for row in src.rel.rows:
                 fwd_total += 1
                 vec = {}
                 for c, v in row.items():
-                    image = rec.split(src.basis[c].codes, k)
-                    sparse_add(vec, ((pair_index[pair], coeff * v)
-                                     for pair, coeff in image.items()))
+                    for p, coeff in images[c]:
+                        vec[p] = vec.get(p, 0) + coeff * v
+                vec = {p: x for p, x in vec.items() if x}
                 if not vec or tensor_checker.contains(vec):
                     fwd_pass += 1
                 elif fwd_bad is None:

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from abelsym import Variant, build_relations, make_group, manin_space
 from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
-                             _unit_eliminate, dense_snf_with_transforms,
+                             _integerize, _unit_eliminate,
+                             dense_snf_with_transforms,
                              rank_over_Q, row_span_membership,
                              smith_normal_form)
 from abelsym.relations import _sign_class_matrix
@@ -245,6 +246,14 @@ def test_matrix_validation():
     for entry in (0.5, 2.0, Fraction(1, 2), "1"):
         with pytest.raises(ValueError):
             SparseIntMatrix(1, 2, [{0: entry, 1: 1}])
+    # a column index must be an integer, and is kept as a plain int
+    for col in (1.0, 0.5, "a", (0,)):
+        with pytest.raises(ValueError):
+            SparseIntMatrix(1, 3, [{col: 1, 0: 1}])
+    with pytest.raises(ValueError):
+        rank_over_Q(SparseIntMatrix(1, 3, [{1.0: 1, 0: 1}]))
+    m = SparseIntMatrix(1, 3, [{True: 5, 2: 1}])
+    assert m.rows == [{1: 5, 2: 1}] and type(list(m.rows[0])[0]) is int
 
 
 def test_span_queries_reject_non_rational_entries():
@@ -262,9 +271,21 @@ def test_span_query_columns_are_checked():
     checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
     assert checker.contains({0: 1, 1: 1}) and checker.contains({})
     for query in ({5: 1}, {3: 1}, {-1: 1}, {0: 1, 3: 0}, [1, 0],
-                  [1, 0, 0, 0]):
+                  [1, 0, 0, 0], {0.5: 1}, {1.0: 1}, {"a": 1}, {(0,): 1},
+                  {0: 1, 0.5: 0}):
         with pytest.raises(ValueError):
             checker.contains(query)
+    assert checker.contains({True: 2, 2: 1})   # True is column 1
+
+
+def test_integerize():
+    assert _integerize({0: Fraction(1, 2), 3: Fraction(-2, 3), 5: 4},
+                       6) == {0: 3, 3: -4, 5: 24}
+    assert _integerize({0: 0, 1: Fraction(0), 2: 3}, 3) == {2: 3}
+    row = _integerize({True: True, 2: Fraction(1, 3)}, 3)
+    assert row == {1: 3, 2: 1} and all(type(k) is type(v) is int
+                                       for k, v in row.items())
+    assert list(_integerize({5: 1, 2: Fraction(1, 2), 4: -1}, 6)) == [5, 2, 4]
 
 
 def test_span_checker_reduces_each_distinct_query_once():
@@ -494,6 +515,27 @@ def test_engine_pivot_records_pinned():
                                               for pc, row in pivots],
                             residue)).encode())
     assert digest.hexdigest() == PIVOT_RECORDS_SHA256
+
+
+# sha256 of each column's remainder under SpanChecker._reduce, computed
+# before the reduction subtracted and queued pivots in one walk: the plain
+# n = 2 system of every group of order <= 24, then the Manin spaces at
+# levels (11, 1), (7, 2) and (2, 8)
+REDUCE_REMAINDERS_SHA256 = (
+    "9fcefa828d7217185580cbbaa713a741af08914216e975416dbb1d11b66faad7")
+
+
+def test_reduce_remainders_pinned():
+    systems = [build_relations(make_group(chain), 2, Variant.PLAIN).rel
+               for chain in invariant_chains(24)]
+    for level in ((11, 1), (7, 2), (2, 8)):
+        systems.append(manin_space(*level)[0].rel)
+    digest = hashlib.sha256()
+    for m in systems:
+        checker = SpanChecker(m)
+        digest.update(repr([sorted(checker._reduce({c: 1}).items())
+                            for c in range(m.ncols)]).encode())
+    assert digest.hexdigest() == REDUCE_REMAINDERS_SHA256
 
 
 @pytest.mark.slow

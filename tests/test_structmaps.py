@@ -13,7 +13,7 @@ from abelsym.abelian import (QuotientData, make_group,
 from abelsym.exactla import SpanChecker
 from abelsym.relations import (Variant, build_relations, kernel_dimension,
                                kernel_generators)
-from abelsym.structmaps import (TensorSum, comultiply, delta_sum,
+from abelsym.structmaps import (TensorSum, _Split, comultiply, delta_sum,
                                 minus_reduce, multiply, nu, omega_generators,
                                 plus_reduce, psi, verify_comultiplication,
                                 verify_kernel_iso)
@@ -436,3 +436,21 @@ def test_battery_injected_failures(check, monkeypatch):
     checks = battery(make_group(factors), n).checks
     assert checks == want
     assert [c["status"] for c in checks if c["check"] == check] == ["fail"]
+
+
+def test_forward_check_reads_each_image(monkeypatch):
+    # one extra term in the image of the key (1, 5) over Z/5 x Z/5: at
+    # n = 2 the pushed rows must vanish, so each row holding that key fails
+    real = _Split.split
+
+    def split(self, codes, nprime):
+        image = real(self, codes, nprime)
+        if codes == (1, 5) and image:
+            pair = min(image)
+            image = {**image, pair: image[pair] + 1}
+        return image
+    monkeypatch.setattr(_Split, "split", split)
+    fwd = verify_comultiplication(make_group((5, 5)), 2).checks[0]
+    assert fwd["check"] == "comultiplication-relations"
+    assert fwd["status"] == "fail" and fwd["lhs"] < fwd["rhs"]
+    assert fwd["counterexample"].startswith("sub=")
