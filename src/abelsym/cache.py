@@ -1,13 +1,16 @@
 """JSON file cache for dimension reports.
 
-Entries are keyed by (group, n, variant, method, code version), one file
-per key.  Writes go through a temporary file and an atomic rename, so a
-reader never observes a partial entry; anything unreadable, incomplete, or
-written by a different code version counts as absent and is recomputed.
+Entries are named by (group, n, variant, method, version), one file each,
+and carry the sha256 of the package's sources.  Writes go through a
+temporary file and an atomic rename, so a reader never observes a partial
+entry; anything unreadable, incomplete, or written by other code counts as
+absent and is recomputed.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 import tempfile
@@ -16,6 +19,17 @@ from . import __version__
 from .relations import DimensionReport
 
 ENV_CACHE_DIR = "ABELSYM_CACHE_DIR"
+
+
+@functools.cache
+def source_digest():
+    """sha256 of the package's .py files, each name then bytes, by name."""
+    src = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
 
 
 def default_cache_dir():
@@ -38,14 +52,15 @@ class ReportCache:
         return os.path.join(self.directory, name)
 
     def load(self, group, n, variant, method, want_torsion=False):
-        """Cached report, or None on miss, corruption or version skew."""
+        """Cached report, or None on miss, corruption or code skew."""
         if not self.enabled:
             return None
         try:
             with open(self.path(group, n, variant, method),
                       encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload.get("version") != __version__:
+            if (payload.get("version") != __version__
+                    or payload.get("source") != source_digest()):
                 return None
             if want_torsion and not payload.get("torsion_included"):
                 return None
@@ -57,10 +72,10 @@ class ReportCache:
         """Best-effort write; failures never disturb the computed result."""
         if not self.enabled:
             return
-        payload = {"version": __version__,
-                   "torsion_included": bool(torsion_included),
-                   "report": report.to_json()}
         try:
+            payload = {"version": __version__, "source": source_digest(),
+                       "torsion_included": bool(torsion_included),
+                       "report": report.to_json()}
             os.makedirs(self.directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             try:

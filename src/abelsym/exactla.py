@@ -408,22 +408,33 @@ class SpanChecker:
 def _integerize(row, ncols):
     """A new {col: int} row, the {col: int|Fraction} row times the lcm of
     its denominators, zeros dropped; a column that is not an int in
-    range(ncols), or an entry that is not rational, raises ValueError."""
-    lcm = 1
+    range(ncols), or an entry that is not rational, raises ValueError.
+    Each entry is read once, and an int passes through."""
+    out, dens, lcm = {}, {}, 1
     try:
         for c, v in row.items():
-            if not 0 <= index(c) < ncols:
+            k = index(c)
+            if not 0 <= k < ncols:
                 raise ValueError("query column %r out of range for %d "
                                  "columns" % (c, ncols))
-            den = v.denominator
-            if den != 1:
-                lcm = lcm * den // gcd(lcm, den)
+            if type(v) is int:
+                if v:
+                    out[k] = v
+                continue
+            num, den = v.numerator, v.denominator
+            if num:
+                out[k] = int(num)
+                if den != 1:
+                    dens[k] = den
+                    lcm = lcm * den // gcd(lcm, den)
     except AttributeError:
         raise ValueError("query entries must be int or Fraction") from None
     except TypeError:
         raise ValueError("query column %r is not an integer" % (c,)) from None
-    return {index(c): int(v.numerator) * (lcm // v.denominator)
-            for c, v in row.items() if v}
+    if lcm != 1:
+        for k, v in out.items():
+            out[k] = v * (lcm // dens.get(k, 1))
+    return out
 
 
 def row_span_membership(matrix, row):

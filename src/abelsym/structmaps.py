@@ -13,13 +13,13 @@ the products  M_1^+(G') (x) M_{n-1}^-(G/G')  over those subgroups.
 The maps run on code tuples (see symbols) with integer coefficients.  A
 call lists the proper cyclic subgroups once and builds one `_Split` per
 subgroup, kept only for that call: the quotient and Z/d, the annihilator
-as ambient code -> quotient code, dual_restrict and the lifts per code, a
-memo of the quotient code tuples that are keys and their minus reduction,
-and a memo of each code tuple's split images, which the comultiplication
-battery sums by linearity over each relation row.  The batteries use 2 psi,
-which has integer coefficients; span membership is over Q, so the scaling
-changes no verdict.  The public maps run the same routines on one-shot
-tables and return Fraction coefficients.
+as ambient code -> quotient code, dual_restrict and the lifts per code,
+the minus reductions of quotient code tuples, and a memo of the split
+images, but one-code right sides (all of n = 2) are read off a table.  The
+comultiplication battery sums the images by linearity over each relation
+row.  The batteries use 2 psi, which has integer coefficients; span
+membership is over Q, so the scaling changes no verdict.  The public maps
+run the same routines on one-shot tables and return Fraction coefficients.
 """
 
 from __future__ import annotations
@@ -154,10 +154,11 @@ class TensorSum:
 
 
 class _Split:
-    """Code tables of one proper cyclic subgroup, built for one call."""
+    """Code tables of one proper cyclic subgroup, built for one call; `_one`
+    (built on first use) is right((ann[c],)) per annihilator code c."""
 
     __slots__ = ("sub", "q", "cyc", "neg", "qneg", "emb", "ann", "restrict",
-                 "lifts", "_right", "_images")
+                 "lifts", "_one", "_right", "_images")
 
     def __init__(self, sub):
         q = self.q = quotient_data(sub.ambient, sub)
@@ -168,11 +169,14 @@ class _Split:
         # quotient code -> ambient code; the image is the annihilator
         self.emb = [q.dual_embed(ch).code for ch in q.quotient.characters()]
         self.ann = {c: i for i, c in enumerate(self.emb)}
-        self.restrict = [q.dual_restrict(ch)
-                         for ch in sub.ambient.characters()]
+        restrict = [0]   # sum of digit * (d h / f) mod d, digit by digit
+        for f, h in reversed(list(zip(sub.ambient.factors, sub.generator))):
+            w = d * h // f
+            restrict = [(x * w + r) % d for x in range(f) for r in restrict]
+        self.restrict = restrict
         self.lifts = {a: q.lift_restriction(a).code
                       for a in range(d) if gcd(a, d) == 1}
-        self._right, self._images = {}, {}
+        self._one, self._right, self._images = None, {}, {}
 
     def right(self, qcodes):
         """minus_reduce of a sorted quotient code tuple, or None when it is
@@ -187,17 +191,31 @@ class _Split:
 
     def split(self, codes, nprime):
         """comultiply on a code tuple: {(left residues, right rep): coeff},
-        memoized, so callers must not mutate it."""
+        possibly memoized, so callers must not mutate it."""
+        n = len(codes)
+        restrict = self.restrict
+        if nprime == n - 1:
+            if self._one is None:
+                self._one = {c: self.right((i,)) for c, i in self.ann.items()}
+            out = {}
+            for j, c in enumerate(codes):
+                red = self._one.get(c)
+                if red is not None:
+                    left = ((restrict[codes[1 - j]],) if n == 2 else
+                            tuple(sorted(restrict[x] for i, x
+                                         in enumerate(codes) if i != j)))
+                    sparse_add(out, (((left, red[0]), red[1]),))
+            return out
         out = self._images.get((codes, nprime))
         if out is None:
-            n = len(codes)
+            ann = self.ann
             out = self._images[codes, nprime] = {}
-            for right_pos in combinations(range(n), n - nprime):
-                qcodes = [self.ann.get(codes[j]) for j in right_pos]
-                red = None if None in qcodes else self.right(
-                    tuple(sorted(qcodes)))
+            inside = [j for j, c in enumerate(codes) if c in ann]
+            for right_pos in combinations(inside, n - nprime):
+                red = self.right(tuple(sorted(ann[codes[j]]
+                                              for j in right_pos)))
                 if red is not None:
-                    left = tuple(sorted(self.restrict[codes[i]] for i
+                    left = tuple(sorted(restrict[codes[i]] for i
                                         in range(n) if i not in right_pos))
                     sparse_add(out, (((left, red[0]), red[1]),))
         return out
@@ -364,7 +382,8 @@ def delta_sum(key, i=0, j=1):
         ni += -da % f * size
         nj += -db % f * size
         size *= f
-    rest = [c for k, c in enumerate(key.codes) if k != i and k != j]
+    rest = (None if n == 2 else
+            [c for k, c in enumerate(key.codes) if k != i and k != j])
     terms = {}
     # sign flips keep the span: the images need no re-validation
     for a in (ci, ni):

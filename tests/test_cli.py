@@ -7,7 +7,8 @@ import pytest
 
 from abelsym import __version__
 from abelsym.abelian import make_group
-from abelsym.cache import ReportCache
+from abelsym import cache
+from abelsym.cache import ReportCache, source_digest
 from abelsym import cli
 from abelsym.cli import format_torsion, main
 from abelsym.relations import DimensionReport, Variant, dimension
@@ -422,6 +423,33 @@ def test_report_cache_direct_api(tmp_path):
                       want_torsion=True) is None
     disabled = ReportCache(str(tmp_path), enabled=False)
     assert disabled.load(rep.group, 2, Variant.MINUS, "BRUTE") is None
+
+
+def test_cache_entries_are_checked_by_source_digest(capsys, tmp_path,
+                                                    monkeypatch):
+    # an entry stored under one digest of the sources misses under another
+    store = ReportCache(str(tmp_path / "direct"))
+    rep = dimension(make_group((9,)), 2, Variant.MINUS)
+    monkeypatch.setattr(cache, "source_digest", lambda: "a" * 64)
+    store.store(rep)
+    assert store.load(rep.group, 2, Variant.MINUS, "BRUTE").dim_q == rep.dim_q
+    monkeypatch.setattr(cache, "source_digest", lambda: "b" * 64)
+    assert store.load(rep.group, 2, Variant.MINUS, "BRUTE") is None
+    monkeypatch.undo()
+    assert len(source_digest()) == 64 and source_digest() is source_digest()
+
+    # a warm dims run is served by the cache and prints the same
+    argv = ("dims", "--group", "9", "--variant", "minus", "--torsion",
+            "--cache-dir", str(tmp_path / "cli"))
+    _, first, _ = run(capsys, *argv)
+    payload = json.loads(next((tmp_path / "cli").iterdir()).read_text())
+    assert payload["source"] == source_digest()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm run must not recompute")
+    monkeypatch.setattr(cli, "dimension", refuse)
+    _, second, _ = run(capsys, *argv)
+    assert second == first
 
 
 def test_format_torsion():

@@ -288,6 +288,32 @@ def test_integerize():
     assert list(_integerize({5: 1, 2: Fraction(1, 2), 4: -1}, 6)) == [5, 2, 4]
 
 
+def test_integerize_mixed_rows():
+    # ints scale by the lcm of the Fraction denominators, in column order
+    row = {4: 3, 1: Fraction(1, 4), 0: -2, 3: Fraction(-5, 6), 2: 0}
+    out = _integerize(row, 5)
+    assert out == {4: 36, 1: 3, 0: -24, 3: -10}
+    assert list(out) == [4, 1, 0, 3]
+    assert row == {4: 3, 1: Fraction(1, 4), 0: -2, 3: Fraction(-5, 6), 2: 0}
+    # True, a Fraction with denominator 1 and zeros of either type
+    out = _integerize({2: True, 0: Fraction(3, 1), 1: Fraction(0), 3: 0}, 4)
+    assert out == {2: 1, 0: 3} and list(out) == [2, 0]
+    assert all(type(v) is int for v in out.values())
+    assert _integerize({0: 0, 1: Fraction(0)}, 2) == {}
+    # a zero entry's column is still checked
+    for row, message in (({0: 1, 1: 0.5}, "query entries must be int or "
+                          "Fraction"),
+                         ({0: 1, 0.5: 1}, "query column 0.5 is not an "
+                          "integer"),
+                         ({Fraction(1, 2): 1}, "query column Fraction(1, 2) "
+                          "is not an integer"),
+                         ({0: 1, 2: 0}, "query column 2 out of range for 2 "
+                          "columns")):
+        with pytest.raises(ValueError) as exc:
+            _integerize(row, 2)
+        assert str(exc.value) == message
+
+
 def test_span_checker_reduces_each_distinct_query_once():
     checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
     reduced = []

@@ -1,5 +1,6 @@
 """Splitting/merging maps, sign reduction, and the kernel identification."""
 
+import json
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -13,12 +14,14 @@ from abelsym.abelian import (QuotientData, make_group,
 from abelsym.exactla import SpanChecker
 from abelsym.relations import (Variant, build_relations, kernel_dimension,
                                kernel_generators)
-from abelsym.structmaps import (TensorSum, _Split, comultiply, delta_sum,
-                                minus_reduce, multiply, nu, omega_generators,
-                                plus_reduce, psi, verify_comultiplication,
-                                verify_kernel_iso)
-from abelsym.symbols import FormalSum, canonicalize, enumerate_generators
+from abelsym.structmaps import (TensorSum, _Split, _tensor, comultiply,
+                                delta_sum, minus_reduce, multiply, nu,
+                                omega_generators, plus_reduce, psi,
+                                verify_comultiplication, verify_kernel_iso)
+from abelsym.symbols import (FormalSum, SymbolKey, canonicalize,
+                             enumerate_generators)
 from relref import presentations
+from test_congruence import run_optimized
 
 
 def _key(group, *residue_tuples):
@@ -196,6 +199,44 @@ def test_delta_sum_positions():
         delta_sum(keys[0], 1, 1)
     with pytest.raises(ValueError):
         delta_sum(keys[0], 0, 3)
+
+
+def test_delta_sum_keys_match_built_keys():
+    # the terms' keys are equal and hash-equal to keys built from codes
+    for factors, n in (((5, 5), 2), ((12,), 2), ((3, 3), 3)):
+        group = make_group(factors)
+        for key in enumerate_generators(group, n)[::7]:
+            for i, j in combinations(range(n), 2):
+                for term in delta_sum(key, i, j).terms:
+                    built = SymbolKey(group, term.codes)
+                    assert term == built and hash(term) == hash(built)
+                    assert term.group is group
+                    assert list(term.codes) == sorted(term.codes)
+
+
+def test_split_restrict_table_matches_dual_restrict():
+    # restrict, built digit by digit, against dual_restrict per character
+    for group in presentations(60):
+        for sub in proper_cyclic_subgroups(group):
+            q = quotient_data(group, sub)
+            assert _Split(sub).restrict == [q.dual_restrict(ch)
+                                            for ch in group.characters()]
+
+
+@pytest.mark.parametrize("factors, n", [((5, 5), 2), ((3, 9), 2), ((25,), 2),
+                                        ((3, 3), 3)])
+def test_split_matches_reference_on_battery_groups(factors, n):
+    # the battery groups, above the order limits of the test below; one
+    # _Split per subgroup serves every key and left size, as in a battery
+    group = make_group(factors)
+    keys = enumerate_generators(group, n)
+    for sub in proper_cyclic_subgroups(group):
+        rec = _Split(sub)
+        for nprime in range(1, n):
+            for key in keys:
+                got = _tensor(Variant.PLAIN, rec,
+                              rec.split(key.codes, nprime)).terms
+                _same_terms(got, structref.comultiply(sub, key, nprime))
 
 
 def test_omega_generators_count_matches_kernel():
@@ -436,6 +477,24 @@ def test_battery_injected_failures(check, monkeypatch):
     checks = battery(make_group(factors), n).checks
     assert checks == want
     assert [c["status"] for c in checks if c["check"] == check] == ["fail"]
+
+
+def test_batteries_agree_under_optimize():
+    # python -O strips assert statements, so no structure-map check, nor
+    # the checks inside the quotient maps, may rest on one
+    want = [verify_kernel_iso(make_group((5, 5)), 2).to_json(),
+            verify_comultiplication(make_group((3, 3)), 3).to_json()]
+    assert run_optimized("""
+        import json
+        from abelsym.abelian import make_group
+        from abelsym.structmaps import (verify_comultiplication,
+                                        verify_kernel_iso)
+        if __debug__:
+            raise SystemExit(2)
+        got = [verify_kernel_iso(make_group((5, 5)), 2).to_json(),
+               verify_comultiplication(make_group((3, 3)), 3).to_json()]
+        raise SystemExit(0 if got == json.loads(%r) else 1)
+    """ % json.dumps(want)) == 0
 
 
 def test_forward_check_reads_each_image(monkeypatch):
