@@ -335,6 +335,7 @@ def generating_code_tuples(group, n, codes=None):
                 walk(prefix + (c,), nxt, i)
 
     walk((), tuple(() for _ in slots), 0)
+    del walk    # the closure refers to itself: free it by reference count
     return out
 
 

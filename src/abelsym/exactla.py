@@ -5,17 +5,18 @@ elimination engine.  Matrices are stored row-wise as dicts {column: value}
 with Python-int entries, so nothing ever overflows.  The engine eliminates
 unit pivots (+-1 entries); each is a Smith divisor.  Each step pivots on a
 column of least live row count, kept in a list of buckets by count, and
-there on the shortest row with a unit entry.  When none is left it peels
-the content: the rows are divided by the gcd g of their entries, every
-later divisor is scaled by g, and unit pivots resume.  A residue of content
-1 with no unit entry, which the relation matrices here rarely leave, gets
-gcd row and column steps on its least entries until one is a unit.  Two-term
-rows get no path of their own: `dimension` and `manin_space` fold theirs
-into the columns before elimination, as modular-symbols codes do.  Span
-membership reduces against the recorded pivot rows and a fraction-free
-echelon of that residue.  Each checker reduces a distinct query only once:
-a row equal up to sign to an earlier one, once cleared of denominators,
-gets the earlier verdict.  Column indices must be integers, kept as ints.
+there on the shortest row with a unit entry, the one that entered the
+column first on a tie.  When none is left it peels the content: the rows
+are divided by the gcd g of their entries, every later divisor is scaled
+by g, and unit pivots resume.  A residue of content 1 with no unit entry,
+which the relation matrices here rarely leave, gets gcd row and column
+steps on its least entries until one is a unit.  Two-term rows get no
+path of their own: `dimension` and `manin_space` fold theirs into the
+columns before elimination, as modular-symbols codes do.  Span membership
+reduces against the recorded pivot rows and a fraction-free echelon of
+that residue.  Each checker reduces a distinct query only once: a row
+equal up to sign to an earlier one, once cleared of denominators, gets the
+earlier verdict.  Column indices must be integers, kept as ints.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
 
     Passes pivot on +-1 entries: each step takes a column of least live
     row count from buckets, a list indexed by count, and there the shortest
-    row with a +-1 entry, the first in the column's set on a tie.  A pivot
+    row with a +-1 entry, the first to enter the column on a tie.  A pivot
     clears its column from every other row by row operations; the column
     operations that clear the rest of the pivot row touch no other row, so
     the row is simply retired, contributing one divisor.  Only the pivot
@@ -160,8 +161,10 @@ def _unit_eliminate(rows, ncols, pivots=None):
     no unit entry is skipped when it comes up.  On these relation matrices
     that makes no more fill than a Markowitz order, with no heap to keep.
     Rows are a list by row id, None once retired, and each of the `ncols`
-    columns keeps the set of its live rows; each pass buckets the columns in
-    order of first appearance, so the pivots follow the rows' order alone.
+    columns keeps its live rows as dict keys in the order they entered it,
+    fill last; each pass buckets the columns in order of first appearance,
+    so the pivots follow the rows' order alone.  A dict of int keys also
+    stays out of the cyclic collector, where a set would not.
     When given, `pivots` receives each retired (column, row) in pivot order,
     the pivot entry last in the row.  Once no unit entry is left, the live
     rows are divided by the gcd g of their entries and the next pass
@@ -173,14 +176,16 @@ def _unit_eliminate(rows, ncols, pivots=None):
     """
     rows = [dict(row) if row else None for row in rows]
     live = len(rows) - rows.count(None)
-    cols = [None] * ncols   # column -> set of its live row ids
+    cols = [None] * ncols   # column -> {live row id: None}, in entry order
     order = []              # the columns in order of first appearance
     for i, row in enumerate(rows):
         for c in row or ():
-            if cols[c] is None:
-                cols[c] = set()
+            s = cols[c]
+            if s is None:
+                cols[c] = {i: None}
                 order.append(c)
-            cols[c].add(i)
+            else:
+                s[i] = None
     divisors = []
     scale = 1
     while True:
@@ -208,7 +213,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
             rows[pi] = None
             live -= 1
             pv = row.pop(pc)    # the rest of the row; put back below
-            s.remove(pi)
+            del s[pi]
             for j in s:
                 other = rows[j]
                 f = other.pop(pc) * pv  # pv is its own inverse
@@ -216,21 +221,21 @@ def _unit_eliminate(rows, ncols, pivots=None):
                     cur = other.get(c)
                     if cur is None:
                         other[c] = -f * v
-                        cols[c].add(j)
+                        cols[c][j] = None
                     else:
                         cur -= f * v
                         if cur:
                             other[c] = cur
                         else:
                             del other[c]
-                            cols[c].discard(j)
+                            del cols[c][j]
                 if not other:
                     rows[j] = None
                     live -= 1
             s.clear()
             for c in row:
                 s = cols[c]
-                s.discard(pi)
+                del s[pi]
                 if s:
                     k = len(s)
                     buckets[k].append(c)

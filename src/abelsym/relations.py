@@ -218,19 +218,25 @@ def _sign_class_matrix(group, reps, n):
     if n == 2:
         for k, (a, b) in enumerate(reps):
             fa, fb = flip[a], flip[b]
-            if not (fa and fb):
+            both = fa and fb
+            if not both:
                 rows.append({k: 2})
             count += (1 + fa) * (1 + fb) if a != b else 1 + 2 * fa
-            for s, d in ((1, neg[b]), (-1, b)):     # x = a - s b = a + d
-                x = wrap[spread[a] + spread[d]]
+            x = wrap[spread[a] + spread[neg[b]]]    # s = 1: x = a - b
+            c = lo[x]
+            if c >= b:  # kept where its triple has the least rep
+                u, v = index[b, c], index[a, c]
+                su, sv = -sg[x], -sg[neg[x]]
+                rows.append({k: 1, u: su, v: sv} if a != b != c else
+                            sparse_add({k: 1}, ((u, su), (v, sv))))
+            if both:    # s = -1: x = a + b; else the s = 1 row again
+                x = wrap[spread[a] + spread[b]]
                 c = lo[x]
-                if c >= b:  # kept where its triple has the least rep
+                if c >= b:
                     u, v = index[b, c], index[a, c]
-                    su, sv = -s * sg[x], -sg[neg[x]]
-                    rows.append({k: s, u: su, v: sv} if a != b != c else
-                                sparse_add({k: s}, ((u, su), (v, sv))))
-                if not (fa and fb):
-                    break  # the s = -1 row is the s = 1 row again
+                    su, sv = sg[x], -sg[neg[x]]
+                    rows.append({k: -1, u: su, v: sv} if a != b != c else
+                                sparse_add({k: -1}, ((u, su), (v, sv))))
         return SparseIntMatrix.trusted(len(reps), rows), count
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ones = set()

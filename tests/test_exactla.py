@@ -476,6 +476,43 @@ def test_unit_elimination_invariants(rows):
         earlier.add(pc)
 
 
+def test_unit_elimination_tie_goes_to_the_row_that_entered_first():
+    # columns 2 and 3 hold only even entries and are skipped; column 1
+    # pivots on row 0, whose column 0 fills into row 2, so column 0 then
+    # holds row 5 and after it row 2, out of row-id order.  Both have a
+    # unit entry there and two entries: row 5 entered first and is taken
+    rows = [{0: 1, 1: 1}, {}, {1: 1, 2: 2}, {}, {}, {0: 1, 3: 2}]
+    pivots = []
+    divisors, scale, residue = _unit_eliminate(rows, 4, pivots)
+    assert pivots[:2] == [(1, {0: 1, 1: 1}), (0, {3: 2, 0: 1})]
+    assert list(pivots[1][1]) == [3, 0]    # the pivot entry last
+    assert (divisors, scale, residue) == ([1, 1, 2], 2, [])
+
+
+def _row_items(rows):
+    return [list(row.items()) for row in rows]
+
+
+def test_elimination_leaves_its_input_rows_unchanged():
+    # the engine, the Smith form and a span checker with its queries copy
+    # what they change: the rows, key order included, read the same after
+    for m in (_minus_fold(make_group((2, 4))),
+              build_relations(make_group((12,)), 2, Variant.PLAIN).rel):
+        before = _row_items(m.rows)
+        _unit_eliminate(m.rows, m.ncols, [])
+        assert _row_items(m.rows) == before
+        smith_normal_form(m)
+        assert _row_items(m.rows) == before
+        checker = SpanChecker(m)
+        queries = [dict(row) for row in m.rows] + [{c: 1}
+                                                   for c in range(m.ncols)]
+        asked = _row_items(queries)
+        for q in queries:
+            checker.contains(q)
+        assert _row_items(queries) == asked
+        assert _row_items(m.rows) == before
+
+
 def test_span_checker_rank_on_relation_matrices():
     rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
     manin, _ = manin_space(2, 8)
@@ -517,12 +554,13 @@ def _minus_fold(group, n=2):
 
 
 # sha256 of the engine's pivot records, (divisors, scale, each pivot column
-# with its row's sorted entries, residue), computed before the engine kept
-# its rows, columns and buckets in lists: the n = 2 minus fold and plain
-# system of every group of order <= 40, then the Manin spaces at levels
-# (11, 1), (7, 2) and (2, 8)
+# with its row's sorted entries, residue), computed with the bucket engine
+# whose columns keep their live rows as dict keys in entry order, so a tie
+# goes to the row that entered the column first: the n = 2 minus fold and
+# plain system of every group of order <= 40, then the Manin spaces at
+# levels (11, 1), (7, 2) and (2, 8)
 PIVOT_RECORDS_SHA256 = (
-    "21cb26a7105c279216f28f4b53b7a62af65340bd70536db6c8d85f7f13940916")
+    "c6050ed91f522bb952b2dc96adec4c92bb37fcee0182110b0ddeab32a813f705")
 
 
 def test_engine_pivot_records_pinned():
@@ -544,11 +582,12 @@ def test_engine_pivot_records_pinned():
 
 
 # sha256 of each column's remainder under SpanChecker._reduce, computed
-# before the reduction subtracted and queued pivots in one walk: the plain
-# n = 2 system of every group of order <= 24, then the Manin spaces at
-# levels (11, 1), (7, 2) and (2, 8)
+# with the one-walk reduction against the pivot records of the engine with
+# entry-ordered dict columns (see PIVOT_RECORDS_SHA256): the plain n = 2
+# system of every group of order <= 24, then the Manin spaces at levels
+# (11, 1), (7, 2) and (2, 8)
 REDUCE_REMAINDERS_SHA256 = (
-    "9fcefa828d7217185580cbbaa713a741af08914216e975416dbb1d11b66faad7")
+    "2b93efd921899a64bf5d388d39e5c67eb2490600f88a09b5b332f04d9edbe158")
 
 
 def test_reduce_remainders_pinned():
