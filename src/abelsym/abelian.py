@@ -15,6 +15,7 @@ embedding/restriction maps are all constructive.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -258,11 +259,15 @@ def _fp_extend(basis, vec, p):
     if len(basis) == len(vec):
         return basis
     vec = _fp_reduce(basis, vec, p)
-    piv = next((i for i, x in enumerate(vec) if x), None)
-    if piv is None:
+    for piv, lead in enumerate(vec):
+        if lead:
+            break
+    else:
         return basis
-    inv = pow(vec[piv], -1, p)
-    new = tuple(x * inv % p for x in vec)
+    if lead != 1:
+        inv = pow(lead, -1, p)
+        vec = [x * inv % p for x in vec]
+    new = tuple(vec)
     out = [(q, tuple((x - row[piv] * y) % p for x, y in zip(row, new))
             if row[piv] else row) for q, row in basis]
     out.append((piv, new))
@@ -271,31 +276,57 @@ def _fp_extend(basis, vec, p):
 
 
 def generating_code_tuples(group, n, codes=None):
-    """Sorted n-tuples of character codes that generate the dual, in order.
+    """Sorted n-tuples of character codes that generate the dual, in order."""
+    return code_tuples(generating_code_groups(group, n, codes))
+
+
+def code_tuples(groups):
+    """The code tuples of (prefix, completions) groups, in order."""
+    return [p + (c,) for p, cs in groups for c in cs]
+
+
+def generating_code_groups(group, n, codes=None):
+    """The generating sorted code n-tuples, in order, as (prefix, sorted
+    nonempty list of the codes c >= prefix[-1] completing it) groups.
 
     spans_dual made incremental: nondecreasing code tuples are walked
     position by position, carrying the prefix's span in each G/pG.  A prefix
-    is dropped once the positions left cannot fill some G/pG, and the last
-    position reads, per prefix span, a table of the codes that complete it:
-    those leaving a remainder in each G/pG where it is one dimension short.
-    `codes`, a sorted list, restricts the entries to those codes: the output
-    is then the full output filtered to tuples over them, in the same order.
+    is dropped once the positions left cannot fill some G/pG.  The first
+    position reads each code's span from a table per prime, one `_fp_extend`
+    per distinct image; the last reads, per prefix span, the list of the
+    codes that complete it: those leaving a remainder in each G/pG where it
+    is one dimension short.  `codes`, strictly increasing in range(|G|),
+    restricts the entries to those codes, keeping the order.
     """
+    order = group.order
+    if codes is None:
+        codes = range(order)
+    elif any(not 0 <= c < d for c, d in zip(codes, list(codes[1:]) + [order])):
+        raise ValueError("codes must be strictly increasing in range(%d)"
+                         % order)
     slots = group.prime_slots
     if any(n < len(pos) for _, pos in slots):
         return []
-    order = group.order
-    # per prime: the image of each code in G/pG, digit by digit as codes
-    # are built (see negation_codes), and memoized span steps
-    images = []
+    # per prime: each code's image in G/pG, digit by digit as codes are
+    # built (see negation_codes), and the distinct images of `codes`; per
+    # code of `codes`: its span alone in each G/pG, or None if it is 0 in
+    # a G/pG that takes all n positions
+    images, distinct, firsts = [], [], []
     for p, pos in slots:
         img = [()]
         for i, f in reversed(list(enumerate(group.factors))):
             img = ([(d % p,) + x for d in range(f) for x in img]
                    if i in pos else img * f)
+        seen = {img[c] for c in codes}
+        first = {v: _fp_extend((), v, p) if any(v) or len(pos) < n else None
+                 for v in seen}
         images.append(img)
-    steps = [{} for _ in slots]
-    lasts = {}
+        distinct.append(seen)
+        firsts.append([first[img[c]] for c in codes])
+    firsts = [None if None in s else s
+              for s in zip(*firsts)] or [()] * len(codes)
+    steps = [{} for _ in slots]     # memoized span steps per prime
+    lasts = {}                      # span -> the codes completing it
     out = []
 
     def extend(state, code):
@@ -308,33 +339,38 @@ def generating_code_tuples(group, n, codes=None):
             nxt.append(basis)
         return tuple(nxt)
 
-    def last_row(state):
-        row = [True] * order
-        for (p, pos), basis, img in zip(slots, state, images):
+    def last_codes(state):
+        comp = list(codes)
+        for (p, pos), basis, img, seen in zip(slots, state, images, distinct):
             if len(basis) < len(pos):
-                good = {v: any(_fp_reduce(basis, v, p)) for v in set(img)}
-                row = [ok and good[v] for ok, v in zip(row, img)]
-        return row
+                good = {v for v in seen if any(_fp_reduce(basis, v, p))}
+                comp = [c for c in comp if img[c] in good]
+        return comp
 
-    if codes is None:
-        codes = range(order)
+    if n == 1:
+        comp = last_codes(tuple(() for _ in slots))
+        return [((), comp)] if comp else []
 
     def walk(prefix, state, start):
         left = n - len(prefix)
-        if left == 1:
-            row = lasts.get(state)
-            if row is None:
-                row = lasts[state] = last_row(state)
-            out.extend(prefix + (c,) for c in codes[start:] if row[c])
-            return
         for i in range(start, len(codes)):
             c = codes[i]
-            nxt = extend(state, c)
-            if all(len(pos) - len(b) < left
-                   for b, (_, pos) in zip(nxt, slots)):
+            nxt = extend(state, c) if prefix else firsts[i]
+            if nxt is None or prefix and any(
+                    len(pos) - len(b) >= left
+                    for b, (_, pos) in zip(nxt, slots)):
+                continue
+            if left > 2:
                 walk(prefix + (c,), nxt, i)
+                continue
+            comp = lasts.get(nxt)   # one position left: its completions
+            if comp is None:
+                comp = lasts[nxt] = last_codes(nxt)
+            comp = comp[bisect_left(comp, c):]
+            if comp:
+                out.append((prefix + (c,), comp))
 
-    walk((), tuple(() for _ in slots), 0)
+    walk((), (), 0)
     del walk    # the closure refers to itself: free it by reference count
     return out
 

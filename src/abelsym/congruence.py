@@ -28,13 +28,14 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from .abelian import make_group, negation_codes, spans_dual
+from .abelian import code_tuples, make_group, negation_codes, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
                       require, smith_normal_form, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         _sign_class_matrix, formula_dimension)
-from .symbols import DEFAULT_ENUM_BOUND, in_det_class, sign_class_reps
+from .symbols import (DEFAULT_ENUM_BOUND, filter_groups, in_det_class,
+                      sign_class_groups)
 
 __all__ = [
     "IntMatrix2", "CosetSymbol", "LevelInvariants", "IsoReport",
@@ -680,11 +681,11 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     k = n * m
     grp = make_group((n, k))
     level = (n, m)
-    reps = sign_class_reps(grp, 2, enum_bound)
+    groups = sign_class_groups(grp, 2, enum_bound)
     if n >= 3:
-        in_class = in_det_class(grp, 1)
-        reps = [r for r in reps if in_class(r)]
-    sym_rel, keys = _sign_class_matrix(grp, reps, 2)
+        groups = filter_groups(groups, in_det_class(grp, 1))
+    sym_rel, keys = _sign_class_matrix(grp, groups, 2)
+    reps = code_tuples(groups)
     quads = _coset_quads(n, m, enum_bound)
     orbits, coset_rel = _coset_fold(level, quads, {
         s: i for i, s in enumerate(quads)}, n == 2)

@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 
-from .abelian import negation_codes, parse_group, sum_codes
+from .abelian import code_tuples, negation_codes, parse_group, sum_codes
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
                       require, smith_normal_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
-                      enumerate_det_class, enumerate_generators, in_det_class,
-                      replace_code, sign_class_reps)
+                      enumerate_det_class, enumerate_generators, filter_groups,
+                      in_det_class, replace_code, sign_class_groups)
 
 
 class Variant(enum.Enum):
@@ -159,9 +160,9 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
-def _sign_class_matrix(group, reps, n):
-    """The minus relation matrix over the sorted reps, the sign rows folded
-    in, and the number of keys the reps stand for.
+def _sign_class_matrix(group, groups, n):
+    """The minus relation matrix over the sorted reps, given as groups, the
+    sign rows folded in, and the number of keys the reps stand for.
 
     Folding ignores negating the whole key and flips off {i, j}, so the
     blowup at any key folds to +- the (i, j) blowup at a rep r, or at r
@@ -192,7 +193,9 @@ def _sign_class_matrix(group, reps, n):
     lookup: reps are indexed in sorted code order and a <= b, so with
     c = lo[x] the column v = (a, c) sorted precedes k = (a, b) iff c < b,
     and c >= b puts u = (b, c) after k too, all three distinct unless
-    a = b or c = b.
+    a = b or c = b.  The column of (b, c) is the count of reps in the
+    groups before b's plus c's place in b's completions, by bisection; it
+    is a rep, as it spans with (a, b) and has its determinant up to sign.
 
     At n >= 3 the proof runs pair by pair: with the other entries held
     fixed, the blowup at positions (i, j) is in Q the triple relation of
@@ -213,31 +216,43 @@ def _sign_class_matrix(group, reps, n):
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
     flip = [c != d for c, d in enumerate(neg)]
     spread, wrap = sum_codes(group)
-    index = {t: k for k, t in enumerate(reps)}
     rows, count = [], 0
     if n == 2:
-        for k, (a, b) in enumerate(reps):
-            fa, fb = flip[a], flip[b]
-            both = fa and fb
-            if not both:
-                rows.append({k: 2})
-            count += (1 + fa) * (1 + fb) if a != b else 1 + 2 * fa
-            x = wrap[spread[a] + spread[neg[b]]]    # s = 1: x = a - b
-            c = lo[x]
-            if c >= b:  # kept where its triple has the least rep
-                u, v = index[b, c], index[a, c]
-                su, sv = -sg[x], -sg[neg[x]]
-                rows.append({k: 1, u: su, v: sv} if a != b != c else
-                            sparse_add({k: 1}, ((u, su), (v, sv))))
-            if both:    # s = -1: x = a + b; else the s = 1 row again
-                x = wrap[spread[a] + spread[b]]
+        first, comps, k = [0] * len(neg), [()] * len(neg), 0
+        for (a,), cs in groups:
+            first[a], comps[a] = k, cs
+            k += len(cs)
+        k = 0
+        for (a,), cs in groups:
+            fa, sa, fk = flip[a], spread[a], first[a]
+            for b in cs:
+                fb = flip[b]
+                both = fa and fb
+                if not both:
+                    rows.append({k: 2})
+                count += (1 + fa) * (1 + fb) if a != b else 1 + 2 * fa
+                x = wrap[sa + spread[neg[b]]]   # s = 1: x = a - b
                 c = lo[x]
-                if c >= b:
-                    u, v = index[b, c], index[a, c]
-                    su, sv = sg[x], -sg[neg[x]]
-                    rows.append({k: -1, u: su, v: sv} if a != b != c else
-                                sparse_add({k: -1}, ((u, su), (v, sv))))
-        return SparseIntMatrix.trusted(len(reps), rows), count
+                if c >= b:  # kept where its triple has the least rep
+                    u = first[b] + bisect_left(comps[b], c)
+                    v = fk + bisect_left(cs, c)
+                    su, sv = -sg[x], -sg[neg[x]]
+                    rows.append({k: 1, u: su, v: sv} if a != b != c else
+                                sparse_add({k: 1}, ((u, su), (v, sv))))
+                if both:    # s = -1: x = a + b; else the s = 1 row again
+                    x = wrap[sa + spread[b]]
+                    c = lo[x]
+                    if c >= b:
+                        u = first[b] + bisect_left(comps[b], c)
+                        v = fk + bisect_left(cs, c)
+                        su, sv = sg[x], -sg[neg[x]]
+                        rows.append({k: -1, u: su, v: sv} if a != b != c
+                                    else sparse_add({k: -1},
+                                                    ((u, su), (v, sv))))
+                k += 1
+        return SparseIntMatrix.trusted(k, rows), count
+    reps = code_tuples(groups)
+    index = {t: k for k, t in enumerate(reps)}
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ones = set()
     for k, r in enumerate(reps):
@@ -352,8 +367,8 @@ def dimension(group, n, variant, want_torsion=False,
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     if variant is Variant.MINUS:
-        reps = sign_class_reps(group, n, enum_bound)
-        rel, count = _sign_class_matrix(group, reps, n)
+        groups = sign_class_groups(group, n, enum_bound)
+        rel, count = _sign_class_matrix(group, groups, n)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
         rel, count = system.rel, len(system.basis)
@@ -377,10 +392,9 @@ def dimension_graded(group, variant, want_torsion=False,
     variant = Variant.parse(variant)
     classes = det_classes(group)
     if variant is Variant.MINUS:
-        in_class = in_det_class(group, classes[0])
-        reps = [r for r in sign_class_reps(group, 2, enum_bound)
-                if in_class(r)]
-        rel, count = _sign_class_matrix(group, reps, 2)
+        groups = filter_groups(sign_class_groups(group, 2, enum_bound),
+                               in_det_class(group, classes[0]))
+        rel, count = _sign_class_matrix(group, groups, 2)
     else:
         keys = enumerate_det_class(group, classes[0], bound=enum_bound)
         rel = build_relations(group, 2, variant, keys=keys).rel

@@ -488,18 +488,31 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     checks.append(check_record("nu-psi-identity", group, n, passed,
                                len(gens), bad))
 
-    index = system.index
+    # 2 psi nu is linear: each column's image is built on first use, from
+    # the 2 psi images, each built once as (column, coeff) pairs
+    index, psis, images = system.index, {}, {}
+
+    def image(col):
+        out, codes = {}, system.basis[col].codes
+        for rec in splits:
+            for ((a,), right), coeff in rec.split(codes, 1).items():
+                key = (rec, min(a, rec.sub.order - a), right)   # nu: a ~ -a
+                if key not in psis:
+                    psis[key] = [(index[t], c) for t, c
+                                 in _psi2(rec, key[1], right).items()]
+                sparse_add(out, ((t, coeff * c) for t, c in psis[key]))
+        return list(out.items())
+
     krows = kernel_rows(group, n, system.basis)
     passed = 0
     bad = None
     for row in krows:
         diff = {c: -2 * v for c, v in row.items()}  # 2 (psi nu - 1) gamma
-        comps = _nu(splits, {system.basis[c].codes: v
-                             for c, v in row.items()})
-        for rec, comp in zip(splits, comps):
-            for ((a,), right), coeff in comp.items():
-                sparse_add(diff, ((index[t], coeff * c) for t, c
-                                  in _psi2(rec, a, right).items()))
+        for col, v in row.items():
+            pairs = images.get(col)
+            if pairs is None:
+                pairs = images[col] = image(col)
+            sparse_add(diff, ((t, v * c) for t, c in pairs))
         if not diff or checker.contains(diff):
             passed += 1
         elif bad is None:

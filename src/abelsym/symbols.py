@@ -7,7 +7,7 @@ element.  A key stores each character as its integer code (its position in
 group.characters()), so a key is a sorted code tuple plus its group, and
 sorted code tuples order exactly as sorted character tuples.  Whether a
 tuple generates the dual is checked where keys enter from outside, in
-`canonicalize`, `enumerate_generators` and `sign_class_reps`; code that
+`canonicalize`, `enumerate_generators` and `sign_class_groups`; code that
 derives keys from keys by blowups and sign flips, which keep the span,
 builds them directly.  For groups of the bi-cyclic shape Z/N x Z/MN
 (N >= 3) the pairs additionally carry a determinant invariant in (Z/N)^x,
@@ -19,7 +19,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .abelian import generating_code_tuples, negation_codes, spans_dual
+from .abelian import (code_tuples, generating_code_groups, negation_codes,
+                      spans_dual)
 from .exactla import BoundExceeded, sparse_add
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
@@ -111,15 +112,20 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     """All canonical symbol keys for (group, n), in sorted order.
 
     The candidates are the sorted n-multisets of characters, which are
-    exactly the canonical tuples; generating_code_tuples keeps those that
+    exactly the canonical tuples; generating_code_groups keeps those that
     generate the dual group.
     """
     return [SymbolKey(group, codes)
-            for codes in _generating_codes(group, n, bound)]
+            for codes in code_tuples(_generating_codes(group, n, bound))]
 
 
 def sign_class_reps(group, n, bound=DEFAULT_ENUM_BOUND):
-    """Sorted code tuples of the sign classes of keys, one rep each.
+    """Sorted code tuples of the sign classes of keys, one rep each."""
+    return code_tuples(sign_class_groups(group, n, bound))
+
+
+def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND):
+    """The sign classes' reps as `generating_code_groups` groups.
 
     A key's sign class holds the keys that differ from it by negating
     entries, and its rep is the tuple of the codes lo[c] = min(c, -c).
@@ -132,8 +138,14 @@ def sign_class_reps(group, n, bound=DEFAULT_ENUM_BOUND):
                              [c for c, d in enumerate(neg) if c <= d])
 
 
+def filter_groups(groups, keep):
+    """The groups cut to the tuples t with keep(t), empty ones dropped."""
+    cut = [(p, [c for c in cs if keep(p + (c,))]) for p, cs in groups]
+    return [(p, cs) for p, cs in cut if cs]
+
+
 def _generating_codes(group, n, bound, codes=None):
-    """generating_code_tuples(group, n, codes) once |G|^n is within the
+    """generating_code_groups(group, n, codes) once |G|^n is within the
     bound."""
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
@@ -141,7 +153,7 @@ def _generating_codes(group, n, bound, codes=None):
         raise BoundExceeded(
             "enumeration size |G|^n = %d exceeds the bound %d"
             % (group.order ** n, bound))
-    return generating_code_tuples(group, n, codes)
+    return generating_code_groups(group, n, codes)
 
 
 class FormalSum:
@@ -274,5 +286,5 @@ def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
     Over all classes these lists partition enumerate_generators(group, 2).
     """
     in_class = in_det_class(group, k)
-    return [SymbolKey(group, codes)
-            for codes in _generating_codes(group, 2, bound) if in_class(codes)]
+    return [SymbolKey(group, codes) for codes in
+            code_tuples(_generating_codes(group, 2, bound)) if in_class(codes)]

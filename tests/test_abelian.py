@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations_with_replacement
 
-from abelsym.abelian import (generating_code_tuples, make_group,
+from abelsym.abelian import (code_tuples, generating_code_groups,
+                             generating_code_tuples, make_group,
                              negation_codes, pairing, parse_group,
                              proper_cyclic_subgroups, quotient_data,
                              spans_dual, sum_codes)
@@ -134,6 +135,7 @@ def test_spans_dual_matches_dense_reference():
                 if want:
                     kept.append(tuple(ch.code for ch in combo))
             assert generating_code_tuples(g, n) == kept, (g, n)
+            assert code_tuples(generating_code_groups(g, n)) == kept, (g, n)
 
 
 def test_generating_code_tuples_leaves_no_cycle():
@@ -145,10 +147,26 @@ def test_generating_code_tuples_leaves_no_cycle():
     gc.disable()
     try:
         for chain in ((36,), (6, 6), (2, 4, 4), (81,)):
-            generating_code_tuples(make_group(chain), 2)
+            generating_code_groups(make_group(chain), 2)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_generating_code_groups_checks_codes():
+    # the groups and the fold's column positions rely on sorted codes; an
+    # unsorted list once gave wrong tuples without an error
+    g = make_group((2, 4))
+    assert generating_code_tuples(g, 2, [1, 3, 5]) == [
+        t for t in generating_code_tuples(g, 2) if set(t) <= {1, 3, 5}]
+    assert generating_code_groups(g, 2, []) == []
+    assert generating_code_groups(make_group((8,)), 1, (3, 4)) == [
+        ((), [3])]
+    for codes in ([3, 1, 5], [1, 1, 3], [-1, 3], [1, 8], [8]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            generating_code_groups(g, 2, codes)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            generating_code_tuples(g, 2, codes)
 
 
 def test_character_codes():

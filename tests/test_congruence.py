@@ -374,11 +374,12 @@ BROKEN_ROUTES = {
         real = C.in_det_class
         C.in_det_class = lambda g, k: real(g, 2)
     """, "C.iso_check(5, 1)"),
-    # a sign class listed twice: one orbit goes to its second copy only
+    # a group of sign classes listed twice: one orbit goes to the second
+    # copy of each of its classes only
     "iso_check_distinct": ("""
-        real = C.sign_class_reps
-        C.sign_class_reps = lambda g, n, bound: (real(g, n, bound)[:1]
-                                                 + real(g, n, bound))
+        real = C.sign_class_groups
+        C.sign_class_groups = lambda g, n, bound: (real(g, n, bound)[:1]
+                                                   + real(g, n, bound))
     """, "C.iso_check(5, 1)"),
     # one orbit rep repeated in place of another: its class is hit twice
     "iso_check_n2_cover": ("""

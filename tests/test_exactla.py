@@ -14,7 +14,7 @@ from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
                              rank_over_Q, row_span_membership,
                              smith_normal_form)
 from abelsym.relations import _sign_class_matrix
-from abelsym.symbols import sign_class_reps
+from abelsym.symbols import sign_class_groups
 from rankref import reference_det, reference_rank, reference_rank_mod_p
 from relref import invariant_chains
 
@@ -550,7 +550,7 @@ LARGE_DIVISORS_SHA256 = (
 
 
 def _minus_fold(group, n=2):
-    return _sign_class_matrix(group, sign_class_reps(group, n), n)[0]
+    return _sign_class_matrix(group, sign_class_groups(group, n), n)[0]
 
 
 # sha256 of the engine's pivot records, (divisors, scale, each pivot column

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelsym import relations
-from abelsym.abelian import make_group, negation_codes
+from abelsym.abelian import code_tuples, make_group, negation_codes
 from abelsym.exactla import BoundExceeded, smith_normal_form
 from abelsym.relations import (DimensionReport, Variant, build_relations,
                                difference_formula, dimension,
@@ -16,7 +16,8 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                pxp_closed_forms)
 from abelsym.symbols import (canonicalize, det_class, det_classes,
                              enumerate_det_class, enumerate_generators,
-                             in_det_class, sign_class_reps)
+                             filter_groups, in_det_class, sign_class_groups,
+                             sign_class_reps)
 from rankref import reference_rank
 from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
                     full_sign_class_fold, hash_set_rows, invariant_chains,
@@ -301,7 +302,7 @@ def test_graded_sign_class_fold_matches_key_basis_classes():
 def test_sign_class_fold_of_2x4():
     # the torsion that the closed form misses: five sign classes
     g = make_group((2, 4))
-    rel, keys = relations._sign_class_matrix(g, sign_class_reps(g, 2), 2)
+    rel, keys = relations._sign_class_matrix(g, sign_class_groups(g, 2), 2)
     assert (rel.ncols, keys) == (5, 12)
     rep = dimension(g, 2, Variant.MINUS, want_torsion=True)
     assert (rep.dim_q, rep.torsion, rep.generator_count) == (0, (2, 2, 2), 12)
@@ -309,15 +310,23 @@ def test_sign_class_fold_of_2x4():
 
 def test_sign_class_reps_match_filtered_keys():
     # the rep walk is the key walk filtered to codes c = lo[c], in order,
-    # and the fold counts the keys by the reps' sign patterns
+    # its groups flatten to the reps, and the fold counts the keys by the
+    # reps' sign patterns
     for factors, n in _FOLD_CASES:
         g = make_group(factors)
         neg = negation_codes(g)
         keys = enumerate_generators(g, n)
-        reps = sign_class_reps(g, n)
-        assert reps == [key.codes for key in keys
-                        if all(c <= neg[c] for c in key.codes)], (factors, n)
-        assert relations._sign_class_matrix(g, reps, n)[1] == len(keys), \
+        want = [key.codes for key in keys
+                if all(c <= neg[c] for c in key.codes)]
+        groups = sign_class_groups(g, n)
+        assert sign_class_reps(g, n) == want, (factors, n)
+        assert code_tuples(groups) == want, (factors, n)
+        prefixes = [p for p, _ in groups]
+        assert prefixes == sorted(set(prefixes)), (factors, n)
+        for p, cs in groups:
+            assert cs and cs == sorted(set(cs)) and cs[:1] >= list(p[-1:]), \
+                (factors, n, p)
+        assert relations._sign_class_matrix(g, groups, n)[1] == len(keys), \
             (factors, n)
 
 
@@ -331,12 +340,12 @@ def _mod2_signature(row, two):
     return min(sigs)
 
 
-def _assert_fold_lattice_equal(g, reps, what, n=2):
+def _assert_fold_lattice_equal(g, groups, what, n=2):
     """The kept rows are rows of the full fold, and every full row is +- a
     kept row plus even entries on the {c: 2} columns, which the kept
     {c: 2} rows span: the two row lattices are equal."""
-    kept = relations._sign_class_matrix(g, reps, n)[0].rows
-    full = full_sign_class_fold(g, reps, n)
+    kept = relations._sign_class_matrix(g, groups, n)[0].rows
+    full = full_sign_class_fold(g, code_tuples(groups), n)
     exact = {tuple(sorted(row.items())) for row in full}
     assert all(tuple(sorted(row.items())) in exact for row in kept), what
     two = {c for row in kept if len(row) == 1
@@ -347,22 +356,21 @@ def _assert_fold_lattice_equal(g, reps, what, n=2):
 
 
 def _sweep_fold_systems():
-    """(group, reps) for the order <= 81 groups at n = 2, then every
+    """(group, rep groups) for the order <= 81 groups at n = 2, then every
     determinant class of the bi-cyclic ones."""
     for factors in invariant_chains(81):
         g = make_group(factors)
-        reps = sign_class_reps(g, 2)
-        yield g, reps
+        groups = sign_class_groups(g, 2)
+        yield g, groups
         if len(factors) == 2 and factors[0] >= 3:
             for cls in det_classes(g):
-                in_class = in_det_class(g, cls)
-                yield g, [r for r in reps if in_class(r)]
+                yield g, filter_groups(groups, in_det_class(g, cls))
 
 
 def test_sign_class_fold_lattice_matches_full_fold():
     kept = full = systems = 0
-    for g, reps in _sweep_fold_systems():
-        k, f = _assert_fold_lattice_equal(g, reps, g.literal())
+    for g, groups in _sweep_fold_systems():
+        k, f = _assert_fold_lattice_equal(g, groups, g.literal())
         kept, full, systems = kept + k, full + f, systems + 1
     assert systems == 149 + 30
     assert kept < full
@@ -373,9 +381,9 @@ def test_sign_class_fold_on_every_presentation():
     # which the invariant chains above never have
     literals = set()
     for g in presentations(40):
-        reps = sign_class_reps(g, 2)
-        _assert_fold_lattice_equal(g, reps, g.literal())
-        assert relations._sign_class_matrix(g, reps, 2)[1] \
+        groups = sign_class_groups(g, 2)
+        _assert_fold_lattice_equal(g, groups, g.literal())
+        assert relations._sign_class_matrix(g, groups, 2)[1] \
             == len(enumerate_generators(g, 2)), g.literal()
         literals.add(g.literal())
     assert {"4x2", "3x1x3", "1x5", "2x5x2"} <= literals
@@ -390,8 +398,8 @@ SWEEP_FOLD_SHA256 = (
 
 def test_sign_class_fold_pinned():
     folds = [[list(row.items()) for row in
-              relations._sign_class_matrix(g, reps, 2)[0].rows]
-             for g, reps in _sweep_fold_systems()]
+              relations._sign_class_matrix(g, groups, 2)[0].rows]
+             for g, groups in _sweep_fold_systems()]
     assert sum(map(len, folds)) == 22142
     digest = hashlib.sha256(repr(folds).encode()).hexdigest()
     assert digest == SWEEP_FOLD_SHA256
@@ -400,9 +408,9 @@ def test_sign_class_fold_pinned():
 def _assert_fold_once(g, n):
     """The fold at n >= 3 spans the full fold's lattice and keeps no row
     twice up to sign; returns (kept, full) counts."""
-    reps = sign_class_reps(g, n)
-    counts = _assert_fold_lattice_equal(g, reps, (g.literal(), n), n)
-    rows = relations._sign_class_matrix(g, reps, n)[0].rows
+    groups = sign_class_groups(g, n)
+    counts = _assert_fold_lattice_equal(g, groups, (g.literal(), n), n)
+    rows = relations._sign_class_matrix(g, groups, n)[0].rows
     assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
     return counts
 
@@ -427,7 +435,7 @@ def test_sign_class_fold_repeats_at_n_2():
     # {1: 1} from the rep (0, 1) and {1: -1} from (1, 1)
     repeats = {}
     for g in presentations(81):
-        rows = relations._sign_class_matrix(g, sign_class_reps(g, 2), 2)[0]
+        rows = relations._sign_class_matrix(g, sign_class_groups(g, 2), 2)[0]
         extra = rows.nrows - len(first_up_to_sign(rows.rows))
         if extra:
             repeats[g.literal()] = extra
@@ -449,7 +457,7 @@ def test_sign_class_fold_lattice_matches_full_fold_wide():
             + [(11, 11), (13, 13), (3, 30), (4, 40), (2, 90), (6, 24)])
     for factors in wide:
         g = make_group(factors)
-        _assert_fold_lattice_equal(g, sign_class_reps(g, 2), factors)
+        _assert_fold_lattice_equal(g, sign_class_groups(g, 2), factors)
 
 
 def test_key_basis_snf_bound():
