@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .abelian import code_tuples, make_group, negation_codes, spans_dual
 from .arith import prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, SparseIntMatrix,
-                      require, smith_normal_form, sparse_add)
+from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
+                      SparseIntMatrix, require, smith_normal_form,
+                      sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         _sign_class_matrix, formula_dimension)
 from .symbols import (DEFAULT_ENUM_BOUND, filter_groups, in_det_class,
@@ -342,41 +344,10 @@ def _coset_fold(level, quads, index, with_O):
     return reps, SparseIntMatrix.trusted(len(reps), rows)
 
 
-def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
-                snf_bound=DEFAULT_SNF_BOUND):
-    """Relation system and report for the coset symbol space at (n, m).
-
-    Rows: the two-term turn e_s + e_(b,-a;d,-c) and the three-term split
-    e_s - e_(a-b,b;c-d,d) - e_(a,b-a;c,d-c); with_O adds the column swap
-    e_s - e_(b,a;d,c), which only makes sense at N = 2 (the swap flips the
-    determinant sign otherwise).  The degenerate rule "e_s = 0 when s is
-    fixed by its own turn or rotation" never fires: a fixed point would
-    have determinant 0 mod N, and construction checks that none occurs.
-
-    Each row is built once.  A split row has three distinct cosets (x = s,
-    y = s or x = y would force det = 0 mod N; checked) and, like a swap
-    row, is fixed by its one +1 entry s; neither equals a turn row, whose
-    entries are both +1.  Two turn rows coincide only when s' is the turn
-    sS of s and s'S = -s = s, which needs 2c = 2d = 0 mod MN with gcd(c,
-    d, MN) = 1, so MN <= 2: there the turn row of s' is skipped when its
-    turn is an earlier coset and -s' = s'.  The returned system keeps these
-    rows over the cosets; the Smith form, and so the report, is taken of
-    the same relations folded over the turn orbits (see _coset_fold), about
-    a quarter of the columns, and `snf_bound` caps that matrix.
-    """
-    _check_level(n, m)
-    if with_O and n != 2:
-        raise ValueError("the column-swap relation exists only at N = 2")
-    t0 = time.perf_counter()
-    level = (n, m)
+def _manin_rows(level, quads, index, with_O):
+    """The Manin rows of `manin_space` over the cosets, each built once."""
+    n, m = level
     k = n * m
-    quads = _coset_quads(n, m, enum_bound)
-    index = {s: i for i, s in enumerate(quads)}
-    # the fold's Smith form first, freed before the unfolded rows are built
-    fold = _coset_fold(level, quads, index, with_O)[1]
-    orbits, snf = fold.ncols, smith_normal_form(fold, bound=snf_bound)
-    del fold
-
     # column operations of determinant one (and the swap at N = 2) keep the
     # column span and the determinant mod N: the images are cosets
     rows = []
@@ -396,12 +367,63 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
         rows.append(split)
         if with_O:
             rows.append({i: 1, index[(b, a, d, c)]: -1})
-    rel = SparseIntMatrix.trusted(len(quads), rows)
+    return rows
+
+
+def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
+                snf_bound=DEFAULT_SNF_BOUND):
+    """Relation system and report for the coset symbol space at (n, m).
+
+    Rows: the two-term turn e_s + e_(b,-a;d,-c) and the three-term split
+    e_s - e_(a-b,b;c-d,d) - e_(a,b-a;c,d-c); with_O adds the column swap
+    e_s - e_(b,a;d,c), which only makes sense at N = 2 (the swap flips the
+    determinant sign otherwise).  The degenerate rule "e_s = 0 when s is
+    fixed by its own turn or rotation" never fires: a fixed point would
+    have determinant 0 mod N, and so would a split row with a repeated
+    term, so the call checks that every coset has determinant 1 mod N.
+
+    Each row is built once.  A split row has three distinct cosets (x = s,
+    y = s or x = y would force det = 0 mod N) and, like a swap row, is
+    fixed by its one +1 entry s; neither equals a turn row, whose entries
+    are both +1.  Two turn rows coincide only when s' is the turn sS of s
+    and s'S = -s = s, which needs 2c = 2d = 0 mod MN with gcd(c, d, MN) =
+    1, so MN <= 2: there the turn row of s' is skipped when its turn is an
+    earlier coset and -s' = s'.  So above MN = 2 there are 2 rows per coset,
+    3 with the swap, and at MN <= 2 the kept turn rows are counted.  The
+    returned system keeps these rows over the cosets, built by
+    `_manin_rows` only when `rel.rows` is first read, which checks their
+    count against `rel.nrows`.  The Smith form, and so the report, is
+    taken of the same relations folded over the turn orbits (see
+    _coset_fold), about a quarter of the columns, and `snf_bound` caps
+    that matrix; the report's `ms` covers the coset scan, the fold and its
+    Smith form.
+    """
+    _check_level(n, m)
+    if with_O and n != 2:
+        raise ValueError("the column-swap relation exists only at N = 2")
+    t0 = time.perf_counter()
+    level = (n, m)
+    k = n * m
+    quads = _coset_quads(n, m, enum_bound)
+    # one determinant check stands for _manin_rows' per-coset guard
+    bad = [(a, b, c, d) for a, b, c, d in quads if (a * d - b * c) % n != 1]
+    require(not bad, "%d cosets of level %r, first %r, have determinant "
+            "other than 1 mod %d", len(bad), level, bad[:1], n)
+    index = {s: i for i, s in enumerate(quads)}
+    fold = _coset_fold(level, quads, index, with_O)[1]
+    orbits, snf = fold.ncols, smith_normal_form(fold, bound=snf_bound)
+    del fold
+    ms = (time.perf_counter() - t0) * 1000.0
+    turns = len(quads)
+    if k <= 2:      # -s = s: a turn row is kept where its turn is later
+        turns = sum(index[(b, -a % n, d, -c % k)] > i
+                    for i, (a, b, c, d) in enumerate(quads))
+    rel = DeferredRows(turns + len(quads) * (2 if with_O else 1), len(quads),
+                       partial(_manin_rows, level, quads, index, with_O))
     cosets = [CosetSymbol._unchecked(*s, level) for s in quads]
-    grp = make_group((n, n * m))
+    grp = make_group((n, k))
     variant = Variant.MINUS if with_O else Variant.PLAIN
     system = RelationSystem(grp, 2, variant, cosets, rel, index)
-    ms = (time.perf_counter() - t0) * 1000.0
     report = DimensionReport(grp, 2, variant, "MANIN", orbits - snf.rank,
                              snf.torsion, len(cosets), ms)
     return system, report
@@ -684,12 +706,12 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     groups = sign_class_groups(grp, 2, enum_bound)
     if n >= 3:
         groups = filter_groups(groups, in_det_class(grp, 1))
-    sym_rel, keys = _sign_class_matrix(grp, groups, 2)
+    neg = negation_codes(grp)
+    sym_rel, keys = _sign_class_matrix(grp, groups, 2, neg)
     reps = code_tuples(groups)
     quads = _coset_quads(n, m, enum_bound)
     orbits, coset_rel = _coset_fold(level, quads, {
         s: i for i, s in enumerate(quads)}, n == 2)
-    neg = negation_codes(grp)
     index = {r: i for i, r in enumerate(reps)}
     proj, sign = [], []             # orbit index -> class index, sign
     for a, b, c, d in orbits:

@@ -129,6 +129,31 @@ class SparseIntMatrix:
             self.nrows, self.ncols, self.nnz())
 
 
+class DeferredRows(SparseIntMatrix):
+    """A trusted matrix whose rows come from `build()` on first read.
+
+    The shape is known up front; the build runs once, when `rows` is first
+    read, and must give exactly `nrows` clean rows (checked).  Later reads
+    hit the base class's slot directly.
+    """
+
+    __slots__ = ("_build",)
+
+    def __init__(self, nrows, ncols, build):
+        self.nrows = nrows
+        self.ncols = ncols
+        self._build = build
+
+    def __getattr__(self, name):     # called only for unset attributes
+        if name != "rows":
+            raise AttributeError(name)
+        rows = self._build()
+        require(len(rows) == self.nrows, "deferred build gave %d rows, "
+                "expected %d", len(rows), self.nrows)
+        self.rows, self._build = rows, None
+        return rows
+
+
 class SnfResult:
     """Diagonal of a Smith normal form: divisor chain and rank."""
 

@@ -78,8 +78,13 @@ class RelationSystem:
         """A FormalSum over the basis keys as a sparse row dict."""
         row = {}
         for key, coeff in fsum.items():
-            idx = (self.index.get(key.codes) if key.group is self.group
-                   else None)
+            try:
+                idx = (self.index.get(key.codes) if key.group is self.group
+                       else None)
+            except AttributeError:      # a coset, looked up by its quad
+                idx = self.index.get(key.quad())
+                if idx is not None and self.basis[idx] != key:
+                    idx = None
             if idx is None:
                 raise KeyError("key %r is not in the basis" % (key,))
             row[idx] = coeff
@@ -160,7 +165,7 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
-def _sign_class_matrix(group, groups, n):
+def _sign_class_matrix(group, groups, n, neg=None):
     """The minus relation matrix over the sorted reps, given as groups, the
     sign rows folded in, and the number of keys the reps stand for.
 
@@ -209,9 +214,11 @@ def _sign_class_matrix(group, groups, n):
     (on Z/4 at n = 3 the reps (0, 0, 1) and (0, 1, 1) both give
     +-e(0, 1, 1)); each is kept once, by its column and |coefficient|.
     The tests check on every n >= 3 case they run that no kept row repeats
-    up to sign.
+    up to sign.  `neg` is the group's `negation_codes` table if the caller
+    already has it.
     """
-    neg = negation_codes(group)
+    if neg is None:
+        neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
     flip = [c != d for c, d in enumerate(neg)]
@@ -367,8 +374,9 @@ def dimension(group, n, variant, want_torsion=False,
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     if variant is Variant.MINUS:
-        groups = sign_class_groups(group, n, enum_bound)
-        rel, count = _sign_class_matrix(group, groups, n)
+        neg = negation_codes(group)
+        groups = sign_class_groups(group, n, enum_bound, neg)
+        rel, count = _sign_class_matrix(group, groups, n, neg)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
         rel, count = system.rel, len(system.basis)
@@ -392,9 +400,10 @@ def dimension_graded(group, variant, want_torsion=False,
     variant = Variant.parse(variant)
     classes = det_classes(group)
     if variant is Variant.MINUS:
-        groups = filter_groups(sign_class_groups(group, 2, enum_bound),
+        neg = negation_codes(group)
+        groups = filter_groups(sign_class_groups(group, 2, enum_bound, neg),
                                in_det_class(group, classes[0]))
-        rel, count = _sign_class_matrix(group, groups, 2)
+        rel, count = _sign_class_matrix(group, groups, 2, neg)
     else:
         keys = enumerate_det_class(group, classes[0], bound=enum_bound)
         rel = build_relations(group, 2, variant, keys=keys).rel

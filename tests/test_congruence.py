@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import abelsym
+from abelsym import congruence as C
 from abelsym.abelian import make_group
 from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
                                 coset_of, cusp_count, cusp_formula,
@@ -20,7 +22,8 @@ from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
                                 level2_consistency, level_invariants,
                                 lift_coset, manin_space)
 from abelsym.exactla import smith_normal_form
-from abelsym.relations import Variant, formula_dimension
+from abelsym.relations import Variant, build_relations, formula_dimension
+from abelsym.symbols import FormalSum
 
 # every level of coset index <= 6,000
 WIDE_LEVELS = [(n, m) for n in range(2, 30) for m in range(1, 60)
@@ -107,6 +110,70 @@ def test_manin_repeat_rows_only_at_level_2_1():
         per_coset = 3 if with_O else 2
         assert (per_coset * len(system.basis), system.rel.nrows) \
             == (built, kept), level
+
+
+def test_manin_rows_built_on_first_read(monkeypatch):
+    real, calls = C._manin_rows, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+    monkeypatch.setattr(C, "_manin_rows", counted)
+    system, rep = manin_space(5, 1)
+    assert (len(system.basis), system.rel.nrows, system.rel.ncols,
+            rep.dim_q) == (120, 240, 120, 11)
+    assert calls == []
+    rows = system.rel.rows
+    assert calls == [(5, 1)] and len(rows) == 240
+    assert system.rel.rows is rows and calls == [(5, 1)]
+
+
+def _assert_rows_counted(levels):
+    """Once read, the unfolded rows number `rel.nrows`, plain and, at N = 2,
+    with the swap."""
+    for n, m in levels:
+        for with_O in ((False, True) if n == 2 else (False,)):
+            rel = manin_space(n, m, with_O=with_O)[0].rel
+            assert len(rel.rows) == rel.nrows, (n, m, with_O)
+
+
+def test_manin_rows_match_their_count():
+    levels = [level for level in WIDE_LEVELS if coset_index(*level) <= 1500]
+    assert len(levels) == 42
+    _assert_rows_counted(levels)
+
+
+@pytest.mark.slow
+def test_manin_rows_match_their_count_wide():
+    _assert_rows_counted(WIDE_LEVELS)
+
+
+def test_manin_space_peak_memory_below_its_rows():
+    # the report and the basis must not cost what the unfolded rows hold
+    tracemalloc.start()
+    try:
+        system, _ = manin_space(11, 2)
+        assert (len(system.basis), system.rel.nrows) == (3960, 7920)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert len(system.rel.rows) == 7920
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * held, (peak, held)
+
+
+def test_manin_system_vector():
+    system, _ = manin_space(3, 1)
+    basis = system.basis
+    assert system.vector(FormalSum({basis[0]: 1, basis[5]: -2})) == {
+        0: 1, 5: -2}
+    # a quad of the basis at another level; and a symbol key
+    foreign = CosetSymbol(1, 0, 0, 1, (3, 2))
+    assert foreign.quad() in system.index
+    key = build_relations(make_group((3, 3)), 2, Variant.PLAIN).basis[0]
+    for other in (foreign, key):
+        with pytest.raises(KeyError):
+            system.vector(FormalSum.of(other))
 
 
 def _assert_fold_matches_unfolded(levels):
@@ -362,6 +429,11 @@ BROKEN_ROUTES = {
     """, "C.enumerate_cosets(3, 1)"),
     "manin_space": ("C._coset_quads = lambda n, m, bound: [(0, 0, 0, 0)]",
                     "C.manin_space(3, 1)"),
+    # a build of the unfolded rows that drops one, read back
+    "manin_rows": ("""
+        real = C._manin_rows
+        C._manin_rows = lambda *args: real(*args)[1:]
+    """, "C.manin_space(3, 1)[0].rel.rows"),
     "genus": ("C.prime_factors = lambda k: [5]", "C.genus(3, 1)"),
     "level_invariants": ("C.cusp_formula = lambda n, m: 5",
                          "C.level_invariants(3, 1)"),
@@ -408,6 +480,7 @@ BROKEN_ROUTES = {
 ROUTE_MESSAGES = {route: "turn orbits cover" for route in (
     "iso_check_bijection", "iso_check_distinct", "iso_check_n2_cover",
     "iso_check_cover")}
+ROUTE_MESSAGES["manin_rows"] = "deferred build gave 47 rows"
 
 
 @pytest.mark.parametrize("route", sorted(BROKEN_ROUTES))
