@@ -275,11 +275,6 @@ def _fp_extend(basis, vec, p):
     return tuple(out)
 
 
-def generating_code_tuples(group, n, codes=None):
-    """Sorted n-tuples of character codes that generate the dual, in order."""
-    return code_tuples(generating_code_groups(group, n, codes))
-
-
 def code_tuples(groups):
     """The code tuples of (prefix, completions) groups, in order."""
     return [p + (c,) for p, cs in groups for c in cs]

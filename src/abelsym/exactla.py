@@ -284,16 +284,6 @@ def _unit_eliminate(rows, ncols, pivots=None):
     return divisors, scale, list(filter(None, rows))
 
 
-def _subtract_multiple(row, f, other):
-    """row -= f * other, in place, dropping zeros."""
-    for c, v in other.items():
-        val = row.get(c, 0) - f * v
-        if val:
-            row[c] = val
-        elif c in row:
-            del row[c]
-
-
 def _make_unit(rows):
     """Unimodular row and column operations, in place, on a residue of
     content 1 with no unit entry, until some entry is +-1.
@@ -315,17 +305,18 @@ def _make_unit(rows):
         while True:
             for row in rows:
                 if row is not prow and pc in row:
-                    _subtract_multiple(row, row[pc] // piv, prow)
+                    f = row[pc] // piv
+                    sparse_add(row, ((c, -f * v) for c, v in prow.items()))
             for c in [c for c in prow if c != pc]:
                 q = prow[c] // piv          # column c -= q * column pc
                 for row in rows:
                     if pc in row:
-                        _subtract_multiple(row, 1, {c: q * row[pc]})
+                        sparse_add(row, ((c, -q * row[pc]),))
             if len(prow) > 1 or any(pc in row for row in rows
                                     if row is not prow):
                 break
-            _subtract_multiple(prow, -1, next(
-                row for row in rows if any(v % piv for v in row.values())))
+            sparse_add(prow, next(row for row in rows if any(
+                v % piv for v in row.values())).items())
 
 
 def _nonzero_divisors(matrix):

@@ -14,10 +14,11 @@ The maps run on code tuples (see symbols) with integer coefficients.  A
 call lists the proper cyclic subgroups once and builds one `_Split` per
 subgroup, kept only for that call: the quotient and Z/d, the annihilator
 as ambient code -> quotient code, dual_restrict and the lifts per code,
-the minus reductions of quotient code tuples, and a memo of the split
-images, but one-code right sides (all of n = 2) are read off a table.  The
-comultiplication battery sums the images by linearity over each relation
-row.  The batteries use 2 psi, which has integer coefficients; span
+and the minus reductions of quotient code tuples; one-code right sides
+(all of n = 2) are read off a table.  The comultiplication battery lists
+the plain tensor relations on code tuples once per subgroup and left size
+for both directions, and sums the split images by linearity over each
+blowup row.  The batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
 run the same routines on one-shot tables and return Fraction coefficients.
 """
@@ -158,7 +159,7 @@ class _Split:
     (built on first use) is right((ann[c],)) per annihilator code c."""
 
     __slots__ = ("sub", "q", "cyc", "neg", "qneg", "emb", "ann", "restrict",
-                 "lifts", "_one", "_right", "_images")
+                 "lifts", "_one", "_right")
 
     def __init__(self, sub):
         q = self.q = quotient_data(sub.ambient, sub)
@@ -176,7 +177,7 @@ class _Split:
         self.restrict = restrict
         self.lifts = {a: q.lift_restriction(a).code
                       for a in range(d) if gcd(a, d) == 1}
-        self._one, self._right, self._images = None, {}, {}
+        self._one, self._right = None, {}
 
     def right(self, qcodes):
         """minus_reduce of a sorted quotient code tuple, or None when it is
@@ -190,14 +191,12 @@ class _Split:
         return self._right[qcodes]
 
     def split(self, codes, nprime):
-        """comultiply on a code tuple: {(left residues, right rep): coeff},
-        possibly memoized, so callers must not mutate it."""
+        """comultiply on a code tuple: {(left residues, right rep): coeff}."""
         n = len(codes)
-        restrict = self.restrict
+        restrict, out = self.restrict, {}
         if nprime == n - 1:
             if self._one is None:
                 self._one = {c: self.right((i,)) for c, i in self.ann.items()}
-            out = {}
             for j, c in enumerate(codes):
                 red = self._one.get(c)
                 if red is not None:
@@ -206,18 +205,14 @@ class _Split:
                                          in enumerate(codes) if i != j)))
                     sparse_add(out, (((left, red[0]), red[1]),))
             return out
-        out = self._images.get((codes, nprime))
-        if out is None:
-            ann = self.ann
-            out = self._images[codes, nprime] = {}
-            inside = [j for j, c in enumerate(codes) if c in ann]
-            for right_pos in combinations(inside, n - nprime):
-                red = self.right(tuple(sorted(ann[codes[j]]
-                                              for j in right_pos)))
-                if red is not None:
-                    left = tuple(sorted(restrict[codes[i]] for i
-                                        in range(n) if i not in right_pos))
-                    sparse_add(out, (((left, red[0]), red[1]),))
+        ann = self.ann
+        inside = [j for j, c in enumerate(codes) if c in ann]
+        for right_pos in combinations(inside, n - nprime):
+            red = self.right(tuple(sorted(ann[codes[j]] for j in right_pos)))
+            if red is not None:
+                left = tuple(sorted(restrict[codes[i]] for i in range(n)
+                                    if i not in right_pos))
+                sparse_add(out, (((left, red[0]), red[1]),))
         return out
 
 
@@ -457,6 +452,8 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
         for every kernel generator gamma (checked on 2 psi, which has
         integer coefficients).
     """
+    if n < 2:
+        raise ValueError("the kernel checks need n >= 2")
     checks = []
     splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
     system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
@@ -529,7 +526,8 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     Pushing any blowup row through comultiply must land in the relation
     span of its target (plain tensor sign-reduced), for every proper cyclic
     subgroup and every left size; merging any relation of the plain tensor
-    product through multiply must land back in the blowup span.  At n = 2
+    product through multiply must land back in the blowup span.  Both
+    directions read one list of the plain tensor relations.  At n = 2
     neither tensor factor has relations of its own, so the split direction
     requires the pushed rows to vanish outright and the merge direction is
     vacuous.
@@ -548,69 +546,55 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                                    bound=enum_bound)
             rsys = build_relations(rec.q.quotient, n - k, Variant.PLAIN,
                                    bound=enum_bound)
-            reds = [rec.right(rkey.codes) for rkey in rsys.basis]
-            rreps = [rkey.codes for rkey, red in zip(rsys.basis, reds)
-                     if red == (rkey.codes, 1)]
-            pair_index = {pair: i for i, pair in enumerate(
-                (lkey.codes, rkey) for lkey in lsys.basis for rkey in rreps)}
+            lcodes = [key.codes for key in lsys.basis]
+            rcodes = [key.codes for key in rsys.basis]
+            # the plain tensor relations, as (left, right, coeff) terms
+            tensor = [[(lcodes[c], r, v) for c, v in row.items()]
+                      for row in lsys.rel.rows for r in rcodes]
+            tensor += [[(l, rcodes[c], v) for c, v in row.items()]
+                       for l in lcodes for row in rsys.rel.rows]
 
-            rows = []
-            for row in lsys.rel.rows:
-                for rkey in rreps:
-                    rows.append({pair_index[(lsys.basis[c].codes, rkey)]: v
-                                 for c, v in row.items()})
-            for lkey in lsys.basis:
-                for row in rsys.rel.rows:
-                    pushed = sparse_add({}, (
-                        (pair_index[(lkey.codes, reds[c][0])], v * reds[c][1])
-                        for c, v in row.items() if reds[c] is not None))
-                    if pushed:
-                        rows.append(pushed)
-            tensor_checker = SpanChecker(
-                SparseIntMatrix(len(rows), len(pair_index), rows))
+            # sign-reduced on the right: a row over a right key that is not
+            # its own rep is +-1 times a rep's row, or vanishes
+            reds = {r: rec.right(r) for r in rcodes}
+            pair_index = {pair: i for i, pair in enumerate(
+                (l, r) for l in lcodes for r in rcodes if reds[r] == (r, 1))}
+            rows = [sparse_add({}, ((pair_index[l, reds[r][0]], v * reds[r][1])
+                                    for l, r, v in terms if reds[r]))
+                    for terms in tensor]
+            tensor_checker = SpanChecker(SparseIntMatrix.trusted(
+                len(pair_index), list(filter(None, rows))))
 
             images = [[(pair_index[pair], coeff) for pair, coeff
                        in rec.split(key.codes, k).items()]
                       for key in src.basis]
             for row in src.rel.rows:
                 fwd_total += 1
-                vec = {}
-                for c, v in row.items():
-                    for p, coeff in images[c]:
-                        vec[p] = vec.get(p, 0) + coeff * v
-                vec = {p: x for p, x in vec.items() if x}
+                vec = sparse_add({}, ((p, coeff * v) for c, v in row.items()
+                                      for p, coeff in images[c]))
                 if not vec or tensor_checker.contains(vec):
                     fwd_pass += 1
                 elif fwd_bad is None:
                     fwd_bad = "sub=%s nprime=%d row=%r" % (
                         sub.generator, k, row)
 
-            back_rows = []
-            for row in lsys.rel.rows:
-                for rkey in rsys.basis:
-                    back_rows.append([(lsys.basis[c], rkey, v)
-                                      for c, v in row.items()])
-            for lkey in lsys.basis:
-                for row in rsys.rel.rows:
-                    back_rows.append([(lkey, rsys.basis[c], v)
-                                      for c, v in row.items()])
-
-            merge_cache = {}
-            for triples in back_rows:
+            merges = {}     # (left, right) -> [(source column, coeff)]
+            for terms in tensor:
                 back_total += 1
                 image = {}
-                for lkey, rkey, coeff in triples:
-                    term = merge_cache.get((lkey, rkey))
-                    if term is None:
-                        term = _merge(rec, lkey.codes, rkey.codes)
-                        merge_cache[(lkey, rkey)] = term
-                    sparse_add(image, ((src.index[t], c * coeff)
-                                       for t, c in term.items()))
+                for l, r, v in terms:
+                    if (l, r) not in merges:
+                        merges[l, r] = [(src.index[t], c) for t, c
+                                        in _merge(rec, l, r).items()]
+                    sparse_add(image, ((t, c * v) for t, c in merges[l, r]))
                 if not image or src_checker.contains(image):
                     back_pass += 1
                 elif back_bad is None:
                     back_bad = "sub=%s nprime=%d row=%r" % (
-                        sub.generator, k, triples)
+                        sub.generator, k,
+                        [(SymbolKey(rec.cyc, l),
+                          SymbolKey(rec.q.quotient, r), v)
+                         for l, r, v in terms])
     checks = [
         check_record("comultiplication-relations", group, n, fwd_pass,
                      fwd_total, fwd_bad),

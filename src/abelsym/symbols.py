@@ -119,11 +119,6 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
             for codes in code_tuples(_generating_codes(group, n, bound))]
 
 
-def sign_class_reps(group, n, bound=DEFAULT_ENUM_BOUND):
-    """Sorted code tuples of the sign classes of keys, one rep each."""
-    return code_tuples(sign_class_groups(group, n, bound))
-
-
 def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND, neg=None):
     """The sign classes' reps as `generating_code_groups` groups.
 

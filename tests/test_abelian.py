@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 from itertools import combinations_with_replacement
 
 from abelsym.abelian import (code_tuples, generating_code_groups,
-                             generating_code_tuples, make_group,
-                             negation_codes, pairing, parse_group,
-                             proper_cyclic_subgroups, quotient_data,
-                             spans_dual, sum_codes)
+                             make_group, negation_codes, pairing,
+                             parse_group, proper_cyclic_subgroups,
+                             quotient_data, spans_dual, sum_codes)
 from relref import presentations, reference_spans_dual
 
 
@@ -117,7 +116,7 @@ def test_spans_dual_single_char_gcd_rule(a, b):
 def test_spans_dual_matches_dense_reference():
     # every n-multiset, n = 1..3, over all groups of order <= 16, rank 3
     # and 4 and non-invariant presentations included; the walk in
-    # generating_code_tuples must keep exactly the spanning ones, in order.
+    # generating_code_groups must keep exactly the spanning ones, in order.
     # n = 4 on 2x2x2x2 and 2x2x4 is where a three-dimensional prefix basis
     # meets the last position's remainder test
     groups = presentations(16)
@@ -134,7 +133,6 @@ def test_spans_dual_matches_dense_reference():
                 assert spans_dual(combo[::-1], g) == want, (g, combo)
                 if want:
                     kept.append(tuple(ch.code for ch in combo))
-            assert generating_code_tuples(g, n) == kept, (g, n)
             assert code_tuples(generating_code_groups(g, n)) == kept, (g, n)
 
 
@@ -157,16 +155,15 @@ def test_generating_code_groups_checks_codes():
     # the groups and the fold's column positions rely on sorted codes; an
     # unsorted list once gave wrong tuples without an error
     g = make_group((2, 4))
-    assert generating_code_tuples(g, 2, [1, 3, 5]) == [
-        t for t in generating_code_tuples(g, 2) if set(t) <= {1, 3, 5}]
+    assert code_tuples(generating_code_groups(g, 2, [1, 3, 5])) == [
+        t for t in code_tuples(generating_code_groups(g, 2))
+        if set(t) <= {1, 3, 5}]
     assert generating_code_groups(g, 2, []) == []
     assert generating_code_groups(make_group((8,)), 1, (3, 4)) == [
         ((), [3])]
     for codes in ([3, 1, 5], [1, 1, 3], [-1, 3], [1, 8], [8]):
         with pytest.raises(ValueError, match="strictly increasing"):
             generating_code_groups(g, 2, codes)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            generating_code_tuples(g, 2, codes)
 
 
 def test_character_codes():

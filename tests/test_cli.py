@@ -291,6 +291,8 @@ def test_usage_errors(capsys):
                  + [["table", "--family", "cyclic", "--stop", "100000"]]):
         code, out, err = run(capsys, *argv, "--no-cache")
         assert code == 2 and out == "" and err.startswith("error: "), argv
+        if argv[0] == "verify":     # each battery names the n it needs
+            assert "n >= 2" in err, argv
         code, out, _ = run(capsys, *argv, "--format", "json", "--no-cache")
         assert code == 2 and "error" in json.loads(out), argv
 

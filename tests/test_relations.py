@@ -16,8 +16,7 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                pxp_closed_forms)
 from abelsym.symbols import (canonicalize, det_class, det_classes,
                              enumerate_det_class, enumerate_generators,
-                             filter_groups, in_det_class, sign_class_groups,
-                             sign_class_reps)
+                             filter_groups, in_det_class, sign_class_groups)
 from rankref import reference_rank
 from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
                     full_sign_class_fold, hash_set_rows, invariant_chains,
@@ -319,7 +318,6 @@ def test_sign_class_reps_match_filtered_keys():
         want = [key.codes for key in keys
                 if all(c <= neg[c] for c in key.codes)]
         groups = sign_class_groups(g, n)
-        assert sign_class_reps(g, n) == want, (factors, n)
         assert code_tuples(groups) == want, (factors, n)
         prefixes = [p for p, _ in groups]
         assert prefixes == sorted(set(prefixes)), (factors, n)

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import structref
-from abelsym import relations
+from abelsym import relations, structmaps
 from abelsym.abelian import (QuotientData, make_group,
                              proper_cyclic_subgroups, quotient_data)
 from abelsym.exactla import SpanChecker
@@ -262,9 +262,11 @@ def test_verify_kernel_iso_battery():
 
 
 def test_verify_comultiplication_battery():
-    for factors, n in (((9,), 2), ((12,), 2), ((2, 4), 2), ((9,), 3),
-                       ((2, 2), 3)):
-        report = verify_comultiplication(make_group(factors), n)
+    # every presentation of order <= 32 at n = 2 and <= 12 at n = 3, the
+    # non-invariant ones included
+    for group, n in ([(g, 2) for g in presentations(32)]
+                     + [(g, 3) for g in presentations(12)]):
+        report = verify_comultiplication(group, n)
         assert report.ok, report.to_json()
         if n == 2:
             back = [c for c in report.checks
@@ -513,3 +515,22 @@ def test_forward_check_reads_each_image(monkeypatch):
     assert fwd["check"] == "comultiplication-relations"
     assert fwd["status"] == "fail" and fwd["lhs"] < fwd["rhs"]
     assert fwd["counterexample"].startswith("sub=")
+
+
+def test_back_check_reads_each_merge(monkeypatch):
+    # one extra term in the first nonzero merge image over Z/3 x Z/3 at
+    # n = 3: each tensor relation holding that pair leaves the blowup span
+    real = structmaps._merge
+    hit = []
+
+    def merge(rec, left, right):
+        image = real(rec, left, right)
+        if image and not hit:
+            hit.append((rec.sub.generator, left, right))
+            image[min(image)] += 1
+        return image
+    monkeypatch.setattr(structmaps, "_merge", merge)
+    back = verify_comultiplication(make_group((3, 3)), 3).checks[1]
+    assert hit and back["check"] == "multiplication-relations"
+    assert back["status"] == "fail" and back["lhs"] < back["rhs"]
+    assert back["counterexample"].startswith("sub=")
