@@ -15,6 +15,7 @@ embedding/restriction maps are all constructive.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
@@ -370,13 +371,15 @@ def generating_code_groups(group, n, codes=None):
     return out
 
 
+@functools.cache
 def negation_codes(group):
-    """neg[c] = code of -chi, for chi the character of code c."""
+    """neg[c] = code of -chi, for chi the character of code c: one tuple
+    per group, shared by every caller (groups are interned)."""
     neg, size = [0], 1
     for f in reversed(group.factors):
         neg = [(-d % f) * size + x for d in range(f) for x in neg]
         size *= f
-    return neg
+    return tuple(neg)
 
 
 def sum_codes(group):

@@ -157,14 +157,15 @@ def cmd_dims(config):
                                              config.variant))
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-    if not config.timings:
-        for rep in reports:
+    for rep in reports:     # shown only on request, cached or not
+        if not config.timings:
             rep.ms = 0.0
+        if not config.torsion:
+            rep.torsion = ()
     agree = True
     if len(reports) == 2:
-        agree = reports[0].dim_q == reports[1].dim_q and (
-            not config.torsion
-            or reports[0].torsion == reports[1].torsion)
+        agree = ((reports[0].dim_q, reports[0].torsion)
+                 == (reports[1].dim_q, reports[1].torsion))
 
     if config.fmt == "json":
         body = [r.to_json() for r in reports]

@@ -707,7 +707,7 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     if n >= 3:
         groups = filter_groups(groups, in_det_class(grp, 1))
     neg = negation_codes(grp)
-    sym_rel, keys = _sign_class_matrix(grp, groups, 2, neg)
+    sym_rel, keys = _sign_class_matrix(grp, groups, 2)
     reps = code_tuples(groups)
     quads = _coset_quads(n, m, enum_bound)
     orbits, coset_rel = _coset_fold(level, quads, {

@@ -165,7 +165,7 @@ def _sign_rows(group, codes, index, n):
     return rows
 
 
-def _sign_class_matrix(group, groups, n, neg=None):
+def _sign_class_matrix(group, groups, n):
     """The minus relation matrix over the sorted reps, given as groups, the
     sign rows folded in, and the number of keys the reps stand for.
 
@@ -214,11 +214,9 @@ def _sign_class_matrix(group, groups, n, neg=None):
     (on Z/4 at n = 3 the reps (0, 0, 1) and (0, 1, 1) both give
     +-e(0, 1, 1)); each is kept once, by its column and |coefficient|.
     The tests check on every n >= 3 case they run that no kept row repeats
-    up to sign.  `neg` is the group's `negation_codes` table if the caller
-    already has it.
+    up to sign.
     """
-    if neg is None:
-        neg = negation_codes(group)
+    neg = negation_codes(group)
     lo = [min(c, d) for c, d in enumerate(neg)]
     sg = [1 if c == d else -1 for c, d in enumerate(lo)]
     flip = [c != d for c, d in enumerate(neg)]
@@ -374,9 +372,8 @@ def dimension(group, n, variant, want_torsion=False,
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     if variant is Variant.MINUS:
-        neg = negation_codes(group)
-        groups = sign_class_groups(group, n, enum_bound, neg)
-        rel, count = _sign_class_matrix(group, groups, n, neg)
+        groups = sign_class_groups(group, n, enum_bound)
+        rel, count = _sign_class_matrix(group, groups, n)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
         rel, count = system.rel, len(system.basis)
@@ -400,10 +397,9 @@ def dimension_graded(group, variant, want_torsion=False,
     variant = Variant.parse(variant)
     classes = det_classes(group)
     if variant is Variant.MINUS:
-        neg = negation_codes(group)
-        groups = filter_groups(sign_class_groups(group, 2, enum_bound, neg),
+        groups = filter_groups(sign_class_groups(group, 2, enum_bound),
                                in_det_class(group, classes[0]))
-        rel, count = _sign_class_matrix(group, groups, 2, neg)
+        rel, count = _sign_class_matrix(group, groups, 2)
     else:
         keys = enumerate_det_class(group, classes[0], bound=enum_bound)
         rel = build_relations(group, 2, variant, keys=keys).rel
@@ -570,7 +566,8 @@ def formula_dimension(group, n, variant, want_torsion=False):
     """Closed-form DimensionReport where the theory provides one.
 
     The minus variant at n = 2 is covered for every group; the plain
-    variant only where the difference formula applies.
+    variant only where the difference formula applies, and without
+    torsion, which its closed form does not give.
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
@@ -581,6 +578,8 @@ def formula_dimension(group, n, variant, want_torsion=False):
         dim, torsion = mdim, mtors
     elif variant is Variant.PLAIN:
         dim, torsion = mdim + difference_formula(group), ()
+        if want_torsion:    # after difference_formula's domain check
+            raise ValueError("the plain closed form has no torsion part")
     else:
         raise ValueError("no closed form for variant %s" % variant.value)
     if not want_torsion:

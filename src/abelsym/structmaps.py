@@ -30,12 +30,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
-from .abelian import (make_group, negation_codes, proper_cyclic_subgroups,
-                      quotient_data, spans_dual)
+from .abelian import (code_tuples, make_group, negation_codes,
+                      proper_cyclic_subgroups, quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, sparse_add
 from .relations import Variant, build_relations, dimension, kernel_rows
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey,
-                      enumerate_generators)
+                      sign_class_groups)
 
 __all__ = [
     "TensorSum", "VerificationReport", "check_record", "comultiply",
@@ -45,21 +45,20 @@ __all__ = [
 _COUNTS = tuple(map(Fraction, range(5)))    # delta_sum's shared term counts
 
 
-def _minus_codes(neg, codes):
-    """minus_reduce on a code tuple, neg the negation table: (rep codes,
-    sign) or None."""
-    best = parities = None
-    for mask in range(1 << len(codes)):
-        cand = tuple(sorted(neg[c] if mask >> i & 1 else c
-                            for i, c in enumerate(codes)))
-        par = bin(mask).count("1") & 1
-        if best is None or cand < best:
-            best, parities = cand, {par}
-        elif cand == best:
-            parities.add(par)
-    if len(parities) == 2:
+def _minus_codes(group, codes):
+    """minus_reduce on a code tuple over `group`: (rep codes, sign) or None.
+
+    The rep holds min(c, -c) at each entry, which lowers every order
+    statistic, so it is the least tuple of the orbit.  Negating a
+    self-inverse entry keeps the key and flips the sign: the class is zero.
+    Otherwise only negating the entries with -c < c reaches the rep, so the
+    sign is the parity of their count.
+    """
+    neg = negation_codes(group)
+    if any(neg[c] == c for c in codes):
         return None
-    return best, (1 if 0 in parities else -1)
+    return (tuple(sorted(min(c, neg[c]) for c in codes)),
+            (-1) ** sum(neg[c] < c for c in codes))
 
 
 def minus_reduce(key):
@@ -71,7 +70,7 @@ def minus_reduce(key):
     input to it, or None when reps of both parities coincide; the class is
     then 2-torsion and rationally zero.
     """
-    red = _minus_codes(negation_codes(key.group), key.codes)
+    red = _minus_codes(key.group, key.codes)
     return None if red is None else (SymbolKey(key.group, red[0]), red[1])
 
 
@@ -158,15 +157,13 @@ class _Split:
     """Code tables of one proper cyclic subgroup, built for one call; `_one`
     (built on first use) is right((ann[c],)) per annihilator code c."""
 
-    __slots__ = ("sub", "q", "cyc", "neg", "qneg", "emb", "ann", "restrict",
-                 "lifts", "_one", "_right")
+    __slots__ = ("sub", "q", "cyc", "emb", "ann", "restrict", "lifts",
+                 "_one", "_right")
 
     def __init__(self, sub):
         q = self.q = quotient_data(sub.ambient, sub)
         d = sub.order
         self.sub, self.cyc = sub, make_group((d,))
-        self.neg = negation_codes(sub.ambient)
-        self.qneg = negation_codes(q.quotient)
         # quotient code -> ambient code; the image is the annihilator
         self.emb = [q.dual_embed(ch).code for ch in q.quotient.characters()]
         self.ann = {c: i for i, c in enumerate(self.emb)}
@@ -186,7 +183,7 @@ class _Split:
             quot = self.q.quotient
             chars = quot.characters()
             self._right[qcodes] = (
-                _minus_codes(self.qneg, qcodes)
+                _minus_codes(quot, qcodes)
                 if spans_dual([chars[c] for c in qcodes], quot) else None)
         return self._right[qcodes]
 
@@ -230,7 +227,8 @@ def _psi2(rec, a, right):
     """2 psi(sub, a, right) on code tuples: {ambient codes: coeff}."""
     lift = rec.lifts[a]
     pushed = [rec.emb[c] for c in right]
-    return Counter(tuple(sorted(pushed + [c])) for c in (lift, rec.neg[lift]))
+    neg = negation_codes(rec.sub.ambient)
+    return Counter(tuple(sorted(pushed + [c])) for c in (lift, neg[lift]))
 
 
 def _nu(splits, row):
@@ -251,10 +249,10 @@ def _omega(splits, n):
     """omega_generators with each right key as its code tuple."""
     out = []
     for rec in splits:
+        quot = rec.q.quotient   # reps with a self-inverse entry are zero
         units = sorted({min(a, rec.sub.order - a) for a in rec.lifts})
-        reps = [key.codes for key in enumerate_generators(rec.q.quotient,
-                                                          n - 1)
-                if rec.right(key.codes) == (key.codes, 1)]
+        reps = [t for t in code_tuples(sign_class_groups(quot, n - 1))
+                if _minus_codes(quot, t)]
         out += [(rec, a, right) for a in units for right in reps]
     return out
 
@@ -367,22 +365,14 @@ def delta_sum(key, i=0, j=1):
         raise ValueError("the sign sum needs keys with n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("positions must be distinct and within the key")
-    ci = a = key.codes[i]
-    cj = b = key.codes[j]
-    ni = nj = 0
-    size = 1
-    for f in reversed(key.group.factors):  # -chi, digit by mixed-radix digit
-        a, da = divmod(a, f)
-        b, db = divmod(b, f)
-        ni += -da % f * size
-        nj += -db % f * size
-        size *= f
+    neg = negation_codes(key.group)
+    ci, cj = key.codes[i], key.codes[j]
     rest = (None if n == 2 else
             [c for k, c in enumerate(key.codes) if k != i and k != j])
     terms = {}
     # sign flips keep the span: the images need no re-validation
-    for a in (ci, ni):
-        for b in (cj, nj):
+    for a in (ci, neg[ci]):
+        for b in (cj, neg[cj]):
             if rest:
                 t = tuple(sorted(rest + [a, b]))
             else:

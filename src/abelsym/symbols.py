@@ -119,20 +119,17 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
             for codes in code_tuples(_generating_codes(group, n, bound))]
 
 
-def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND, neg=None):
+def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND):
     """The sign classes' reps as `generating_code_groups` groups.
 
     A key's sign class holds the keys that differ from it by negating
     entries, and its rep is the tuple of the codes lo[c] = min(c, -c).
     Negation keeps the span, so a rep generates exactly when its keys do:
     the reps are the generating tuples over the codes c = lo[c], in key
-    order.  `neg` is the group's `negation_codes` table if the caller
-    already has it.
+    order.
     """
-    if neg is None:
-        neg = negation_codes(group)
-    return _generating_codes(group, n, bound,
-                             [c for c, d in enumerate(neg) if c <= d])
+    return _generating_codes(group, n, bound, [
+        c for c, d in enumerate(negation_codes(group)) if c <= d])
 
 
 def filter_groups(groups, keep):

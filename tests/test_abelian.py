@@ -176,6 +176,17 @@ def test_character_codes():
         assert chars[neg[a.code]] is -a
 
 
+def test_negation_codes_shared_and_read_only():
+    # one table per group, the same object on every call, which no caller
+    # can change; negation is an involution
+    for g in presentations(40):
+        neg = negation_codes(g)
+        assert negation_codes(g) is neg, g
+        assert type(neg) is tuple, g
+        assert all(neg[neg[c]] == c for c in range(g.order)), g
+        assert len(neg) == g.order, g
+
+
 def test_sum_codes():
     # every presentation: the spread digits of two codes add without
     # carries, and wrap reads the sum's code, and with the negation table

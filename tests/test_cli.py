@@ -75,6 +75,31 @@ def test_dims_formula_out_of_range(capsys):
     assert err.startswith("error:")
 
 
+def test_dims_plain_formula_torsion_is_a_usage_error(capsys):
+    # the plain closed form has no torsion part; brute force finds 2^10*14
+    # on Z/13, so reporting it as trivial would be wrong
+    for method in ("formula", "both"):
+        code, out, err = run(capsys, "dims", "--group", "13", "--variant",
+                             "plain", "--torsion", "--method", method,
+                             "--no-cache")
+        assert code == 2 and out == "", method
+        assert err.startswith("error:") and "torsion" in err, method
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_dims_without_torsion_ignores_cached_torsion(capsys, tmp_path, fmt):
+    # default output must not depend on what a --torsion run left in the
+    # cache: cold, warm and uncached runs print the same
+    argv = ("dims", "--group", "12", "--variant", "minus", "--format", fmt)
+    cold_dir, warm_dir = str(tmp_path / "cold"), str(tmp_path / "warm")
+    _, cold, _ = run(capsys, *argv, "--cache-dir", cold_dir)
+    run(capsys, *argv, "--torsion", "--cache-dir", warm_dir)
+    _, warm, _ = run(capsys, *argv, "--cache-dir", warm_dir)
+    _, uncached, _ = run(capsys, *argv, "--no-cache")
+    assert cold == warm == uncached
+    assert "2^5" not in warm and "[2, 2" not in warm
+
+
 def test_dims_deterministic_output(capsys, tmp_path):
     argv = ("dims", "--group", "9", "--variant", "minus", "--torsion",
             "--cache-dir", str(tmp_path))

@@ -83,6 +83,20 @@ def test_plain_formula_assembles_from_minus():
         assert rep.method == "FORMULA"
 
 
+def test_plain_formula_refuses_torsion():
+    # the plain closed form gives no torsion, and the brute route finds
+    # some on every Z/N with N >= 5; the minus form still gives its own
+    g = make_group((13,))
+    with pytest.raises(ValueError, match="no torsion part"):
+        formula_dimension(g, 2, Variant.PLAIN, want_torsion=True)
+    assert dimension(g, 2, Variant.PLAIN, want_torsion=True).torsion
+    rep = formula_dimension(g, 2, Variant.PLAIN)
+    assert rep.dim_q == dimension(g, 2, Variant.PLAIN).dim_q
+    assert rep.torsion == ()
+    rep = formula_dimension(g, 2, Variant.MINUS, want_torsion=True)
+    assert (rep.dim_q, rep.torsion) == formula_minus(g)
+
+
 def test_difference_formula_domain():
     with pytest.raises(ValueError):
         difference_formula(make_group((4,)))  # cyclic order <= 5

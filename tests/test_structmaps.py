@@ -325,6 +325,26 @@ def test_code_tuple_maps_match_reference(n, limit):
                                     structref.psi(sub, a, right).terms)
 
 
+def test_minus_reduce_matches_sign_search_at_higher_n():
+    # the min(c, -c) rule against the reference's search over all 2^n sign
+    # patterns, on every key at n = 4 and 5 over the groups of order <= 6
+    count = 0
+    for n in (4, 5):
+        for group in presentations(6):
+            for key in enumerate_generators(group, n):
+                assert minus_reduce(key) == structref.minus_reduce(key), key
+                count += 1
+    assert count == 1572
+
+
+@pytest.mark.parametrize("factors", [(5,), (6,), (2, 4), (3, 3)])
+def test_omega_generators_match_reference_at_n4(factors):
+    group = make_group(factors)
+    assert ([(s.generator, a, r) for s, a, r in omega_generators(group, 4)]
+            == [(s.generator, a, r)
+                for s, a, r in structref.omega_generators(group, 4)])
+
+
 # The check lists of both batteries, captured before the maps moved to code
 # tuples; every field is compared.
 PINNED_RECORDS = {
