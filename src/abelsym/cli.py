@@ -207,6 +207,9 @@ def _table_groups(config):
             raise UsageError("cyclic range needs 2 <= start <= stop")
         return [(make_group((n,)), False) for n in range(start, stop + 1)]
     if config.family == "bicyclic":
+        if (config.start is not None and config.stop is not None
+                and config.stop < config.start):
+            raise UsageError("bicyclic range needs start <= stop")
         rows = []
         for n1, n2 in BICYCLIC_ROWS:
             order = n1 * n2

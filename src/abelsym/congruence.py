@@ -32,8 +32,7 @@ from math import gcd
 from .abelian import code_tuples, make_group, negation_codes, spans_dual
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
-                      SparseIntMatrix, require, smith_normal_form,
-                      sparse_add)
+                      SparseIntMatrix, _smith_form, require, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         _sign_class_matrix, formula_dimension)
 from .symbols import (DEFAULT_ENUM_BOUND, filter_groups, in_det_class,
@@ -411,7 +410,7 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
             "other than 1 mod %d", len(bad), level, bad[:1], n)
     index = {s: i for i, s in enumerate(quads)}
     fold = _coset_fold(level, quads, index, with_O)[1]
-    orbits, snf = fold.ncols, smith_normal_form(fold, bound=snf_bound)
+    orbits, snf = fold.ncols, _smith_form(fold, snf_bound)
     del fold
     ms = (time.perf_counter() - t0) * 1000.0
     turns = len(quads)
@@ -737,8 +736,9 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     require(sym_rows <= coset_rows, "symbol relations missing from the "
             "coset side at level %r: %d of %d", level,
             len(sym_rows - coset_rows), len(sym_rows))
-    coset_snf = smith_normal_form(coset_rel, bound=snf_bound)
-    sym_snf = smith_normal_form(sym_rel, bound=snf_bound)
+    # the folds, built for this call, are read: eliminate them in place
+    coset_snf = _smith_form(coset_rel, snf_bound)
+    sym_snf = _smith_form(sym_rel, snf_bound)
     return _matched(IsoReport(level, grp.literal(), keys,
                               len(quads), len(reps) - sym_snf.rank,
                               len(orbits) - coset_snf.rank, sym_snf.torsion,

@@ -17,6 +17,12 @@ reduces against the recorded pivot rows and a fraction-free echelon of
 that residue.  Each checker reduces a distinct query only once: a row
 equal up to sign to an earlier one, once cleared of denominators, gets the
 earlier verdict.  Column indices must be integers, kept as ints.
+
+The engine eliminates in place: it owns the rows it is handed and leaves
+them changed.  `smith_normal_form`, `rank_over_Q` and `SpanChecker` copy a
+caller's rows once, so a caller's matrix is never changed; the library's
+own single-use matrices go to `_smith_form` and `_nonzero_divisors`
+uncopied.
 """
 
 from __future__ import annotations
@@ -73,8 +79,8 @@ def row_signature(row):
 class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 
-    Treated as immutable after construction: the elimination routines copy
-    what they touch.
+    Treated as immutable after construction: the public elimination
+    routines copy its rows before they touch them.
     """
 
     __slots__ = ("nrows", "ncols", "rows")
@@ -185,7 +191,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
     an O(1) append, and an entry whose count is stale or whose column has
     no unit entry is skipped when it comes up.  On these relation matrices
     that makes no more fill than a Markowitz order, with no heap to keep.
-    Rows are a list by row id, None once retired, and each of the `ncols`
+    `rows` is a list by row id, None once retired, and each of the `ncols`
     columns keeps its live rows as dict keys in the order they entered it,
     fill last; each pass buckets the columns in order of first appearance,
     so the pivots follow the rows' order alone.  A dict of int keys also
@@ -193,18 +199,22 @@ def _unit_eliminate(rows, ncols, pivots=None):
     When given, `pivots` receives each retired (column, row) in pivot order,
     the pivot entry last in the row.  Once no unit entry is left, the live
     rows are divided by the gcd g of their entries and the next pass
-    re-buckets the columns at a scale g times larger, since SNF(gA) =
-    g SNF(A).  The rows are copied, not changed.
+    re-buckets the columns still live at a scale g times larger, since
+    SNF(gA) = g SNF(A).  The elimination runs in place: it owns the list
+    and its row dicts, which it changes and leaves changed, so a caller
+    copies what it keeps.
 
     Returns (divisors, scale, residue): one divisor per pivot, the final
     scale, and the live rows, which have content 1 and no unit entry.
     """
-    rows = [dict(row) if row else None for row in rows]
-    live = len(rows) - rows.count(None)
+    live = 0
     cols = [None] * ncols   # column -> {live row id: None}, in entry order
     order = []              # the columns in order of first appearance
     for i, row in enumerate(rows):
-        for c in row or ():
+        if not row:
+            continue
+        live += 1
+        for c in row:
             s = cols[c]
             if s is None:
                 cols[c] = {i: None}
@@ -215,7 +225,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
     scale = 1
     while True:
         buckets = [[] for _ in range(live + 1)]  # count -> columns
-        for c in order:     # dead columns go to bucket 0, never read
+        for c in order:
             buckets[len(cols[c])].append(c)
         low = 1
         while low <= live:
@@ -237,7 +247,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
             row = rows[pi]
             rows[pi] = None
             live -= 1
-            pv = row.pop(pc)    # the rest of the row; put back below
+            pv = row.pop(pc)    # the rest of the row; put back for `pivots`
             del s[pi]
             for j in s:
                 other = rows[j]
@@ -266,9 +276,9 @@ def _unit_eliminate(rows, ncols, pivots=None):
                     buckets[k].append(c)
                     if k < low:
                         low = k
-            row[pc] = pv
             divisors.append(scale)
             if pivots is not None:
+                row[pc] = pv
                 pivots.append((pc, row))
         g = 0
         for row in filter(None, rows):
@@ -281,6 +291,7 @@ def _unit_eliminate(rows, ncols, pivots=None):
         for row in filter(None, rows):
             for c in row:
                 row[c] //= g
+        order = [c for c in order if cols[c]]   # a peel revives no column
     return divisors, scale, list(filter(None, rows))
 
 
@@ -319,21 +330,26 @@ def _make_unit(rows):
                 v % piv for v in row.values())).items())
 
 
-def _nonzero_divisors(matrix):
-    """Nonzero Smith divisors, in chain order, of the whole matrix."""
-    divisors, scale, residue = _unit_eliminate(matrix.rows, matrix.ncols)
+def _nonzero_divisors(rows, ncols):
+    """Nonzero Smith divisors, in chain order, of the matrix with these
+    rows, which it eliminates in place."""
+    divisors, scale, residue = _unit_eliminate(rows, ncols)
     while residue:
         _make_unit(residue)
-        more, peel, residue = _unit_eliminate(residue, matrix.ncols)
+        more, peel, residue = _unit_eliminate(residue, ncols)
         divisors.extend(scale * d for d in more)
         scale *= peel
     return divisors
 
 
+def _copy_rows(matrix):
+    return [dict(row) for row in matrix.rows]
+
+
 def rank_over_Q(matrix):
     """Rank of the matrix over the rationals: its count of nonzero Smith
-    divisors, exact and with no size bound."""
-    return len(_nonzero_divisors(matrix))
+    divisors, exact and with no size bound.  The matrix is not changed."""
+    return len(_nonzero_divisors(_copy_rows(matrix), matrix.ncols))
 
 
 class SpanChecker:
@@ -353,7 +369,7 @@ class SpanChecker:
         self.matrix = matrix
         self._pivots = []       # (pivot col, row), in pivot order
         self._verdicts = {}     # row_signature of a query -> membership
-        _, _, residue = _unit_eliminate(matrix.rows, matrix.ncols,
+        _, _, residue = _unit_eliminate(_copy_rows(matrix), matrix.ncols,
                                         self._pivots)
         self._order = {c: k for k, (c, _) in enumerate(self._pivots)}
         for row in residue:
@@ -472,13 +488,22 @@ def smith_normal_form(matrix, bound=DEFAULT_SNF_BOUND):
     Unit pivots and content peeling (see _unit_eliminate) settle all but a
     residue of content 1 without unit entries, usually empty; gcd steps on
     that residue make a unit entry and unit pivots resume.  `bound` caps
-    max(nrows, ncols).
+    max(nrows, ncols).  The matrix is not changed: its rows are copied once
+    the bound is checked.
     """
+    if max(matrix.nrows, matrix.ncols) <= bound:    # else _smith_form raises
+        matrix = SparseIntMatrix.trusted(matrix.ncols, _copy_rows(matrix))
+    return _smith_form(matrix, bound)
+
+
+def _smith_form(matrix, bound):
+    """smith_normal_form, eliminating the matrix's own rows in place: for a
+    matrix built for this one call."""
     if max(matrix.nrows, matrix.ncols) > bound:
         raise BoundExceeded(
             "smith_normal_form bound exceeded: %dx%d > %d" %
             (matrix.nrows, matrix.ncols, bound))
-    divisors = _nonzero_divisors(matrix)
+    divisors = _nonzero_divisors(matrix.rows, matrix.ncols)
     rank = len(divisors)
     width = min(matrix.nrows, matrix.ncols)
     return SnfResult(divisors + [0] * (width - rank), rank)

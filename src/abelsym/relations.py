@@ -37,8 +37,8 @@ from math import prod
 
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
 from .arith import divisors, prime_factors, totient
-from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, rank_over_Q,
-                      require, smith_normal_form, sparse_add)
+from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
+                      _smith_form, rank_over_Q, require, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
                       enumerate_det_class, enumerate_generators, filter_groups,
                       in_det_class, replace_code, sign_class_groups)
@@ -358,10 +358,11 @@ class DimensionReport:
 
 def _rank_and_torsion(rel, want_torsion, snf_bound):
     """Rank over Q and torsion divisors, from one Smith form if torsion is
-    wanted."""
+    wanted.  Eliminates `rel`'s rows in place: its callers build it for
+    this one call."""
     if not want_torsion:
-        return rank_over_Q(rel), ()
-    snf = smith_normal_form(rel, bound=snf_bound)
+        return len(_nonzero_divisors(rel.rows, rel.ncols)), ()
+    snf = _smith_form(rel, snf_bound)
     return snf.rank, snf.torsion
 
 

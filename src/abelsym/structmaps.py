@@ -16,8 +16,8 @@ subgroup, kept only for that call: the quotient and Z/d, the annihilator
 as ambient code -> quotient code, dual_restrict and the lifts per code,
 and the minus reductions of quotient code tuples; one-code right sides
 (all of n = 2) are read off a table.  The comultiplication battery lists
-the plain tensor relations on code tuples once per subgroup and left size
-for both directions, and sums the split images by linearity over each
+the plain tensor relations on code tuples once per order, quotient and left
+size for both directions, and sums the split images by linearity over each
 blowup row.  The batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
 run the same routines on one-shot tables and return Fraction coefficients.
@@ -32,7 +32,7 @@ from math import gcd
 
 from .abelian import (code_tuples, make_group, negation_codes,
                       proper_cyclic_subgroups, quotient_data, spans_dual)
-from .exactla import SparseIntMatrix, SpanChecker, sparse_add
+from .exactla import SparseIntMatrix, SpanChecker, row_signature, sparse_add
 from .relations import Variant, build_relations, dimension, kernel_rows
 from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey,
                       sign_class_groups)
@@ -510,6 +510,37 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     return VerificationReport(group, n, checks)
 
 
+def _tensor_target(rec, n, k, enum_bound):
+    """The plain tensor relations of Z/d in degree k and the quotient in
+    degree n - k as (left, right, coeff) terms, the index of the sign-reduced
+    pairs, and a SpanChecker on the sign-reduced rows, each once up to sign:
+    all depend on Z/d, the quotient and k alone."""
+    lsys = build_relations(rec.cyc, k, Variant.PLAIN, bound=enum_bound)
+    rsys = build_relations(rec.q.quotient, n - k, Variant.PLAIN,
+                           bound=enum_bound)
+    lcodes = [key.codes for key in lsys.basis]
+    rcodes = [key.codes for key in rsys.basis]
+    tensor = [[(lcodes[c], r, v) for c, v in row.items()]
+              for row in lsys.rel.rows for r in rcodes]
+    tensor += [[(l, rcodes[c], v) for c, v in row.items()]
+               for l in lcodes for row in rsys.rel.rows]
+
+    # sign-reduced on the right: a row over a right key that is not its
+    # own rep is +-1 times a rep's row, or vanishes
+    reds = {r: rec.right(r) for r in rcodes}
+    pair_index = {pair: i for i, pair in enumerate(
+        (l, r) for l in lcodes for r in rcodes if reds[r] == (r, 1))}
+    rows = {}
+    for terms in tensor:
+        row = sparse_add({}, ((pair_index[l, reds[r][0]], v * reds[r][1])
+                              for l, r, v in terms if reds[r]))
+        if row:
+            rows.setdefault(row_signature(row), row)
+    checker = SpanChecker(SparseIntMatrix.trusted(len(pair_index),
+                                                  list(rows.values())))
+    return tensor, pair_index, checker
+
+
 def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     """Check that both transport directions respect the presentations.
 
@@ -517,7 +548,8 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     span of its target (plain tensor sign-reduced), for every proper cyclic
     subgroup and every left size; merging any relation of the plain tensor
     product through multiply must land back in the blowup span.  Both
-    directions read one list of the plain tensor relations.  At n = 2
+    directions read one list of the plain tensor relations, shared, with
+    its checker, by the subgroups of one order and quotient.  At n = 2
     neither tensor factor has relations of its own, so the split direction
     requires the pushed rows to vanish outright and the merge direction is
     vacuous.
@@ -529,31 +561,14 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     fwd_pass = fwd_total = 0
     back_pass = back_total = 0
     fwd_bad = back_bad = None
+    targets = {}    # (Z/d, quotient, left size) -> _tensor_target
     for sub in proper_cyclic_subgroups(group):
         rec = _Split(sub)
         for k in range(1, n):
-            lsys = build_relations(rec.cyc, k, Variant.PLAIN,
-                                   bound=enum_bound)
-            rsys = build_relations(rec.q.quotient, n - k, Variant.PLAIN,
-                                   bound=enum_bound)
-            lcodes = [key.codes for key in lsys.basis]
-            rcodes = [key.codes for key in rsys.basis]
-            # the plain tensor relations, as (left, right, coeff) terms
-            tensor = [[(lcodes[c], r, v) for c, v in row.items()]
-                      for row in lsys.rel.rows for r in rcodes]
-            tensor += [[(l, rcodes[c], v) for c, v in row.items()]
-                       for l in lcodes for row in rsys.rel.rows]
-
-            # sign-reduced on the right: a row over a right key that is not
-            # its own rep is +-1 times a rep's row, or vanishes
-            reds = {r: rec.right(r) for r in rcodes}
-            pair_index = {pair: i for i, pair in enumerate(
-                (l, r) for l in lcodes for r in rcodes if reds[r] == (r, 1))}
-            rows = [sparse_add({}, ((pair_index[l, reds[r][0]], v * reds[r][1])
-                                    for l, r, v in terms if reds[r]))
-                    for terms in tensor]
-            tensor_checker = SpanChecker(SparseIntMatrix.trusted(
-                len(pair_index), list(filter(None, rows))))
+            shape = rec.cyc, rec.q.quotient, k
+            if shape not in targets:
+                targets[shape] = _tensor_target(rec, n, k, enum_bound)
+            tensor, pair_index, tensor_checker = targets[shape]
 
             images = [[(pair_index[pair], coeff) for pair, coeff
                        in rec.split(key.codes, k).items()]

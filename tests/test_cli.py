@@ -313,7 +313,9 @@ def test_usage_errors(capsys):
                   for c in ("kernel", "comult", "delta")]
                  + [["table", "--family", "pxp", "--primes", p]
                     for p in ("0", "200")]
-                 + [["table", "--family", "cyclic", "--stop", "100000"]]):
+                 + [["table", "--family", "cyclic", "--stop", "100000"]]
+                 + [["table", "--family", f, "--start", "50", "--stop", "10"]
+                    for f in ("cyclic", "bicyclic")]):
         code, out, err = run(capsys, *argv, "--no-cache")
         assert code == 2 and out == "" and err.startswith("error: "), argv
         if argv[0] == "verify":     # each battery names the n it needs

@@ -22,7 +22,8 @@ from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
                                 level2_consistency, level_invariants,
                                 lift_coset, manin_space)
 from abelsym.exactla import smith_normal_form
-from abelsym.relations import Variant, build_relations, formula_dimension
+from abelsym.relations import (Variant, build_relations, dimension,
+                               dimension_graded, formula_dimension)
 from abelsym.symbols import FormalSum
 
 # every level of coset index <= 6,000
@@ -671,3 +672,20 @@ def test_cosets_match_validating_constructor():
             except ValueError:
                 pass
         assert enumerate_cosets(n, m) == brute
+
+
+def test_second_call_gives_the_same_answer():
+    # each call eliminates the folds it built in place; a fold that leaked
+    # into state shared between calls would reach the second one consumed
+    calls = [
+        lambda: dimension(make_group((12,)), 2, Variant.MINUS,
+                          want_torsion=True),
+        lambda: dimension(make_group((2, 4)), 2, Variant.MINUS,
+                          want_torsion=True),
+        lambda: dimension_graded(make_group((5, 5)), Variant.MINUS),
+        lambda: manin_space(11, 1)[1],
+        lambda: iso_check(7, 2),
+    ]
+    for call in calls:
+        first, second = (dict(call().to_json(), ms=None) for _ in range(2))
+        assert first == second
