@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .abelian import make_group, parse_group
-from .arith import totient
+from .arith import prime_factors, totient
 from .cache import ReportCache
 from .congruence import (coset_index, coset_of, cusp_formula,
                          cusp_orbit_count, enumerate_cosets, genus,
@@ -92,6 +92,10 @@ class RunConfig:
             except ValueError:
                 raise UsageError("--primes expects a comma-separated list "
                                  "of integers") from None
+            for p in self.primes:
+                if p < 2 or prime_factors(p) != [p]:
+                    raise UsageError("--primes expects primes; %d is not "
+                                     "prime" % p)
 
 
 def format_torsion(torsion):

@@ -28,6 +28,7 @@ uncopied.
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from math import gcd
 from operator import index
 
@@ -446,7 +447,8 @@ def _integerize(row, ncols):
     """A new {col: int} row, the {col: int|Fraction} row times the lcm of
     its denominators, zeros dropped; a column that is not an int in
     range(ncols), or an entry that is not rational, raises ValueError.
-    Each entry is read once, and an int passes through."""
+    Each entry is read once, and an int passes through; a Fraction's
+    numerator and denominator are read off its slots, not its properties."""
     out, dens, lcm = {}, {}, 1
     try:
         for c, v in row.items():
@@ -454,13 +456,19 @@ def _integerize(row, ncols):
             if not 0 <= k < ncols:
                 raise ValueError("query column %r out of range for %d "
                                  "columns" % (c, ncols))
-            if type(v) is int:
+            kind = type(v)
+            if kind is int:
                 if v:
                     out[k] = v
                 continue
-            num, den = v.numerator, v.denominator
+            if kind is Fraction:
+                num, den = v._numerator, v._denominator
+            else:                       # bool or another Rational
+                num, den = v.numerator, v.denominator
+                if num:
+                    num = int(num)
             if num:
-                out[k] = int(num)
+                out[k] = num
                 if den != 1:
                     dens[k] = den
                     lcm = lcm * den // gcd(lcm, den)

@@ -116,12 +116,28 @@ def _blowup_rows(group, codes, index, n):
     if a = b' and b = a').  One-term rows do repeat at other keys (on
     Z/2 at n = 4, (0,0,1,1) at (0, 1) and (0,0,0,1) at (0, 3)), so each is
     kept once, by its column.  Coefficients sum to -1, so no row is zero or
-    another's negative.
+    another's negative.  At n = 2 the one pair (0, 1) has no earlier pair to
+    repeat, so that branch drops the pair loop and sorts both images inline.
     """
     neg = negation_codes(group)
     spread, wrap = sum_codes(group)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     rows, ones = [], set()
+    if n == 2:
+        for k, (a, b) in enumerate(codes):
+            x = wrap[spread[a] + spread[neg[b]]]
+            u = index[(x, b) if x <= b else (b, x)]
+            if a == 0:
+                if u not in ones:
+                    ones.add(u)
+                    rows.append({u: -1})
+            elif a == b:
+                rows.append({k: 1, u: -2})
+            else:
+                y = neg[x]
+                rows.append({k: 1, u: -1,
+                             index[(a, y) if a <= y else (y, a)]: -1})
+        return rows
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for k, t in enumerate(codes):
         for i, j in pairs:
             a, b = t[i], t[j]

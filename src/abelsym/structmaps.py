@@ -34,7 +34,7 @@ from .abelian import (code_tuples, make_group, negation_codes,
                       proper_cyclic_subgroups, quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, row_signature, sparse_add
 from .relations import Variant, build_relations, dimension, kernel_rows
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey,
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, _sorted_key,
                       sign_class_groups)
 
 __all__ = [
@@ -359,27 +359,34 @@ def delta_sum(key, i=0, j=1):
     the entry at i or j permutes the four terms, so the sum is constant on
     the sign class at (i, j) (all of it at n = 2, where the positions stay
     put), and a `SpanChecker` answers the class's repeats from its memo.
+    The unflipped term is `key` itself, not a rebuilt copy.
     """
-    n = len(key)
+    codes, group = key.codes, key.group
+    n = len(codes)
     if n < 2:
         raise ValueError("the sign sum needs keys with n >= 2")
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError("positions must be distinct and within the key")
-    neg = negation_codes(key.group)
-    ci, cj = key.codes[i], key.codes[j]
-    rest = (None if n == 2 else
-            [c for k, c in enumerate(key.codes) if k != i and k != j])
-    terms = {}
+    neg = negation_codes(group)
+    ci, cj = codes[i], codes[j]
+    ni, nj = neg[ci], neg[cj]
     # sign flips keep the span: the images need no re-validation
-    for a in (ci, neg[ci]):
-        for b in (cj, neg[cj]):
-            if rest:
-                t = tuple(sorted(rest + [a, b]))
-            else:
-                t = (a, b) if a <= b else (b, a)
-            terms[t] = terms.get(t, 0) + 1
+    if n == 2:
+        flips = ((ci, nj) if ci <= nj else (nj, ci),
+                 (ni, cj) if ni <= cj else (cj, ni),
+                 (ni, nj) if ni <= nj else (nj, ni))
+    else:
+        rest = [c for k, c in enumerate(codes) if k != i and k != j]
+        flips = [tuple(sorted(rest + [a, b]))
+                 for a, b in ((ci, nj), (ni, cj), (ni, nj))]
+    counts = {codes: 1}
+    for t in flips:
+        counts[t] = counts.get(t, 0) + 1
+    terms = {}
+    for t, c in counts.items():
+        terms[key if t is codes else _sorted_key(group, t)] = _COUNTS[c]
     out = FormalSum.__new__(FormalSum)
-    out.terms = {SymbolKey(key.group, t): _COUNTS[c] for t, c in terms.items()}
+    out.terms = terms
     return out
 
 

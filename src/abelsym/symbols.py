@@ -79,6 +79,16 @@ class SymbolKey:
             "(%s)" % ",".join(map(str, ch.residues)) for ch in self.entries)
 
 
+def _sorted_key(group, codes):
+    """The key of a sorted code tuple the library built itself, taken as
+    is: no `tuple()` copy and no check; outside callers use SymbolKey."""
+    key = SymbolKey.__new__(SymbolKey)
+    key.group = group
+    key.codes = codes
+    key._hash = hash((group, codes))
+    return key
+
+
 def replace_code(codes, i, code):
     """The sorted code tuple with entry i replaced by `code`."""
     if len(codes) == 2:  # the hot case, without a sort
@@ -115,7 +125,7 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     exactly the canonical tuples; generating_code_groups keeps those that
     generate the dual group.
     """
-    return [SymbolKey(group, codes)
+    return [_sorted_key(group, codes)
             for codes in code_tuples(_generating_codes(group, n, bound))]
 
 

@@ -312,7 +312,7 @@ def test_usage_errors(capsys):
     for argv in ([["verify", "--check", c, "--group", "9", "--n", "1"]
                   for c in ("kernel", "comult", "delta")]
                  + [["table", "--family", "pxp", "--primes", p]
-                    for p in ("0", "200")]
+                    for p in ("0", "200", "4", "1")]
                  + [["table", "--family", "cyclic", "--stop", "100000"]]
                  + [["table", "--family", f, "--start", "50", "--stop", "10"]
                     for f in ("cyclic", "bicyclic")]):
@@ -320,6 +320,8 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and err.startswith("error: "), argv
         if argv[0] == "verify":     # each battery names the n it needs
             assert "n >= 2" in err, argv
+        if "--primes" in argv:      # a non-prime is named
+            assert "%s is not prime" % argv[-1] in err, argv
         code, out, _ = run(capsys, *argv, "--format", "json", "--no-cache")
         assert code == 2 and "error" in json.loads(out), argv
 

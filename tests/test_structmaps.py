@@ -201,17 +201,33 @@ def test_delta_sum_positions():
         delta_sum(keys[0], 0, 3)
 
 
+def _same_as_built(key, group, other):
+    """`key` is equal, hash-equal and ordered against `other` like the key
+    SymbolKey builds from a list of its codes, and holds a sorted tuple."""
+    built = SymbolKey(group, list(key.codes))
+    assert key == built and hash(key) == hash(built)
+    assert key.group is group and type(key.codes) is tuple
+    assert list(key.codes) == sorted(key.codes)
+    assert ((key < other, other < key, key <= other)
+            == (built < other, other < built, built <= other))
+
+
 def test_delta_sum_keys_match_built_keys():
-    # the terms' keys are equal and hash-equal to keys built from codes
-    for factors, n in (((5, 5), 2), ((12,), 2), ((3, 3), 3)):
-        group = make_group(factors)
-        for key in enumerate_generators(group, n)[::7]:
+    # every key of enumerate_generators and every term of delta_sum, at
+    # every position pair, on every n = 2 presentation of order <= 36 and
+    # every n = 3 one of order <= 12
+    for group, n in ([(g, 2) for g in presentations(36)]
+                     + [(g, 3) for g in presentations(12)]):
+        keys = enumerate_generators(group, n)
+        for k, key in enumerate(keys):
+            _same_as_built(key, group, keys[k - 1])
+            assert k == 0 or keys[k - 1] < key
+        for key in keys:
             for i, j in combinations(range(n), 2):
-                for term in delta_sum(key, i, j).terms:
-                    built = SymbolKey(group, term.codes)
-                    assert term == built and hash(term) == hash(built)
-                    assert term.group is group
-                    assert list(term.codes) == sorted(term.codes)
+                terms = delta_sum(key, i, j).terms
+                assert next(iter(terms)) is key     # unflipped, not rebuilt
+                for term in terms:
+                    _same_as_built(term, group, key)
 
 
 def test_split_restrict_table_matches_dual_restrict():
