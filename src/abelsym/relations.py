@@ -39,9 +39,10 @@ from .abelian import code_tuples, negation_codes, parse_group, sum_codes
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
                       _smith_form, rank_over_Q, require, sparse_add)
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, det_classes,
-                      enumerate_det_class, enumerate_generators, filter_groups,
-                      in_det_class, replace_code, sign_class_groups)
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, _CodeSum, _sorted_key,
+                      det_classes, enumerate_det_class, enumerate_generators,
+                      filter_groups, in_det_class, replace_code,
+                      sign_class_groups)
 
 
 class Variant(enum.Enum):
@@ -75,7 +76,24 @@ class RelationSystem:
         self.index = index
 
     def vector(self, fsum):
-        """A FormalSum over the basis keys as a sparse row dict."""
+        """A FormalSum over the basis keys as a sparse row dict.
+
+        A sum still held as code tuples (`_CodeSum`) over this system's
+        group is looked up by its codes and builds no key; a missing one is
+        built only for the KeyError's message, which is the key path's.
+        """
+        if type(fsum) is _CodeSum:
+            codes = fsum.codes
+            if codes is not None:
+                index = self.index if fsum.group is self.group else {}
+                row = {}
+                try:
+                    for t, c in codes.items():
+                        row[index[t]] = c
+                except KeyError:
+                    raise KeyError("key %r is not in the basis" % (
+                        _sorted_key(fsum.group, t),)) from None
+                return row
         row = {}
         for key, coeff in fsum.items():
             try:

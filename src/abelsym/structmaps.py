@@ -20,7 +20,9 @@ the plain tensor relations on code tuples once per order, quotient and left
 size for both directions, and sums the split images by linearity over each
 blowup row.  The batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
-run the same routines on one-shot tables and return Fraction coefficients.
+run the same routines on one-shot tables and return Fraction coefficients;
+`multiply`, `psi` and `delta_sum` return their sums on code tuples, with
+keys built on first read.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .abelian import (code_tuples, make_group, negation_codes,
                       proper_cyclic_subgroups, quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, row_signature, sparse_add
 from .relations import Variant, build_relations, dimension, kernel_rows
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, _sorted_key,
+from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, _CodeSum,
                       sign_class_groups)
 
 __all__ = [
@@ -258,11 +260,9 @@ def _omega(splits, n):
 
 
 def _formal(group, terms, den=None):
-    """FormalSum over `group` of {codes: coeff}, coefficients over den."""
-    out = FormalSum()
-    out.terms = {SymbolKey(group, t): Fraction(c, den)
-                 for t, c in terms.items()}
-    return out
+    """FormalSum over `group` of {codes: coeff}, coefficients over den,
+    held as code tuples."""
+    return _CodeSum(group, {t: Fraction(c, den) for t, c in terms.items()})
 
 
 def _tensor(left_variant, rec, terms):
@@ -359,7 +359,9 @@ def delta_sum(key, i=0, j=1):
     the entry at i or j permutes the four terms, so the sum is constant on
     the sign class at (i, j) (all of it at n = 2, where the positions stay
     put), and a `SpanChecker` answers the class's repeats from its memo.
-    The unflipped term is `key` itself, not a rebuilt copy.
+    The sum is held as sorted code tuples, which `is_zero` and
+    `RelationSystem.vector` read; its keys are built when its terms are
+    first read, the unflipped one being `key` itself, not a rebuilt copy.
     """
     codes, group = key.codes, key.group
     n = len(codes)
@@ -382,12 +384,9 @@ def delta_sum(key, i=0, j=1):
     counts = {codes: 1}
     for t in flips:
         counts[t] = counts.get(t, 0) + 1
-    terms = {}
-    for t, c in counts.items():
-        terms[key if t is codes else _sorted_key(group, t)] = _COUNTS[c]
-    out = FormalSum.__new__(FormalSum)
-    out.terms = terms
-    return out
+    for t, c in counts.items():     # the counts as shared Fractions
+        counts[t] = _COUNTS[c]
+    return _CodeSum(group, counts, key)
 
 
 def omega_generators(group, n):
@@ -564,7 +563,7 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     if n < 2:
         raise ValueError("comultiplication checks need n >= 2")
     src = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
-    src_checker = SpanChecker(src.rel)
+    src_checker = None      # built at the first merge query: none at n = 2
     fwd_pass = fwd_total = 0
     back_pass = back_total = 0
     fwd_bad = back_bad = None
@@ -599,6 +598,8 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                         merges[l, r] = [(src.index[t], c) for t, c
                                         in _merge(rec, l, r).items()]
                     sparse_add(image, ((t, c * v) for t, c in merges[l, r]))
+                if image and src_checker is None:
+                    src_checker = SpanChecker(src.rel)
                 if not image or src_checker.contains(image):
                     back_pass += 1
                 elif back_bad is None:

@@ -161,7 +161,14 @@ def _generating_codes(group, n, bound, codes=None):
 
 
 class FormalSum:
-    """Finitely supported rational combination of symbol keys."""
+    """Finitely supported rational combination of symbol keys.
+
+    A sum has two sources.  Built from keys, `terms` is its {SymbolKey:
+    Fraction} dict.  The library's own sums over one group (`delta_sum`,
+    `multiply`, `psi`) hold {sorted code tuple: Fraction} and build `terms`
+    on first read (`_CodeSum`); `is_zero` and `RelationSystem.vector` read
+    their codes until then, and every other operation reads the terms.
+    """
 
     __slots__ = ("terms",)
 
@@ -205,6 +212,33 @@ class FormalSum:
         bits = ["%s*%r" % (c, k) for k, c in sorted(
             self.terms.items(), key=lambda kv: kv[0])]
         return "FormalSum(%s)" % " + ".join(bits)
+
+
+class _CodeSum(FormalSum):
+    """A FormalSum over `group` held as {sorted code tuple: Fraction} in
+    `codes`.  Its terms are built on first read, as `exactla.DeferredRows`
+    builds its rows: `first`, when given, is a key to keep as the term of
+    its own code tuple, and the other tuples go through `_sorted_key`.  Then
+    `codes` is dropped, and the sum reads its terms like any other."""
+
+    __slots__ = ("group", "codes", "first")
+
+    def __init__(self, group, codes, first=None):
+        self.group, self.codes, self.first = group, codes, first
+
+    def __getattr__(self, name):     # called only while `terms` is unset
+        if name != "terms":
+            raise AttributeError(name)
+        group, first = self.group, self.first
+        mine = first.codes if first is not None else None
+        self.terms = terms = {
+            first if t is mine else _sorted_key(group, t): c
+            for t, c in self.codes.items()}
+        self.codes = self.first = None
+        return terms
+
+    def is_zero(self):
+        return not (self.codes or self.terms)
 
 
 class DetClass:

@@ -8,9 +8,10 @@ from math import gcd
 import pytest
 
 import structref
-from abelsym import relations, structmaps
+from abelsym import relations, structmaps, symbols
 from abelsym.abelian import (QuotientData, make_group,
                              proper_cyclic_subgroups, quotient_data)
+from abelsym.congruence import manin_space
 from abelsym.exactla import SpanChecker
 from abelsym.relations import (Variant, build_relations, kernel_dimension,
                                kernel_generators)
@@ -216,9 +217,12 @@ def test_delta_sum_keys_match_built_keys():
     # every key of enumerate_generators and every term of delta_sum, at
     # every position pair, on every n = 2 presentation of order <= 36 and
     # every n = 3 one of order <= 12
+    nothing = FormalSum()
     for group, n in ([(g, 2) for g in presentations(36)]
                      + [(g, 3) for g in presentations(12)]):
         keys = enumerate_generators(group, n)
+        system = build_relations(group, n, Variant.PLAIN, keys=keys)
+        seen = set()
         for k, key in enumerate(keys):
             _same_as_built(key, group, keys[k - 1])
             assert k == 0 or keys[k - 1] < key
@@ -228,6 +232,71 @@ def test_delta_sum_keys_match_built_keys():
                 assert next(iter(terms)) is key     # unflipped, not rebuilt
                 for term in terms:
                     _same_as_built(term, group, key)
+                # a fresh sum, held as code tuples, against the sum built
+                # from its keys: vector and is_zero read its codes
+                fresh = delta_sum(key, i, j)
+                got, zero = system.vector(fresh), fresh.is_zero()
+                built = FormalSum(dict(fresh.terms))
+                want = system.vector(built)
+                assert list(got.items()) == list(want.items())
+                assert zero is built.is_zero()
+                assert fresh == built and built == fresh
+                assert fresh + nothing == built
+                # repr and scale read the built terms as == does: once per
+                # set of columns (the sum is constant on a sign class)
+                if frozenset(got) not in seen:
+                    seen.add(frozenset(got))
+                    assert repr(fresh) == repr(built)
+                    assert fresh.scale(2) == built.scale(2)
+
+
+def test_delta_probe_builds_no_key(monkeypatch):
+    # delta_sum, is_zero and vector run on code tuples alone; reading the
+    # terms then builds every key but the caller's
+    group = make_group((5, 5))
+    keys = enumerate_generators(group, 2)
+    system = build_relations(group, 2, Variant.PLAIN, keys=keys)
+    built = []
+    sorted_key, init = symbols._sorted_key, SymbolKey.__init__
+
+    def counted(group, codes):
+        built.append(codes)
+        return sorted_key(group, codes)
+
+    def counted_init(key, group, codes):
+        built.append(codes)
+        init(key, group, codes)
+
+    for module in (symbols, relations, structmaps):
+        if hasattr(module, "_sorted_key"):
+            monkeypatch.setattr(module, "_sorted_key", counted)
+    monkeypatch.setattr(SymbolKey, "__init__", counted_init)
+    for key in keys:
+        image = delta_sum(key)
+        assert not image.is_zero()
+        assert len(system.vector(image)) == 4
+    assert built == []
+    assert len(image.terms) == 4 and len(built) == 3
+
+
+def test_vector_error_matches_key_path():
+    # a sum held as code tuples raises the key path's KeyError: over
+    # another group, with codes outside the basis (n = 3 on an n = 2
+    # system), and on a Manin system, whose index holds quads
+    g55, g33 = make_group((5, 5)), make_group((3, 3))
+    manin, _ = manin_space(11, 1)
+    cases = [(build_relations(g55, 2, Variant.PLAIN), g33, 2),
+             (build_relations(g33, 2, Variant.PLAIN), g33, 3),
+             (manin, g55, 2), (manin, manin.group, 2)]
+    for system, group, n in cases:
+        key = enumerate_generators(group, n)[0]
+        messages = []
+        for image in (delta_sum(key), FormalSum(dict(delta_sum(key).terms))):
+            with pytest.raises(KeyError) as err:
+                system.vector(image)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("'key <")
 
 
 def test_split_restrict_table_matches_dual_restrict():
