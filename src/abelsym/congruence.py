@@ -6,7 +6,7 @@ finite and biject with the ordered character pairs of Z/N x Z/MN that
 generate the dual group and have determinant 1 mod N; those quadruples are
 the generators of the Manin relation space built here.  Inside, a coset is
 its residue quad (a, b, c, d), a plain int tuple in lexicographic order;
-`CosetSymbol` objects are built only for returned values.  The Smith forms
+`CosetSymbol` objects are built only when read.  The Smith forms
 run on the Manin relations folded over the turn orbits (`_coset_fold`), as
 the symbol side folds its sign rows over sign classes.  `iso_check`
 certifies that the coset and symbol presentations are one: the orbits map
@@ -128,10 +128,10 @@ class CosetSymbol:
         self._set(a, b, c, d, (n, m))
 
     @classmethod
-    def _unchecked(cls, a, b, c, d, level):
-        """A symbol whose residues are known to be valid: no checks."""
+    def _unchecked(cls, level, quad):
+        """The symbol of a quad known to be valid at `level`: no checks."""
         sym = cls.__new__(cls)
-        sym._set(a, b, c, d, level)
+        sym._set(*quad, level)
         return sym
 
     def _set(self, a, b, c, d, level):
@@ -271,7 +271,7 @@ def enumerate_cosets(n, m, bound=DEFAULT_ENUM_BOUND):
 
     For MN >= 3 the count must equal the index formula, which is checked.
     """
-    return [CosetSymbol._unchecked(*quad, (n, m))
+    return [CosetSymbol._unchecked((n, m), quad)
             for quad in _coset_quads(n, m, bound)]
 
 
@@ -419,12 +419,12 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
                     for i, (a, b, c, d) in enumerate(quads))
     rel = DeferredRows(turns + len(quads) * (2 if with_O else 1), len(quads),
                        partial(_manin_rows, level, quads, index, with_O))
-    cosets = [CosetSymbol._unchecked(*s, level) for s in quads]
     grp = make_group((n, k))
     variant = Variant.MINUS if with_O else Variant.PLAIN
-    system = RelationSystem(grp, 2, variant, cosets, rel, index)
+    system = RelationSystem(grp, 2, variant, quads, (CosetSymbol, level), rel,
+                            index)
     report = DimensionReport(grp, 2, variant, "MANIN", orbits - snf.rank,
-                             snf.torsion, len(cosets), ms)
+                             snf.torsion, len(quads), ms)
     return system, report
 
 

@@ -11,11 +11,13 @@ relation once, by rules proved in the builders, as modular-symbols codes
 build Manin's relation once per orbit; no pass hashes repeats away after.
 The images keep the key's span, so they are looked up in the basis without
 re-validating them.  `_blowup_rows` builds the blowups; `build_relations`
-appends the minus variant's sign rows from `_sign_rows`, and `kernel_rows`
-hands the same rows to the kernel checks.  The library's own minus
-computations (`dimension`, `dimension_graded`, `iso_check`) fold them into
-the columns instead, as modular-symbols codes quotient by the two-term
-relations first: with lo[c] = min(c, -c), a code tuple is (-1)^(entries
+appends the minus variant's sign rows from `_sign_rows`, which
+`kernel_generators` and the kernel checks read too.  A system holds its
+basis as code tuples and builds the keys only when `basis` is read.  The
+library's own minus computations (`dimension`, `dimension_graded`,
+`iso_check`) fold the sign rows into the columns instead, as
+modular-symbols codes quotient by the two-term relations first: with
+lo[c] = min(c, -c), a code tuple is (-1)^(entries
 with lo[c] != c) times its representative (rep), its sorted lo codes, and
 a rep with a self-inverse entry gets 2 e_rep = 0.  One pass over the reps,
 never the keys, counts the keys and builds each folded row from the least
@@ -38,9 +40,9 @@ from math import prod
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
 from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
-                      _smith_form, rank_over_Q, require, sparse_add)
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, _CodeSum, _sorted_key,
-                      det_classes, enumerate_det_class, enumerate_generators,
+                      _smith_form, require, sparse_add)
+from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
+                      _generating_codes, det_classes, enumerate_det_class,
                       filter_groups, in_det_class, replace_code,
                       sign_class_groups)
 
@@ -62,56 +64,49 @@ class Variant(enum.Enum):
 
 
 class RelationSystem:
-    """Canonical keys (columns) plus the relation rows presenting them;
-    `index` takes a key's code tuple (a coset's quadruple) to its column."""
+    """Relation rows over columns held as code tuples.
 
-    __slots__ = ("group", "n", "variant", "basis", "rel", "index")
+    `codes` lists the columns' code tuples (a key's codes, a coset's quad)
+    and `space` is where they are read, as a FormalSum's; `index` takes a
+    code tuple to its column.  `basis`, the columns' keys or cosets, is
+    built on first read and then kept; a caller's keys are the basis as
+    given.
+    """
 
-    def __init__(self, group, n, variant, basis, rel, index):
-        self.group = group
-        self.n = n
-        self.variant = variant
-        self.basis = basis
-        self.rel = rel
-        self.index = index
+    __slots__ = ("group", "n", "variant", "codes", "space", "rel", "index",
+                 "_basis")
+
+    def __init__(self, group, n, variant, codes, space, rel, index):
+        self.group, self.n, self.variant = group, n, variant
+        self.codes, self.space, self.rel, self.index = codes, space, rel, index
+        self._basis = None
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = list(map(_builder(self.space), self.codes))
+        return self._basis
 
     def vector(self, fsum):
-        """A FormalSum over the basis keys as a sparse row dict.
-
-        A sum still held as code tuples (`_CodeSum`) over this system's
-        group is looked up by its codes and builds no key; a missing one is
-        built only for the KeyError's message, which is the key path's.
+        """A FormalSum over the basis as a sparse row dict, in the sum's
+        order, each code tuple looked up in `index`.  A sum over another
+        space raises KeyError, as a tuple outside the basis does, naming
+        its first such term.
         """
-        if type(fsum) is _CodeSum:
-            codes = fsum.codes
-            if codes is not None:
-                index = self.index if fsum.group is self.group else {}
-                row = {}
-                try:
-                    for t, c in codes.items():
-                        row[index[t]] = c
-                except KeyError:
-                    raise KeyError("key %r is not in the basis" % (
-                        _sorted_key(fsum.group, t),)) from None
-                return row
+        index = self.index if fsum.space == self.space else {}
         row = {}
-        for key, coeff in fsum.items():
-            try:
-                idx = (self.index.get(key.codes) if key.group is self.group
-                       else None)
-            except AttributeError:      # a coset, looked up by its quad
-                idx = self.index.get(key.quad())
-                if idx is not None and self.basis[idx] != key:
-                    idx = None
-            if idx is None:
-                raise KeyError("key %r is not in the basis" % (key,))
-            row[idx] = coeff
+        try:
+            for t, c in fsum.codes.items():
+                row[index[t]] = c
+        except KeyError:
+            raise KeyError("key %r is not in the basis"
+                           % (_builder(fsum.space)(t),)) from None
         return row
 
     def __repr__(self):
         return "RelationSystem(%s, n=%d, %s, %d keys, %d rows)" % (
             self.group.literal(), self.n, self.variant.value,
-            len(self.basis), self.rel.nrows)
+            len(self.codes), self.rel.nrows)
 
 
 def _blowup_rows(group, codes, index, n):
@@ -326,13 +321,16 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     `keys` restricts the basis (used for determinant-class subsystems); the
     relation templates never leave a determinant class, so the restricted
     rows are exactly the full rows supported on the restricted keys.
+    Without `keys` the basis is enumerated as code tuples.
     """
     variant = Variant.parse(variant)
     if variant is Variant.PLUS and n != 1:
         raise ValueError("the plus variant is defined only for n = 1")
     if keys is None:
-        keys = enumerate_generators(group, n, bound=bound)
-    codes = [key.codes for key in keys]
+        codes = code_tuples(_generating_codes(group, n, bound))
+    else:
+        keys = list(keys)
+        codes = [key.codes for key in keys]
     index = {t: i for i, t in enumerate(codes)}
     if variant is Variant.PLUS:
         neg = negation_codes(group)
@@ -342,8 +340,11 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
         rows = _blowup_rows(group, codes, index, n)
     if variant is Variant.MINUS:
         rows += _sign_rows(group, codes, index, n)
-    rel = SparseIntMatrix.trusted(len(keys), rows)
-    return RelationSystem(group, n, variant, list(keys), rel, index)
+    rel = SparseIntMatrix.trusted(len(codes), rows)
+    system = RelationSystem(group, n, variant, codes, (SymbolKey, group), rel,
+                            index)
+    system._basis = keys
+    return system
 
 
 class DimensionReport:
@@ -411,7 +412,7 @@ def dimension(group, n, variant, want_torsion=False,
         rel, count = _sign_class_matrix(group, groups, n)
     else:
         system = build_relations(group, n, variant, bound=enum_bound)
-        rel, count = system.rel, len(system.basis)
+        rel, count = system.rel, len(system.codes)
     rank, torsion = _rank_and_torsion(rel, want_torsion, snf_bound)
     ms = (time.perf_counter() - t0) * 1000.0
     return DimensionReport(group, n, variant, "BRUTE", rel.ncols - rank,
@@ -451,20 +452,15 @@ def kernel_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     """Spanning set of the kernel of the plain -> minus projection.
 
     One formal sum e_key + e_(key with one entry negated) per key and
-    position, deduplicated: the rows of `kernel_rows`.
+    position, deduplicated: the minus variant's sign rows.
     """
     if n < 2:
         raise ValueError("kernel generators need n >= 2")
-    keys = enumerate_generators(group, n, bound=bound)
-    return [FormalSum({keys[c]: v for c, v in row.items()})
-            for row in kernel_rows(group, n, keys)]
-
-
-def kernel_rows(group, n, keys):
-    """The kernel generators as sparse rows over the indexed keys; they are
-    the minus variant's sign rows."""
-    codes = [key.codes for key in keys]
-    return _sign_rows(group, codes, {t: i for i, t in enumerate(codes)}, n)
+    codes = code_tuples(_generating_codes(group, n, bound))
+    index = {t: i for i, t in enumerate(codes)}
+    return [_code_sum({codes[c]: Fraction(v) for c, v in row.items()},
+                      (SymbolKey, group))
+            for row in _sign_rows(group, codes, index, n)]
 
 
 def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
@@ -472,17 +468,6 @@ def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     plain = dimension(group, n, Variant.PLAIN, enum_bound=enum_bound)
     minus = dimension(group, n, Variant.MINUS, enum_bound=enum_bound)
     return plain.dim_q - minus.dim_q
-
-
-def kernel_span_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
-    """Rank added by the kernel generators over the plain relation span."""
-    system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
-    if not system.basis:
-        return 0
-    base = rank_over_Q(system.rel)
-    krows = kernel_rows(group, n, system.basis)
-    total = rank_over_Q(system.rel.with_rows(krows))
-    return total - base
 
 
 # -- closed forms -------------------------------------------------------------

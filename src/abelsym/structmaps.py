@@ -21,8 +21,9 @@ size for both directions, and sums the split images by linearity over each
 blowup row.  The batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
 run the same routines on one-shot tables and return Fraction coefficients;
-`multiply`, `psi` and `delta_sum` return their sums on code tuples, with
-keys built on first read.
+`multiply`, `psi` and `delta_sum` return FormalSums, which hold code
+tuples and build their keys only when read, and the batteries read their
+relation systems' code tuples, never their keys.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from math import gcd
 from .abelian import (code_tuples, make_group, negation_codes,
                       proper_cyclic_subgroups, quotient_data, spans_dual)
 from .exactla import SparseIntMatrix, SpanChecker, row_signature, sparse_add
-from .relations import Variant, build_relations, dimension, kernel_rows
-from .symbols import (DEFAULT_ENUM_BOUND, FormalSum, SymbolKey, _CodeSum,
+from .relations import Variant, _sign_rows, build_relations, dimension
+from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
                       sign_class_groups)
 
 __all__ = [
@@ -260,9 +261,9 @@ def _omega(splits, n):
 
 
 def _formal(group, terms, den=None):
-    """FormalSum over `group` of {codes: coeff}, coefficients over den,
-    held as code tuples."""
-    return _CodeSum(group, {t: Fraction(c, den) for t, c in terms.items()})
+    """FormalSum over `group` of {codes: coeff}, coefficients over den."""
+    return _code_sum({t: Fraction(c, den) for t, c in terms.items()},
+                     (SymbolKey, group))
 
 
 def _tensor(left_variant, rec, terms):
@@ -321,12 +322,12 @@ def nu(group, n, x):
     """
     if n < 2:
         raise ValueError("the splitting map needs n >= 2")
-    for key, _ in x.items():
-        if len(key) != n or key.group is not group:
+    for t in x.codes:
+        if len(t) != n or x.space != (SymbolKey, group):
             raise ValueError("summand %r does not have length %d over %s"
-                             % (key, n, group.literal()))
+                             % (_builder(x.space)(t), n, group.literal()))
     splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
-    comps = _nu(splits, {key.codes: c for key, c in x.items()})
+    comps = _nu(splits, x.codes)
     return {rec.sub: _tensor(Variant.PLUS, rec, comp)
             for rec, comp in zip(splits, comps)}
 
@@ -359,9 +360,9 @@ def delta_sum(key, i=0, j=1):
     the entry at i or j permutes the four terms, so the sum is constant on
     the sign class at (i, j) (all of it at n = 2, where the positions stay
     put), and a `SpanChecker` answers the class's repeats from its memo.
-    The sum is held as sorted code tuples, which `is_zero` and
+    The sum holds sorted code tuples, which `is_zero` and
     `RelationSystem.vector` read; its keys are built when its terms are
-    first read, the unflipped one being `key` itself, not a rebuilt copy.
+    read, the unflipped one being `key` itself, not a rebuilt copy.
     """
     codes, group = key.codes, key.group
     n = len(codes)
@@ -381,12 +382,12 @@ def delta_sum(key, i=0, j=1):
         rest = [c for k, c in enumerate(codes) if k != i and k != j]
         flips = [tuple(sorted(rest + [a, b]))
                  for a, b in ((ci, nj), (ni, cj), (ni, nj))]
-    counts = {codes: 1}
-    for t in flips:
-        counts[t] = counts.get(t, 0) + 1
-    for t, c in counts.items():     # the counts as shared Fractions
-        counts[t] = _COUNTS[c]
-    return _CodeSum(group, counts, key)
+    one, (f1, f2, f3) = _COUNTS[1], flips
+    counts = {codes: one, f1: one, f2: one, f3: one}
+    if len(counts) < 4:     # a term repeats: count them
+        counts = {t: _COUNTS[c]
+                  for t, c in Counter((codes, f1, f2, f3)).items()}
+    return _code_sum(counts, (SymbolKey, group), key)
 
 
 def omega_generators(group, n):
@@ -455,7 +456,7 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     system = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
     checker = SpanChecker(system.rel)
 
-    lhs = len(system.basis) - checker.rank - dimension(
+    lhs = len(system.codes) - checker.rank - dimension(
         group, n, Variant.MINUS, enum_bound=enum_bound).dim_q
     rhs = 0
     dminus = {}     # quotient factors -> its minus dimension in degree n-1
@@ -483,12 +484,12 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
 
     # 2 psi nu is linear: each column's image is built on first use, from
     # the 2 psi images, each built once as (column, coeff) pairs
-    index, psis, images = system.index, {}, {}
+    codes, index, psis, images = system.codes, system.index, {}, {}
 
     def image(col):
-        out, codes = {}, system.basis[col].codes
+        out = {}
         for rec in splits:
-            for ((a,), right), coeff in rec.split(codes, 1).items():
+            for ((a,), right), coeff in rec.split(codes[col], 1).items():
                 key = (rec, min(a, rec.sub.order - a), right)   # nu: a ~ -a
                 if key not in psis:
                     psis[key] = [(index[t], c) for t, c
@@ -496,7 +497,7 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                 sparse_add(out, ((t, coeff * c) for t, c in psis[key]))
         return list(out.items())
 
-    krows = kernel_rows(group, n, system.basis)
+    krows = _sign_rows(group, codes, index, n)
     passed = 0
     bad = None
     for row in krows:
@@ -509,8 +510,8 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
         if not diff or checker.contains(diff):
             passed += 1
         elif bad is None:
-            bad = repr(FormalSum({system.basis[c]: v
-                                  for c, v in row.items()}))
+            bad = repr(_code_sum({codes[c]: Fraction(v)
+                                  for c, v in row.items()}, system.space))
     checks.append(check_record("psi-nu-projection", group, n, passed,
                                len(krows), bad))
     return VerificationReport(group, n, checks)
@@ -524,8 +525,7 @@ def _tensor_target(rec, n, k, enum_bound):
     lsys = build_relations(rec.cyc, k, Variant.PLAIN, bound=enum_bound)
     rsys = build_relations(rec.q.quotient, n - k, Variant.PLAIN,
                            bound=enum_bound)
-    lcodes = [key.codes for key in lsys.basis]
-    rcodes = [key.codes for key in rsys.basis]
+    lcodes, rcodes = lsys.codes, rsys.codes
     tensor = [[(lcodes[c], r, v) for c, v in row.items()]
               for row in lsys.rel.rows for r in rcodes]
     tensor += [[(l, rcodes[c], v) for c, v in row.items()]
@@ -577,8 +577,8 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
             tensor, pair_index, tensor_checker = targets[shape]
 
             images = [[(pair_index[pair], coeff) for pair, coeff
-                       in rec.split(key.codes, k).items()]
-                      for key in src.basis]
+                       in rec.split(t, k).items()]
+                      for t in src.codes]
             for row in src.rel.rows:
                 fwd_total += 1
                 vec = sparse_add({}, ((p, coeff * v) for c, v in row.items()

@@ -9,14 +9,17 @@ sorted code tuples order exactly as sorted character tuples.  Whether a
 tuple generates the dual is checked where keys enter from outside, in
 `canonicalize`, `enumerate_generators` and `sign_class_groups`; code that
 derives keys from keys by blowups and sign flips, which keep the span,
-builds them directly.  For groups of the bi-cyclic shape Z/N x Z/MN
-(N >= 3) the pairs additionally carry a determinant invariant in (Z/N)^x,
-well defined up to sign, which grades the whole module.
+builds them directly.  Formal sums and relation systems hold code tuples
+too, plus the space they are read in, and build keys only when read.  For
+groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs additionally
+carry a determinant invariant in (Z/N)^x, well defined up to sign, which
+grades the whole module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from .abelian import (code_tuples, generating_code_groups, negation_codes,
@@ -31,7 +34,9 @@ class SymbolKey:
     """Sorted tuple of character codes, over a group, generating its dual.
 
     `codes` is the sorted code tuple; `entries`, indexing and iteration give
-    the characters.  Keys over different groups are never equal.
+    the characters.  Keys over different groups are never equal.  The
+    constructor checks nothing: not that the codes are sorted, in range or
+    generating.  `canonicalize` is the checked entry point.
     """
 
     __slots__ = ("group", "codes", "_hash")
@@ -161,84 +166,93 @@ def _generating_codes(group, n, bound, codes=None):
 
 
 class FormalSum:
-    """Finitely supported rational combination of symbol keys.
+    """Finitely supported rational combination of symbol keys or cosets.
 
-    A sum has two sources.  Built from keys, `terms` is its {SymbolKey:
-    Fraction} dict.  The library's own sums over one group (`delta_sum`,
-    `multiply`, `psi`) hold {sorted code tuple: Fraction} and build `terms`
-    on first read (`_CodeSum`); `is_zero` and `RelationSystem.vector` read
-    their codes until then, and every other operation reads the terms.
+    A sum is `codes`, a {code tuple: Fraction} dict, plus `space`, where the
+    tuples are read: (SymbolKey, group) for keys and (CosetSymbol, level)
+    for cosets, whose code tuple is the quad.  `is_zero`, `==`, `+`, `-`,
+    `scale` and `RelationSystem.vector` read the codes; `terms`, `items` and
+    `repr` build the keys or cosets each time they are read, `first`, when
+    set, standing for its own tuple.  A sum's terms lie in one space, and
+    only the zero sum adds to a sum over another.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("codes", "space", "first")
 
     def __init__(self, terms=None):
         if isinstance(terms, dict):
             terms = terms.items()
-        self.terms = sparse_add({}, ((key, Fraction(coeff))
-                                     for key, coeff in terms or ()))
+        self.space = self.first = None
+        pairs = []
+        for term, coeff in terms or ():
+            if isinstance(term, SymbolKey):
+                t, space = term.codes, (SymbolKey, term.group)
+            else:
+                t, space = term.quad(), (type(term), term.level)
+            if self.space not in (None, space):
+                raise ValueError("term %r is off the sum's space" % (term,))
+            self.space = space
+            pairs.append((t, Fraction(coeff)))
+        self.codes = sparse_add({}, pairs)
 
     @classmethod
     def of(cls, key, coeff=1):
         return cls({key: Fraction(coeff)})
 
     def __add__(self, other):
-        res = FormalSum()
-        res.terms = sparse_add(dict(self.terms), other.terms.items())
-        return res
+        if self.codes and other.codes and self.space != other.space:
+            raise ValueError("cannot add sums over different spaces")
+        return _code_sum(sparse_add(dict(self.codes), other.codes.items()),
+                         self.space if self.codes else other.space)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, k):
         k = Fraction(k)
-        res = FormalSum()
-        if k:
-            res.terms = {key: coeff * k for key, coeff in self.terms.items()}
-        return res
+        return _code_sum({t: c * k for t, c in self.codes.items()} if k
+                         else {}, self.space)
 
     def __eq__(self, other):
-        return isinstance(other, FormalSum) and self.terms == other.terms
+        return (isinstance(other, FormalSum) and self.codes == other.codes
+                and (not self.codes or self.space == other.space))
 
     def is_zero(self):
-        return not self.terms
+        return not self.codes
+
+    @property
+    def terms(self):
+        if not self.codes:
+            return {}
+        build, first = _builder(self.space), self.first
+        mine = first.codes if first is not None else None
+        return {first if t is mine else build(t): c
+                for t, c in self.codes.items()}
 
     def items(self):
         return self.terms.items()
 
     def __repr__(self):
-        if not self.terms:
+        if not self.codes:
             return "FormalSum(0)"
-        bits = ["%s*%r" % (c, k) for k, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0])]
-        return "FormalSum(%s)" % " + ".join(bits)
+        build = _builder(self.space)
+        return "FormalSum(%s)" % " + ".join(
+            "%s*%r" % (c, build(t)) for t, c in sorted(self.codes.items()))
 
 
-class _CodeSum(FormalSum):
-    """A FormalSum over `group` held as {sorted code tuple: Fraction} in
-    `codes`.  Its terms are built on first read, as `exactla.DeferredRows`
-    builds its rows: `first`, when given, is a key to keep as the term of
-    its own code tuple, and the other tuples go through `_sorted_key`.  Then
-    `codes` is dropped, and the sum reads its terms like any other."""
+def _code_sum(codes, space, first=None):
+    """The FormalSum of {code tuple: Fraction} `codes` over `space`, taken
+    as is; `first` is a key to keep as the term of its own tuple."""
+    fsum = object.__new__(FormalSum)
+    fsum.codes, fsum.space, fsum.first = codes, space, first
+    return fsum
 
-    __slots__ = ("group", "codes", "first")
 
-    def __init__(self, group, codes, first=None):
-        self.group, self.codes, self.first = group, codes, first
-
-    def __getattr__(self, name):     # called only while `terms` is unset
-        if name != "terms":
-            raise AttributeError(name)
-        group, first = self.group, self.first
-        mine = first.codes if first is not None else None
-        self.terms = terms = {
-            first if t is mine else _sorted_key(group, t): c
-            for t, c in self.codes.items()}
-        self.codes = self.first = None
-        return terms
-
-    def is_zero(self):
-        return not (self.codes or self.terms)
+def _builder(space):
+    """The function building the key or coset of a code tuple in `space`,
+    unchecked: keys through `_sorted_key`, cosets through `_unchecked`."""
+    cls, where = space
+    return partial(_sorted_key if cls is SymbolKey else cls._unchecked, where)
 
 
 class DetClass:

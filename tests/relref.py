@@ -9,14 +9,16 @@ each row once by rule: every template at every key, then a set drops zero
 rows and exact repeats, keeping first occurrences.  `full_sign_class_fold`
 is the minus fold over sign-class reps with every folded blowup row kept,
 as built from each rep it touches; tests compare the fold that builds each
-row once against it.
+row once against it.  `kernel_span_dimension` is the kernel dimension read
+as the rank the kernel generators add to the plain relation span.
 """
 
 from itertools import combinations_with_replacement
 
 from abelsym.abelian import make_group, negation_codes
-from abelsym.exactla import dense_snf_with_transforms, sparse_add
-from abelsym.relations import Variant
+from abelsym.exactla import (dense_snf_with_transforms, rank_over_Q,
+                             sparse_add)
+from abelsym.relations import Variant, _sign_rows, build_relations
 from abelsym.symbols import replace_code
 
 # presentations that are not invariant factor chains: factors out of
@@ -211,3 +213,13 @@ def first_up_to_sign(rows):
             seen.add(entries)
             seen.add(frozenset((c, -v) for c, v in row.items()))
     return out
+
+
+def kernel_span_dimension(group, n):
+    """Rank added by the kernel generators over the plain relation span."""
+    system = build_relations(group, n, Variant.PLAIN)
+    if not system.codes:
+        return 0
+    krows = _sign_rows(group, system.codes, system.index, n)
+    return (rank_over_Q(system.rel.with_rows(krows))
+            - rank_over_Q(system.rel))

@@ -1,5 +1,6 @@
 """Command line behavior end to end: formats, exit codes, cache handling."""
 
+import hashlib
 import json
 import os
 
@@ -287,6 +288,67 @@ def test_verify_json_and_csv(capsys):
                        "3,2", "--format", "json", "--no-cache")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+# SHA-256 of the stdout of each command, run with --no-cache, frozen at the
+# commit before the formal sums moved onto code tuples
+DEFAULT_OUTPUT_SHA256 = (
+    ("dims --group 9 --variant minus --torsion",
+     "23200ea1180c9e215539c2607c2dbd1ff2b00c9a33102e16fb5c7c6b91bccba8"),
+    ("dims --group 3x9 --format json",
+     "e84de04338ca60367aabdbad594cc07f48a69ecb388449a343236725d31612e7"),
+    ("dims --group 2x4 --variant minus --method both --torsion --format csv",
+     "5e96bf70046ac0547939977d7a5c795dffa0b0c0bbde682310a715b44e1844fd"),
+    ("dims --group 7 --n 3",
+     "3490d28e230cfd46459359ade7a9433bae3fd61f909f4575ae70437495241fac"),
+    ("table --family cyclic --start 5 --stop 12",
+     "e4b919bc3bab7251ae4e1934c3bbe76ac6e186f3ec3416361cacd046a747458f"),
+    ("table --family bicyclic --stop 36 --format json",
+     "47b4109cf3e58b093920c384d2a38999c8e39aa2663710d6d22fd23e1df2f28b"),
+    ("table --family pxp --format csv",
+     "70c7df57da125f4ed53887edb6605f48241062712491f9e1a204119556aeeb4c"),
+    ("verify --check delta --group 9",
+     "b3ef564ac9f8d3a08c38221d1972bb2a51b01cf35c2204856a65fec851581350"),
+    ("verify --check delta --group 5x5 --format json",
+     "6d4d7be8e40142dc38e8c0b71f9dc1b0fdfc751edec8e523cf8a725e7e9abaf8"),
+    ("verify --check delta --group 2x4 --n 3 --format json",
+     "ca072daef55ce80637055123074eeea3c4ed3f17644752cb735093728d93710e"),
+    ("verify --check delta --group 6 --n 3 --format csv",
+     "38f8bc122ee41d3f3350d9f74c1959e8919dac1b736f9af10a9d822c600b9d2d"),
+    ("verify --check kernel --group 9",
+     "91f17a8926386ca566b2ab64ac11247d1fa93acf64d404146a18e310a118cfe5"),
+    ("verify --check kernel --group 2x4 --format json",
+     "650b495121b893288adaf14bfacd70e739cd5497a70d0c2cae56738876c971ed"),
+    ("verify --check kernel --group 3x3 --n 3 --format csv",
+     "b95a1e421595199713a63a99c6b923af5f49f3f441d08269004d00035e7a87aa"),
+    ("verify --check comult --group 9",
+     "42c0ee05c3e32756f30615bf14a256b1eb2e6330e379d20b5e870b12d35c4e0c"),
+    ("verify --check comult --group 2x4 --n 3 --format json",
+     "73bd905e0e4f380f80ede6ae0184a68436a0ea96ff480a10c7eafd6164f7566c"),
+    ("verify --check comult --group 5x5 --format csv",
+     "3ae86468bef64b84706b2d2cbc68dc98b5846089cc661669032bd1359de1fa15"),
+    ("verify --check manin --level 3,1",
+     "d943fc24f4799c9b161c37e941e677adeb4471424e89ebdcc20d24abe50ca9df"),
+    ("verify --check manin --level 2,4 --format json",
+     "bc4d1362b9b9a8017b2e293663a50af558cb23e222104ee62e3ea1f05f24a683"),
+    ("verify --check iso --level 2,3",
+     "7fef05601d545973cf068ec5705efaed1af5f78a05a3d0a3fb4edef322bdd497"),
+    ("verify --check iso --level 3,1 --format csv",
+     "872d5ff3d8da8c44a99b01fcdf46cddf99a80e3f40d4c35d1d247b5e637cb7f5"),
+    ("verify --check grading --group 3x3",
+     "609da9d041dca225effe61dc4e765afe2815f9bfe2da3244323c50c20cca4ebc"),
+    ("verify --check formulas --group 2x4",
+     "5f3795aba4cd162820774e7fec04b99322e2cfd1d98ba3f5985b8fc383daa7ff"),
+    ("verify --check grading --group 3x6 --format json",
+     "7590f379b423b7d12f12daeaf770f344703a943dd4d22d84bcbc5c7e68817aa3"),
+)
+
+
+def test_default_output_pinned(capsys):
+    for command, digest in DEFAULT_OUTPUT_SHA256:
+        main(command.split() + ["--no-cache"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_usage_errors(capsys):

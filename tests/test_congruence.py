@@ -24,7 +24,7 @@ from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
 from abelsym.exactla import smith_normal_form
 from abelsym.relations import (Variant, build_relations, dimension,
                                dimension_graded, formula_dimension)
-from abelsym.symbols import FormalSum
+from abelsym.symbols import FormalSum, SymbolKey
 
 # every level of coset index <= 6,000
 WIDE_LEVELS = [(n, m) for n in range(2, 30) for m in range(1, 60)
@@ -175,6 +175,20 @@ def test_manin_system_vector():
     for other in (foreign, key):
         with pytest.raises(KeyError):
             system.vector(FormalSum.of(other))
+
+
+def test_manin_vector_refuses_colliding_keys():
+    # a key whose codes equal a coset quad is not a coset: each of the 87
+    # sorted quads at level (11, 1), as an unchecked key over 11x11, raises
+    # the KeyError that names it
+    system, _ = manin_space(11, 1)
+    quads = [q for q in system.index if list(q) == sorted(q)]
+    assert len(quads) == 87
+    for quad in quads:
+        key = SymbolKey(system.group, quad)
+        with pytest.raises(KeyError) as err:
+            system.vector(FormalSum.of(key))
+        assert str(err.value) == repr("key %r is not in the basis" % (key,))
 
 
 def _assert_fold_matches_unfolded(levels):

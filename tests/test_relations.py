@@ -12,15 +12,14 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                difference_formula, dimension,
                                dimension_graded, formula_dimension,
                                formula_minus, kernel_dimension,
-                               kernel_generators, kernel_span_dimension,
-                               pxp_closed_forms)
+                               kernel_generators, pxp_closed_forms)
 from abelsym.symbols import (canonicalize, det_class, det_classes,
                              enumerate_det_class, enumerate_generators,
                              filter_groups, in_det_class, sign_class_groups)
 from rankref import reference_rank
 from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
                     full_sign_class_fold, hash_set_rows, invariant_chains,
-                    presentations)
+                    kernel_span_dimension, presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (

@@ -11,7 +11,7 @@ import structref
 from abelsym import relations, structmaps, symbols
 from abelsym.abelian import (QuotientData, make_group,
                              proper_cyclic_subgroups, quotient_data)
-from abelsym.congruence import manin_space
+from abelsym.congruence import CosetSymbol, manin_space
 from abelsym.exactla import SpanChecker
 from abelsym.relations import (Variant, build_relations, kernel_dimension,
                                kernel_generators)
@@ -277,6 +277,47 @@ def test_delta_probe_builds_no_key(monkeypatch):
         assert len(system.vector(image)) == 4
     assert built == []
     assert len(image.terms) == 4 and len(built) == 3
+
+
+def test_bases_built_only_when_read(monkeypatch):
+    # relation systems, plain dimensions, kernel generators and Manin
+    # spaces build no key or coset; reading `basis` builds each once, and
+    # a caller's keys are the basis as given
+    group = make_group((5, 5))
+    keys = enumerate_generators(group, 2)
+    built = []
+    sorted_key, init = symbols._sorted_key, SymbolKey.__init__
+    coset_set = CosetSymbol._set
+
+    def counted(group, codes):
+        built.append(codes)
+        return sorted_key(group, codes)
+
+    def counted_init(key, group, codes):
+        built.append(codes)
+        init(key, group, codes)
+
+    def counted_set(sym, *quad_level):
+        built.append(quad_level)
+        coset_set(sym, *quad_level)
+
+    monkeypatch.setattr(symbols, "_sorted_key", counted)
+    monkeypatch.setattr(SymbolKey, "__init__", counted_init)
+    monkeypatch.setattr(CosetSymbol, "_set", counted_set)
+    system = build_relations(group, 2, Variant.PLAIN)
+    assert relations.dimension(group, 2, Variant.PLAIN).dim_q == 46
+    gens = kernel_generators(group, 2)
+    manin, _ = manin_space(11, 1)
+    assert built == []
+    for basis_of, count in ((system, len(keys)), (manin, 1320)):
+        basis = basis_of.basis
+        assert len(built) == len(basis) == count
+        assert basis_of.basis is basis and len(built) == count
+        built.clear()
+    assert system.basis == keys
+    assert len(gens[0].terms) == len(built) == 2
+    given = build_relations(group, 2, Variant.PLAIN, keys=keys)
+    assert all(given.basis[i] is key for i, key in enumerate(keys))
 
 
 def test_vector_error_matches_key_path():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelsym.abelian import make_group
+from abelsym.congruence import CosetSymbol
 from abelsym.exactla import BoundExceeded
 from abelsym.symbols import (DetClass, FormalSum, SymbolKey, canonicalize,
                              det_class, det_classes, enumerate_det_class,
@@ -88,6 +89,30 @@ def test_formal_sum_basics():
     assert FormalSum.of(k1, 0).is_zero()
     assert s.scale(2) == FormalSum({k2: 1})
     assert s + s == s.scale(2)
+
+
+def test_formal_sum_one_space():
+    # terms over two groups, or a key with a coset, make no sum; nonzero
+    # sums over different spaces do not add; the zero sum adds to any
+    g5, g7 = make_group((5,)), make_group((7,))
+    k5 = canonicalize((g5.character((1,)),))
+    k7 = canonicalize((g7.character((1,)),))
+    coset = CosetSymbol(1, 0, 0, 1, (5, 1))
+    for terms in ([(k5, 1), (k7, 2)], [(k5, 1), (coset, 1)],
+                  [(coset, 1), (CosetSymbol(1, 0, 0, 1, (5, 2)), 1)]):
+        with pytest.raises(ValueError):
+            FormalSum(terms)
+    x, y, z = FormalSum.of(k5), FormalSum.of(k7, 2), FormalSum.of(coset)
+    for a, b in ((x, y), (y, x), (x, z), (z, y)):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+    for s in (x, y, z):
+        for zero in (FormalSum(), x - x, z.scale(0)):
+            assert zero + s == s and s + zero == s and s - zero == s
+            assert repr(zero + s) == repr(s)
+    assert (x - x) + y == y and y != x and x != z
 
 
 @settings(max_examples=80, deadline=None)
