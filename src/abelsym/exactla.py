@@ -16,7 +16,13 @@ columns before elimination, as modular-symbols codes do.  Span membership
 reduces against the recorded pivot rows and a fraction-free echelon of
 that residue.  Each checker reduces a distinct query only once: a row
 equal up to sign to an earlier one, once cleared of denominators, gets the
-earlier verdict.  Column indices must be integers, kept as ints.
+earlier verdict.  A matrix may carry a column involution sigma that keeps
+its row span (`build_relations` gives its systems the global sign flip);
+a checker then answers sigma-invariant queries, such as the delta probes,
+in the sigma-invariant half, a factorization of the rows folded onto the
+sigma-orbits and about half the size, as modular-symbols codes work in one
+eigenspace of the star involution.  Each factorization is built on first
+need.  Column indices must be integers, kept as ints.
 
 The engine eliminates in place: it owns the rows it is handed and leaves
 them changed.  `smith_normal_form`, `rank_over_Q` and `SpanChecker` copy a
@@ -81,10 +87,14 @@ class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 
     Treated as immutable after construction: the public elimination
-    routines copy its rows before they touch them.
+    routines copy its rows before they touch them.  `_sigma` is an optional
+    column involution under which the row span is invariant, for
+    `SpanChecker`: None, a list (column -> column), or a function giving
+    None or that list, called on first need.  Only `build_relations` sets
+    one; every other constructor leaves it None.
     """
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "_sigma")
 
     def __init__(self, nrows, ncols, rows):
         if nrows < 0 or ncols < 0:
@@ -111,6 +121,7 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = clean
+        self._sigma = None
 
     @classmethod
     def trusted(cls, ncols, rows):
@@ -120,7 +131,15 @@ class SparseIntMatrix:
         mat.nrows = len(rows)
         mat.ncols = ncols
         mat.rows = rows
+        mat._sigma = None
         return mat
+
+    def _involution(self):
+        """The column involution, or None; a deferred one is built here."""
+        sigma = self._sigma
+        if callable(sigma):
+            sigma = self._sigma = sigma()
+        return sigma
 
     def nnz(self):
         return sum(len(r) for r in self.rows)
@@ -150,6 +169,7 @@ class DeferredRows(SparseIntMatrix):
         self.nrows = nrows
         self.ncols = ncols
         self._build = build
+        self._sigma = None
 
     def __getattr__(self, name):     # called only for unset attributes
         if name != "rows":
@@ -353,47 +373,34 @@ def rank_over_Q(matrix):
     return len(_nonzero_divisors(_copy_rows(matrix), matrix.ncols))
 
 
-class SpanChecker:
-    """Repeated row-span membership queries (over Q) against one matrix.
+class _Echelon:
+    """Pivot rows of a matrix, each zero at the pivot columns of the rows
+    before it: the unit pivot rows of the elimination engine, then a
+    fraction-free echelon of its residue.  Built from rows it owns, which
+    the engine eliminates in place."""
 
-    The matrix is factored once into pivot rows, each zero at the pivot
-    columns of the rows before it: the unit pivot rows of the elimination
-    engine, then a fraction-free echelon of its residue.  A query is
-    reduced against them in pivot order, exactly over Z, and lies in the
-    span iff nothing is left.  Rows equal up to sign lie in the span
-    together, so each checker keeps its verdicts under the `row_signature`
-    of the query cleared of denominators and reduces each distinct query
-    only once.
-    """
+    __slots__ = ("pivots", "order")
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self._pivots = []       # (pivot col, row), in pivot order
-        self._verdicts = {}     # row_signature of a query -> membership
-        _, _, residue = _unit_eliminate(_copy_rows(matrix), matrix.ncols,
-                                        self._pivots)
-        self._order = {c: k for k, (c, _) in enumerate(self._pivots)}
+    def __init__(self, rows, ncols):
+        self.pivots = []        # (pivot col, row), in pivot order
+        _, _, residue = _unit_eliminate(rows, ncols, self.pivots)
+        self.order = {c: k for k, (c, _) in enumerate(self.pivots)}
         for row in residue:
-            row = self._reduce(row)
+            row = self.reduce(row)
             if row:
                 pc = min(row, key=lambda c: (abs(row[c]), c))
-                self._order[pc] = len(self._pivots)
-                self._pivots.append((pc, row))
+                self.order[pc] = len(self.pivots)
+                self.pivots.append((pc, row))
 
-    @property
-    def rank(self):
-        """Rank over Q of the matrix: the number of pivot rows."""
-        return len(self._pivots)
-
-    def _reduce(self, row):
+    def reduce(self, row):
         """Eliminate every pivot column from the row, in place; the result
         is a nonzero multiple of the reduced row, or empty.  One walk over
         a pivot row subtracts it and queues the pivots it brings in."""
-        order = self._order
+        order = self.order
         todo = [order[c] for c in row if c in order]
         heapq.heapify(todo)
         while todo:
-            pc, prow = self._pivots[heapq.heappop(todo)]
+            pc, prow = self.pivots[heapq.heappop(todo)]
             f = row.get(pc)
             if not f:
                 continue
@@ -423,6 +430,101 @@ class SpanChecker:
                         row[c] //= g
         return row
 
+
+class SpanChecker:
+    """Repeated row-span membership queries (over Q) against one matrix.
+
+    A factorization is the matrix's `_Echelon`; a query is reduced against
+    its pivot rows in pivot order, exactly over Z, and lies in the span iff
+    nothing is left.  Rows equal up to sign lie in the span together, so
+    each checker keeps its verdicts under the `row_signature` of the query
+    cleared of denominators and reduces each distinct query only once.
+
+    A matrix with a column involution sigma (see SparseIntMatrix) has two
+    factorizations, each built on first need.  While the full one does not
+    exist, a query q with sigma q = q that misses the memo is folded onto
+    the sigma-orbits, Fq summing q over each orbit, and reduced against the
+    factorization of the folded rows, each row summed per orbit, zero rows
+    and exact repeats dropped.  That is exact over Q: sigma keeps span R,
+    so span R = P+ span R + P- span R with P+- = (1 +- sigma) / 2, and
+    q = P+ q.  If Fq = F r with r in span R, then F P+ r = F r = Fq, and F
+    is injective on sigma-invariant vectors, so q = P+ r lies in span R.
+    Any other query, `rank`, `_reduce`, and every miss once the full
+    factorization exists use the full one.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self._verdicts = {}     # row_signature of a query -> membership
+        self._full = None       # the matrix's _Echelon, on first need
+        self._half = None       # the sigma-folded matrix's, on first need
+
+    def _full_echelon(self):
+        if self._full is None:
+            self._full = _Echelon(_copy_rows(self.matrix), self.matrix.ncols)
+        return self._full
+
+    @property
+    def rank(self):
+        """Rank over Q of the matrix: the number of full pivot rows."""
+        return len(self._full_echelon().pivots)
+
+    def _reduce(self, row):
+        """The row reduced in place against the full factorization: a
+        nonzero multiple of the reduced row, or empty."""
+        return self._full_echelon().reduce(row)
+
+    def _fold(self, row):
+        """F row, the row summed over each sigma-orbit at the orbit's least
+        column, when sigma row = row and the full factorization does not
+        exist yet; else None."""
+        if self._full is not None:
+            return None
+        sigma = self.matrix._involution()
+        if sigma is None:
+            return None
+        out = {}
+        for c, v in row.items():
+            s = sigma[c]
+            if s == c:
+                out[c] = v
+            elif row.get(s) != v:
+                return None
+            elif c < s:
+                out[c] = 2 * v
+        return out
+
+    def _half_echelon(self):
+        """The factorization of the matrix's rows folded by F."""
+        if self._half is None:
+            matrix = self.matrix
+            sigma = matrix._involution()
+            n = matrix.ncols
+            require(len(sigma) == n and all(0 <= s < n and sigma[s] == c
+                                            for c, s in enumerate(sigma)),
+                    "the column map of %r is not an involution", matrix)
+            rows, seen = [], set()
+            for row in matrix.rows:
+                out = {}
+                for c, v in row.items():
+                    s = sigma[c]
+                    if s < c:
+                        c = s
+                    cur = out.get(c)
+                    if cur is None:
+                        out[c] = v
+                    elif cur + v:
+                        out[c] = cur + v
+                    else:
+                        del out[c]
+                if out:
+                    key = frozenset(out.items())
+                    if key not in seen:
+                        seen.add(key)
+                        rows.append(out)
+            self._half = _Echelon(rows, n)
+        return self._half
+
     def contains(self, row):
         """Whether the row, a dict or full vector of int or Fraction
         entries, lies in the span over Q; the row itself is not changed."""
@@ -439,7 +541,10 @@ class SpanChecker:
         sig = row_signature(row)
         verdict = self._verdicts.get(sig)
         if verdict is None:
-            verdict = self._verdicts[sig] = not self._reduce(row)
+            folded = self._fold(row)
+            verdict = self._verdicts[sig] = not (
+                self._reduce(row) if folded is None
+                else self._half_echelon().reduce(folded))
         return verdict
 
 

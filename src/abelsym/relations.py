@@ -35,6 +35,7 @@ import enum
 import time
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from math import prod
 
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
@@ -42,9 +43,8 @@ from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
                       _smith_form, require, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
-                      _generating_codes, det_classes, enumerate_det_class,
-                      filter_groups, in_det_class, replace_code,
-                      sign_class_groups)
+                      _generating_codes, det_classes, filter_groups,
+                      in_det_class, replace_code, sign_class_groups)
 
 
 class Variant(enum.Enum):
@@ -315,6 +315,22 @@ def _sign_class_matrix(group, groups, n):
     return SparseIntMatrix.trusted(len(reps), rows), count
 
 
+def _negation_columns(group, n, codes, index):
+    """The column of each code tuple's global negation (every entry
+    negated, then sorted), or None when one is not a column or every column
+    is its own."""
+    neg = negation_codes(group)
+    get = index.get
+    if n == 2:
+        sigma = [get((neg[y], neg[x]) if neg[y] <= neg[x] else
+                     (neg[x], neg[y])) for x, y in codes]
+    else:
+        sigma = [get(tuple(sorted([neg[c] for c in t]))) for t in codes]
+    if None in sigma or all(s == c for c, s in enumerate(sigma)):
+        return None
+    return sigma
+
+
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     """Relation system for (group, n, variant).
 
@@ -322,6 +338,14 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     relation templates never leave a determinant class, so the restricted
     rows are exactly the full rows supported on the restricted keys.
     Without `keys` the basis is enumerated as code tuples.
+
+    Every variant's relations commute with the global sign flip sigma,
+    which negates every entry of a key: sigma maps a blowup row to the
+    blowup row at the flipped key, a sign row to a sign row, and a plus row
+    to its negative.  So the matrix's row span is sigma-invariant, and its
+    column map (`_negation_columns`, built on first need) goes with it for
+    `SpanChecker`; there is none when `keys` is not closed under sigma or
+    sigma fixes every column (exponent <= 2).
     """
     variant = Variant.parse(variant)
     if variant is Variant.PLUS and n != 1:
@@ -341,6 +365,7 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     if variant is Variant.MINUS:
         rows += _sign_rows(group, codes, index, n)
     rel = SparseIntMatrix.trusted(len(codes), rows)
+    rel._sigma = partial(_negation_columns, group, n, codes, index)
     system = RelationSystem(group, n, variant, codes, (SymbolKey, group), rel,
                             index)
     system._basis = keys
@@ -427,19 +452,26 @@ def dimension_graded(group, variant, want_torsion=False,
     All determinant classes are isomorphic, so only the class of 1 is
     presented and the result is scaled by the number of classes.  Still a
     brute-force computation, merely sharded.  A sign flip negates the
-    determinant, so the class of 1 is a union of sign classes.
+    determinant, so the class of 1 is a union of sign classes.  The class
+    is cut from the code tuples, so no key is built.
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     classes = det_classes(group)
+    in_class = in_det_class(group, classes[0])
+    if variant is Variant.PLUS:
+        raise ValueError("the plus variant is defined only for n = 1")
     if variant is Variant.MINUS:
         groups = filter_groups(sign_class_groups(group, 2, enum_bound),
-                               in_det_class(group, classes[0]))
+                               in_class)
         rel, count = _sign_class_matrix(group, groups, 2)
     else:
-        keys = enumerate_det_class(group, classes[0], bound=enum_bound)
-        rel = build_relations(group, 2, variant, keys=keys).rel
-        count = len(keys)
+        codes = code_tuples(filter_groups(
+            _generating_codes(group, 2, enum_bound), in_class))
+        index = {t: i for i, t in enumerate(codes)}
+        rel = SparseIntMatrix.trusted(
+            len(codes), _blowup_rows(group, codes, index, 2))
+        count = len(codes)
     rank, per_class = _rank_and_torsion(rel, want_torsion, snf_bound)
     torsion = tuple(sorted(per_class * len(classes)))
     dim = (rel.ncols - rank) * len(classes)

@@ -385,8 +385,11 @@ def delta_sum(key, i=0, j=1):
     one, (f1, f2, f3) = _COUNTS[1], flips
     counts = {codes: one, f1: one, f2: one, f3: one}
     if len(counts) < 4:     # a term repeats: count them
-        counts = {t: _COUNTS[c]
-                  for t, c in Counter((codes, f1, f2, f3)).items()}
+        counts = dict.fromkeys(counts, 0)
+        for t in (codes, f1, f2, f3):
+            counts[t] += 1
+        for t, c in counts.items():
+            counts[t] = _COUNTS[c]
     return _code_sum(counts, (SymbolKey, group), key)
 
 

@@ -1,17 +1,19 @@
 """Exact linear algebra: ranks, span membership, Smith normal form."""
 
 import hashlib
+import random
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abelsym import Variant, build_relations, make_group, manin_space
-from abelsym.exactla import (BoundExceeded, SparseIntMatrix, SpanChecker,
-                             _integerize, _unit_eliminate,
-                             dense_snf_with_transforms,
-                             rank_over_Q, row_span_membership,
+from abelsym import (Variant, build_relations, delta_sum,
+                     enumerate_generators, make_group, manin_space)
+from abelsym.exactla import (BoundExceeded, ConsistencyError,
+                             SparseIntMatrix, SpanChecker, _integerize,
+                             _unit_eliminate, dense_snf_with_transforms,
+                             rank_over_Q, row_signature, row_span_membership,
                              smith_normal_form)
 from abelsym.relations import _sign_class_matrix
 from abelsym.symbols import sign_class_groups
@@ -672,3 +674,122 @@ def test_p_local_ranks_on_larger_groups():
                 _assert_p_local_ranks(
                     build_relations(group, 2, Variant.PLAIN).rel,
                     (chain, "plain"))
+
+
+# -- the sign-flip involution and the split checker -------------------------
+
+
+def _full_checker(m):
+    """A checker on the same rows with no involution: the full path only."""
+    return SpanChecker(SparseIntMatrix.trusted(m.ncols, m.rows))
+
+
+def _involution_systems(limit):
+    for chain in invariant_chains(limit):
+        group = make_group(chain)
+        yield group, build_relations(group, 1, Variant.PLUS)
+        for n in (2, 3):
+            for variant in (Variant.PLAIN, Variant.MINUS):
+                yield group, build_relations(group, n, variant)
+
+
+def test_relation_involution_contract():
+    systems = 0
+    for group, system in _involution_systems(24):
+        rel = system.rel
+        sigma = rel._involution()
+        # the column of each key negated entry by entry, through characters
+        want = [system.index[tuple(sorted((-ch).code for ch in key))]
+                for key in system.basis]
+        if all(s == c for c, s in enumerate(want)):  # exponent <= 2, or empty
+            assert sigma is None
+            continue
+        systems += 1
+        assert sigma == want
+        assert all(sigma[s] == c for c, s in enumerate(sigma))
+        rows = {row_signature(row) for row in rel.rows}
+        full = _full_checker(rel)
+        for row in rel.rows:
+            image = {sigma[c]: v for c, v in row.items()}
+            assert row_signature(image) in rows or full.contains(image)
+    assert systems > 100
+
+
+def test_relation_involution_absent_off_closed_bases():
+    group = make_group((7,))
+    keys = enumerate_generators(group, 1)   # no plain rows at n = 1
+    assert build_relations(group, 1, Variant.PLAIN,
+                           keys=keys[:3]).rel._involution() is None
+    assert build_relations(group, 1, Variant.PLAIN,
+                           keys=keys).rel._involution() == [5, 4, 3, 2, 1, 0]
+    # the validating constructor and with_rows leave no involution
+    rel = build_relations(group, 2, Variant.PLAIN).rel
+    assert rel._involution() is not None
+    assert SparseIntMatrix(1, 2, [{0: 1}])._involution() is None
+    assert rel.with_rows([{0: 1}])._involution() is None
+
+
+def test_non_involution_raises_consistency_error():
+    rel = build_relations(make_group((5,)), 2, Variant.PLAIN).rel
+    cycle = SparseIntMatrix.trusted(rel.ncols, rel.rows)
+    cycle._sigma = [0] + [1 + (c % (rel.ncols - 1))
+                          for c in range(1, rel.ncols)]
+    with pytest.raises(ConsistencyError):
+        SpanChecker(cycle).contains({0: 1})
+
+
+def _split_queries(system, sigma, seed):
+    """Fixed queries on a system: sigma-invariant ones (the delta probes,
+    e_c + e_(sigma c), symmetrized random rows) first, then the rest (unit
+    columns, e_c - e_(sigma c), random rows)."""
+    rng = random.Random(seed)
+    ncols = system.rel.ncols
+    invariant = [system.vector(image) for image in map(delta_sum,
+                                                       system.basis)
+                 if not image.is_zero()]
+    invariant += [{c: 1, sigma[c]: 1} if sigma[c] != c else {c: 1}
+                  for c in range(ncols)]
+    others = [{c: 1} for c in range(ncols)]
+    others += [{c: 1, sigma[c]: -1} for c in range(ncols) if sigma[c] != c]
+    for _ in range(40):
+        row = {}
+        for c in rng.sample(range(ncols), min(3, ncols)):
+            row[c] = rng.choice((-2, -1, 1, 3))
+        others.append(row)
+        sym = {}
+        for c, v in row.items():
+            sym[c] = sym.get(c, 0) + v
+            sym[sigma[c]] = sym.get(sigma[c], 0) + v
+        invariant.append({c: v for c, v in sym.items() if v})
+    return invariant, others
+
+
+def _assert_split_verdicts(limit, low=1):
+    for chain in invariant_chains(limit):
+        group = make_group(chain)
+        if group.order < low:
+            continue
+        system = build_relations(group, 2, Variant.PLAIN)
+        rel = system.rel
+        sigma = rel._involution()
+        full = _full_checker(rel)
+        split = SpanChecker(rel)
+        if sigma is None:
+            sigma = list(range(rel.ncols))
+        invariant, others = _split_queries(system, sigma, group.order)
+        for q in invariant:
+            assert split.contains(q) == full.contains(q), (chain, q)
+        if rel._involution() is not None:   # the half answered them all
+            assert split._full is None and split._half is not None, chain
+        for q in others:
+            assert split.contains(q) == full.contains(q), (chain, q)
+        assert split.rank == full.rank == rank_over_Q(rel)
+
+
+def test_split_checker_agrees_with_full_checker():
+    _assert_split_verdicts(24)
+
+
+@pytest.mark.slow
+def test_split_checker_agrees_on_larger_groups():
+    _assert_split_verdicts(56, low=25)
