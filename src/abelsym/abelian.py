@@ -517,33 +517,17 @@ class QuotientData:
         return sorted(self.dual_embed(q) for q in self.quotient.characters())
 
     def lift_restriction(self, a):
-        """Lexicographically least ambient character restricting to a.
-
-        Solves sum chi_i * w_i = a (mod d) greedily coordinate by
-        coordinate, where w_i = d*generator_i/factors[i]; a choice of chi_i
-        is viable iff the remaining gcd divides what is left of a.
-        """
+        """Least ambient character restricting to a: the first residue
+        tuple r of ambient.elements(), the order of characters(), with
+        sum r_i * w_i = a mod d, where w_i = d*generator_i/factors[i]."""
         d = self.sub.order
         a %= d
-        factors = self.ambient.factors
-        w = [d * hi // ni for hi, ni in zip(self.sub.generator, factors)]
-        tail = [0] * (len(w) + 1)
-        tail[len(w)] = d
-        for i in range(len(w) - 1, -1, -1):
-            tail[i] = gcd(w[i], tail[i + 1])
-        if a % tail[0]:
-            raise ValueError("residue %d not attained by any character" % a)
-        res = []
-        rem = a
-        for i, ni in enumerate(factors):
-            ci = next((c for c in range(ni)
-                       if (rem - c * w[i]) % tail[i + 1] == 0), None)
-            require(ci is not None, "greedy lift of %d mod %d fails at "
-                    "coordinate %d: no residue leaves a multiple of %d from "
-                    "%d", a, d, i, tail[i + 1], rem)
-            res.append(ci)
-            rem = (rem - ci * w[i]) % d
-        return self.ambient.character(tuple(res))
+        w = [d * hi // ni
+             for hi, ni in zip(self.sub.generator, self.ambient.factors)]
+        for res in self.ambient.elements():
+            if sum(ri * wi for ri, wi in zip(res, w)) % d == a:
+                return self.ambient.character(res)
+        raise ValueError("residue %d not attained by any character" % a)
 
     def dual_lifts(self, a):
         """All ambient characters restricting to a, sorted."""

@@ -53,21 +53,6 @@ def _check_level(n, m):
                          % (n, m))
 
 
-def _ext_gcd(x, y):
-    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        return -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 class IntMatrix2:
     """Integral 2x2 matrix of determinant exactly one."""
 
@@ -185,31 +170,16 @@ def coset_of(mat, n, m):
 def lift_coset(sym):
     """An integral determinant-one matrix reducing to the given symbol.
 
-    The top row is shifted by multiples of N to make the determinant 1 mod
-    MN (solvable because generating columns force gcd(c, d, M) = 1), the
-    bottom row is nudged by multiples of MN to a coprime integer pair, and
-    the top row is then corrected to exact determinant one.  Any
-    representative is acceptable; only the coset matters.
+    The bottom row is nudged by multiples of MN to a coprime pair (c0, d0);
+    v = d0^-1 mod c0 and u = (1 - v*d0)/c0 give v*d0 + u*c0 = 1.  The top
+    rows (a, b) and (v, -u) have determinant 1 against (c0, d0) mod N, so
+    their difference (x, y) has x*d0 = y*c0 and, multiplied by v*d0 + u*c0,
+    is t*(c0, d0) mod N with t = x*u + y*v.  The lift's top row is (v, -u)
+    + t*(c0, d0).  Any representative is acceptable; only the coset matters.
     """
     n, m = sym.level
     k = n * m
     a, b, c, d = sym.quad()
-    require((a * d - b * c - 1) % n == 0, "%r has determinant %d, not 1, "
-            "mod %d", sym, (a * d - b * c) % n, n)
-    l1 = (a * d - b * c - 1) // n
-    # solve k1*d - k2*c == -l1 (mod m)
-    if m == 1:
-        k1 = k2 = 0
-    else:
-        g, u, v = _ext_gcd(d, c)
-        require(gcd(g, m) == 1, "%r: gcd(c, d) = %d is not prime to M = %d",
-                sym, g, m)
-        t = (-l1 * pow(g, -1, m)) % m
-        k1, k2 = (u * t) % m, (-v * t) % m
-    a1, b1 = a + k1 * n, b + k2 * n
-    require((a1 * d - b1 * c) % k == 1, "%r: shifted top row (%d, %d) has "
-            "determinant %d, not 1, mod %d", sym, a1, b1,
-            (a1 * d - b1 * c) % k, k)
     # coprime bottom row congruent to (c, d) mod k
     c0 = c if c else k
     if gcd(c0, d) == 1:
@@ -222,14 +192,10 @@ def lift_coset(sym):
         d0 = d + s * k
         require(gcd(c0, d0) == 1, "%r: bottom row (%d, %d) is not coprime",
                 sym, c0, d0)
-    # top row correction: subtract f*k times a (d0, c0) Bezout pair
-    f = a1 * d0 - b1 * c0 - 1
-    require(f % k == 0, "%r: determinant %d of the nudged rows is not 1 "
-            "mod %d", sym, f + 1, k)
-    f //= k
-    g2, u2, v2 = _ext_gcd(d0, c0)
-    require(g2 == 1, "%r: bottom row (%d, %d) has gcd %d", sym, c0, d0, g2)
-    out = IntMatrix2(a1 - f * u2 * k, b1 + f * v2 * k, c0, d0)
+    v = pow(d0, -1, c0)
+    u = (1 - v * d0) // c0
+    t = ((a - v) * u + (b + u) * v) % n
+    out = IntMatrix2(v + t * c0, t * d0 - u, c0, d0)
     back = coset_of(out, n, m)
     require(back == sym, "lift %r of %r reduces to %r", out, sym, back)
     return out

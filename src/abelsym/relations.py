@@ -334,9 +334,10 @@ def _negation_columns(group, n, codes, index):
 def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     """Relation system for (group, n, variant).
 
-    `keys` restricts the basis (used for determinant-class subsystems); the
-    relation templates never leave a determinant class, so the restricted
-    rows are exactly the full rows supported on the restricted keys.
+    `keys` restricts the basis (used for determinant-class subsystems). It
+    must hold length-n keys over `group` and be closed under the rows'
+    images, as each determinant class is, since the relations never leave
+    one; otherwise ValueError names the first bad key or missing image.
     Without `keys` the basis is enumerated as code tuples.
 
     Every variant's relations commute with the global sign flip sigma,
@@ -354,16 +355,27 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
         codes = code_tuples(_generating_codes(group, n, bound))
     else:
         keys = list(keys)
+        for key in keys:
+            if (not isinstance(key, SymbolKey) or key.group is not group
+                    or len(key.codes) != n):
+                raise ValueError("basis key %r is not a length-%d key over "
+                                 "%s" % (key, n, group.literal()))
         codes = [key.codes for key in keys]
     index = {t: i for i, t in enumerate(codes)}
-    if variant is Variant.PLUS:
-        neg = negation_codes(group)
-        rows = [{k: 1, index[(neg[c],)]: -1}
-                for k, (c,) in enumerate(codes) if neg[c] != c]
-    else:
-        rows = _blowup_rows(group, codes, index, n)
-    if variant is Variant.MINUS:
-        rows += _sign_rows(group, codes, index, n)
+    try:
+        if variant is Variant.PLUS:
+            neg = negation_codes(group)
+            rows = [{k: 1, index[(neg[c],)]: -1}
+                    for k, (c,) in enumerate(codes) if neg[c] != c]
+        else:
+            rows = _blowup_rows(group, codes, index, n)
+        if variant is Variant.MINUS:
+            rows += _sign_rows(group, codes, index, n)
+    except KeyError as exc:
+        if keys is None:
+            raise
+        raise ValueError("basis is not closed under the relations: %r is "
+                         "missing" % SymbolKey(group, exc.args[0])) from None
     rel = SparseIntMatrix.trusted(len(codes), rows)
     rel._sigma = partial(_negation_columns, group, n, codes, index)
     system = RelationSystem(group, n, variant, codes, (SymbolKey, group), rel,

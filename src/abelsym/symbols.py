@@ -338,5 +338,5 @@ def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
     Over all classes these lists partition enumerate_generators(group, 2).
     """
     in_class = in_det_class(group, k)
-    return [SymbolKey(group, codes) for codes in
-            code_tuples(_generating_codes(group, 2, bound)) if in_class(codes)]
+    return [_sorted_key(group, codes) for codes in code_tuples(
+        filter_groups(_generating_codes(group, 2, bound), in_class))]

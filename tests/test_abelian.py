@@ -250,6 +250,22 @@ def test_quotient_data_maps():
         assert all(q.dual_restrict(ch) == a for ch in lifts)
 
 
+def test_lift_restriction_is_the_least_character():
+    # every a mod d on every proper cyclic subgroup of every group of order
+    # <= 24: the lift is the first character of characters() over a
+    cases = 0
+    for g in presentations(24):
+        for sub in proper_cyclic_subgroups(g):
+            q = quotient_data(g, sub)
+            for a in range(sub.order):
+                least = next(ch for ch in g.characters()
+                             if q.dual_restrict(ch) == a)
+                assert q.lift_restriction(a) == least
+                assert q.lift_restriction(a - sub.order) == least
+                cases += 1
+    assert cases == 900
+
+
 def test_quotient_of_rank_two_group():
     g = make_group((2, 4))
     sub = [s for s in proper_cyclic_subgroups(g)

@@ -12,7 +12,10 @@ from abelsym import cache
 from abelsym.cache import ReportCache, source_digest
 from abelsym import cli
 from abelsym.cli import format_torsion, main
-from abelsym.relations import DimensionReport, Variant, dimension
+from abelsym.exactla import SpanChecker
+from abelsym.relations import (DimensionReport, Variant, build_relations,
+                               dimension)
+from abelsym.structmaps import delta_sum
 
 
 def run(capsys, *argv):
@@ -160,6 +163,29 @@ def test_verify_delta(capsys):
                        "7", "--no-cache")
     assert code == 0
     assert "[PASS] delta-span group=7 n=2 lhs=27 rhs=27" in out
+
+
+def test_verify_delta_failing_probe(capsys, monkeypatch):
+    # with every span query refused, each probe with a nonzero sum fails
+    # and the first such key is the counterexample
+    monkeypatch.setattr(SpanChecker, "contains", lambda self, row: False)
+    basis = build_relations(make_group((7,)), 2, Variant.PLAIN).basis
+    first = next(key for key in basis if not delta_sum(key).is_zero())
+    assert repr(first) == "<(0), (1)>"
+    code, out, _ = run(capsys, "verify", "--check", "delta", "--group",
+                       "7", "--no-cache")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] delta-span group=7 n=2 lhs=0 rhs=27 counterexample=<(0), "
+        "(1)>", "FAILED: 0/1 checks passed"]
+    code, out, _ = run(capsys, "verify", "--check", "delta", "--group",
+                       "7", "--format", "json", "--no-cache")
+    assert code == 1
+    assert json.loads(out) == {
+        "checks": [{"check": "delta-span", "group": "7", "n": 2,
+                    "status": "fail", "lhs": 0, "rhs": 27,
+                    "counterexample": "<(0), (1)>"}],
+        "group": "7", "n": 2, "ok": False}
 
 
 def test_verify_comult(capsys):

@@ -258,6 +258,52 @@ def test_blowup_rows_match_hash_set_builder():
         assert len(first_up_to_sign(rows)) == len(rows), (g.literal(), n)
 
 
+def test_build_relations_checks_the_given_basis():
+    # a basis that is not closed under the rows' images, keys of the wrong
+    # length and keys over another group are refused with a ValueError
+    g7 = make_group((7,))
+    keys = enumerate_generators(g7, 2)
+    with pytest.raises(ValueError, match=r"^basis is not closed under the "
+                       r"relations: <\(2\), \(5\)> is missing$"):
+        build_relations(g7, 2, Variant.PLAIN, keys=keys[:len(keys) // 2])
+    with pytest.raises(ValueError, match=r"^basis key <\(0\), \(0\), "
+                       r"\(1\)> is not a length-2 key over 7$"):
+        build_relations(g7, 2, Variant.PLAIN,
+                        keys=enumerate_generators(g7, 3))
+    with pytest.raises(ValueError, match=r"^basis key <\(0\), \(1\)> is "
+                       r"not a length-2 key over 2x2$"):
+        build_relations(make_group((2, 2)), 2, Variant.PLAIN,
+                        keys=enumerate_generators(make_group((4,)), 2))
+    with pytest.raises(ValueError, match="not a length-2 key"):
+        build_relations(g7, 2, Variant.PLAIN, keys=[k.codes for k in keys])
+    # the plus and sign rows' images are checked as well
+    singles = enumerate_generators(g7, 1)
+    for variant in (Variant.PLUS, Variant.MINUS):
+        with pytest.raises(ValueError, match=r"<\(6\)> is missing$"):
+            build_relations(g7, 1, variant, keys=singles[:3])
+
+
+def test_build_relations_on_closed_bases():
+    # a full basis gives the enumerated system's rows; the determinant
+    # classes of 5x5 at minus split the key-basis rows between them
+    g = make_group((5, 5))
+    full = build_relations(g, 2, Variant.MINUS,
+                           keys=enumerate_generators(g, 2))
+    assert [list(row.items()) for row in full.rel.rows] == [
+        list(row.items())
+        for row in build_relations(g, 2, Variant.MINUS).rel.rows]
+    split = []
+    for cls in det_classes(g):
+        keys = enumerate_det_class(g, cls)
+        system = build_relations(g, 2, Variant.MINUS, keys=keys)
+        assert system.basis == keys
+        split += [sorted((full.index[keys[c].codes], v)
+                         for c, v in row.items()) for row in system.rel.rows]
+    assert len(split) == 480
+    assert sorted(split) == sorted(sorted(row.items())
+                                   for row in full.rel.rows)
+
+
 def _key_basis_minus(g, n, keys=None):
     """(dim, torsion, keys) of the minus system over the key basis, with
     its sign rows, from its Smith form."""

@@ -77,6 +77,29 @@ def test_tensor_sum_reduction_and_cancellation():
         s + mismatch
 
 
+def test_tensor_sum_addition_equality_and_repr():
+    # comultiply images on Z/9 over its subgroup of order 3, each one term
+    # +-<(1)>(x)<(1)>, summed term by term
+    g9 = make_group((9,))
+    sub = _sub_of_order(g9, 3)
+    s, t, u = (comultiply(sub, _key(g9, (a,), (b,)), 1)
+               for a, b in ((1, 3), (1, 6), (3, 4)))
+    cyc = make_group((3,))  # both Z/d and the quotient
+    pair = (_key(cyc, (1,)), _key(cyc, (1,)))
+    assert s.terms == {pair: 1} and t.terms == {pair: -1}
+    assert (s + u).terms == {pair: 2}
+    assert (s + t).is_zero() and s + t == TensorSum(Variant.PLAIN,
+                                                     Variant.MINUS)
+    assert s + u == u + s and s == u and s != t
+    assert s + TensorSum(Variant.PLAIN, Variant.MINUS) == s
+    # the sum is a new object: its operands keep their terms
+    assert s.terms == {pair: 1} and u.terms == {pair: 1}
+    assert s != TensorSum(Variant.PLUS, Variant.MINUS, [(*pair, 1)])
+    assert s != s.terms
+    assert repr(s + u) == "TensorSum(2*<(1)>(x)<(1)>)"
+    assert repr(s + t) == "TensorSum(0)"
+
+
 def test_multiply_sums_over_lifts():
     g9 = make_group((9,))
     sub = _sub_of_order(g9, 3)
