@@ -176,6 +176,9 @@ def lift_coset(sym):
     their difference (x, y) has x*d0 = y*c0 and, multiplied by v*d0 + u*c0,
     is t*(c0, d0) mod N with t = x*u + y*v.  The lift's top row is (v, -u)
     + t*(c0, d0).  Any representative is acceptable; only the coset matters.
+    The lift is certified by its exact determinant (`IntMatrix2`) and by its
+    rows reduced mod N and MN giving the symbol's quad back, which is then
+    a valid symbol, so no checked `CosetSymbol` is built.
     """
     n, m = sym.level
     k = n * m
@@ -196,8 +199,8 @@ def lift_coset(sym):
     u = (1 - v * d0) // c0
     t = ((a - v) * u + (b + u) * v) % n
     out = IntMatrix2(v + t * c0, t * d0 - u, c0, d0)
-    back = coset_of(out, n, m)
-    require(back == sym, "lift %r of %r reduces to %r", out, sym, back)
+    back = (out.a % n, out.b % n, out.c % k, out.d % k)
+    require(back == sym.quad(), "lift %r of %r reduces to %r", out, sym, back)
     return out
 
 

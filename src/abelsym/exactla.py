@@ -19,10 +19,11 @@ equal up to sign to an earlier one, once cleared of denominators, gets the
 earlier verdict.  A matrix may carry a column involution sigma that keeps
 its row span (`build_relations` gives its systems the global sign flip);
 a checker then answers sigma-invariant queries, such as the delta probes,
-in the sigma-invariant half, a factorization of the rows folded onto the
-sigma-orbits and about half the size, as modular-symbols codes work in one
-eigenspace of the star involution.  Each factorization is built on first
-need.  Column indices must be integers, kept as ints.
+in the sigma-invariant half, a factorization of one row of each sigma-pair
+folded onto the sigma-orbits and about half the size, as modular-symbols
+codes work in one eigenspace of the star involution and impose each
+relation once per orbit.  Each factorization is built on first need.
+Column indices must be integers, kept as ints.
 
 The engine eliminates in place: it owns the rows it is handed and leaves
 them changed.  `smith_normal_form`, `rank_over_Q` and `SpanChecker` copy a
@@ -88,10 +89,11 @@ class SparseIntMatrix:
 
     Treated as immutable after construction: the public elimination
     routines copy its rows before they touch them.  `_sigma` is an optional
-    column involution under which the row span is invariant, for
-    `SpanChecker`: None, a list (column -> column), or a function giving
-    None or that list, called on first need.  Only `build_relations` sets
-    one; every other constructor leaves it None.
+    column involution for `SpanChecker`: None, a list (column -> column),
+    or a function giving None or that list, called on first need.  sigma
+    maps each row to +- a row; keeping the rows whose first column c has
+    sigma(c) >= c keeps one of each pair, which only `build_relations`
+    promises, so only it sets one; every other constructor leaves it None.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_sigma")
@@ -444,11 +446,14 @@ class SpanChecker:
     factorizations, each built on first need.  While the full one does not
     exist, a query q with sigma q = q that misses the memo is folded onto
     the sigma-orbits, Fq summing q over each orbit, and reduced against the
-    factorization of the folded rows, each row summed per orbit, zero rows
-    and exact repeats dropped.  That is exact over Q: sigma keeps span R,
-    so span R = P+ span R + P- span R with P+- = (1 +- sigma) / 2, and
-    q = P+ q.  If Fq = F r with r in span R, then F P+ r = F r = Fq, and F
-    is injective on sigma-invariant vectors, so q = P+ r lies in span R.
+    factorization of the folded rows, each row summed per orbit and zero
+    rows dropped.  Only one row r of each sigma-pair is folded, as
+    F(sigma r) = F r; the matrix's contract says which.  That is exact
+    over Q: sigma keeps span R, so span R = P+ span R + P- span R with
+    P+- = (1 +- sigma) / 2, and q = P+ q.  If Fq = F r with r in span R,
+    then F P+ r = F r = Fq, and F is injective on sigma-invariant vectors,
+    so q = P+ r lies in span R; and F span R is spanned by the folds of
+    the kept rows, as each dropped row's fold is its partner's up to sign.
     Any other query, `rank`, `_reduce`, and every miss once the full
     factorization exists use the full one.
     """
@@ -495,7 +500,10 @@ class SpanChecker:
         return out
 
     def _half_echelon(self):
-        """The factorization of the matrix's rows folded by F."""
+        """The factorization of the matrix's rows folded by F, one row of
+        each sigma-pair: the rows whose first column c has sigma(c) >= c.
+        A fold that repeats another (both sign rows of a pair can be kept)
+        is cleared to an empty row by the elimination."""
         if self._half is None:
             matrix = self.matrix
             sigma = matrix._involution()
@@ -503,8 +511,11 @@ class SpanChecker:
             require(len(sigma) == n and all(0 <= s < n and sigma[s] == c
                                             for c, s in enumerate(sigma)),
                     "the column map of %r is not an involution", matrix)
-            rows, seen = [], set()
+            rows = []
             for row in matrix.rows:
+                c = next(iter(row))
+                if sigma[c] < c:
+                    continue    # its sigma-partner is folded instead
                 out = {}
                 for c, v in row.items():
                     s = sigma[c]
@@ -518,10 +529,7 @@ class SpanChecker:
                     else:
                         del out[c]
                 if out:
-                    key = frozenset(out.items())
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(out)
+                    rows.append(out)
             self._half = _Echelon(rows, n)
         return self._half
 

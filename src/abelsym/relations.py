@@ -347,6 +347,23 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     column map (`_negation_columns`, built on first need) goes with it for
     `SpanChecker`; there is none when `keys` is not closed under sigma or
     sigma fixes every column (exponent <= 2).
+
+    `SpanChecker` keeps one row of each pair r, +-sigma r by the row's
+    first column c: those with sigma(c) >= c.  Proof, row family by
+    family.  A blowup row with a key entry (both branches) or a plus row
+    starts at its own key k, and sigma r is +- the row built at sigma k
+    (at n >= 3 the pair-skip rule builds it at sigma k through another pair
+    of positions), which starts at sigma k; so exactly one of the two is
+    kept, or the one row when sigma k = k.  A one-term row {u: -1}, kept
+    once per column, has {sigma u: -1} among the rows too, and exactly one
+    of them is kept.  A sign row {k: 1, j: 1} with k < j, or {k: 2}, starts
+    at k.  If it is dropped (sigma k < k), sigma r = {sigma k, sigma j} is
+    kept: it starts at m = min(sigma k, sigma j), and if m = sigma k then
+    sigma m = k > m, while if m = sigma j < sigma k then sigma m = j > k >
+    sigma k > m.  Both rows of a sign pair may be kept; the repeated fold
+    is cleared to an empty row by the elimination.  The rule compares
+    indices only, so it holds on any sigma-closed `keys` basis in any
+    order.
     """
     variant = Variant.parse(variant)
     if variant is Variant.PLUS and n != 1:

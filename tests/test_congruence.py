@@ -447,8 +447,15 @@ BROKEN_ROUTES = {
             self.a, self.b, self.c, self.d = a, b, c, d
         C.IntMatrix2.__init__ = forged
     """, "C.gamma_member(C.IntMatrix2(3, 0, 0, 1), 2, 2)"),
-    "lift_coset": ("C.coset_of = lambda mat, n, m: None",
-                   "C.lift_coset(C.enumerate_cosets(3, 2)[0])"),
+    # a lift that passes the exact determinant check, then has d moved, so
+    # its rows no longer reduce to the symbol
+    "lift_coset": ("""
+        class Shifted(C.IntMatrix2):
+            def __init__(self, a, b, c, d):
+                super().__init__(a, b, c, d)
+                self.d = d + 1
+        C.IntMatrix2 = Shifted
+    """, "C.lift_coset(C.enumerate_cosets(3, 2)[0])"),
     # a nudge that leaves the bottom row with a common factor, once the
     # coset is built
     "lift_coset_nudge": ("""
@@ -515,6 +522,9 @@ ROUTE_MESSAGES = {route: "turn orbits cover" for route in (
     "iso_check_bijection", "iso_check_distinct", "iso_check_n2_cover",
     "iso_check_cover")}
 ROUTE_MESSAGES["manin_rows"] = "deferred build gave 47 rows"
+ROUTE_MESSAGES["lift_coset"] = (
+    "lift IntMatrix2(3, 1, 2, 2) of CosetSymbol(0, 1; 2, 1 | level (3, 2)) "
+    "reduces to (0, 1, 2, 2)")
 ROUTE_MESSAGES["lift_coset_nudge"] = (
     "CosetSymbol(0, 1; 2, 1 | level (3, 2)): bottom row (2, 13) is not "
     "coprime")

@@ -9,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abelsym import (Variant, build_relations, delta_sum,
-                     enumerate_generators, make_group, manin_space)
+                     enumerate_generators, exactla, make_group, manin_space)
 from abelsym.exactla import (BoundExceeded, ConsistencyError,
                              SparseIntMatrix, SpanChecker, _integerize,
                              _unit_eliminate, dense_snf_with_transforms,
                              rank_over_Q, row_signature, row_span_membership,
                              smith_normal_form)
 from abelsym.relations import _sign_class_matrix
-from abelsym.symbols import sign_class_groups
+from abelsym.symbols import (det_classes, enumerate_det_class,
+                             sign_class_groups)
 from rankref import reference_det, reference_rank, reference_rank_mod_p
 from relref import invariant_chains
 
@@ -684,11 +685,15 @@ def _full_checker(m):
     return SpanChecker(SparseIntMatrix.trusted(m.ncols, m.rows))
 
 
-def _involution_systems(limit):
+def _involution_systems(limit, low=1, cubic=None):
+    """Plus at n = 1, plain and minus at n = 2 and 3 (n = 3 only up to
+    order `cubic`, if given) over the groups of order low..limit."""
     for chain in invariant_chains(limit):
         group = make_group(chain)
+        if group.order < low:
+            continue
         yield group, build_relations(group, 1, Variant.PLUS)
-        for n in (2, 3):
+        for n in (2, 3)[:1 + (cubic is None or group.order <= cubic)]:
             for variant in (Variant.PLAIN, Variant.MINUS):
                 yield group, build_relations(group, n, variant)
 
@@ -739,17 +744,19 @@ def test_non_involution_raises_consistency_error():
 
 
 def _split_queries(system, sigma, seed):
-    """Fixed queries on a system: sigma-invariant ones (the delta probes,
-    e_c + e_(sigma c), symmetrized random rows) first, then the rest (unit
-    columns, e_c - e_(sigma c), random rows)."""
+    """Fixed queries on a system: sigma-invariant ones (the delta probes at
+    n = 2, e_c + e_(sigma c), symmetrized random rows) first, then the rest
+    (the delta probes at n >= 3, where sigma also negates the entries the
+    sum leaves alone, unit columns, e_c - e_(sigma c), random rows)."""
     rng = random.Random(seed)
     ncols = system.rel.ncols
-    invariant = [system.vector(image) for image in map(delta_sum,
-                                                       system.basis)
-                 if not image.is_zero()]
+    deltas = [system.vector(image) for image in map(delta_sum,
+                                                    system.basis)
+              if not image.is_zero()] if system.n >= 2 else []
+    invariant, others = (deltas, []) if system.n == 2 else ([], deltas)
     invariant += [{c: 1, sigma[c]: 1} if sigma[c] != c else {c: 1}
                   for c in range(ncols)]
-    others = [{c: 1} for c in range(ncols)]
+    others += [{c: 1} for c in range(ncols)]
     others += [{c: 1, sigma[c]: -1} for c in range(ncols) if sigma[c] != c]
     for _ in range(40):
         row = {}
@@ -764,12 +771,12 @@ def _split_queries(system, sigma, seed):
     return invariant, others
 
 
-def _assert_split_verdicts(limit, low=1):
+def _assert_split_verdicts(limit, low=1, n=2, variant=Variant.PLAIN):
     for chain in invariant_chains(limit):
         group = make_group(chain)
         if group.order < low:
             continue
-        system = build_relations(group, 2, Variant.PLAIN)
+        system = build_relations(group, n, variant)
         rel = system.rel
         sigma = rel._involution()
         full = _full_checker(rel)
@@ -793,3 +800,107 @@ def test_split_checker_agrees_with_full_checker():
 @pytest.mark.slow
 def test_split_checker_agrees_on_larger_groups():
     _assert_split_verdicts(56, low=25)
+
+
+@pytest.mark.parametrize("limit, n, variant", [
+    (24, 2, Variant.MINUS),     # sign rows enter the half
+    (16, 3, Variant.PLAIN),     # one-term rows on columns sigma moves
+    (24, 1, Variant.PLUS)])     # every row folds to zero
+def test_split_checker_agrees_beyond_plain_n_2(limit, n, variant):
+    _assert_split_verdicts(limit, n=n, variant=variant)
+
+
+@pytest.mark.slow
+def test_split_checker_agrees_beyond_plain_n_2_on_larger_groups():
+    _assert_split_verdicts(56, low=25, variant=Variant.MINUS)
+    _assert_split_verdicts(24, low=17, n=3)
+
+
+def _first(row):
+    return next(iter(row))
+
+
+def _fold(row, sigma):
+    """The row summed over the sigma-orbits, at each orbit's least column."""
+    fold = {}
+    for c, v in row.items():
+        c = min(c, sigma[c])
+        fold[c] = fold.get(c, 0) + v
+    return {c: v for c, v in fold.items() if v}
+
+
+def _half_rows(monkeypatch, rel):
+    """The rows a checker hands its half's elimination, recorded in place
+    of eliminating them."""
+    handed = []
+    monkeypatch.setattr(exactla, "_Echelon",
+                        lambda rows, ncols: handed.extend(rows))
+    SpanChecker(rel)._half_echelon()
+    return handed
+
+
+def _assert_one_row_per_pair(monkeypatch, rel, label):
+    """The half folds exactly the rows whose first column c has sigma(c) >=
+    c; a dropped row folds to a kept row's fold, and its sigma-image is
+    +- a kept row.  Gives the number of half rows."""
+    sigma = rel._involution()
+    kept, dropped = [], []
+    for row in rel.rows:
+        (kept if sigma[_first(row)] >= _first(row) else dropped).append(row)
+    handed = _half_rows(monkeypatch, rel)
+    assert handed == [f for f in (_fold(row, sigma) for row in kept)
+                      if f], label
+    folds = {frozenset(row.items()) for row in handed}
+    rows = {frozenset(row.items()) for row in kept}
+    for row in dropped:
+        fold = _fold(row, sigma)
+        assert not fold or frozenset(fold.items()) in folds, (label, row)
+        image = [(sigma[c], v) for c, v in row.items()]
+        assert (frozenset(image) in rows
+                or frozenset((c, -v) for c, v in image) in rows), (label, row)
+    return len(handed)
+
+
+def _pair_rule_systems(limit, low=1, cubic=None):
+    """The `_involution_systems` with an involution, and at low = 1 the
+    determinant-class bases of 5x5 at minus, one of them reordered."""
+    for _, system in _involution_systems(limit, low, cubic):
+        if system.rel._involution() is not None:
+            yield system
+    if low == 1:
+        group = make_group((5, 5))
+        for cls in det_classes(group):
+            yield build_relations(group, 2, Variant.MINUS,
+                                  keys=enumerate_det_class(group, cls))
+        yield build_relations(group, 2, Variant.MINUS,
+                              keys=enumerate_det_class(group, 1)[::-1])
+
+
+def test_half_folds_one_row_per_sigma_pair(monkeypatch):
+    systems = 0
+    for system in _pair_rule_systems(24):
+        _assert_one_row_per_pair(monkeypatch, system.rel, system)
+        systems += 1
+    assert systems == 146 + 3      # the groups, then the 5x5 bases
+
+
+@pytest.mark.slow
+def test_half_folds_one_row_per_sigma_pair_on_larger_groups(monkeypatch):
+    # n = 3 only up to order 36: its systems grow as the cube of the order
+    for system in _pair_rule_systems(56, low=25, cubic=36):
+        _assert_one_row_per_pair(monkeypatch, system.rel, system)
+
+
+def test_half_row_count_on_the_delta_systems(monkeypatch):
+    # the plain n = 2 systems with an involution, as the delta probes use:
+    # one row per pair gives as many half rows as there are distinct folds
+    counts, distinct = [], 0
+    for chain in invariant_chains(36):
+        rel = build_relations(make_group(chain), 2, Variant.PLAIN).rel
+        sigma = rel._involution()
+        if sigma is not None:
+            counts.append(_assert_one_row_per_pair(monkeypatch, rel, chain))
+            distinct += len({frozenset(_fold(row, sigma).items())
+                             for row in rel.rows} - {frozenset()})
+    assert len(counts) == 50
+    assert sum(counts) == distinct == 4546
