@@ -264,11 +264,17 @@ def _verify_delta(config):
     system = build_relations(config.group, config.n, Variant.PLAIN,
                              bound=config.enum_bound)
     checker = SpanChecker(system.rel)
-    passed = 0
+    probes = [(key, system.vector(image)) for key, image in
+              ((key, delta_sum(key)) for key in system.basis)
+              if not image.is_zero()]
+    sigma = system.rel._involution()
+    if sigma is not None and any(row.get(sigma[c]) != v for _, row in probes
+                                 for c, v in row.items()):
+        checker.rank    # a probe sigma moves needs the full factorization
+    passed = len(system.basis) - len(probes)
     bad = None
-    for key in system.basis:
-        image = delta_sum(key)
-        if image.is_zero() or checker.contains(system.vector(image)):
+    for key, row in probes:
+        if checker.contains(row):
             passed += 1
         elif bad is None:
             bad = repr(key)

@@ -13,16 +13,20 @@ which the relation matrices here rarely leave, gets gcd row and column
 steps on its least entries until one is a unit.  Two-term rows get no
 path of their own: `dimension` and `manin_space` fold theirs into the
 columns before elimination, as modular-symbols codes do.  Span membership
-reduces against the recorded pivot rows and a fraction-free echelon of
-that residue.  Each checker reduces a distinct query only once: a row
-equal up to sign to an earlier one, once cleared of denominators, gets the
-earlier verdict.  A matrix may carry a column involution sigma that keeps
-its row span (`build_relations` gives its systems the global sign flip);
-a checker then answers sigma-invariant queries, such as the delta probes,
-in the sigma-invariant half, a factorization of one row of each sigma-pair
-folded onto the sigma-orbits and about half the size, as modular-symbols
-codes work in one eigenspace of the star involution and impose each
-relation once per orbit.  Each factorization is built on first need.
+reads a normal-form table built by one back-substitution over the
+recorded pivot rows and a fraction-free echelon of that residue: each
+pivot column written in terms of the non-pivot ones, as modular-symbols
+codes write every generator in terms of the free ones, so a query lies in
+the span iff its image under the table vanishes.  Each checker looks a
+distinct query up only once: a row equal up to sign to an earlier one,
+once cleared of denominators, gets the earlier verdict.  A matrix may
+carry a column involution sigma that keeps its row span (`build_relations`
+gives its systems the global sign flip); a checker then answers
+sigma-invariant queries, such as the delta probes, in the sigma-invariant
+half, a factorization of one row of each sigma-pair folded onto the
+sigma-orbits and about half the size, as modular-symbols codes work in one
+eigenspace of the star involution and impose each relation once per
+orbit.  Each factorization, and its table, is built on first need.
 Column indices must be integers, kept as ints.
 
 The engine eliminates in place: it owns the rows it is handed and leaves
@@ -379,12 +383,30 @@ class _Echelon:
     """Pivot rows of a matrix, each zero at the pivot columns of the rows
     before it: the unit pivot rows of the elimination engine, then a
     fraction-free echelon of its residue.  Built from rows it owns, which
-    the engine eliminates in place."""
+    the engine eliminates in place.
 
-    __slots__ = ("pivots", "order")
+    Membership is read off a normal-form table, built by one reverse pass
+    over the pivot rows at the first `contains`: for each pivot column c
+    with pivot row r and pivot entry p,
+
+        NF(c) = -(1/p) sum over c' != c of r[c'] NF(c'),
+
+    where NF(c') = e_c' at a non-pivot column c'.  Row r is zero at the
+    pivot columns of the rows before it, so every NF(c') the pass needs is
+    already built, and each NF(c) lies on the non-pivot columns.  And
+    e_c - NF(c) = r/p - sum over c' != c of (r[c']/p) (e_c' - NF(c')) lies
+    in the span, by induction down the pivots.  The span meets the
+    non-pivot coordinates only in 0: a nonzero combination of pivot rows
+    is nonzero at the pivot column of its first row.  So a row q lies in
+    the span iff sum_c q[c] NF(c) = 0.  The entries are ints under unit
+    pivots; only a residue pivot brings in Fractions.
+    """
+
+    __slots__ = ("pivots", "order", "_nf")
 
     def __init__(self, rows, ncols):
         self.pivots = []        # (pivot col, row), in pivot order
+        self._nf = None         # pivot col -> NF(col), on the first query
         _, _, residue = _unit_eliminate(rows, ncols, self.pivots)
         self.order = {c: k for k, (c, _) in enumerate(self.pivots)}
         for row in residue:
@@ -394,10 +416,55 @@ class _Echelon:
                 self.order[pc] = len(self.pivots)
                 self.pivots.append((pc, row))
 
+    def _normal_forms(self):
+        """The normal-form table: {pivot col: NF(col) as {col: value}}."""
+        nf = {}
+        for pc, prow in reversed(self.pivots):
+            pv = prow[pc]
+            unit = pv in (1, -1)
+            out = {}
+            for c, v in prow.items():
+                if c == pc:
+                    continue
+                f = -pv * v if unit else Fraction(-v, pv)
+                img = nf.get(c)
+                if img is None:         # a non-pivot column: NF = e_c
+                    cur = out.get(c, 0) + f
+                    if cur:
+                        out[c] = cur
+                    else:
+                        del out[c]
+                    continue
+                for k, w in img.items():
+                    cur = out.get(k, 0) + f * w
+                    if cur:
+                        out[k] = cur
+                    else:
+                        del out[k]
+            nf[pc] = out
+        return nf
+
+    def contains(self, row):
+        """Whether the row lies in the span over Q: whether sum_c row[c]
+        NF(c) vanishes.  The row is not changed."""
+        nf = self._nf
+        if nf is None:
+            nf = self._nf = self._normal_forms()
+        out = {}
+        for c, v in row.items():
+            img = nf.get(c)
+            if img is None:
+                out[c] = out.get(c, 0) + v
+            else:
+                for k, w in img.items():
+                    out[k] = out.get(k, 0) + v * w
+        return not any(out.values())
+
     def reduce(self, row):
         """Eliminate every pivot column from the row, in place; the result
         is a nonzero multiple of the reduced row, or empty.  One walk over
-        a pivot row subtracts it and queues the pivots it brings in."""
+        a pivot row subtracts it and queues the pivots it brings in.  It
+        builds the residue echelon; queries go to `contains`."""
         order = self.order
         todo = [order[c] for c in row if c in order]
         heapq.heapify(todo)
@@ -436,25 +503,31 @@ class _Echelon:
 class SpanChecker:
     """Repeated row-span membership queries (over Q) against one matrix.
 
-    A factorization is the matrix's `_Echelon`; a query is reduced against
-    its pivot rows in pivot order, exactly over Z, and lies in the span iff
-    nothing is left.  Rows equal up to sign lie in the span together, so
-    each checker keeps its verdicts under the `row_signature` of the query
-    cleared of denominators and reduces each distinct query only once.
+    A factorization is the matrix's `_Echelon`, which answers a query from
+    its normal-form table: each pivot column c written as NF(c), in terms
+    of the non-pivot columns, by one reverse pass over the pivot rows.
+    That is exact over Q (see _Echelon): each pivot row is zero at the
+    pivot columns before it, so the pass finds every NF it needs; e_c -
+    NF(c) lies in the span, which meets the non-pivot coordinates only in
+    0; so q lies in the span iff sum_c q[c] NF(c) = 0.  Rows equal up to
+    sign lie in the span together, so each checker keeps its verdicts under
+    the `row_signature` of the query cleared of denominators and reads the
+    table once per distinct query.
 
     A matrix with a column involution sigma (see SparseIntMatrix) has two
     factorizations, each built on first need.  While the full one does not
     exist, a query q with sigma q = q that misses the memo is folded onto
-    the sigma-orbits, Fq summing q over each orbit, and reduced against the
-    factorization of the folded rows, each row summed per orbit and zero
-    rows dropped.  Only one row r of each sigma-pair is folded, as
-    F(sigma r) = F r; the matrix's contract says which.  That is exact
-    over Q: sigma keeps span R, so span R = P+ span R + P- span R with
-    P+- = (1 +- sigma) / 2, and q = P+ q.  If Fq = F r with r in span R,
-    then F P+ r = F r = Fq, and F is injective on sigma-invariant vectors,
-    so q = P+ r lies in span R; and F span R is spanned by the folds of
-    the kept rows, as each dropped row's fold is its partner's up to sign.
-    Any other query, `rank`, `_reduce`, and every miss once the full
+    the sigma-orbits, Fq summing q over each orbit, and looked up in the
+    table of the factorization of the folded rows, each row summed per
+    orbit and zero rows dropped.  Only one row r of each sigma-pair is
+    folded, as F(sigma r) = F r; the matrix's contract says which.  That is
+    exact over Q: sigma keeps span R, so span R = P+ span R + P- span R
+    with P+- = (1 +- sigma) / 2, and q = P+ q.  If Fq = F r with r in span
+    R, then F P+ r = F r = Fq, and F is injective on sigma-invariant
+    vectors, so q = P+ r lies in span R; and F span R is spanned by the
+    folds of the kept rows, as each dropped row's fold is its partner's up
+    to sign.  Each factorization's table is built at its first miss.  Any
+    other query, `rank`, `_reduce`, and every miss once the full
     factorization exists use the full one.
     """
 
@@ -476,7 +549,8 @@ class SpanChecker:
 
     def _reduce(self, row):
         """The row reduced in place against the full factorization: a
-        nonzero multiple of the reduced row, or empty."""
+        nonzero multiple of the reduced row, or empty.  Queries do not use
+        it; it shows what the table's verdicts must agree with."""
         return self._full_echelon().reduce(row)
 
     def _fold(self, row):
@@ -550,9 +624,9 @@ class SpanChecker:
         verdict = self._verdicts.get(sig)
         if verdict is None:
             folded = self._fold(row)
-            verdict = self._verdicts[sig] = not (
-                self._reduce(row) if folded is None
-                else self._half_echelon().reduce(folded))
+            verdict = self._verdicts[sig] = (
+                self._full_echelon().contains(row) if folded is None
+                else self._half_echelon().contains(folded))
         return verdict
 
 

@@ -12,10 +12,11 @@ from abelsym import cache
 from abelsym.cache import ReportCache, source_digest
 from abelsym import cli
 from abelsym.cli import format_torsion, main
-from abelsym.exactla import SpanChecker
+from abelsym.exactla import SparseIntMatrix, SpanChecker
 from abelsym.relations import (DimensionReport, Variant, build_relations,
                                dimension)
 from abelsym.structmaps import delta_sum
+from relref import invariant_chains
 
 
 def run(capsys, *argv):
@@ -186,6 +187,43 @@ def test_verify_delta_failing_probe(capsys, monkeypatch):
                     "status": "fail", "lhs": 0, "rhs": 27,
                     "counterexample": "<(0), (1)>"}],
         "group": "7", "n": 2, "ok": False}
+
+
+def test_verify_delta_builds_one_factorization(capsys, monkeypatch):
+    # at n = 3 a sign sum is sigma-invariant only for some keys: a checker
+    # that will meet one that is not factors the full matrix alone, where
+    # one whose first miss was invariant used to build the half first
+    checkers = []
+
+    class Recorded(SpanChecker):
+        def __init__(self, matrix):
+            super().__init__(matrix)
+            checkers.append(self)
+
+    monkeypatch.setattr(cli, "SpanChecker", Recorded)
+    built = []
+    for chain in invariant_chains(16):
+        group = make_group(chain)
+        system = build_relations(group, 3, Variant.PLAIN)
+        if system.rel._involution() is None:
+            continue
+        full = SpanChecker(SparseIntMatrix.trusted(system.rel.ncols,
+                                                   system.rel.rows))
+        images = [delta_sum(key) for key in system.basis]
+        lhs = sum(im.is_zero() or full.contains(system.vector(im))
+                  for im in images)
+        code, out, _ = run(capsys, "verify", "--check", "delta", "--group",
+                           group.literal(), "--n", "3", "--no-cache")
+        assert code == 0 and out.splitlines() == [
+            "[PASS] delta-span group=%s n=3 lhs=%d rhs=%d"
+            % (group.literal(), lhs, len(system.basis)),
+            "ok: 1/1 checks passed"], chain
+        checker = checkers.pop()
+        assert not checkers
+        assert (checker._half is None) != (checker._full is None), chain
+        built.append(checker._full is not None)
+    # each of these groups has an n = 3 sign sum that sigma moves
+    assert len(built) == 20 and all(built)
 
 
 def test_verify_comult(capsys):

@@ -14,7 +14,7 @@ from abelsym.exactla import (BoundExceeded, ConsistencyError,
                              SparseIntMatrix, SpanChecker, _integerize,
                              _unit_eliminate, dense_snf_with_transforms,
                              rank_over_Q, row_signature, row_span_membership,
-                             smith_normal_form)
+                             smith_normal_form, sparse_add)
 from abelsym.relations import _sign_class_matrix
 from abelsym.symbols import (det_classes, enumerate_det_class,
                              sign_class_groups)
@@ -317,11 +317,12 @@ def test_integerize_mixed_rows():
         assert str(exc.value) == message
 
 
-def test_span_checker_reduces_each_distinct_query_once():
+def test_span_checker_reduces_each_distinct_query_once(monkeypatch):
     checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
     reduced = []
-    real = checker._reduce
-    checker._reduce = lambda row: reduced.append(dict(row)) or real(row)
+    real = exactla._Echelon.contains   # every memo miss goes through it
+    monkeypatch.setattr(exactla._Echelon, "contains", lambda self, row:
+                        reduced.append(dict(row)) or real(self, row))
     asks = [({0: 1}, False), ({0: -1}, False),
             ([Fraction(1, 3), 0, 0], False), ({0: 2, 1: 2}, True),
             ({0: 1, 1: 1}, True), ({0: -1, 1: -1}, True), ({0: 1}, False),
@@ -904,3 +905,100 @@ def test_half_row_count_on_the_delta_systems(monkeypatch):
                              for row in rel.rows} - {frozenset()})
     assert len(counts) == 50
     assert sum(counts) == distinct == 4546
+
+
+# -- the normal-form table --------------------------------------------------
+
+
+def _assert_table_agrees(echelon, rows, ncols, label):
+    """Each NF(c) of the echelon's table lies on the non-pivot columns and
+    e_c - NF(c) reduces to nothing; the table's verdict equals the
+    reduction's on each e_c, each row, the sum and the difference of each
+    two neighbouring rows, and each row plus a unit column."""
+    nf = echelon._normal_forms()
+    assert nf.keys() == echelon.order.keys(), label
+    for c, image in nf.items():
+        assert not image.keys() & nf.keys(), (label, c)
+        diff = sparse_add({c: 1}, ((k, -w) for k, w in image.items()))
+        assert not echelon.reduce(_integerize(diff, ncols)), (label, c)
+    rng = random.Random(ncols)
+    queries = [{c: 1} for c in range(ncols)] + rows
+    for a, b in zip(rows, rows[1:]):
+        queries.append(sparse_add(dict(a), b.items()))
+        queries.append(sparse_add(dict(a), ((c, -v) for c, v in b.items())))
+    queries += [sparse_add(dict(row), ((rng.randrange(ncols), 1),))
+                for row in rows]
+    for q in queries:
+        member = not echelon.reduce(dict(q))
+        assert echelon.contains(q) == member, (label, q)
+
+
+def _assert_tables_agree(rel, label):
+    """The full factorization's table, and the half's where the matrix
+    has an involution, against their own reductions."""
+    checker = SpanChecker(rel)
+    _assert_table_agrees(checker._full_echelon(), rel.rows, rel.ncols, label)
+    sigma = rel._involution()
+    if sigma is not None:
+        folds = [f for f in (_fold(row, sigma) for row in rel.rows) if f]
+        _assert_table_agrees(checker._half_echelon(), folds, rel.ncols,
+                             (label, "half"))
+
+
+def _table_systems(limit, low, families):
+    """The systems of each (n, variant) family over the groups of order
+    low..limit."""
+    for chain in invariant_chains(limit):
+        group = make_group(chain)
+        if group.order >= low:
+            for n, variant in families:
+                yield (chain, n, variant.name), build_relations(
+                    group, n, variant).rel
+
+
+SQUARE = ((2, Variant.PLAIN), (2, Variant.MINUS))
+CUBIC = ((3, Variant.PLAIN),)
+
+
+def test_normal_form_table_matches_reduce():
+    # plain n = 3 only up to order 16, as its systems grow as the cube
+    for label, rel in (list(_table_systems(24, 1, SQUARE))
+                       + list(_table_systems(16, 1, CUBIC))):
+        _assert_tables_agree(rel, label)
+    for level in ((11, 1), (7, 2), (2, 8)):
+        _assert_tables_agree(manin_space(*level)[0].rel, level)
+
+
+@pytest.mark.slow
+def test_normal_form_table_matches_reduce_on_larger_groups():
+    for label, rel in (list(_table_systems(56, 25, SQUARE))
+                       + list(_table_systems(24, 17, CUBIC))):
+        _assert_tables_agree(rel, label)
+
+
+def test_normal_form_table_under_residue_pivots():
+    # peeling leaves these with unit pivots, so their tables are integral
+    for rows, query, member in (([[2]], [1], True),
+                                ([[2, 4], [4, 8]], [1, 3], False),
+                                ([[1, 1, 0], [0, 2, 1]],
+                                 {0: Fraction(1, 2)}, False)):
+        checker = SpanChecker(mat(rows))
+        assert checker.contains(query) == member
+        nf = checker._full_echelon()._nf
+        assert all(type(w) is int for image in nf.values()
+                   for w in image.values())
+    # content 1 and no unit entry: the residue echelon's pivots are not
+    # units, and their normal forms hold Fractions
+    for rows, query, member in (([[2, 3]], [4, 6], True),
+                                ([[2, 3]], [1, 1], False),
+                                ([[2, 3, 0], [0, 2, 3]], [2, 5, 3], True),
+                                ([[2, 3, 0], [0, 2, 3]], [0, 0, 1], False),
+                                ([[6, 10, 15]], [3, 5, Fraction(15, 2)],
+                                 True)):
+        m = mat(rows)
+        checker = SpanChecker(m)
+        assert checker.contains(query) == member, rows
+        echelon = checker._full_echelon()
+        assert any(type(w) is Fraction for image in echelon._nf.values()
+                   for w in image.values()), rows
+        _assert_table_agrees(echelon, m.rows, m.ncols, rows)
