@@ -12,22 +12,21 @@ by g, and unit pivots resume.  A residue of content 1 with no unit entry,
 which the relation matrices here rarely leave, gets gcd row and column
 steps on its least entries until one is a unit.  Two-term rows get no
 path of their own: `dimension` and `manin_space` fold theirs into the
-columns before elimination, as modular-symbols codes do.  Span membership
-reads a normal-form table built by one back-substitution over the
-recorded pivot rows and a fraction-free echelon of that residue: each
-pivot column written in terms of the non-pivot ones, as modular-symbols
-codes write every generator in terms of the free ones, so a query lies in
-the span iff its image under the table vanishes.  Each checker looks a
-distinct query up only once: a row equal up to sign to an earlier one,
-once cleared of denominators, gets the earlier verdict.  A matrix may
-carry a column involution sigma that keeps its row span (`build_relations`
-gives its systems the global sign flip); a checker then answers
-sigma-invariant queries, such as the delta probes, in the sigma-invariant
-half, a factorization of one row of each sigma-pair folded onto the
-sigma-orbits and about half the size, as modular-symbols codes work in one
-eigenspace of the star involution and impose each relation once per
-orbit.  Each factorization, and its table, is built on first need.
-Column indices must be integers, kept as ints.
+columns before elimination, as modular-symbols codes do.  A factorization
+for span membership is its normal-form table (`_normal_form_table` gives
+the proof): each pivot column written in terms of the non-pivot ones, as
+modular-symbols codes write every generator in terms of the free ones,
+so a query lies in the span iff its image under the table vanishes.  Each
+checker looks a distinct query up only once: a row equal up to sign to an
+earlier one, once cleared of denominators, gets the earlier verdict.  A
+matrix may carry a column involution sigma that keeps its row span
+(`build_relations` gives its systems the global sign flip); a checker
+then answers sigma-invariant queries, such as the delta probes, in the
+sigma-invariant half, a factorization of one row of each sigma-pair
+folded onto the sigma-orbits and about half the size, as modular-symbols
+codes work in one eigenspace of the star involution and impose each
+relation once per orbit.  Each table is built on first need.  Column
+indices must be integers, kept as ints.
 
 The engine eliminates in place: it owns the rows it is handed and leaves
 them changed.  `smith_normal_form`, `rank_over_Q` and `SpanChecker` copy a
@@ -38,7 +37,6 @@ uncopied.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from math import gcd
 from operator import index
@@ -92,8 +90,10 @@ class SparseIntMatrix:
     """Sparse integer matrix; one {col: value} dict per row, zeros dropped.
 
     Treated as immutable after construction: the public elimination
-    routines copy its rows before they touch them.  `_sigma` is an optional
-    column involution for `SpanChecker`: None, a list (column -> column),
+    routines copy its rows before they touch them.  `SpanChecker` answers
+    membership from its normal-form table (see `_normal_form_table`).
+    `_sigma` is an optional column involution for the checker's
+    sigma-invariant half: None, a list (column -> column),
     or a function giving None or that list, called on first need.  sigma
     maps each row to +- a row; keeping the rows whose first column c has
     sigma(c) >= c keeps one of each pair, which only `build_relations`
@@ -379,140 +379,101 @@ def rank_over_Q(matrix):
     return len(_nonzero_divisors(_copy_rows(matrix), matrix.ncols))
 
 
-class _Echelon:
-    """Pivot rows of a matrix, each zero at the pivot columns of the rows
-    before it: the unit pivot rows of the elimination engine, then a
-    fraction-free echelon of its residue.  Built from rows it owns, which
-    the engine eliminates in place.
+def _normal_form_table(rows, ncols):
+    """The factorization of the matrix with these rows, which it eliminates
+    in place, as its normal-form table {pivot col: NF(col) as {col: value}}:
+    each pivot column written in terms of the non-pivot ones.
 
-    Membership is read off a normal-form table, built by one reverse pass
-    over the pivot rows at the first `contains`: for each pivot column c
-    with pivot row r and pivot entry p,
+    The pivot rows are the engine's unit pivot rows, then a fraction-free
+    echelon of its residue.  A unit pivot clears its column from every live
+    row, and fill only comes from pivot rows, which were live rows then;
+    so the residue is zero at every unit pivot column.  Each residue row is
+    reduced against the residue pivots alone, in pivot order, fraction-free
+    (scaled by the pivot entry, then divided by its gcd), and if nonzero
+    pivots at an entry of least magnitude.  So each pivot row is zero at
+    the pivot columns of the rows before it.  One reverse pass gives, for
+    each pivot column c with pivot row r and pivot entry p,
 
         NF(c) = -(1/p) sum over c' != c of r[c'] NF(c'),
 
-    where NF(c') = e_c' at a non-pivot column c'.  Row r is zero at the
-    pivot columns of the rows before it, so every NF(c') the pass needs is
-    already built, and each NF(c) lies on the non-pivot columns.  And
-    e_c - NF(c) = r/p - sum over c' != c of (r[c']/p) (e_c' - NF(c')) lies
-    in the span, by induction down the pivots.  The span meets the
-    non-pivot coordinates only in 0: a nonzero combination of pivot rows
-    is nonzero at the pivot column of its first row.  So a row q lies in
-    the span iff sum_c q[c] NF(c) = 0.  The entries are ints under unit
-    pivots; only a residue pivot brings in Fractions.
+    where NF(c') = e_c' at a non-pivot column c'; every NF(c') the pass
+    needs is already built, and each NF(c) lies on the non-pivot columns.
+    And e_c - NF(c) = r/p - sum over c' != c of (r[c']/p) (e_c' - NF(c'))
+    lies in the span, by induction down the pivots.  The span meets the
+    non-pivot coordinates only in 0: a nonzero combination of pivot rows is
+    nonzero at the pivot column of its first row.  So a row q lies in the
+    span iff sum_c q[c] NF(c) = 0 (`_table_contains`), and the table has
+    as many entries as the rank.  The entries are ints under unit pivots;
+    only a residue pivot brings in Fractions.
     """
-
-    __slots__ = ("pivots", "order", "_nf")
-
-    def __init__(self, rows, ncols):
-        self.pivots = []        # (pivot col, row), in pivot order
-        self._nf = None         # pivot col -> NF(col), on the first query
-        _, _, residue = _unit_eliminate(rows, ncols, self.pivots)
-        self.order = {c: k for k, (c, _) in enumerate(self.pivots)}
-        for row in residue:
-            row = self.reduce(row)
-            if row:
-                pc = min(row, key=lambda c: (abs(row[c]), c))
-                self.order[pc] = len(self.pivots)
-                self.pivots.append((pc, row))
-
-    def _normal_forms(self):
-        """The normal-form table: {pivot col: NF(col) as {col: value}}."""
-        nf = {}
-        for pc, prow in reversed(self.pivots):
-            pv = prow[pc]
-            unit = pv in (1, -1)
-            out = {}
-            for c, v in prow.items():
-                if c == pc:
-                    continue
-                f = -pv * v if unit else Fraction(-v, pv)
-                img = nf.get(c)
-                if img is None:         # a non-pivot column: NF = e_c
-                    cur = out.get(c, 0) + f
-                    if cur:
-                        out[c] = cur
-                    else:
-                        del out[c]
-                    continue
-                for k, w in img.items():
-                    cur = out.get(k, 0) + f * w
-                    if cur:
-                        out[k] = cur
-                    else:
-                        del out[k]
-            nf[pc] = out
-        return nf
-
-    def contains(self, row):
-        """Whether the row lies in the span over Q: whether sum_c row[c]
-        NF(c) vanishes.  The row is not changed."""
-        nf = self._nf
-        if nf is None:
-            nf = self._nf = self._normal_forms()
-        out = {}
-        for c, v in row.items():
-            img = nf.get(c)
-            if img is None:
-                out[c] = out.get(c, 0) + v
-            else:
-                for k, w in img.items():
-                    out[k] = out.get(k, 0) + v * w
-        return not any(out.values())
-
-    def reduce(self, row):
-        """Eliminate every pivot column from the row, in place; the result
-        is a nonzero multiple of the reduced row, or empty.  One walk over
-        a pivot row subtracts it and queues the pivots it brings in.  It
-        builds the residue echelon; queries go to `contains`."""
-        order = self.order
-        todo = [order[c] for c in row if c in order]
-        heapq.heapify(todo)
-        while todo:
-            pc, prow = self.pivots[heapq.heappop(todo)]
+    pivots = []             # (pivot col, row), in pivot order
+    _, _, residue = _unit_eliminate(rows, ncols, pivots)
+    echelon = []
+    for row in residue:
+        for pc, prow in echelon:
             f = row.get(pc)
-            if not f:
-                continue
-            pv = prow[pc]
-            if pv in (1, -1):
-                f *= pv
-            else:
+            if f:
+                pv = prow[pc]
                 for c in row:
                     row[c] *= pv
-            for c, v in prow.items():   # row -= f * prow
-                cur = row.get(c)
-                if cur is None:
-                    row[c] = -f * v
-                    k = order.get(c)
-                    if k is not None:
-                        heapq.heappush(todo, k)
-                else:
-                    cur -= f * v
-                    if cur:
-                        row[c] = cur
-                    else:
-                        del row[c]
-            if pv not in (1, -1) and row:
-                g = gcd(*row.values())
-                if g > 1:
+                sparse_add(row, ((c, -f * v) for c, v in prow.items()))
+                if row:
+                    g = gcd(*row.values())
                     for c in row:
                         row[c] //= g
-        return row
+        if row:
+            echelon.append((min(row, key=lambda c: (abs(row[c]), c)), row))
+    nf = {}
+    for pc, prow in reversed(pivots + echelon):
+        pv = prow[pc]
+        unit = pv in (1, -1)
+        out = {}
+        for c, v in prow.items():
+            if c == pc:
+                continue
+            f = -pv * v if unit else Fraction(-v, pv)
+            img = nf.get(c)
+            if img is None:         # a non-pivot column: NF = e_c
+                cur = out.get(c, 0) + f
+                if cur:
+                    out[c] = cur
+                else:
+                    del out[c]
+                continue
+            for k, w in img.items():
+                cur = out.get(k, 0) + f * w
+                if cur:
+                    out[k] = cur
+                else:
+                    del out[k]
+        nf[pc] = out
+    return nf
+
+
+def _table_contains(nf, row):
+    """Whether the row lies in the span of the factorization with table
+    `nf`: whether sum_c row[c] NF(c) vanishes.  The row is not changed."""
+    out = {}
+    for c, v in row.items():
+        img = nf.get(c)
+        if img is None:
+            out[c] = out.get(c, 0) + v
+        else:
+            for k, w in img.items():
+                out[k] = out.get(k, 0) + v * w
+    return not any(out.values())
 
 
 class SpanChecker:
     """Repeated row-span membership queries (over Q) against one matrix.
 
-    A factorization is the matrix's `_Echelon`, which answers a query from
-    its normal-form table: each pivot column c written as NF(c), in terms
-    of the non-pivot columns, by one reverse pass over the pivot rows.
-    That is exact over Q (see _Echelon): each pivot row is zero at the
-    pivot columns before it, so the pass finds every NF it needs; e_c -
-    NF(c) lies in the span, which meets the non-pivot coordinates only in
-    0; so q lies in the span iff sum_c q[c] NF(c) = 0.  Rows equal up to
-    sign lie in the span together, so each checker keeps its verdicts under
-    the `row_signature` of the query cleared of denominators and reads the
-    table once per distinct query.
+    A factorization is the matrix's normal-form table (see
+    `_normal_form_table`, which proves it exact over Q): each pivot column
+    c written as NF(c) in terms of the non-pivot columns, so q lies in the
+    span iff sum_c q[c] NF(c) = 0.  Rows equal up to sign lie in the span
+    together, so each checker keeps its verdicts under the `row_signature`
+    of the query cleared of denominators and reads the table once per
+    distinct query.
 
     A matrix with a column involution sigma (see SparseIntMatrix) has two
     factorizations, each built on first need.  While the full one does not
@@ -526,32 +487,26 @@ class SpanChecker:
     R, then F P+ r = F r = Fq, and F is injective on sigma-invariant
     vectors, so q = P+ r lies in span R; and F span R is spanned by the
     folds of the kept rows, as each dropped row's fold is its partner's up
-    to sign.  Each factorization's table is built at its first miss.  Any
-    other query, `rank`, `_reduce`, and every miss once the full
+    to sign.  Any other query, `rank`, and every miss once the full
     factorization exists use the full one.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self._verdicts = {}     # row_signature of a query -> membership
-        self._full = None       # the matrix's _Echelon, on first need
+        self._full = None       # the matrix's table, on first need
         self._half = None       # the sigma-folded matrix's, on first need
 
-    def _full_echelon(self):
+    def _full_table(self):
         if self._full is None:
-            self._full = _Echelon(_copy_rows(self.matrix), self.matrix.ncols)
+            self._full = _normal_form_table(_copy_rows(self.matrix),
+                                            self.matrix.ncols)
         return self._full
 
     @property
     def rank(self):
-        """Rank over Q of the matrix: the number of full pivot rows."""
-        return len(self._full_echelon().pivots)
-
-    def _reduce(self, row):
-        """The row reduced in place against the full factorization: a
-        nonzero multiple of the reduced row, or empty.  Queries do not use
-        it; it shows what the table's verdicts must agree with."""
-        return self._full_echelon().reduce(row)
+        """Rank over Q of the matrix: the number of full pivot columns."""
+        return len(self._full_table())
 
     def _fold(self, row):
         """F row, the row summed over each sigma-orbit at the orbit's least
@@ -573,8 +528,8 @@ class SpanChecker:
                 out[c] = 2 * v
         return out
 
-    def _half_echelon(self):
-        """The factorization of the matrix's rows folded by F, one row of
+    def _half_table(self):
+        """The table of the matrix's rows folded by F, one row of
         each sigma-pair: the rows whose first column c has sigma(c) >= c.
         A fold that repeats another (both sign rows of a pair can be kept)
         is cleared to an empty row by the elimination."""
@@ -604,7 +559,7 @@ class SpanChecker:
                         del out[c]
                 if out:
                     rows.append(out)
-            self._half = _Echelon(rows, n)
+            self._half = _normal_form_table(rows, n)
         return self._half
 
     def contains(self, row):
@@ -625,8 +580,8 @@ class SpanChecker:
         if verdict is None:
             folded = self._fold(row)
             verdict = self._verdicts[sig] = (
-                self._full_echelon().contains(row) if folded is None
-                else self._half_echelon().contains(folded))
+                _table_contains(self._full_table(), row) if folded is None
+                else _table_contains(self._half_table(), folded))
         return verdict
 
 
@@ -670,7 +625,9 @@ def _integerize(row, ncols):
 
 
 def row_span_membership(matrix, row):
-    """True iff appending the row leaves the rank over Q unchanged."""
+    """True iff appending the row leaves the rank over Q unchanged.  It
+    factors the whole matrix, table and all, for this one query, so a
+    caller with many queries keeps a `SpanChecker`."""
     return SpanChecker(matrix).contains(row)
 
 

@@ -175,8 +175,8 @@ class _Split:
             w = d * h // f
             restrict = [(x * w + r) % d for x in range(f) for r in restrict]
         self.restrict = restrict
-        self.lifts = {a: q.lift_restriction(a).code
-                      for a in range(d) if gcd(a, d) == 1}
+        # the least code restricting to a: q.lift_restriction(a).code
+        self.lifts = {a: restrict.index(a) for a in range(d) if gcd(a, d) == 1}
         self._one, self._right = None, {}
 
     def right(self, qcodes):

@@ -12,7 +12,8 @@ from abelsym import (Variant, build_relations, delta_sum,
                      enumerate_generators, exactla, make_group, manin_space)
 from abelsym.exactla import (BoundExceeded, ConsistencyError,
                              SparseIntMatrix, SpanChecker, _integerize,
-                             _unit_eliminate, dense_snf_with_transforms,
+                             _table_contains, _unit_eliminate,
+                             dense_snf_with_transforms,
                              rank_over_Q, row_signature, row_span_membership,
                              smith_normal_form, sparse_add)
 from abelsym.relations import _sign_class_matrix
@@ -320,9 +321,9 @@ def test_integerize_mixed_rows():
 def test_span_checker_reduces_each_distinct_query_once(monkeypatch):
     checker = SpanChecker(mat([[1, 1, 0], [0, 2, 1]]))
     reduced = []
-    real = exactla._Echelon.contains   # every memo miss goes through it
-    monkeypatch.setattr(exactla._Echelon, "contains", lambda self, row:
-                        reduced.append(dict(row)) or real(self, row))
+    real = exactla._table_contains     # every memo miss goes through it
+    monkeypatch.setattr(exactla, "_table_contains", lambda table, row:
+                        reduced.append(dict(row)) or real(table, row))
     asks = [({0: 1}, False), ({0: -1}, False),
             ([Fraction(1, 3), 0, 0], False), ({0: 2, 1: 2}, True),
             ({0: 1, 1: 1}, True), ({0: -1, 1: -1}, True), ({0: 1}, False),
@@ -590,28 +591,6 @@ def test_engine_pivot_records_pinned():
     assert digest.hexdigest() == PIVOT_RECORDS_SHA256
 
 
-# sha256 of each column's remainder under SpanChecker._reduce, computed
-# with the one-walk reduction against the pivot records of the engine with
-# entry-ordered dict columns (see PIVOT_RECORDS_SHA256): the plain n = 2
-# system of every group of order <= 24, then the Manin spaces at levels
-# (11, 1), (7, 2) and (2, 8)
-REDUCE_REMAINDERS_SHA256 = (
-    "2b93efd921899a64bf5d388d39e5c67eb2490600f88a09b5b332f04d9edbe158")
-
-
-def test_reduce_remainders_pinned():
-    systems = [build_relations(make_group(chain), 2, Variant.PLAIN).rel
-               for chain in invariant_chains(24)]
-    for level in ((11, 1), (7, 2), (2, 8)):
-        systems.append(manin_space(*level)[0].rel)
-    digest = hashlib.sha256()
-    for m in systems:
-        checker = SpanChecker(m)
-        digest.update(repr([sorted(checker._reduce({c: 1}).items())
-                            for c in range(m.ncols)]).encode())
-    assert digest.hexdigest() == REDUCE_REMAINDERS_SHA256
-
-
 @pytest.mark.slow
 def test_large_engine_divisors_pinned():
     parts = []
@@ -834,9 +813,9 @@ def _half_rows(monkeypatch, rel):
     """The rows a checker hands its half's elimination, recorded in place
     of eliminating them."""
     handed = []
-    monkeypatch.setattr(exactla, "_Echelon",
+    monkeypatch.setattr(exactla, "_normal_form_table",
                         lambda rows, ncols: handed.extend(rows))
-    SpanChecker(rel)._half_echelon()
+    SpanChecker(rel)._half_table()
     return handed
 
 
@@ -910,39 +889,53 @@ def test_half_row_count_on_the_delta_systems(monkeypatch):
 # -- the normal-form table --------------------------------------------------
 
 
-def _assert_table_agrees(echelon, rows, ncols, label):
-    """Each NF(c) of the echelon's table lies on the non-pivot columns and
-    e_c - NF(c) reduces to nothing; the table's verdict equals the
-    reduction's on each e_c, each row, the sum and the difference of each
-    two neighbouring rows, and each row plus a unit column."""
-    nf = echelon._normal_forms()
-    assert nf.keys() == echelon.order.keys(), label
-    for c, image in nf.items():
-        assert not image.keys() & nf.keys(), (label, c)
-        diff = sparse_add({c: 1}, ((k, -w) for k, w in image.items()))
-        assert not echelon.reduce(_integerize(diff, ncols)), (label, c)
+def _assert_table_certified(table, rows, ncols, label):
+    """Certify a table against the matrix with these rows without the
+    routine that built it: each NF(c) lies off the pivot columns, there are
+    as many pivots as rank_over_Q counts, and the rows e_c - NF(c), cleared
+    of denominators, leave that rank unchanged when stacked onto the
+    matrix.  They are then a basis of the span, the identity at the pivot
+    columns, so q lies in the span iff q - sum_c q[c] (e_c - NF(c))
+    vanishes.  `_table_contains` must agree on each e_c and each row plus a
+    unit column, and hold each row and the sum and the difference of each
+    two neighbouring rows."""
+    m = SparseIntMatrix.trusted(ncols, rows)
+    rank = rank_over_Q(m)
+    assert len(table) == rank, label
+    basis = {}
+    for c, image in table.items():
+        assert not image.keys() & table.keys(), (label, c)
+        basis[c] = sparse_add({c: 1}, ((k, -w) for k, w in image.items()))
+    assert rank_over_Q(m.with_rows(_integerize(b, ncols)
+                                   for b in basis.values())) == rank, label
     rng = random.Random(ncols)
-    queries = [{c: 1} for c in range(ncols)] + rows
+    members = list(rows)
     for a, b in zip(rows, rows[1:]):
-        queries.append(sparse_add(dict(a), b.items()))
-        queries.append(sparse_add(dict(a), ((c, -v) for c, v in b.items())))
-    queries += [sparse_add(dict(row), ((rng.randrange(ncols), 1),))
-                for row in rows]
-    for q in queries:
-        member = not echelon.reduce(dict(q))
-        assert echelon.contains(q) == member, (label, q)
+        members.append(sparse_add(dict(a), b.items()))
+        members.append(sparse_add(dict(a), ((c, -v) for c, v in b.items())))
+    others = [{c: 1} for c in range(ncols)]
+    others += [sparse_add(dict(row), ((rng.randrange(ncols), 1),))
+               for row in rows]
+    for q in members + others:
+        rest = dict(q)
+        for c, v in q.items():
+            if c in basis:
+                sparse_add(rest, ((k, -v * w) for k, w in basis[c].items()))
+        assert _table_contains(table, q) == (not rest), (label, q)
+    assert all(_table_contains(table, q) for q in members), label
 
 
-def _assert_tables_agree(rel, label):
+def _assert_tables_certified(rel, label):
     """The full factorization's table, and the half's where the matrix
-    has an involution, against their own reductions."""
+    has an involution."""
     checker = SpanChecker(rel)
-    _assert_table_agrees(checker._full_echelon(), rel.rows, rel.ncols, label)
+    _assert_table_certified(checker._full_table(), rel.rows, rel.ncols,
+                            label)
     sigma = rel._involution()
     if sigma is not None:
         folds = [f for f in (_fold(row, sigma) for row in rel.rows) if f]
-        _assert_table_agrees(checker._half_echelon(), folds, rel.ncols,
-                             (label, "half"))
+        _assert_table_certified(checker._half_table(), folds, rel.ncols,
+                                (label, "half"))
 
 
 def _table_systems(limit, low, families):
@@ -960,20 +953,20 @@ SQUARE = ((2, Variant.PLAIN), (2, Variant.MINUS))
 CUBIC = ((3, Variant.PLAIN),)
 
 
-def test_normal_form_table_matches_reduce():
+def test_normal_form_table_is_certified():
     # plain n = 3 only up to order 16, as its systems grow as the cube
     for label, rel in (list(_table_systems(24, 1, SQUARE))
                        + list(_table_systems(16, 1, CUBIC))):
-        _assert_tables_agree(rel, label)
+        _assert_tables_certified(rel, label)
     for level in ((11, 1), (7, 2), (2, 8)):
-        _assert_tables_agree(manin_space(*level)[0].rel, level)
+        _assert_tables_certified(manin_space(*level)[0].rel, level)
 
 
 @pytest.mark.slow
-def test_normal_form_table_matches_reduce_on_larger_groups():
+def test_normal_form_table_is_certified_on_larger_groups():
     for label, rel in (list(_table_systems(56, 25, SQUARE))
                        + list(_table_systems(24, 17, CUBIC))):
-        _assert_tables_agree(rel, label)
+        _assert_tables_certified(rel, label)
 
 
 def test_normal_form_table_under_residue_pivots():
@@ -984,21 +977,22 @@ def test_normal_form_table_under_residue_pivots():
                                  {0: Fraction(1, 2)}, False)):
         checker = SpanChecker(mat(rows))
         assert checker.contains(query) == member
-        nf = checker._full_echelon()._nf
-        assert all(type(w) is int for image in nf.values()
+        assert all(type(w) is int for image in checker._full_table().values()
                    for w in image.values())
     # content 1 and no unit entry: the residue echelon's pivots are not
-    # units, and their normal forms hold Fractions
+    # units, and their normal forms hold Fractions; in the last case the
+    # second row is reduced against the first row's pivot
     for rows, query, member in (([[2, 3]], [4, 6], True),
                                 ([[2, 3]], [1, 1], False),
                                 ([[2, 3, 0], [0, 2, 3]], [2, 5, 3], True),
                                 ([[2, 3, 0], [0, 2, 3]], [0, 0, 1], False),
                                 ([[6, 10, 15]], [3, 5, Fraction(15, 2)],
-                                 True)):
+                                 True),
+                                ([[2, 3, 5], [3, 5, 2]], [1, 2, -3], True)):
         m = mat(rows)
         checker = SpanChecker(m)
         assert checker.contains(query) == member, rows
-        echelon = checker._full_echelon()
-        assert any(type(w) is Fraction for image in echelon._nf.values()
+        table = checker._full_table()
+        assert any(type(w) is Fraction for image in table.values()
                    for w in image.values()), rows
-        _assert_table_agrees(echelon, m.rows, m.ncols, rows)
+        _assert_table_certified(table, m.rows, m.ncols, rows)

@@ -9,8 +9,8 @@ import pytest
 
 import structref
 from abelsym import relations, structmaps, symbols
-from abelsym.abelian import (QuotientData, make_group,
-                             proper_cyclic_subgroups, quotient_data)
+from abelsym.abelian import (make_group, proper_cyclic_subgroups,
+                             quotient_data)
 from abelsym.congruence import CosetSymbol, manin_space
 from abelsym.exactla import SpanChecker
 from abelsym.relations import (Variant, build_relations, kernel_dimension,
@@ -364,12 +364,19 @@ def test_vector_error_matches_key_path():
 
 
 def test_split_restrict_table_matches_dual_restrict():
-    # restrict, built digit by digit, against dual_restrict per character
+    # restrict, built digit by digit, against dual_restrict per character;
+    # the lifts read off it, against lift_restriction up to order 36
     for group in presentations(60):
         for sub in proper_cyclic_subgroups(group):
             q = quotient_data(group, sub)
-            assert _Split(sub).restrict == [q.dual_restrict(ch)
-                                            for ch in group.characters()]
+            split = _Split(sub)
+            assert split.restrict == [q.dual_restrict(ch)
+                                      for ch in group.characters()]
+            if group.order <= 36:
+                d = sub.order
+                assert split.lifts == {
+                    a: q.lift_restriction(a).code
+                    for a in range(d) if gcd(a, d) == 1}, (group, sub)
 
 
 @pytest.mark.parametrize("factors, n", [((5, 5), 2), ((3, 9), 2), ((25,), 2),
@@ -566,9 +573,13 @@ def _shift_kernel_dimension(monkeypatch):
 
 def _double_lift(monkeypatch):
     # the lift of a restricts to 2a, which is not +-a mod 5
-    real = QuotientData.lift_restriction
-    monkeypatch.setattr(QuotientData, "lift_restriction",
-                        lambda self, a: real(self, 2 * a))
+    real = _Split.__init__
+
+    def doubled(self, sub):
+        real(self, sub)
+        d = sub.order
+        self.lifts = {a: self.restrict.index(2 * a % d) for a in self.lifts}
+    monkeypatch.setattr(_Split, "__init__", doubled)
 
 
 def _refuse_spans(monkeypatch):
