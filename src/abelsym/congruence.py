@@ -94,7 +94,7 @@ class CosetSymbol:
     generate the dual of Z/N x Z/MN; both are enforced on construction.
     """
 
-    __slots__ = ("a", "b", "c", "d", "level", "_hash")
+    __slots__ = ("a", "b", "c", "d", "level")
 
     def __init__(self, a, b, c, d, level):
         n, m = level
@@ -122,7 +122,6 @@ class CosetSymbol:
     def _set(self, a, b, c, d, level):
         self.a, self.b, self.c, self.d = a, b, c, d
         self.level = level
-        self._hash = hash((a, b, c, d, level))
 
     def quad(self):
         return (self.a, self.b, self.c, self.d)
@@ -133,7 +132,7 @@ class CosetSymbol:
         return self.quad() == other.quad() and self.level == other.level
 
     def __hash__(self):
-        return self._hash
+        return hash((self.a, self.b, self.c, self.d, self.level))
 
     def __lt__(self, other):
         return self.quad() < other.quad()

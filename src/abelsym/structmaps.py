@@ -21,9 +21,10 @@ size for both directions, and sums the split images by linearity over each
 blowup row.  The batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
 run the same routines on one-shot tables and return Fraction coefficients;
-`multiply`, `psi` and `delta_sum` return FormalSums, which hold code
-tuples and build their keys only when read, and the batteries read their
-relation systems' code tuples, never their keys.
+`multiply`, `psi` and `delta_sum` return FormalSums and `comultiply` and
+`nu` TensorSums, which hold code tuples and build their keys only when
+read, and the batteries read their relation systems' code tuples, never
+their keys.
 """
 
 from __future__ import annotations
@@ -64,6 +65,18 @@ def _minus_codes(group, codes):
             (-1) ** sum(neg[c] < c for c in codes))
 
 
+def _reduce(group, codes, variant):
+    """(codes, sign) of a code tuple over `group` reduced by a variant tag,
+    or None when the class is rationally zero (see `_minus_codes`)."""
+    if variant is Variant.PLAIN:
+        return codes, 1
+    if variant is Variant.MINUS:
+        return _minus_codes(group, codes)
+    if len(codes) != 1:
+        raise ValueError("plus reduction applies to single-entry keys only")
+    return (min(codes[0], negation_codes(group)[codes[0]]),), 1
+
+
 def minus_reduce(key):
     """Sign-orbit representative of a key under entrywise negation.
 
@@ -73,7 +86,7 @@ def minus_reduce(key):
     input to it, or None when reps of both parities coincide; the class is
     then 2-torsion and rationally zero.
     """
-    red = _minus_codes(key.group, key.codes)
+    red = _reduce(key.group, key.codes, Variant.MINUS)
     return None if red is None else (SymbolKey(key.group, red[0]), red[1])
 
 
@@ -83,19 +96,8 @@ def plus_reduce(key):
     The plus quotient glues e_a to e_{-a} with coefficient +1, so every
     class survives and the sign is always 1.
     """
-    if len(key) != 1:
-        raise ValueError("plus reduction applies to single-entry keys only")
-    ch = key[0]
-    rep = min(ch, -ch)
-    return (key if rep is ch else SymbolKey(key.group, (rep.code,))), 1
-
-
-def _reduce(key, variant):
-    if variant is Variant.PLAIN:
-        return key, 1
-    if variant is Variant.PLUS:
-        return plus_reduce(key)
-    return minus_reduce(key)
+    rep, sign = _reduce(key.group, key.codes, Variant.PLUS)
+    return (key if rep == key.codes else SymbolKey(key.group, rep)), sign
 
 
 class TensorSum:
@@ -104,53 +106,58 @@ class TensorSum:
     Each side carries a variant tag deciding how keys are normalized on
     insertion: PLAIN keeps them as given, PLUS identifies a single entry
     with its negative, MINUS reduces to the sign-orbit representative and
-    drops the rationally zero classes.
+    drops the rationally zero classes.  Like a `FormalSum`, the sum holds
+    `codes`, {(left group, left codes, right group, right codes): Fraction},
+    and builds its key pairs only when `terms`, `items` or `repr` read them.
     """
 
-    __slots__ = ("left_variant", "right_variant", "terms")
+    __slots__ = ("left_variant", "right_variant", "codes")
 
     def __init__(self, left_variant, right_variant, terms=None):
         self.left_variant = Variant.parse(left_variant)
         self.right_variant = Variant.parse(right_variant)
-        self.terms = sparse_add({}, self._reduced(terms or ()))
+        self.codes = sparse_add({}, self._reduced(terms or ()))
 
     def _reduced(self, terms):
-        """((left, right), coeff) of each nonzero (left, right, coeff) term
+        """(code pair, coeff) of each nonzero (left, right, coeff) term
         after sign reduction, rationally zero classes dropped."""
         for lkey, rkey, coeff in terms:
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            lkey, lsign = _reduce(lkey, self.left_variant)
-            right = _reduce(rkey, self.right_variant)
-            if right is not None:
-                yield (lkey, right[0]), coeff * lsign * right[1]
+            left = _reduce(lkey.group, lkey.codes, self.left_variant)
+            right = _reduce(rkey.group, rkey.codes, self.right_variant)
+            if left is not None and right is not None:
+                yield ((lkey.group, left[0], rkey.group, right[0]),
+                       coeff * left[1] * right[1])
 
-    def _require_same_tags(self, other):
+    def __add__(self, other):
         if (self.left_variant is not other.left_variant
                 or self.right_variant is not other.right_variant):
             raise ValueError("tensor sums carry different variant tags")
-
-    def __add__(self, other):
-        self._require_same_tags(other)
         out = TensorSum(self.left_variant, self.right_variant)
-        out.terms = sparse_add(dict(self.terms), other.terms.items())
+        out.codes = sparse_add(dict(self.codes), other.codes.items())
         return out
 
     def __eq__(self, other):
         return (isinstance(other, TensorSum)
                 and self.left_variant is other.left_variant
                 and self.right_variant is other.right_variant
-                and self.terms == other.terms)
+                and self.codes == other.codes)
 
     def is_zero(self):
-        return not self.terms
+        return not self.codes
+
+    @property
+    def terms(self):
+        return {(SymbolKey(lg, l), SymbolKey(rg, r)): c
+                for (lg, l, rg, r), c in self.codes.items()}
 
     def items(self):
         return sorted(self.terms.items())
 
     def __repr__(self):
-        if not self.terms:
+        if not self.codes:
             return "TensorSum(0)"
         bits = ["%s*%r(x)%r" % (c, l, r) for (l, r), c in self.items()]
         return "TensorSum(%s)" % " + ".join(bits)
@@ -269,8 +276,8 @@ def _formal(group, terms, den=None):
 def _tensor(left_variant, rec, terms):
     """TensorSum(left_variant, MINUS) of {(left residues, right): coeff}."""
     out = TensorSum(left_variant, Variant.MINUS)
-    out.terms = {(SymbolKey(rec.cyc, l), SymbolKey(rec.q.quotient, r)):
-                 Fraction(c) for (l, r), c in terms.items()}
+    out.codes = {(rec.cyc, l, rec.q.quotient, r): Fraction(c)
+                 for (l, r), c in terms.items()}
     return out
 
 
@@ -566,7 +573,7 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     if n < 2:
         raise ValueError("comultiplication checks need n >= 2")
     src = build_relations(group, n, Variant.PLAIN, bound=enum_bound)
-    src_checker = None      # built at the first merge query: none at n = 2
+    src_checker = SpanChecker(src.rel)  # factors at its first query
     fwd_pass = fwd_total = 0
     back_pass = back_total = 0
     fwd_bad = back_bad = None
@@ -601,8 +608,6 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                         merges[l, r] = [(src.index[t], c) for t, c
                                         in _merge(rec, l, r).items()]
                     sparse_add(image, ((t, c * v) for t, c in merges[l, r]))
-                if image and src_checker is None:
-                    src_checker = SpanChecker(src.rel)
                 if not image or src_checker.contains(image):
                     back_pass += 1
                 elif back_bad is None:

@@ -9,11 +9,12 @@ sorted code tuples order exactly as sorted character tuples.  Whether a
 tuple generates the dual is checked where keys enter from outside, in
 `canonicalize`, `enumerate_generators` and `sign_class_groups`; code that
 derives keys from keys by blowups and sign flips, which keep the span,
-builds them directly.  Formal sums and relation systems hold code tuples
-too, plus the space they are read in, and build keys only when read.  For
-groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs additionally
-carry a determinant invariant in (Z/N)^x, well defined up to sign, which
-grades the whole module.
+builds them directly.  Formal sums, relation systems and the tensor sums
+of structmaps hold code tuples too, plus the groups or space they are read
+in, and build keys only when read; a key or coset computes its hash only
+when asked, and no library path asks.  For groups of the bi-cyclic shape
+Z/N x Z/MN (N >= 3) the pairs additionally carry a determinant invariant
+in (Z/N)^x, well defined up to sign, which grades the whole module.
 """
 
 from __future__ import annotations
@@ -36,18 +37,18 @@ class SymbolKey:
     `codes` is the sorted code tuple; `entries`, indexing and iteration give
     the characters.  Keys over different groups are never equal.  The
     constructor checks nothing: not that the codes are sorted, in range or
-    generating.  `canonicalize` is the checked entry point.
+    generating.  `canonicalize` is the checked entry point.  Its hash is
+    computed when asked: the library keys its dicts on code tuples.
     """
 
-    __slots__ = ("group", "codes", "_hash")
+    __slots__ = ("group", "codes")
 
     def __init__(self, group, codes):
         self.group = group
         self.codes = tuple(codes)
-        self._hash = hash((group, self.codes))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.group, self.codes))
 
     def __eq__(self, other):
         return (isinstance(other, SymbolKey) and self.codes == other.codes
@@ -82,16 +83,6 @@ class SymbolKey:
     def __repr__(self):
         return "<%s>" % ", ".join(
             "(%s)" % ",".join(map(str, ch.residues)) for ch in self.entries)
-
-
-def _sorted_key(group, codes):
-    """The key of a sorted code tuple the library built itself, taken as
-    is: no `tuple()` copy and no check; outside callers use SymbolKey."""
-    key = SymbolKey.__new__(SymbolKey)
-    key.group = group
-    key.codes = codes
-    key._hash = hash((group, codes))
-    return key
 
 
 def replace_code(codes, i, code):
@@ -130,7 +121,7 @@ def enumerate_generators(group, n, bound=DEFAULT_ENUM_BOUND):
     exactly the canonical tuples; generating_code_groups keeps those that
     generate the dual group.
     """
-    return [_sorted_key(group, codes)
+    return [SymbolKey(group, codes)
             for codes in code_tuples(_generating_codes(group, n, bound))]
 
 
@@ -250,9 +241,9 @@ def _code_sum(codes, space, first=None):
 
 def _builder(space):
     """The function building the key or coset of a code tuple in `space`,
-    unchecked: keys through `_sorted_key`, cosets through `_unchecked`."""
+    unchecked: keys through `SymbolKey`, cosets through `_unchecked`."""
     cls, where = space
-    return partial(_sorted_key if cls is SymbolKey else cls._unchecked, where)
+    return partial(cls if cls is SymbolKey else cls._unchecked, where)
 
 
 class DetClass:
@@ -338,5 +329,5 @@ def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
     Over all classes these lists partition enumerate_generators(group, 2).
     """
     in_class = in_det_class(group, k)
-    return [_sorted_key(group, codes) for codes in code_tuples(
+    return [SymbolKey(group, codes) for codes in code_tuples(
         filter_groups(_generating_codes(group, 2, bound), in_class))]

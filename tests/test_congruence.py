@@ -74,6 +74,21 @@ def test_lift_round_trip_exhaustive():
             assert coset_of(mat, n, m) == s
 
 
+def test_coset_hash_agrees_across_constructors():
+    # a coset hashes its quad and level when asked: the checked
+    # constructor, _unchecked and the lift round trip hash equal and make
+    # one set entry, for every coset of the level
+    n, m = 3, 2
+    cosets = enumerate_cosets(n, m)
+    for s in cosets:
+        same = [s, CosetSymbol(*s.quad(), (n, m)),
+                CosetSymbol._unchecked((n, m), s.quad()),
+                coset_of(lift_coset(s), n, m)]
+        assert len({hash(t) for t in same}) == 1
+        assert len(set(same)) == 1
+    assert len(set(cosets)) == len(cosets) == coset_index(n, m)
+
+
 @pytest.mark.slow
 def test_lift_round_trip_wide():
     # every coset of the 98 levels of index <= 6,000: 224,646 lifts

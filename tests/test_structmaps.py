@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 import structref
-from abelsym import relations, structmaps, symbols
+from abelsym import relations, structmaps
 from abelsym.abelian import (make_group, proper_cyclic_subgroups,
                              quotient_data)
 from abelsym.congruence import CosetSymbol, manin_space
@@ -72,6 +72,9 @@ def test_tensor_sum_reduction_and_cancellation():
     t = TensorSum(Variant.PLUS, Variant.MINUS,
                   [(one, _key(g2, (1,)), 5)])
     assert t.is_zero()
+    # on a minus left side as well
+    assert TensorSum(Variant.MINUS, Variant.MINUS,
+                     [(_key(g2, (1,)), one, 5)]).is_zero()
     mismatch = TensorSum(Variant.PLAIN, Variant.MINUS)
     with pytest.raises(ValueError):
         s + mismatch
@@ -273,27 +276,26 @@ def test_delta_sum_keys_match_built_keys():
                     assert fresh.scale(2) == built.scale(2)
 
 
+def _count_key_builds(monkeypatch):
+    """The list that every SymbolKey build appends its codes to from now
+    on: every key, checked or not, is built through `__init__`."""
+    built, init = [], SymbolKey.__init__
+
+    def counted_init(key, group, codes):
+        built.append(codes)
+        init(key, group, codes)
+
+    monkeypatch.setattr(SymbolKey, "__init__", counted_init)
+    return built
+
+
 def test_delta_probe_builds_no_key(monkeypatch):
     # delta_sum, is_zero and vector run on code tuples alone; reading the
     # terms then builds every key but the caller's
     group = make_group((5, 5))
     keys = enumerate_generators(group, 2)
     system = build_relations(group, 2, Variant.PLAIN, keys=keys)
-    built = []
-    sorted_key, init = symbols._sorted_key, SymbolKey.__init__
-
-    def counted(group, codes):
-        built.append(codes)
-        return sorted_key(group, codes)
-
-    def counted_init(key, group, codes):
-        built.append(codes)
-        init(key, group, codes)
-
-    for module in (symbols, relations, structmaps):
-        if hasattr(module, "_sorted_key"):
-            monkeypatch.setattr(module, "_sorted_key", counted)
-    monkeypatch.setattr(SymbolKey, "__init__", counted_init)
+    built = _count_key_builds(monkeypatch)
     for key in keys:
         image = delta_sum(key)
         assert not image.is_zero()
@@ -302,30 +304,56 @@ def test_delta_probe_builds_no_key(monkeypatch):
     assert len(image.terms) == 4 and len(built) == 3
 
 
+def test_tensor_sums_build_no_key_until_read(monkeypatch):
+    # comultiply, nu and TensorSum from key triples hold code tuples:
+    # is_zero, == and + build no key; terms, items and repr build the key
+    # pairs, equal to the reference's.  The triples hold a PLUS left side,
+    # a right side that is rationally zero, and pairs over Z/3 and over
+    # Z/5 with equal codes, which stay two terms
+    g9, g3, g5, g2 = (make_group((k,)) for k in (9, 3, 5, 2))
+    sub = _sub_of_order(g9, 3)
+    key = _key(g9, (1,), (3,))
+    x = FormalSum([(key, 1), (_key(g9, (3,), (4,)), Fraction(-1, 2))])
+    one3, two3, one5, four5 = (_key(g, (a,)) for g, a in
+                               ((g3, 1), (g3, 2), (g5, 1), (g5, 4)))
+    triples = [(two3, two3, 1), (one3, _key(g2, (1,)), 5),
+               (one5, one5, 3), (four5, four5, Fraction(1, 2)),
+               (one3, two3, 0)]
+    want = ([structref.comultiply(sub, key, 1)]
+            + list(structref.nu(g9, 2, x).values())
+            + [structref.tensor(Variant.PLUS, triples)])
+    assert want[-1] == {(one3, one3): -1, (one5, one5): Fraction(5, 2)}
+
+    built = _count_key_builds(monkeypatch)
+    sums = ([comultiply(sub, key, 1)] + list(nu(g9, 2, x).values())
+            + [TensorSum(Variant.PLUS, Variant.MINUS, triples)])
+    for tsum, ref in zip(sums, want):
+        assert tsum.is_zero() is not bool(ref)
+        assert tsum == tsum + TensorSum(tsum.left_variant, Variant.MINUS)
+        assert (tsum + tsum == tsum) is not bool(ref)
+    assert built == []
+    for tsum, ref in zip(sums, want):
+        _same_terms(tsum.terms, ref)
+        assert len(built) == 2 * len(ref)
+        assert tsum.items() == sorted(ref.items())
+        built.clear()
+    assert repr(sums[-1]) == "TensorSum(-1*<(1)>(x)<(1)> + 5/2*<(1)>(x)<(1)>)"
+    assert len(built) == 4
+
+
 def test_bases_built_only_when_read(monkeypatch):
     # relation systems, plain dimensions, kernel generators and Manin
     # spaces build no key or coset; reading `basis` builds each once, and
     # a caller's keys are the basis as given
     group = make_group((5, 5))
     keys = enumerate_generators(group, 2)
-    built = []
-    sorted_key, init = symbols._sorted_key, SymbolKey.__init__
+    built = _count_key_builds(monkeypatch)
     coset_set = CosetSymbol._set
-
-    def counted(group, codes):
-        built.append(codes)
-        return sorted_key(group, codes)
-
-    def counted_init(key, group, codes):
-        built.append(codes)
-        init(key, group, codes)
 
     def counted_set(sym, *quad_level):
         built.append(quad_level)
         coset_set(sym, *quad_level)
 
-    monkeypatch.setattr(symbols, "_sorted_key", counted)
-    monkeypatch.setattr(SymbolKey, "__init__", counted_init)
     monkeypatch.setattr(CosetSymbol, "_set", counted_set)
     system = build_relations(group, 2, Variant.PLAIN)
     assert relations.dimension(group, 2, Variant.PLAIN).dim_q == 46

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from abelsym.abelian import make_group
 from abelsym.congruence import CosetSymbol
 from abelsym.exactla import BoundExceeded
+from abelsym.relations import Variant, build_relations
 from abelsym.symbols import (DetClass, FormalSum, SymbolKey, canonicalize,
                              det_class, det_classes, enumerate_det_class,
                              enumerate_generators)
@@ -48,6 +49,21 @@ def test_symbol_keys_over_different_groups_differ():
     assert kg != kh
     assert kg == SymbolKey(g, (1, 2))
     assert len({kg, kh, SymbolKey(g, (1, 2))}) == 2
+
+
+def test_symbol_key_hash_agrees_across_constructors():
+    # a key hashes (group, codes) when asked: the keys of canonicalize,
+    # enumerate_generators and RelationSystem.basis for one tuple hash
+    # equal and make one set entry
+    for group, n in ((make_group((5, 5)), 2), (make_group((2, 6)), 3)):
+        keys = enumerate_generators(group, n)
+        basis = build_relations(group, n, Variant.PLAIN).basis
+        assert basis == keys
+        for key, from_basis in zip(keys, basis):
+            same = [key, canonicalize(key.entries), from_basis]
+            assert len({hash(k) for k in same}) == 1
+            assert len(set(same)) == 1
+        assert len(set(keys) | set(basis)) == len(keys)
 
 
 def _cyclic_pair_count(n):
