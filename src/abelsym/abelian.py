@@ -148,16 +148,15 @@ class Character:
     the character's index in group.characters().
     """
 
-    __slots__ = ("group", "residues", "code", "_hash")
+    __slots__ = ("group", "residues", "code")
 
     def __init__(self, group, residues):
         self.group = group
         self.residues = residues
         self.code = group.code(residues)
-        self._hash = hash(residues)
 
     def __hash__(self):
-        return self._hash
+        return hash(self.residues)
 
     def __eq__(self, other):
         return self is other or (
@@ -166,10 +165,12 @@ class Character:
             and self.residues == other.residues)
 
     def __lt__(self, other):
-        return self.residues < other.residues
+        return ((self.group.factors, self.residues)
+                < (other.group.factors, other.residues))
 
     def __le__(self, other):
-        return self.residues <= other.residues
+        return ((self.group.factors, self.residues)
+                <= (other.group.factors, other.residues))
 
     def __add__(self, other):
         if self.group is not other.group:

@@ -267,7 +267,7 @@ def _verify_delta(config):
     probes = [(key, system.vector(image)) for key, image in
               ((key, delta_sum(key)) for key in system.basis)
               if not image.is_zero()]
-    sigma = system.rel._involution()
+    sigma = system.rel._sigma
     if sigma is not None and any(row.get(sigma[c]) != v for _, row in probes
                                  for c, v in row.items()):
         checker.rank    # a probe sigma moves needs the full factorization

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .abelian import code_tuples, make_group, negation_codes, spans_dual
+from .abelian import code_tuples, make_group, negation_codes
 from .arith import prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
                       SparseIntMatrix, _smith_form, require, sparse_add)
@@ -92,6 +92,9 @@ class CosetSymbol:
 
     Valid symbols have determinant 1 mod N and columns (a, c), (b, d) that
     generate the dual of Z/N x Z/MN; both are enforced on construction.
+    Given the determinant, the columns generate iff gcd(c, d, MN) = 1: per
+    prime p (see `spans_dual`), a p | N is settled by ad - bc = 1 mod p,
+    and a p | M alone needs c or d nonzero mod p.
     """
 
     __slots__ = ("a", "b", "c", "d", "level")
@@ -105,9 +108,7 @@ class CosetSymbol:
                              % (n, m))
         if (a * d - b * c) % n != 1:
             raise ValueError("determinant is not 1 mod %d" % n)
-        grp = make_group((n, k))
-        cols = (grp.character((a, c)), grp.character((b, d)))
-        if not spans_dual(cols, grp):
+        if gcd(c, d, k) != 1:
             raise ValueError("columns (%d,%d), (%d,%d) do not generate the "
                              "dual group" % (a, c, b, d))
         self._set(a, b, c, d, (n, m))
@@ -135,7 +136,7 @@ class CosetSymbol:
         return hash((self.a, self.b, self.c, self.d, self.level))
 
     def __lt__(self, other):
-        return self.quad() < other.quad()
+        return (self.level, self.quad()) < (other.level, other.quad())
 
     def __repr__(self):
         return "CosetSymbol(%d, %d; %d, %d | level %r)" % (

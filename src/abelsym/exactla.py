@@ -93,11 +93,11 @@ class SparseIntMatrix:
     routines copy its rows before they touch them.  `SpanChecker` answers
     membership from its normal-form table (see `_normal_form_table`).
     `_sigma` is an optional column involution for the checker's
-    sigma-invariant half: None, a list (column -> column),
-    or a function giving None or that list, called on first need.  sigma
+    sigma-invariant half: None or a list (column -> column).  sigma
     maps each row to +- a row; keeping the rows whose first column c has
     sigma(c) >= c keeps one of each pair, which only `build_relations`
-    promises, so only it sets one; every other constructor leaves it None.
+    promises, so only it sets one, with the rows; every other constructor
+    leaves it None.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "_sigma")
@@ -139,13 +139,6 @@ class SparseIntMatrix:
         mat.rows = rows
         mat._sigma = None
         return mat
-
-    def _involution(self):
-        """The column involution, or None; a deferred one is built here."""
-        sigma = self._sigma
-        if callable(sigma):
-            sigma = self._sigma = sigma()
-        return sigma
 
     def nnz(self):
         return sum(len(r) for r in self.rows)
@@ -514,7 +507,7 @@ class SpanChecker:
         exist yet; else None."""
         if self._full is not None:
             return None
-        sigma = self.matrix._involution()
+        sigma = self.matrix._sigma
         if sigma is None:
             return None
         out = {}
@@ -535,7 +528,7 @@ class SpanChecker:
         is cleared to an empty row by the elimination."""
         if self._half is None:
             matrix = self.matrix
-            sigma = matrix._involution()
+            sigma = matrix._sigma
             n = matrix.ncols
             require(len(sigma) == n and all(0 <= s < n and sigma[s] == c
                                             for c, s in enumerate(sigma)),

@@ -35,7 +35,6 @@ import enum
 import time
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
 from math import prod
 
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
@@ -344,7 +343,7 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
     which negates every entry of a key: sigma maps a blowup row to the
     blowup row at the flipped key, a sign row to a sign row, and a plus row
     to its negative.  So the matrix's row span is sigma-invariant, and its
-    column map (`_negation_columns`, built on first need) goes with it for
+    column map (`_negation_columns`, built with the rows) goes with it for
     `SpanChecker`; there is none when `keys` is not closed under sigma or
     sigma fixes every column (exponent <= 2).
 
@@ -394,7 +393,7 @@ def build_relations(group, n, variant, keys=None, bound=DEFAULT_ENUM_BOUND):
         raise ValueError("basis is not closed under the relations: %r is "
                          "missing" % SymbolKey(group, exc.args[0])) from None
     rel = SparseIntMatrix.trusted(len(codes), rows)
-    rel._sigma = partial(_negation_columns, group, n, codes, index)
+    rel._sigma = _negation_columns(group, n, codes, index)
     system = RelationSystem(group, n, variant, codes, (SymbolKey, group), rel,
                             index)
     system._basis = keys
@@ -589,8 +588,6 @@ def formula_minus(group):
         return int(dim), (2,) * tors
     if len(form) == 2:
         n1, n2 = form
-        if n2 % n1:
-            return 0, ()
         if n1 == 2:
             m = n2 // 2
             if m == 1:

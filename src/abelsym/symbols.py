@@ -35,10 +35,11 @@ class SymbolKey:
     """Sorted tuple of character codes, over a group, generating its dual.
 
     `codes` is the sorted code tuple; `entries`, indexing and iteration give
-    the characters.  Keys over different groups are never equal.  The
-    constructor checks nothing: not that the codes are sorted, in range or
-    generating.  `canonicalize` is the checked entry point.  Its hash is
-    computed when asked: the library keys its dicts on code tuples.
+    the characters.  Keys over different groups are never equal, and keys
+    order by (group factors, codes).  The constructor checks nothing: not
+    that the codes are sorted, in range or generating.  `canonicalize` is
+    the checked entry point.  Its hash is computed when asked: the library
+    keys its dicts on code tuples.
     """
 
     __slots__ = ("group", "codes")
@@ -55,10 +56,12 @@ class SymbolKey:
                 and self.group is other.group)
 
     def __lt__(self, other):
-        return self.codes < other.codes
+        return ((self.group.factors, self.codes)
+                < (other.group.factors, other.codes))
 
     def __le__(self, other):
-        return self.codes <= other.codes
+        return ((self.group.factors, self.codes)
+                <= (other.group.factors, other.codes))
 
     def __len__(self):
         return len(self.codes)

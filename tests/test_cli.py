@@ -205,7 +205,7 @@ def test_verify_delta_builds_one_factorization(capsys, monkeypatch):
     for chain in invariant_chains(16):
         group = make_group(chain)
         system = build_relations(group, 3, Variant.PLAIN)
-        if system.rel._involution() is None:
+        if system.rel._sigma is None:
             continue
         full = SpanChecker(SparseIntMatrix.trusted(system.rel.ncols,
                                                    system.rel.rows))

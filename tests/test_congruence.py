@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import abelsym
 from abelsym import congruence as C
-from abelsym.abelian import make_group
+from abelsym.abelian import make_group, spans_dual
 from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
                                 coset_of, cusp_count, cusp_formula,
                                 cusp_orbit_count, enumerate_cosets,
@@ -57,6 +57,43 @@ def test_coset_symbol_validation():
         CosetSymbol(1, 0, 0, 4, (3, 2))
     s = CosetSymbol(1, 0, 0, 1, (3, 2))
     assert s.quad() == (1, 0, 0, 1)
+    # det = 3 = 1 mod 2, but 3 divides both c and d
+    with pytest.raises(ValueError, match=r"^columns \(1,3\), \(0,3\) do "
+                       "not generate the dual group$"):
+        CosetSymbol(1, 0, 3, 3, (2, 3))
+
+
+def _check_coset_rule(levels):
+    """CosetSymbol accepts a determinant-one quad iff `spans_dual` does
+    on its columns; returns the number of quads checked."""
+    count = 0
+    for n, m in levels:
+        k = n * m
+        grp = make_group((n, k))
+        for a, b, c, d in product(range(n), range(n), range(k), range(k)):
+            if (a * d - b * c) % n != 1:
+                continue
+            count += 1
+            want = spans_dual((grp.character((a, c)),
+                               grp.character((b, d))), grp)
+            try:
+                CosetSymbol(a, b, c, d, (n, m))
+            except ValueError:
+                assert not want, (a, b, c, d, n, m)
+            else:
+                assert want, (a, b, c, d, n, m)
+    return count
+
+
+def test_coset_symbol_accepts_what_spans_dual_accepts():
+    levels = [(n, m) for n in range(2, 8) for m in range(1, 5)]
+    assert _check_coset_rule(levels) == 20340
+
+
+@pytest.mark.slow
+def test_coset_symbol_accepts_what_spans_dual_accepts_wide():
+    levels = [(n, m) for n in range(2, 10) for m in range(1, 7)]
+    assert _check_coset_rule(levels) == 155610
 
 
 def test_gamma_member():

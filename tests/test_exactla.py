@@ -682,7 +682,8 @@ def test_relation_involution_contract():
     systems = 0
     for group, system in _involution_systems(24):
         rel = system.rel
-        sigma = rel._involution()
+        sigma = rel._sigma
+        assert sigma is None or type(sigma) is list   # built with the rows
         # the column of each key negated entry by entry, through characters
         want = [system.index[tuple(sorted((-ch).code for ch in key))]
                 for key in system.basis]
@@ -704,14 +705,14 @@ def test_relation_involution_absent_off_closed_bases():
     group = make_group((7,))
     keys = enumerate_generators(group, 1)   # no plain rows at n = 1
     assert build_relations(group, 1, Variant.PLAIN,
-                           keys=keys[:3]).rel._involution() is None
+                           keys=keys[:3]).rel._sigma is None
     assert build_relations(group, 1, Variant.PLAIN,
-                           keys=keys).rel._involution() == [5, 4, 3, 2, 1, 0]
+                           keys=keys).rel._sigma == [5, 4, 3, 2, 1, 0]
     # the validating constructor and with_rows leave no involution
     rel = build_relations(group, 2, Variant.PLAIN).rel
-    assert rel._involution() is not None
-    assert SparseIntMatrix(1, 2, [{0: 1}])._involution() is None
-    assert rel.with_rows([{0: 1}])._involution() is None
+    assert rel._sigma is not None
+    assert SparseIntMatrix(1, 2, [{0: 1}])._sigma is None
+    assert rel.with_rows([{0: 1}])._sigma is None
 
 
 def test_non_involution_raises_consistency_error():
@@ -758,7 +759,7 @@ def _assert_split_verdicts(limit, low=1, n=2, variant=Variant.PLAIN):
             continue
         system = build_relations(group, n, variant)
         rel = system.rel
-        sigma = rel._involution()
+        sigma = rel._sigma
         full = _full_checker(rel)
         split = SpanChecker(rel)
         if sigma is None:
@@ -766,7 +767,7 @@ def _assert_split_verdicts(limit, low=1, n=2, variant=Variant.PLAIN):
         invariant, others = _split_queries(system, sigma, group.order)
         for q in invariant:
             assert split.contains(q) == full.contains(q), (chain, q)
-        if rel._involution() is not None:   # the half answered them all
+        if rel._sigma is not None:   # the half answered them all
             assert split._full is None and split._half is not None, chain
         for q in others:
             assert split.contains(q) == full.contains(q), (chain, q)
@@ -823,7 +824,7 @@ def _assert_one_row_per_pair(monkeypatch, rel, label):
     """The half folds exactly the rows whose first column c has sigma(c) >=
     c; a dropped row folds to a kept row's fold, and its sigma-image is
     +- a kept row.  Gives the number of half rows."""
-    sigma = rel._involution()
+    sigma = rel._sigma
     kept, dropped = [], []
     for row in rel.rows:
         (kept if sigma[_first(row)] >= _first(row) else dropped).append(row)
@@ -845,7 +846,7 @@ def _pair_rule_systems(limit, low=1, cubic=None):
     """The `_involution_systems` with an involution, and at low = 1 the
     determinant-class bases of 5x5 at minus, one of them reordered."""
     for _, system in _involution_systems(limit, low, cubic):
-        if system.rel._involution() is not None:
+        if system.rel._sigma is not None:
             yield system
     if low == 1:
         group = make_group((5, 5))
@@ -877,7 +878,7 @@ def test_half_row_count_on_the_delta_systems(monkeypatch):
     counts, distinct = [], 0
     for chain in invariant_chains(36):
         rel = build_relations(make_group(chain), 2, Variant.PLAIN).rel
-        sigma = rel._involution()
+        sigma = rel._sigma
         if sigma is not None:
             counts.append(_assert_one_row_per_pair(monkeypatch, rel, chain))
             distinct += len({frozenset(_fold(row, sigma).items())
@@ -931,7 +932,7 @@ def _assert_tables_certified(rel, label):
     checker = SpanChecker(rel)
     _assert_table_certified(checker._full_table(), rel.rows, rel.ncols,
                             label)
-    sigma = rel._involution()
+    sigma = rel._sigma
     if sigma is not None:
         folds = [f for f in (_fold(row, sigma) for row in rel.rows) if f]
         _assert_table_certified(checker._half_table(), folds, rel.ncols,

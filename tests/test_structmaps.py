@@ -341,6 +341,26 @@ def test_tensor_sums_build_no_key_until_read(monkeypatch):
     assert len(built) == 4
 
 
+def test_keys_cosets_and_characters_order_across_groups():
+    # keys order by (group factors, codes), so a sum's items and repr do
+    # not depend on the order its triples were given
+    k3, k5 = _key(make_group((3,)), (1,)), _key(make_group((5,)), (1,))
+    assert k3.codes == k5.codes and k3 != k5
+    assert k3 < k5 and k3 <= k5 and not k5 < k3 and not k5 <= k3
+    triples = [(k3, k3, 1), (k5, k5, 2)]
+    sums = [TensorSum(Variant.PLUS, Variant.MINUS, t)
+            for t in (triples, triples[::-1])]
+    assert sums[0] == sums[1]
+    assert sums[0].items() == sums[1].items()
+    assert repr(sums[0]) == repr(sums[1]) == (
+        "TensorSum(1*<(1)>(x)<(1)> + 2*<(1)>(x)<(1)>)")
+    # cosets by (level, quad), characters by (group factors, residues)
+    one, two = (CosetSymbol(1, 0, 0, 1, level) for level in ((3, 2), (2, 3)))
+    assert two < one and not one < two
+    chi3, chi5 = (make_group((k,)).character((1,)) for k in (3, 5))
+    assert chi3 < chi5 and chi3 <= chi5 and not chi5 < chi3
+
+
 def test_bases_built_only_when_read(monkeypatch):
     # relation systems, plain dimensions, kernel generators and Manin
     # spaces build no key or coset; reading `basis` builds each once, and
