@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 from .abelian import code_tuples, make_group, negation_codes
 from .arith import prime_factors, totient
@@ -35,8 +35,7 @@ from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
                       SparseIntMatrix, _smith_form, require, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
                         _sign_class_matrix, formula_dimension)
-from .symbols import (DEFAULT_ENUM_BOUND, filter_groups, in_det_class,
-                      sign_class_groups)
+from .symbols import DEFAULT_ENUM_BOUND, det_class_groups, sign_class_groups
 
 __all__ = [
     "IntMatrix2", "CosetSymbol", "LevelInvariants", "IsoReport",
@@ -216,18 +215,35 @@ def coset_index(n, m):
 
 
 def _coset_quads(n, m, bound):
-    """The residue quads (a, b, c, d) behind enumerate_cosets, sorted."""
+    """The residue quads (a, b, c, d) behind enumerate_cosets, sorted.
+
+    a d = 1 + b c mod N is solved for d: with g = gcd(a, N) it has
+    solutions iff g divides 1 + b c, and they are the d = d0 mod N/g, where
+    d0 is (1 + b c)/g times the inverse of a/g mod N/g, one inverse per a.
+    Of those in range(MN) the ones with gcd(c, d, MN) = 1 are kept, read
+    from a table per g of those d by c and residue mod N/g: per prime (see
+    spans_dual) the determinant settles the primes of N, and a prime of M
+    alone needs c or d nonzero mod it.  The bound still caps the (N MN)^2
+    quads a scan would test.
+    """
     _check_level(n, m)
     k = n * m
     if (n * k) ** 2 > bound:
         raise BoundExceeded("coset scan size (N*MN)^2 = %d exceeds the "
                             "bound %d" % ((n * k) ** 2, bound))
-    # per prime (see spans_dual): the determinant settles the primes of N;
-    # a prime of M alone needs c or d nonzero mod it
-    bottoms = [(c, d) for c in range(k) for d in range(k)
-               if gcd(c, d, k) == 1]
-    out = [(a, b, c, d) for a in range(n) for b in range(n)
-           for c, d in bottoms if (a * d - b * c) % n == 1]
+    out, tables = [], {}
+    for a in range(n):
+        g = gcd(a, n)
+        step = n // g
+        inv = pow(a // g, -1, step)
+        ds = tables.get(g)
+        if ds is None:
+            ds = tables[g] = [[[d for d in range(r, k, step)
+                                if gcd(c, d, k) == 1] for r in range(step)]
+                              for c in range(k)]
+        for b in range(n):
+            out += [(a, b, c, d) for c in range(k) if not (1 + b * c) % g
+                    for d in ds[c][(1 + b * c) // g * inv % step]]
     if k >= 3:
         index = coset_index(n, m)
         require(len(out) == index, "%d cosets enumerated at level (%d, %d), "
@@ -363,8 +379,8 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
     count against `rel.nrows`.  The Smith form, and so the report, is
     taken of the same relations folded over the turn orbits (see
     _coset_fold), about a quarter of the columns, and `snf_bound` caps
-    that matrix; the report's `ms` covers the coset scan, the fold and its
-    Smith form.
+    that matrix; the report's `ms` covers the coset enumeration, the fold
+    and its Smith form.
     """
     _check_level(n, m)
     if with_O and n != 2:
@@ -411,36 +427,44 @@ def cusp_formula(n, m):
     return int(val)
 
 
-def _orbit_roots(size, links):
-    """Root of each of range(size) after a union-find over the links."""
-    parent = list(range(size))
+def _sign_orbits(points, cycles):
+    """Each orbit of a group <T, -1> on `points`, with T a translation, once,
+    as (its least point p, the list `cycles(p)` of its points).
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]   # path halving
-        return x
-
-    for i, j in links:
-        parent[find(i)] = find(j)
-    return [find(i) for i in range(size)]
+    -1 is central, so the orbit of p is the T-cycle of p with that of -p,
+    which `cycles` lists, repeats allowed; `points` is sorted and closed
+    under the group.
+    """
+    seen = set()
+    for p in points:
+        if p not in seen:
+            orbit = cycles(p)
+            seen.update(orbit)
+            yield p, orbit
 
 
 def cusp_orbit_count(n, m, bound=DEFAULT_ENUM_BOUND):
     """Cusps counted as coset orbits under translation and negation.
 
-    The orbit of a symbol under right multiplication by (1,1;0,1) and by
-    minus the identity is exactly a cusp of the level.
+    The orbit of a symbol under right multiplication by T = (1,1;0,1) and
+    by minus the identity is exactly a cusp of the level.  T moves (b, d)
+    by (a, c) and fixes (a, c), so the T-cycle of s = (a, b; c, d) has
+    lcm(N/gcd(a, N), MN/gcd(c, MN)) cosets, and each orbit, the T-cycles of
+    s and -s, is walked once.
     """
     quads = _coset_quads(n, m, bound)
     k = n * m
-    index = {s: i for i, s in enumerate(quads)}
 
-    def links():
-        for i, (a, b, c, d) in enumerate(quads):
-            yield i, index[(a, (a + b) % n, c, (c + d) % k)]
-            yield i, index[(-a % n, -b % n, -c % k, -d % k)]
+    def cycles(s):
+        a, b, c, d = s
+        size = lcm(n // gcd(a, n), k // gcd(c, k))
+        na, nc = -a % n, -c % k
+        return ([(a, (b + j * a) % n, c, (d + j * c) % k)
+                 for j in range(size)]
+                + [(na, (-b - j * a) % n, nc, (-d - j * c) % k)
+                   for j in range(size)])
 
-    return len(set(_orbit_roots(len(quads), links())))
+    return sum(1 for _ in _sign_orbits(quads, cycles))
 
 
 def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
@@ -476,24 +500,25 @@ def eps_fixed(m):
     """Cusps of level (2, m) fixed by the sign involution, for m > 2.
 
     Cusp classes are pairs (a, c) mod 2m with gcd(a, c, 2m) = 1 taken up to
-    sign and the translations a -> a + 2jc; the involution sends (a, c) to
-    (-a, c).  The enumerated count must equal 2 phi(m) + phi(2m).
+    sign and the translations a -> a + 2jc, whose cycle through (a, c) has
+    2m/gcd(2c, 2m) pairs; each class is walked once, as in
+    `cusp_orbit_count`.  The involution sends (a, c) to (-a, c) and classes
+    to classes, so it fixes a class when it keeps one of its pairs in it.
+    The enumerated count must equal 2 phi(m) + phi(2m).
     """
     if int(m) != m or m <= 2:
         raise ValueError("fixed-cusp count is defined for M > 2")
     k = 2 * m
-    pairs = [(a, c) for a in range(k) for c in range(k)
-             if gcd(gcd(a, c), k) == 1]
-    index = {p: i for i, p in enumerate(pairs)}
+    pairs = [(a, c) for a in range(k) for c in range(k) if gcd(a, c, k) == 1]
 
-    def links():
-        for i, (a, c) in enumerate(pairs):
-            yield i, index[((-a) % k, (-c) % k)]
-            yield i, index[((a + 2 * c) % k, c)]
+    def cycles(p):
+        a, c = p
+        size = k // gcd(2 * c, k)
+        return ([((a + 2 * j * c) % k, c) for j in range(size)]
+                + [((-a - 2 * j * c) % k, -c % k) for j in range(size)])
 
-    roots = _orbit_roots(len(pairs), links())
-    fixed = sum(1 for i, (a, c) in enumerate(pairs)
-                if roots[i] == i and roots[index[((-a) % k, c)]] == i)
+    fixed = sum((-a % k, c) in orbit
+                for (a, c), orbit in _sign_orbits(pairs, cycles))
     formula = 2 * totient(m) + totient(k)
     require(fixed == formula,
             "fixed-cusp routes disagree at M = %d: enumerated %d, formula %d",
@@ -643,11 +668,23 @@ def _two_columns(rows):
 
 def _row_classes(rows, twos):
     """The nonzero rows up to sign and to even entries on the columns in
-    `twos`: each as the lesser of its two signs, those entries mod 2."""
-    def signed(row, s):
-        return tuple(sorted((c, v % 2 if c in twos else s * v)
-                            for c, v in row.items() if c not in twos or v % 2))
-    return {min(signed(row, 1), signed(row, -1)) for row in rows} - {()}
+    `twos`: each as the lesser of its two signs, those entries mod 2.
+
+    The two signed tuples first differ at the first nonzero entry off
+    `twos`, so the lesser is the one where that entry is negative: each
+    row is sorted once and negated off `twos` when that entry is positive.
+    """
+    out = set()
+    for row in rows:
+        items = sorted((c, v % 2 if c in twos else v) for c, v in row.items()
+                       if c not in twos or v % 2)
+        for c, v in items:
+            if v and c not in twos:
+                if v > 0:
+                    items = [(c, v if c in twos else -v) for c, v in items]
+                break
+        out.add(tuple(items))
+    return out - {()}
 
 
 def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
@@ -655,8 +692,9 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     """Match the minus-variant symbol presentation against the coset one.
 
     Both sides are folded over their two-term rows: the symbols over sign
-    classes by `_sign_class_matrix` (of determinant 1 at N >= 3), the
-    cosets over turn orbits by `_coset_fold` (with the swap at N = 2).
+    classes by `_sign_class_matrix` (at N >= 3 those of determinant 1,
+    built directly by `det_class_groups`), the cosets over turn orbits by
+    `_coset_fold` (with the swap at N = 2).
     The coset (a, b; c, d) goes to the key with codes a MN + c and
     b MN + d, its orbit to that key's class with the key's sign, and each
     class must be hit by exactly one orbit.  Both folds present the free
@@ -671,9 +709,8 @@ def iso_check(n, m, enum_bound=DEFAULT_ENUM_BOUND,
     k = n * m
     grp = make_group((n, k))
     level = (n, m)
-    groups = sign_class_groups(grp, 2, enum_bound)
-    if n >= 3:
-        groups = filter_groups(groups, in_det_class(grp, 1))
+    groups = (det_class_groups(grp, 1, enum_bound, reps=True) if n >= 3
+              else sign_class_groups(grp, 2, enum_bound))
     neg = negation_codes(grp)
     sym_rel, keys = _sign_class_matrix(grp, groups, 2)
     reps = code_tuples(groups)

@@ -42,8 +42,8 @@ from .arith import divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
                       _smith_form, require, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
-                      _generating_codes, det_classes, filter_groups,
-                      in_det_class, replace_code, sign_class_groups)
+                      _generating_codes, det_class_groups, det_classes,
+                      replace_code, sign_class_groups)
 
 
 class Variant(enum.Enum):
@@ -480,22 +480,21 @@ def dimension_graded(group, variant, want_torsion=False,
     All determinant classes are isomorphic, so only the class of 1 is
     presented and the result is scaled by the number of classes.  Still a
     brute-force computation, merely sharded.  A sign flip negates the
-    determinant, so the class of 1 is a union of sign classes.  The class
-    is cut from the code tuples, so no key is built.
+    determinant, so the class of 1 is a union of sign classes.  The class's
+    code pairs, or its sign classes' reps for the minus variant, are built
+    directly by `det_class_groups`, so no other pair is walked and no key is
+    built.
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
     classes = det_classes(group)
-    in_class = in_det_class(group, classes[0])
     if variant is Variant.PLUS:
         raise ValueError("the plus variant is defined only for n = 1")
     if variant is Variant.MINUS:
-        groups = filter_groups(sign_class_groups(group, 2, enum_bound),
-                               in_class)
+        groups = det_class_groups(group, classes[0], enum_bound, reps=True)
         rel, count = _sign_class_matrix(group, groups, 2)
     else:
-        codes = code_tuples(filter_groups(
-            _generating_codes(group, 2, enum_bound), in_class))
+        codes = code_tuples(det_class_groups(group, classes[0], enum_bound))
         index = {t: i for i, t in enumerate(codes)}
         rel = SparseIntMatrix.trusted(
             len(codes), _blowup_rows(group, codes, index, 2))

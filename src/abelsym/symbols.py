@@ -7,24 +7,27 @@ element.  A key stores each character as its integer code (its position in
 group.characters()), so a key is a sorted code tuple plus its group, and
 sorted code tuples order exactly as sorted character tuples.  Whether a
 tuple generates the dual is checked where keys enter from outside, in
-`canonicalize`, `enumerate_generators` and `sign_class_groups`; code that
-derives keys from keys by blowups and sign flips, which keep the span,
-builds them directly.  Formal sums, relation systems and the tensor sums
-of structmaps hold code tuples too, plus the groups or space they are read
-in, and build keys only when read; a key or coset computes its hash only
-when asked, and no library path asks.  For groups of the bi-cyclic shape
-Z/N x Z/MN (N >= 3) the pairs additionally carry a determinant invariant
-in (Z/N)^x, well defined up to sign, which grades the whole module.
+`canonicalize`, `enumerate_generators`, `sign_class_groups` and
+`det_class_groups`; code that derives keys from keys by blowups and sign
+flips, which keep the span, builds them directly.  Formal sums, relation
+systems and the tensor sums of structmaps hold code tuples too, plus the
+groups or space they are read in, and build keys only when read; a key or
+coset computes its hash only when asked, and no library path asks.  For
+groups of the bi-cyclic shape Z/N x Z/MN (N >= 3) the pairs additionally
+carry a determinant invariant in (Z/N)^x, well defined up to sign, which
+grades the whole module; `det_class_groups` builds one class's pairs
+directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, prod
 
 from .abelian import (code_tuples, generating_code_groups, negation_codes,
                       spans_dual)
+from .arith import prime_factors
 from .exactla import BoundExceeded, sparse_add
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
@@ -141,22 +144,21 @@ def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND):
         c for c, d in enumerate(negation_codes(group)) if c <= d])
 
 
-def filter_groups(groups, keep):
-    """The groups cut to the tuples t with keep(t), empty ones dropped."""
-    cut = [(p, [c for c in cs if keep(p + (c,))]) for p, cs in groups]
-    return [(p, cs) for p, cs in cut if cs]
-
-
 def _generating_codes(group, n, bound, codes=None):
     """generating_code_groups(group, n, codes) once |G|^n is within the
     bound."""
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
+    _check_enum_bound(group, n, bound)
+    return generating_code_groups(group, n, codes)
+
+
+def _check_enum_bound(group, n, bound):
+    """Refuse an enumeration of n-tuples over the group past the bound."""
     if group.order ** n > bound:
         raise BoundExceeded(
             "enumeration size |G|^n = %d exceeds the bound %d"
             % (group.order ** n, bound))
-    return generating_code_groups(group, n, codes)
 
 
 class FormalSum:
@@ -314,23 +316,62 @@ def det_class(key):
     return DetClass(n_small, _code_det(key.codes, n_small, n_big))
 
 
-def in_det_class(group, k):
-    """Predicate on code pairs over the group: in determinant class k."""
+def det_class_groups(group, k, bound=DEFAULT_ENUM_BOUND, reps=False):
+    """The generating code pairs of determinant class k over Z/N x Z/MN,
+    N >= 3, as (prefix, completions) groups in the order of
+    `generating_code_groups`; with `reps`, the sign classes' reps alone, as
+    `sign_class_groups` lists them.
+
+    The pairs are built, not filtered.  For a first code x = (a1, c1) and
+    each a2 >= a1, a1 c2 - a2 c1 = t mod N with t = k or N - k is solved for
+    c2 as `_coset_quads` solves for d: with g = gcd(a1, N) it needs g to
+    divide t + a2 c1, and then fixes c2 mod N/g.  The two t give different
+    residues (N does not divide 2k at N >= 3), so no pair comes twice, and
+    each x's completions are sorted once.  A unit determinant settles
+    generation at the primes of N (see spans_dual); a prime of M that does
+    not divide N needs c1 or c2 nonzero mod it.  k is an int or a
+    `DetClass`; a group of another shape or a class of another modulus
+    raises ValueError before |G|^2 is checked against the bound.
+    """
     n_small, n_big = _bicyclic_form(group)
     if not isinstance(k, DetClass):
         k = DetClass(n_small, k)
     elif k.modulus != n_small:
         raise ValueError("determinant class has modulus %d, expected %d"
                          % (k.modulus, n_small))
+    _check_enum_bound(group, 2, bound)
     dets = (k.k, n_small - k.k)
-    return lambda codes: _code_det(codes, n_small, n_big) in dets
+    neg = negation_codes(group)
+    # per c, the product of the primes of M off N that divide it
+    lone = [p for p in prime_factors(n_big) if n_small % p]
+    zeros = [prod(p for p in lone if not c % p) for c in range(n_big)]
+    out = []
+    for a1 in range(n_small):
+        g = gcd(a1, n_small)
+        step = n_small // g
+        inv = pow(a1 // g, -1, step)
+        for c1 in range(n_big):
+            x = a1 * n_big + c1
+            if reps and neg[x] < x:
+                continue
+            z = zeros[c1]       # z divides MN: gcd(z, y) = gcd(z, c2)
+            comp = sorted(
+                y for a2 in range(a1, n_small) for t in dets
+                if not (t + a2 * c1) % g
+                for y in range(a2 * n_big + (t + a2 * c1) // g * inv % step,
+                               (a2 + 1) * n_big, step)
+                if y >= x and (not reps or y <= neg[y])
+                and (z == 1 or gcd(z, y) == 1))
+            if comp:
+                out.append(((x,), comp))
+    return out
 
 
 def enumerate_det_class(group, k, bound=DEFAULT_ENUM_BOUND):
-    """Canonical length-2 keys in one determinant class.
+    """Canonical length-2 keys in one determinant class, built by
+    `det_class_groups`.
 
     Over all classes these lists partition enumerate_generators(group, 2).
     """
-    in_class = in_det_class(group, k)
-    return [SymbolKey(group, codes) for codes in code_tuples(
-        filter_groups(_generating_codes(group, 2, bound), in_class))]
+    return [SymbolKey(group, codes)
+            for codes in code_tuples(det_class_groups(group, k, bound))]

@@ -11,6 +11,8 @@ is the minus fold over sign-class reps with every folded blowup row kept,
 as built from each rep it touches; tests compare the fold that builds each
 row once against it.  `kernel_span_dimension` is the kernel dimension read
 as the rank the kernel generators add to the plain relation span.
+`filter_groups` and `in_det_class` cut a determinant class out of all
+generating pairs, as abelsym did before it built the class directly.
 """
 
 from itertools import combinations_with_replacement
@@ -19,7 +21,7 @@ from abelsym.abelian import make_group, negation_codes
 from abelsym.exactla import (dense_snf_with_transforms, rank_over_Q,
                              sparse_add)
 from abelsym.relations import Variant, _sign_rows, build_relations
-from abelsym.symbols import replace_code
+from abelsym.symbols import DetClass, _bicyclic_form, _code_det, replace_code
 
 # presentations that are not invariant factor chains: factors out of
 # divisibility order, coprime splittings, trivial factors
@@ -223,3 +225,18 @@ def kernel_span_dimension(group, n):
     krows = _sign_rows(group, system.codes, system.index, n)
     return (rank_over_Q(system.rel.with_rows(krows))
             - rank_over_Q(system.rel))
+
+
+def filter_groups(groups, keep):
+    """The groups cut to the tuples t with keep(t), empty ones dropped."""
+    cut = [(p, [c for c in cs if keep(p + (c,))]) for p, cs in groups]
+    return [(p, cs) for p, cs in cut if cs]
+
+
+def in_det_class(group, k):
+    """Predicate on code pairs over the group: in determinant class k."""
+    n_small, n_big = _bicyclic_form(group)
+    if not isinstance(k, DetClass):
+        k = DetClass(n_small, k)
+    dets = (k.k, n_small - k.k)
+    return lambda codes: _code_det(codes, n_small, n_big) in dets

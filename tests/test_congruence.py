@@ -24,11 +24,17 @@ from abelsym.congruence import (CosetSymbol, IntMatrix2, coset_index,
 from abelsym.exactla import smith_normal_form
 from abelsym.relations import (Variant, build_relations, dimension,
                                dimension_graded, formula_dimension)
-from abelsym.symbols import FormalSum, SymbolKey
+from abelsym.symbols import (FormalSum, SymbolKey, det_class_groups,
+                             sign_class_groups)
+from congref import (scan_coset_quads, two_sided_row_classes,
+                     union_find_cusps, union_find_eps_fixed)
 
 # every level of coset index <= 6,000
 WIDE_LEVELS = [(n, m) for n in range(2, 30) for m in range(1, 60)
                if coset_index(n, m) <= 6000]
+
+# every level of coset index <= 1,500
+LEVELS = [level for level in WIDE_LEVELS if coset_index(*level) <= 1500]
 
 # index of the level subgroup, frozen against the enumeration
 COSET_COUNTS = {
@@ -45,6 +51,22 @@ def test_coset_enumeration_matches_index():
         assert len(set(cosets)) == count
         # the enumeration skips validation; the constructor redoes it
         assert all(CosetSymbol(*s.quad(), s.level) == s for s in cosets)
+
+
+def test_coset_quads_match_the_scan():
+    levels = [(n, m) for n in range(2, 13) for m in range(1, 9)]
+    for n, m in levels:
+        assert C._coset_quads(n, m, 10 ** 8) == scan_coset_quads(n, m), (
+            n, m)
+
+
+@pytest.mark.slow
+def test_coset_quads_match_the_scan_wide():
+    levels = [(n, m) for n in range(13, 18) for m in range(1, 5)] + [
+        (n, m) for n in range(2, 7) for m in range(9, 16)]
+    for n, m in levels:
+        assert C._coset_quads(n, m, 10 ** 9) == scan_coset_quads(n, m), (
+            n, m)
 
 
 def test_coset_symbol_validation():
@@ -204,9 +226,8 @@ def _assert_rows_counted(levels):
 
 
 def test_manin_rows_match_their_count():
-    levels = [level for level in WIDE_LEVELS if coset_index(*level) <= 1500]
-    assert len(levels) == 42
-    _assert_rows_counted(levels)
+    assert len(LEVELS) == 42
+    _assert_rows_counted(LEVELS)
 
 
 @pytest.mark.slow
@@ -271,9 +292,8 @@ def _assert_fold_matches_unfolded(levels):
 
 
 def test_manin_fold_matches_unfolded_smith_form():
-    levels = [level for level in WIDE_LEVELS if coset_index(*level) <= 1500]
-    assert len(levels) == 42
-    _assert_fold_matches_unfolded(levels)
+    assert len(LEVELS) == 42
+    _assert_fold_matches_unfolded(LEVELS)
 
 
 @pytest.mark.slow
@@ -319,6 +339,36 @@ def test_eps_fixed_table():
                                                     18, 16]
     with pytest.raises(ValueError):
         eps_fixed(2)
+
+
+def _assert_orbit_walks_match_union_find(levels, monkeypatch):
+    # the orbits walked are the union-find's classes, each walked once
+    walked, real = [], C._sign_orbits
+
+    def recording(points, cycles):
+        for p, orbit in real(points, cycles):
+            walked.append(frozenset(orbit))
+            yield p, orbit
+    monkeypatch.setattr(C, "_sign_orbits", recording)
+    for n, m in levels:
+        walked.clear()
+        classes = union_find_cusps(n, m)
+        assert cusp_orbit_count(n, m) == len(classes), (n, m)
+        assert len(walked) == len(classes) and set(walked) == classes
+        if n == 2 and m > 2:
+            walked.clear()
+            classes, fixed = union_find_eps_fixed(m)
+            assert eps_fixed(m) == fixed, m
+            assert len(walked) == len(classes) and set(walked) == classes
+
+
+def test_orbit_walks_match_union_find(monkeypatch):
+    _assert_orbit_walks_match_union_find(LEVELS, monkeypatch)
+
+
+@pytest.mark.slow
+def test_orbit_walks_match_union_find_wide(monkeypatch):
+    _assert_orbit_walks_match_union_find(WIDE_LEVELS, monkeypatch)
 
 
 def test_level_invariants():
@@ -373,6 +423,24 @@ def test_iso_check_wide():
     assert len(WIDE_LEVELS) == 98
     for n, m in WIDE_LEVELS:
         assert iso_check(n, m, snf_bound=20000).ok, (n, m)
+
+
+def test_row_classes_match_two_sided_form():
+    # on both folds of every level of index <= 1,500, each against its own
+    # {k: 2} columns and against the other fold's
+    for n, m in LEVELS:
+        grp = make_group((n, n * m))
+        groups = (det_class_groups(grp, 1, reps=True) if n >= 3
+                  else sign_class_groups(grp, 2))
+        sym_rows = C._sign_class_matrix(grp, groups, 2)[0].rows
+        quads = C._coset_quads(n, m, 10 ** 8)
+        coset_rows = C._coset_fold((n, m), quads, {
+            s: i for i, s in enumerate(quads)}, n == 2)[1].rows
+        for rows in (sym_rows, coset_rows):
+            for twos in (C._two_columns(sym_rows),
+                         C._two_columns(coset_rows)):
+                assert C._row_classes(rows, twos) == two_sided_row_classes(
+                    rows, twos), (n, m)
 
 
 def run_optimized(code):
@@ -536,15 +604,16 @@ BROKEN_ROUTES = {
                      "C.iso_check(2, 2)"),
     # sign classes of determinant class 2 have no turn orbit to go to
     "iso_check_bijection": ("""
-        real = C.in_det_class
-        C.in_det_class = lambda g, k: real(g, 2)
+        real = C.det_class_groups
+        C.det_class_groups = lambda g, k, *args, **kw: real(g, 2, *args,
+                                                            **kw)
     """, "C.iso_check(5, 1)"),
     # a group of sign classes listed twice: one orbit goes to the second
     # copy of each of its classes only
     "iso_check_distinct": ("""
-        real = C.sign_class_groups
-        C.sign_class_groups = lambda g, n, bound: (real(g, n, bound)[:1]
-                                                   + real(g, n, bound))
+        real = C.det_class_groups
+        C.det_class_groups = lambda *args, **kw: (real(*args, **kw)[:1]
+                                                  + real(*args, **kw))
     """, "C.iso_check(5, 1)"),
     # one orbit rep repeated in place of another: its class is hit twice
     "iso_check_n2_cover": ("""

@@ -15,11 +15,12 @@ from abelsym.relations import (DimensionReport, Variant, build_relations,
                                kernel_generators, pxp_closed_forms)
 from abelsym.symbols import (canonicalize, det_class, det_classes,
                              enumerate_det_class, enumerate_generators,
-                             filter_groups, in_det_class, sign_class_groups)
+                             sign_class_groups)
 from rankref import reference_rank
-from relref import (NON_INVARIANT, ReferenceBuilder, first_up_to_sign,
-                    full_sign_class_fold, hash_set_rows, invariant_chains,
-                    kernel_span_dimension, presentations)
+from relref import (NON_INVARIANT, ReferenceBuilder, filter_groups,
+                    first_up_to_sign, full_sign_class_fold, hash_set_rows,
+                    in_det_class, invariant_chains, kernel_span_dimension,
+                    presentations)
 
 # (N, dim plain, dim minus) at n = 2, frozen from exact rank computations.
 CYCLIC_TABLE = (

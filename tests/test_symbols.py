@@ -10,9 +10,11 @@ from abelsym.abelian import make_group
 from abelsym.congruence import CosetSymbol
 from abelsym.exactla import BoundExceeded
 from abelsym.relations import Variant, build_relations
-from abelsym.symbols import (DetClass, FormalSum, SymbolKey, canonicalize,
-                             det_class, det_classes, enumerate_det_class,
-                             enumerate_generators)
+from abelsym.symbols import (DetClass, FormalSum, SymbolKey, _generating_codes,
+                             canonicalize, det_class, det_class_groups,
+                             det_classes, enumerate_det_class,
+                             enumerate_generators, sign_class_groups)
+from relref import filter_groups, in_det_class
 
 
 def test_canonicalize_sorts_and_validates():
@@ -215,3 +217,44 @@ def test_det_class_matches_characters():
         for cls in det_classes(g):
             assert enumerate_det_class(g, cls) == [
                 key for key in keys if _char_det_class(key) == cls]
+
+
+def _assert_class_walk_matches_filter(limit):
+    """det_class_groups against the class cut from all generating pairs,
+    and from the sign classes' reps, for every class of Z/N x Z/NM with
+    N = 3..12 and N^2 M <= limit, and of two presentations with a trivial
+    factor; the number of cases compared."""
+    groups = [(n, n * m) for n in range(3, 13)
+              for m in range(1, limit // (n * n) + 1)]
+    cases = 0
+    for factors in groups + [(1, 5, 5), (5, 1, 10)]:
+        g = make_group(factors)
+        pairs = _generating_codes(g, 2, g.order ** 2)
+        reps = sign_class_groups(g, 2)
+        for cls in det_classes(g):
+            keep = in_det_class(g, cls)
+            assert det_class_groups(g, cls) == filter_groups(pairs, keep), (
+                factors, cls)
+            assert det_class_groups(g, cls, reps=True) == filter_groups(
+                reps, keep), (factors, cls)
+            cases += 2
+    return cases
+
+
+def test_det_class_groups_match_filtered_pairs():
+    assert _assert_class_walk_matches_filter(200) == 180 + 8
+    g = make_group((5, 10))
+    assert det_class_groups(g, 2) == det_class_groups(g, DetClass(5, 3))
+    for factors, k in (((2, 4), 1), ((3, 3, 3), 1), ((6, 3), 1),
+                       ((9,), 1), ((3, 9), 3)):
+        with pytest.raises(ValueError):
+            det_class_groups(make_group(factors), k)
+    with pytest.raises(ValueError):
+        det_class_groups(make_group((3, 9)), DetClass(5, 1))
+    with pytest.raises(BoundExceeded):
+        det_class_groups(make_group((3, 9)), 1, bound=27 ** 2 - 1)
+
+
+@pytest.mark.slow
+def test_det_class_groups_match_filtered_pairs_wide():
+    assert _assert_class_walk_matches_filter(800) == 758 + 8
