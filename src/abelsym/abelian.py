@@ -21,31 +21,33 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
 
-from .arith import prime_factors
+from .arith import as_int, prime_factors
 from .exactla import dense_snf_with_transforms, require
 
 # Enumerations over elements and subgroups stay total only for desk-scale
-# groups; make_group refuses anything larger by default.
-DEFAULT_MAX_ORDER = 10_000
+# groups; make_group refuses anything larger.
+MAX_ORDER = 10_000
 
 _group_cache = {}
 
 
-def make_group(orders, max_order=DEFAULT_MAX_ORDER):
+def make_group(orders):
     """Group descriptor for Z/orders[0] x Z/orders[1] x ...
 
     Factors are kept verbatim for display and coordinates; the invariant
     factor chain d_1 | d_2 | ... is derived once via Smith normal form.
+    Orders are integers >= 1 with a product of at most MAX_ORDER.
     """
-    factors = tuple(int(x) for x in orders)
+    factors = tuple(as_int(x, "cyclic factor orders must be integers, "
+                              "got %r", x) for x in orders)
     if not factors:
         raise ValueError("a group needs at least one cyclic factor")
     if any(f < 1 for f in factors):
         raise ValueError("cyclic factor orders must be >= 1")
-    if prod(factors) > max_order:
+    if prod(factors) > MAX_ORDER:
         raise ValueError(
             "group order %d exceeds the configured limit %d"
-            % (prod(factors), max_order))
+            % (prod(factors), MAX_ORDER))
     key = factors
     grp = _group_cache.get(key)
     if grp is None:
@@ -54,7 +56,7 @@ def make_group(orders, max_order=DEFAULT_MAX_ORDER):
     return grp
 
 
-def parse_group(text, max_order=DEFAULT_MAX_ORDER):
+def parse_group(text):
     """Parse the group literal syntax 'n1xn2x...', e.g. '3x9' or '16'."""
     parts = text.lower().split("x")
     try:
@@ -62,14 +64,14 @@ def parse_group(text, max_order=DEFAULT_MAX_ORDER):
     except ValueError:
         raise ValueError("bad group literal %r; expected e.g. '5' or '3x9'"
                          % (text,)) from None
-    return make_group(orders, max_order=max_order)
+    return make_group(orders)
 
 
 class GroupDescriptor:
     """A finite abelian group presented as a product of cyclic factors."""
 
     __slots__ = ("factors", "invariant_factors", "order", "rank",
-                 "prime_slots", "_places", "_char_cache", "_chars")
+                 "prime_slots", "_places", "_chars")
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -89,7 +91,6 @@ class GroupDescriptor:
         for f in reversed(self.factors[1:]):
             places.append(places[-1] * f)
         self._places = tuple(reversed(places))
-        self._char_cache = {}
         self._chars = None
 
     def __repr__(self):
@@ -114,18 +115,14 @@ class GroupDescriptor:
         return product(*(range(f) for f in self.factors))
 
     def character(self, residues):
-        """Interned character with the given residue tuple."""
-        res = self.reduce(tuple(residues))
-        ch = self._char_cache.get(res)
-        if ch is None:
-            ch = Character(self, res)
-            self._char_cache[res] = ch
-        return ch
+        """Interned character with the given residue tuple, read from
+        `characters()`: the first call builds them all (<= MAX_ORDER)."""
+        return self.characters()[self.code(residues)]
 
     def characters(self):
         """All characters in lexicographic residue order, indexed by code."""
         if self._chars is None:
-            self._chars = tuple(self.character(r) for r in self.elements())
+            self._chars = tuple(Character(self, r) for r in self.elements())
         return self._chars
 
     def code(self, residues):

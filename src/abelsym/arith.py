@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+import operator
+
+
+def as_int(value, message, *args):
+    """`operator.index(value)`, so ints and int-likes such as numpy ints;
+    anything else, 2.0 included, raises ValueError(message % args)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(message % args) from None
+
 
 def prime_factors(n):
     """Sorted distinct prime factors of n >= 1."""

@@ -1,7 +1,9 @@
 """Command line front end: dimension reports, tables, verification suites.
 
 Exit codes: 0 success, 1 verification failure (including a brute/formula
-mismatch under `dims --method both`), 2 usage error, 3 resource bound hit.
+mismatch under `dims --method both`), 2 any bad argument or value, a
+library ValueError included, 3 an enumeration or Smith form bound hit.
+Group literals are cyclic factor orders joined by 'x' in any order (4x6).
 Default output is byte-identical across runs for a fixed configuration and
 version; wall-clock fields are zeroed unless --timings is given.
 """
@@ -35,67 +37,35 @@ BICYCLIC_ROWS = ((2, 2), (2, 4), (2, 6), (2, 8), (2, 10), (2, 16),
                  (4, 8), (4, 16), (4, 32), (5, 25), (6, 36))
 
 
-class UsageError(Exception):
-    pass
-
-
-class RunConfig:
-    """Validated run parameters shared by every subcommand."""
-
-    __slots__ = ("command", "group", "n", "variant", "method", "fmt",
-                 "cache", "enum_bound", "snf_bound", "timings", "torsion",
-                 "level", "check", "family", "start", "stop", "primes")
-
-    def __init__(self, args):
-        self.command = args.command
-        self.fmt = args.fmt
-        self.enum_bound = args.enum_bound
-        self.snf_bound = args.snf_bound
-        self.timings = args.timings
-        if self.enum_bound < 1 or self.snf_bound < 1:
-            raise UsageError("bounds must be positive integers")
-        self.cache = ReportCache(args.cache_dir, enabled=not args.no_cache)
-
-        self.group = None
-        if getattr(args, "group", None) is not None:
-            try:
-                self.group = parse_group(args.group)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-        self.n = getattr(args, "n", 2)
-        if self.n < 1:
-            raise UsageError("--n must be >= 1")
-        self.variant = Variant.parse(getattr(args, "variant", "plain"))
-        self.method = getattr(args, "method", "brute")
-        self.torsion = getattr(args, "torsion", False)
-        self.check = getattr(args, "check", None)
-        self.family = getattr(args, "family", None)
-        self.start = getattr(args, "start", None)
-        self.stop = getattr(args, "stop", None)
-
-        self.level = None
-        if getattr(args, "level", None) is not None:
-            parts = args.level.split(",")
-            try:
-                pair = tuple(int(p) for p in parts)
-            except ValueError:
-                pair = ()
-            if len(pair) != 2 or pair[0] < 2 or pair[1] < 1:
-                raise UsageError(
-                    "--level expects 'N,M' with N >= 2, M >= 1")
-            self.level = pair
-
-        self.primes = ()
-        if getattr(args, "primes", None):
-            try:
-                self.primes = tuple(int(p) for p in args.primes.split(","))
-            except ValueError:
-                raise UsageError("--primes expects a comma-separated list "
-                                 "of integers") from None
-            for p in self.primes:
-                if p < 2 or prime_factors(p) != [p]:
-                    raise UsageError("--primes expects primes; %d is not "
-                                     "prime" % p)
+def _parse(args):
+    """Check the parsed options (ValueError) and convert them in place."""
+    if args.enum_bound < 1 or args.snf_bound < 1:
+        raise ValueError("bounds must be positive integers")
+    args.cache = ReportCache(args.cache_dir, enabled=not args.no_cache)
+    if getattr(args, "group", None) is not None:
+        args.group = parse_group(args.group)
+    if getattr(args, "n", 1) < 1:
+        raise ValueError("--n must be >= 1")
+    if hasattr(args, "variant"):
+        args.variant = Variant.parse(args.variant)
+    if getattr(args, "level", None) is not None:
+        try:
+            pair = tuple(int(p) for p in args.level.split(","))
+        except ValueError:
+            pair = ()
+        if len(pair) != 2 or pair[0] < 2 or pair[1] < 1:
+            raise ValueError("--level expects 'N,M' with N >= 2, M >= 1")
+        args.level = pair
+    if getattr(args, "primes", None):
+        try:
+            args.primes = tuple(int(p) for p in args.primes.split(","))
+        except ValueError:
+            raise ValueError("--primes expects a comma-separated list of "
+                             "integers") from None
+        for p in args.primes:
+            if p < 2 or prime_factors(p) != [p]:
+                raise ValueError("--primes expects primes; %d is not prime"
+                                 % p)
 
 
 def format_torsion(torsion):
@@ -151,16 +121,13 @@ def cmd_dims(config):
                else [config.method])
     reports = []
     for method in methods:
-        try:
-            if method == "formula":
-                reports.append(formula_dimension(
-                    config.group, config.n, config.variant,
-                    want_torsion=config.torsion))
-            else:
-                reports.append(_brute_report(config, config.group, config.n,
-                                             config.variant))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        if method == "formula":
+            reports.append(formula_dimension(
+                config.group, config.n, config.variant,
+                want_torsion=config.torsion))
+        else:
+            reports.append(_brute_report(config, config.group, config.n,
+                                         config.variant))
     for rep in reports:     # shown only on request, cached or not
         if not config.timings:
             rep.ms = 0.0
@@ -208,12 +175,12 @@ def _table_groups(config):
         start = config.start if config.start is not None else 2
         stop = config.stop if config.stop is not None else 19
         if start < 2 or stop < start:
-            raise UsageError("cyclic range needs 2 <= start <= stop")
+            raise ValueError("cyclic range needs 2 <= start <= stop")
         return [(make_group((n,)), False) for n in range(start, stop + 1)]
     if config.family == "bicyclic":
         if (config.start is not None and config.stop is not None
                 and config.stop < config.start):
-            raise UsageError("bicyclic range needs start <= stop")
+            raise ValueError("bicyclic range needs start <= stop")
         rows = []
         for n1, n2 in BICYCLIC_ROWS:
             order = n1 * n2
@@ -235,11 +202,8 @@ def _table_row(config, group, graded):
 
 
 def cmd_table(config):
-    try:
-        groups = _table_groups(config)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    rows = [_table_row(config, group, graded) for group, graded in groups]
+    rows = [_table_row(config, group, graded)
+            for group, graded in _table_groups(config)]
 
     if config.fmt == "json":
         body = {"family": config.family,
@@ -287,7 +251,7 @@ def _verify_grading(config):
     group = config.group
     form = group.invariant_form()
     if len(form) != 2 or form[0] < 3:
-        raise UsageError("the grading check needs a bi-cyclic group with "
+        raise ValueError("the grading check needs a bi-cyclic group with "
                          "N >= 3, got %s" % group.literal())
     classes = det_classes(group)
     graded = dimension_graded(group, Variant.MINUS,
@@ -390,9 +354,9 @@ def cmd_verify(config):
     needs_level = {"manin", "cusps", "iso"}
     if config.check in needs_level:
         if config.level is None:
-            raise UsageError("--check %s needs --level N,M" % config.check)
+            raise ValueError("--check %s needs --level N,M" % config.check)
     elif config.group is None:
-        raise UsageError("--check %s needs --group" % config.check)
+        raise ValueError("--check %s needs --group" % config.check)
     handler = {
         "comult": lambda: verify_comultiplication(
             config.group, config.n, enum_bound=config.enum_bound),
@@ -405,10 +369,7 @@ def cmd_verify(config):
         "formulas": lambda: _verify_formulas(config),
         "iso": lambda: _verify_iso(config),
     }[config.check]
-    try:
-        report = handler()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    report = handler()
 
     if config.fmt == "json":
         _print([json.dumps(report.to_json(), sort_keys=True, default=str)])
@@ -462,6 +423,7 @@ def build_parser():
                         help="refuse Smith normal forms larger than this")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock times in the output")
+    common.set_defaults(torsion=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -513,12 +475,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    handler = {"dims": cmd_dims, "table": cmd_table,
+               "verify": cmd_verify}[args.command]
     try:
-        config = RunConfig(args)
-        handler = {"dims": cmd_dims, "table": cmd_table,
-                   "verify": cmd_verify}[args.command]
-        return handler(config)
-    except UsageError as exc:
+        _parse(args)
+        return handler(args)
+    except ValueError as exc:
         _emit_error(args.fmt, exc)
         return 2
     except BoundExceeded as exc:

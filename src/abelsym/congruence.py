@@ -30,7 +30,7 @@ from functools import partial
 from math import gcd, lcm
 
 from .abelian import code_tuples, make_group, negation_codes
-from .arith import prime_factors, totient
+from .arith import as_int, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
                       SparseIntMatrix, _smith_form, require, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
@@ -47,9 +47,9 @@ __all__ = [
 
 
 def _check_level(n, m):
-    if int(n) != n or int(m) != m or n < 2 or m < 1:
-        raise ValueError("level needs integers N >= 2, M >= 1, got (%r, %r)"
-                         % (n, m))
+    bad = "level needs integers N >= 2, M >= 1, got (%r, %r)"
+    if as_int(n, bad, n, m) < 2 or as_int(m, bad, n, m) < 1:
+        raise ValueError(bad % (n, m))
 
 
 class IntMatrix2:
@@ -506,8 +506,9 @@ def eps_fixed(m):
     to classes, so it fixes a class when it keeps one of its pairs in it.
     The enumerated count must equal 2 phi(m) + phi(2m).
     """
-    if int(m) != m or m <= 2:
-        raise ValueError("fixed-cusp count is defined for M > 2")
+    bad = "fixed-cusp count is defined for M > 2"
+    if as_int(m, bad) <= 2:
+        raise ValueError(bad)
     k = 2 * m
     pairs = [(a, c) for a in range(k) for c in range(k) if gcd(a, c, k) == 1]
 

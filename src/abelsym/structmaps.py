@@ -368,8 +368,7 @@ def delta_sum(key, i=0, j=1):
     the sign class at (i, j) (all of it at n = 2, where the positions stay
     put), and a `SpanChecker` answers the class's repeats from its memo.
     The sum holds sorted code tuples, which `is_zero` and
-    `RelationSystem.vector` read; its keys are built when its terms are
-    read, the unflipped one being `key` itself, not a rebuilt copy.
+    `RelationSystem.vector` read; its keys are built when its terms are read.
     """
     codes, group = key.codes, key.group
     n = len(codes)
@@ -397,7 +396,7 @@ def delta_sum(key, i=0, j=1):
             counts[t] += 1
         for t, c in counts.items():
             counts[t] = _COUNTS[c]
-    return _code_sum(counts, (SymbolKey, group), key)
+    return _code_sum(counts, (SymbolKey, group))
 
 
 def omega_generators(group, n):

@@ -27,7 +27,7 @@ from math import gcd, prod
 
 from .abelian import (code_tuples, generating_code_groups, negation_codes,
                       spans_dual)
-from .arith import prime_factors
+from .arith import as_int, prime_factors
 from .exactla import BoundExceeded, sparse_add
 
 # |G|^n above this refuses to enumerate; desk-scale guard only.
@@ -147,6 +147,7 @@ def sign_class_groups(group, n, bound=DEFAULT_ENUM_BOUND):
 def _generating_codes(group, n, bound, codes=None):
     """generating_code_groups(group, n, codes) once |G|^n is within the
     bound."""
+    n = as_int(n, "symbol length n must be an integer, got %r", n)
     if n < 1:
         raise ValueError("symbol length n must be >= 1")
     _check_enum_bound(group, n, bound)
@@ -168,17 +169,16 @@ class FormalSum:
     tuples are read: (SymbolKey, group) for keys and (CosetSymbol, level)
     for cosets, whose code tuple is the quad.  `is_zero`, `==`, `+`, `-`,
     `scale` and `RelationSystem.vector` read the codes; `terms`, `items` and
-    `repr` build the keys or cosets each time they are read, `first`, when
-    set, standing for its own tuple.  A sum's terms lie in one space, and
-    only the zero sum adds to a sum over another.
+    `repr` build the keys or cosets each time they are read.  A sum's terms
+    lie in one space, and only the zero sum adds to a sum over another.
     """
 
-    __slots__ = ("codes", "space", "first")
+    __slots__ = ("codes", "space")
 
     def __init__(self, terms=None):
         if isinstance(terms, dict):
             terms = terms.items()
-        self.space = self.first = None
+        self.space = None
         pairs = []
         for term, coeff in terms or ():
             if isinstance(term, SymbolKey):
@@ -220,10 +220,8 @@ class FormalSum:
     def terms(self):
         if not self.codes:
             return {}
-        build, first = _builder(self.space), self.first
-        mine = first.codes if first is not None else None
-        return {first if t is mine else build(t): c
-                for t, c in self.codes.items()}
+        build = _builder(self.space)
+        return {build(t): c for t, c in self.codes.items()}
 
     def items(self):
         return self.terms.items()
@@ -236,11 +234,10 @@ class FormalSum:
             "%s*%r" % (c, build(t)) for t, c in sorted(self.codes.items()))
 
 
-def _code_sum(codes, space, first=None):
-    """The FormalSum of {code tuple: Fraction} `codes` over `space`, taken
-    as is; `first` is a key to keep as the term of its own tuple."""
+def _code_sum(codes, space):
+    """The FormalSum of {code tuple: Fraction} `codes` over `space`, as is."""
     fsum = object.__new__(FormalSum)
-    fsum.codes, fsum.space, fsum.first = codes, space, first
+    fsum.codes, fsum.space = codes, space
     return fsum
 
 

@@ -13,6 +13,9 @@ from abelsym.abelian import (code_tuples, generating_code_groups,
                              make_group, negation_codes, pairing,
                              parse_group, proper_cyclic_subgroups,
                              quotient_data, spans_dual, sum_codes)
+from abelsym import congruence
+from abelsym.relations import dimension
+from abelsym.symbols import enumerate_generators
 from relref import presentations, reference_spans_dual
 
 
@@ -36,6 +39,33 @@ def test_make_group_validation():
         make_group((0,))
     with pytest.raises(ValueError):
         make_group((101, 101))  # over the default order limit
+
+
+@pytest.mark.parametrize("func, args, match", [
+    (make_group, ((2.5, 4),), "cyclic factor orders must be integers"),
+    (enumerate_generators, (make_group((5,)), 2.5), "symbol length n"),
+    (dimension, (make_group((5,)), 2.0, "minus"), "symbol length n"),
+    (congruence.eps_fixed, (3.0,), "M > 2"),
+] + [(getattr(congruence, name), (3.0, 1), "level needs integers")
+     for name in ("manin_space", "cusp_orbit_count", "iso_check",
+                  "coset_index", "cusp_formula", "genus",
+                  "level_invariants")],
+    ids=lambda v: getattr(v, "__name__", None))
+def test_non_integer_sizes_are_refused(func, args, match):
+    # an integral float is no size either: each entry point refuses it
+    # rather than answer for the truncated value or fail inside range()
+    with pytest.raises(ValueError, match=match):
+        func(*args)
+
+
+def test_int_likes_pass_as_sizes():
+    np = pytest.importorskip("numpy")
+    g5 = make_group((5,))
+    assert make_group((np.int64(2), np.int8(4))) is make_group((2, 4))
+    assert (enumerate_generators(g5, np.int64(2))
+            == enumerate_generators(g5, 2))
+    assert congruence.coset_index(np.int64(3), np.int16(2)) == \
+        congruence.coset_index(3, 2)
 
 
 def test_parse_group():
@@ -174,6 +204,15 @@ def test_character_codes():
     neg = negation_codes(g)
     for a in chars:
         assert chars[neg[a.code]] is -a
+
+
+@pytest.mark.parametrize("factors", [(2, 4), (6,), (3, 9), (1, 5)])
+def test_one_character_table(factors):
+    # character() reads characters(), reduced residues or not
+    g = make_group(factors)
+    for r in g.elements():
+        for res in (r, tuple(x + f for x, f in zip(r, g.factors))):
+            assert g.character(res) is g.characters()[g.code(res)]
 
 
 def test_negation_codes_shared_and_read_only():

