@@ -24,6 +24,12 @@ from math import gcd, lcm, prod
 from .arith import as_int, prime_factors
 from .exactla import dense_snf_with_transforms, require
 
+__all__ = [
+    "GroupDescriptor", "Character", "SubgroupHandle", "QuotientData",
+    "make_group", "parse_group", "pairing", "spans_dual",
+    "proper_cyclic_subgroups", "quotient_data",
+]
+
 # Enumerations over elements and subgroups stay total only for desk-scale
 # groups; make_group refuses anything larger.
 MAX_ORDER = 10_000
@@ -108,6 +114,12 @@ class GroupDescriptor:
         return tuple(f for f in self.invariant_factors if f > 1)
 
     def reduce(self, residues):
+        """The residue tuple reduced mod the factors, one entry per factor;
+        `code`, `character`, `element_order` and `SubgroupHandle` read it."""
+        if len(residues) != len(self.factors):
+            raise ValueError("residue tuple %r does not have one coordinate "
+                             "per factor of %s" % (tuple(residues),
+                                                   self.literal()))
         return tuple(r % f for r, f in zip(residues, self.factors))
 
     def elements(self):

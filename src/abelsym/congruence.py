@@ -38,11 +38,11 @@ from .relations import (DimensionReport, RelationSystem, Variant,
 from .symbols import DEFAULT_ENUM_BOUND, det_class_groups, sign_class_groups
 
 __all__ = [
-    "IntMatrix2", "CosetSymbol", "LevelInvariants", "IsoReport",
-    "gamma_member", "coset_of", "lift_coset", "enumerate_cosets",
-    "coset_index", "manin_space", "cusp_formula", "cusp_orbit_count",
-    "cusp_count", "genus", "eps_fixed", "level_invariants",
-    "level2_consistency", "iso_check",
+    "CosetSymbol", "IntMatrix2", "IsoReport", "LevelInvariants",
+    "coset_index", "coset_of", "cusp_count", "cusp_formula",
+    "cusp_orbit_count", "enumerate_cosets", "eps_fixed", "gamma_member",
+    "genus", "iso_check", "level2_consistency", "level_invariants",
+    "lift_coset", "manin_space",
 ]
 
 
@@ -53,11 +53,13 @@ def _check_level(n, m):
 
 
 class IntMatrix2:
-    """Integral 2x2 matrix of determinant exactly one."""
+    """Integral 2x2 matrix of determinant exactly one; both are checked."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
+        a, b, c, d = (as_int(x, "matrix entries must be integers, got %r", x)
+                      for x in (a, b, c, d))
         if a * d - b * c != 1:
             raise ValueError("determinant must be exactly 1")
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -89,8 +91,9 @@ class IntMatrix2:
 class CosetSymbol:
     """Residue quadruple naming a coset: a, b mod N and c, d mod MN.
 
-    Valid symbols have determinant 1 mod N and columns (a, c), (b, d) that
-    generate the dual of Z/N x Z/MN; both are enforced on construction.
+    Valid symbols have integer residues, determinant 1 mod N and columns
+    (a, c), (b, d) that generate the dual of Z/N x Z/MN; all three are
+    enforced on construction.
     Given the determinant, the columns generate iff gcd(c, d, MN) = 1: per
     prime p (see `spans_dual`), a p | N is settled by ad - bc = 1 mod p,
     and a p | M alone needs c or d nonzero mod p.
@@ -102,6 +105,8 @@ class CosetSymbol:
         n, m = level
         _check_level(n, m)
         k = n * m
+        a, b, c, d = (as_int(x, "coset residues must be integers, got %r", x)
+                      for x in (a, b, c, d))
         if not (0 <= a < n and 0 <= b < n and 0 <= c < k and 0 <= d < k):
             raise ValueError("residues out of range for level (%d, %d)"
                              % (n, m))

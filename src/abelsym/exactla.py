@@ -41,6 +41,12 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
+__all__ = [
+    "SparseIntMatrix", "SnfResult", "SpanChecker", "rank_over_Q",
+    "smith_normal_form", "row_span_membership", "BoundExceeded",
+    "ConsistencyError",
+]
+
 # Resource guards.  Callers may override per invocation.
 DEFAULT_SNF_BOUND = 5000
 

@@ -45,6 +45,13 @@ from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
                       _generating_codes, det_class_groups, det_classes,
                       replace_code, sign_class_groups)
 
+__all__ = [
+    "Variant", "DimensionReport", "build_relations", "dimension",
+    "dimension_graded", "formula_dimension", "formula_minus",
+    "difference_formula", "pxp_closed_forms", "kernel_dimension",
+    "kernel_generators",
+]
+
 
 class Variant(enum.Enum):
     PLAIN = "plain"

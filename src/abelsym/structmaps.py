@@ -42,9 +42,9 @@ from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
                       sign_class_groups)
 
 __all__ = [
-    "TensorSum", "VerificationReport", "check_record", "comultiply",
-    "delta_sum", "minus_reduce", "multiply", "nu", "omega_generators",
-    "plus_reduce", "psi", "verify_comultiplication", "verify_kernel_iso",
+    "TensorSum", "VerificationReport", "comultiply", "delta_sum",
+    "minus_reduce", "multiply", "nu", "omega_generators", "plus_reduce",
+    "psi", "verify_comultiplication", "verify_kernel_iso",
 ]
 _COUNTS = tuple(map(Fraction, range(5)))    # delta_sum's shared term counts
 

@@ -30,6 +30,11 @@ from .abelian import (code_tuples, generating_code_groups, negation_codes,
 from .arith import as_int, prime_factors
 from .exactla import BoundExceeded, sparse_add
 
+__all__ = [
+    "SymbolKey", "FormalSum", "DetClass", "canonicalize",
+    "enumerate_generators", "det_class", "enumerate_det_class",
+]
+
 # |G|^n above this refuses to enumerate; desk-scale guard only.
 DEFAULT_ENUM_BOUND = 10_000_000
 

@@ -2,6 +2,7 @@
 
 import gc
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import pytest
@@ -9,10 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from itertools import combinations_with_replacement
 
-from abelsym.abelian import (code_tuples, generating_code_groups,
-                             make_group, negation_codes, pairing,
-                             parse_group, proper_cyclic_subgroups,
-                             quotient_data, spans_dual, sum_codes)
+from abelsym.abelian import (SubgroupHandle, code_tuples,
+                             generating_code_groups, make_group,
+                             negation_codes, pairing, parse_group,
+                             proper_cyclic_subgroups, quotient_data,
+                             spans_dual, sum_codes)
 from abelsym import congruence
 from abelsym.relations import dimension
 from abelsym.symbols import enumerate_generators
@@ -213,6 +215,19 @@ def test_one_character_table(factors):
     for r in g.elements():
         for res in (r, tuple(x + f for x, f in zip(r, g.factors))):
             assert g.character(res) is g.characters()[g.code(res)]
+
+
+@pytest.mark.parametrize("residues", [(1, 2, 3), (1,)])
+@pytest.mark.parametrize("entry", ["code", "character", "element_order",
+                                   "SubgroupHandle"])
+def test_residue_tuples_of_the_wrong_length_are_refused(entry, residues):
+    # a zip over the factors would read (1, 2, 3) as (1, 2) and (1,) as
+    # (1, 0) on Z/2 x Z/4
+    g = make_group((2, 4))
+    call = (partial(SubgroupHandle, g) if entry == "SubgroupHandle"
+            else getattr(g, entry))
+    with pytest.raises(ValueError, match="one coordinate per factor of 2x4"):
+        call(residues)
 
 
 def test_negation_codes_shared_and_read_only():

@@ -776,6 +776,28 @@ def test_matrix2_validation():
     assert (m.a, m.b, m.c, m.d) == (2, 1, 1, 1)
 
 
+@pytest.mark.parametrize("build, match", [
+    # determinant 1.0 == 1, and the coset of it is no enumerated coset
+    (lambda: IntMatrix2(0.5, 0, 0, 2), "matrix entries must be integers"),
+    (lambda: coset_of(IntMatrix2(0.5, 0, 0, 2), 3, 1), "matrix entries"),
+    (lambda: lift_coset(CosetSymbol(1.0, 0, 0, 1, (3, 1))),
+     "coset residues must be integers"),
+    (lambda: gamma_member(IntMatrix2(1.0, 3, 0, 1), 3, 1), "matrix entries"),
+], ids=["matrix", "coset_of", "lift_coset", "gamma_member"])
+def test_non_integer_entries_are_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_int_like_entries_pass():
+    np = pytest.importorskip("numpy")
+    one, three = np.int64(1), np.int16(3)
+    assert IntMatrix2(one, three, 0, one) == IntMatrix2(1, 3, 0, 1)
+    sym = CosetSymbol(one, 0, 0, one, (3, 1))
+    assert sym == CosetSymbol(1, 0, 0, 1, (3, 1))
+    assert sym in enumerate_cosets(3, 1)
+
+
 # Frozen from the object-based coset code: for each level the iso report's
 # keys, cosets, dimension and number of Z/2 torsion factors, the cusp
 # orbits, and the Manin space's dimension, torsion and row count, plain and
