@@ -114,13 +114,14 @@ class GroupDescriptor:
         return tuple(f for f in self.invariant_factors if f > 1)
 
     def reduce(self, residues):
-        """The residue tuple reduced mod the factors, one entry per factor;
+        """The residue tuple reduced mod the factors, one int per factor;
         `code`, `character`, `element_order` and `SubgroupHandle` read it."""
         if len(residues) != len(self.factors):
             raise ValueError("residue tuple %r does not have one coordinate "
                              "per factor of %s" % (tuple(residues),
                                                    self.literal()))
-        return tuple(r % f for r, f in zip(residues, self.factors))
+        return tuple(as_int(r, "residues must be integers, got %r", r) % f
+                     for r, f in zip(residues, self.factors))
 
     def elements(self):
         """All residue tuples in lexicographic order."""
@@ -217,7 +218,7 @@ def pairing(b, g):
     if len(g) != len(grp.factors):
         raise ValueError("element has wrong number of coordinates")
     total = Fraction(0)
-    for bi, gi, ni in zip(b.residues, g, grp.factors):
+    for bi, gi, ni in zip(b.residues, grp.reduce(g), grp.factors):
         total += Fraction(bi * gi, ni)
     return total % 1
 

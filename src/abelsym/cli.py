@@ -14,6 +14,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import groupby
+from math import prod
 
 from . import __version__
 from .abelian import make_group, parse_group
@@ -72,17 +74,17 @@ def format_torsion(torsion):
     """Compact multiplicative form: (2,2,2,2,2) -> '2^5', () -> 'trivial'."""
     if not torsion:
         return "trivial"
-    runs = []
-    for d in torsion:
-        if runs and runs[-1][0] == d:
-            runs[-1][1] += 1
-        else:
-            runs.append([d, 1])
+    runs = [(d, len(list(run))) for d, run in groupby(torsion)]
     return "*".join("%d^%d" % (d, k) if k > 1 else "%d" % d
                     for d, k in runs)
 
 
-def _print(lines):
+def _emit(fmt, body, csv, text):
+    """Write one result: `body` as sorted JSON, or the csv or text lines."""
+    if fmt == "json":
+        lines = [json.dumps(body, sort_keys=True, default=str)]
+    else:
+        lines = csv if fmt == "csv" else text
     sys.stdout.write("\n".join(lines) + "\n")
 
 
@@ -94,25 +96,28 @@ def _emit_error(fmt, message):
         sys.stderr.write("error: %s\n" % message)
 
 
+def _graded(group):
+    """True iff the determinant grading applies: Z/N x Z/MN with N >= 3."""
+    form = group.invariant_form()
+    return len(form) == 2 and form[0] >= 3
+
+
 # -- dims ---------------------------------------------------------------------
+
+DIMS_CSV = "group,n,variant,method,dim,torsion,generators,ms"
+
 
 def _brute_report(config, group, n, variant, graded=False):
     """Cached brute-force report, computed and stored on a miss."""
-    cached = config.cache.load(group, n, variant, "BRUTE",
+    report = config.cache.load(group, n, variant, "BRUTE",
                                want_torsion=config.torsion)
-    if cached is not None:
-        return cached
-    if graded:
-        report = dimension_graded(group, variant,
-                                  want_torsion=config.torsion,
-                                  enum_bound=config.enum_bound,
-                                  snf_bound=config.snf_bound)
-    else:
-        report = dimension(group, n, variant,
-                           want_torsion=config.torsion,
-                           enum_bound=config.enum_bound,
-                           snf_bound=config.snf_bound)
-    config.cache.store(report, torsion_included=config.torsion)
+    if report is None:
+        compute, args = ((dimension_graded, (group, variant)) if graded
+                         else (dimension, (group, n, variant)))
+        report = compute(*args, want_torsion=config.torsion,
+                         enum_bound=config.enum_bound,
+                         snf_bound=config.snf_bound)
+        config.cache.store(report, torsion_included=config.torsion)
     return report
 
 
@@ -133,42 +138,33 @@ def cmd_dims(config):
             rep.ms = 0.0
         if not config.torsion:
             rep.torsion = ()
-    agree = True
-    if len(reports) == 2:
-        agree = ((reports[0].dim_q, reports[0].torsion)
-                 == (reports[1].dim_q, reports[1].torsion))
+    agree = len({(r.dim_q, r.torsion) for r in reports}) == 1
 
-    if config.fmt == "json":
-        body = [r.to_json() for r in reports]
-        _print([json.dumps(body[0] if len(body) == 1 else body,
-                           sort_keys=True)])
-    elif config.fmt == "csv":
-        lines = ["group,n,variant,method,dim,torsion,generators,ms"]
-        for r in reports:
-            lines.append("%s,%d,%s,%s,%d,%s,%d,%s" % (
-                r.group.literal(), r.n, r.variant.value, r.method,
-                r.dim_q, format_torsion(r.torsion), r.generator_count,
-                r.ms))
-        _print(lines)
-    else:
-        lines = []
-        for r in reports:
-            bits = ["group=%s" % r.group.literal(), "n=%d" % r.n,
-                    "variant=%s" % r.variant.value,
-                    "method=%s" % r.method, "dim=%d" % r.dim_q]
-            if config.torsion:
-                bits.append("torsion=%s" % format_torsion(r.torsion))
-            bits.append("generators=%d" % r.generator_count)
-            if config.timings:
-                bits.append("ms=%.1f" % r.ms)
-            lines.append(" ".join(bits))
-        if len(reports) == 2:
-            lines.append("methods agree" if agree else "METHOD MISMATCH")
-        _print(lines)
+    csv, text = [DIMS_CSV], []
+    for r in reports:
+        csv.append("%s,%d,%s,%s,%d,%s,%d,%s" % (
+            r.group.literal(), r.n, r.variant.value, r.method, r.dim_q,
+            format_torsion(r.torsion), r.generator_count, r.ms))
+        bits = ["group=%s" % r.group.literal(), "n=%d" % r.n,
+                "variant=%s" % r.variant.value,
+                "method=%s" % r.method, "dim=%d" % r.dim_q]
+        if config.torsion:
+            bits.append("torsion=%s" % format_torsion(r.torsion))
+        bits.append("generators=%d" % r.generator_count)
+        if config.timings:
+            bits.append("ms=%.1f" % r.ms)
+        text.append(" ".join(bits))
+    if len(reports) == 2:
+        text.append("methods agree" if agree else "METHOD MISMATCH")
+    body = [r.to_json() for r in reports]
+    _emit(config.fmt, body[0] if len(body) == 1 else body, csv, text)
     return 0 if agree else 1
 
 
 # -- table --------------------------------------------------------------------
+
+TABLE_CSV = "group,dim,dim_minus"
+
 
 def _table_groups(config):
     if config.family == "cyclic":
@@ -176,53 +172,44 @@ def _table_groups(config):
         stop = config.stop if config.stop is not None else 19
         if start < 2 or stop < start:
             raise ValueError("cyclic range needs 2 <= start <= stop")
-        return [(make_group((n,)), False) for n in range(start, stop + 1)]
+        return [make_group((n,)) for n in range(start, stop + 1)]
     if config.family == "bicyclic":
-        if (config.start is not None and config.stop is not None
-                and config.stop < config.start):
+        lo, hi = config.start, config.stop
+        if lo is not None and hi is not None and hi < lo:
             raise ValueError("bicyclic range needs start <= stop")
-        rows = []
-        for n1, n2 in BICYCLIC_ROWS:
-            order = n1 * n2
-            if config.start is not None and order < config.start:
-                continue
-            if config.stop is not None and order > config.stop:
-                continue
-            # grading needs the Z/N x Z/MN shape with N >= 3
-            rows.append((make_group((n1, n2)), n1 >= 3))
-        return rows
-    primes = config.primes or (5, 7)
-    return [(make_group((p, p)), p >= 3) for p in primes]
+        return [make_group(pair) for pair in BICYCLIC_ROWS
+                if (lo is None or prod(pair) >= lo)
+                and (hi is None or prod(pair) <= hi)]
+    return [make_group((p, p)) for p in config.primes or (5, 7)]
 
 
-def _table_row(config, group, graded):
-    plain, minus = (_brute_report(config, group, 2, variant, graded).dim_q
+def _table_row(config, group):
+    plain, minus = (_brute_report(config, group, 2, variant,
+                                  _graded(group)).dim_q
                     for variant in (Variant.PLAIN, Variant.MINUS))
     return group.literal(), plain, minus
 
 
 def cmd_table(config):
-    rows = [_table_row(config, group, graded)
-            for group, graded in _table_groups(config)]
-
-    if config.fmt == "json":
-        body = {"family": config.family,
-                "rows": [{"group": g, "dim": d, "dim_minus": dm}
-                         for g, d, dm in rows]}
-        _print([json.dumps(body, sort_keys=True)])
-    elif config.fmt == "csv":
-        _print(["group,dim,dim_minus"]
-               + ["%s,%d,%d" % row for row in rows])
-    else:
-        width = max(len("group"), *(len(r[0]) for r in rows)) if rows else 5
-        lines = ["%-*s %6s %6s" % (width, "group", "d", "d_minus")]
-        for g, d, dm in rows:
-            lines.append("%-*s %6d %6d" % (width, g, d, dm))
-        _print(lines)
+    rows = [_table_row(config, group) for group in _table_groups(config)]
+    width = max([len("group")] + [len(g) for g, _, _ in rows])
+    _emit(config.fmt,
+          {"family": config.family,
+           "rows": [{"group": g, "dim": d, "dim_minus": dm}
+                    for g, d, dm in rows]},
+          [TABLE_CSV] + ["%s,%d,%d" % row for row in rows],
+          ["%-*s %6s %6s" % (width, "group", "d", "d_minus")]
+          + ["%-*s %6d %6d" % (width, g, d, dm) for g, d, dm in rows])
     return 0
 
 
 # -- verify -------------------------------------------------------------------
+
+def _report(group, n, *rows):
+    """The VerificationReport of (name, lhs, rhs[, counterexample]) rows."""
+    return VerificationReport(group, n, [check_record(name, group, n, *row)
+                                         for name, *row in rows])
+
 
 def _verify_delta(config):
     system = build_relations(config.group, config.n, Variant.PLAIN,
@@ -235,90 +222,65 @@ def _verify_delta(config):
     if sigma is not None and any(row.get(sigma[c]) != v for _, row in probes
                                  for c, v in row.items()):
         checker.rank    # a probe sigma moves needs the full factorization
-    passed = len(system.basis) - len(probes)
-    bad = None
-    for key, row in probes:
-        if checker.contains(row):
-            passed += 1
-        elif bad is None:
-            bad = repr(key)
-    checks = [check_record("delta-span", config.group, config.n, passed,
-                           len(system.basis), bad)]
-    return VerificationReport(config.group, config.n, checks)
+    misses = [key for key, row in probes if not checker.contains(row)]
+    return _report(config.group, config.n,
+                   ("delta-span", len(system.basis) - len(misses),
+                    len(system.basis), repr(misses[0]) if misses else None))
 
 
 def _verify_grading(config):
     group = config.group
-    form = group.invariant_form()
-    if len(form) != 2 or form[0] < 3:
+    if not _graded(group):
         raise ValueError("the grading check needs a bi-cyclic group with "
                          "N >= 3, got %s" % group.literal())
-    classes = det_classes(group)
     graded = dimension_graded(group, Variant.MINUS,
                               enum_bound=config.enum_bound)
     full = _brute_report(config, group, 2, Variant.MINUS)
-    checks = [
-        check_record("grading-class-count", group, 2, len(classes),
-                     totient(form[0]) // 2),
-        check_record("grading-identity", group, 2, full.dim_q,
-                     graded.dim_q),
-    ]
-    return VerificationReport(group, 2, checks)
+    return _report(group, 2,
+                   ("grading-class-count", len(det_classes(group)),
+                    totient(group.invariant_form()[0]) // 2),
+                   ("grading-identity", full.dim_q, graded.dim_q))
 
 
 def _verify_manin(config):
     n, m = config.level
-    group = make_group((n, n * m))
-    checks = []
     cosets = enumerate_cosets(n, m, bound=config.enum_bound)
-    checks.append(check_record("coset-count", group, 2, len(cosets),
-                               coset_index(n, m)))
     good = sum(1 for s in cosets if coset_of(lift_coset(s), n, m) == s)
-    checks.append(check_record("lift-round-trip", group, 2, good,
-                               len(cosets)))
+    rows = [("coset-count", len(cosets), coset_index(n, m)),
+            ("lift-round-trip", good, len(cosets))]
     if n >= 3:
         _, rep = manin_space(n, m, enum_bound=config.enum_bound,
                              snf_bound=config.snf_bound)
-        expected = 2 * genus(n, m) + cusp_formula(n, m) - 1
-        checks.append(check_record("manin-dimension", group, 2, rep.dim_q,
-                                   expected))
-        checks.append(check_record("manin-torsion", group, 2,
-                                   list(rep.torsion), []))
+        rows += [("manin-dimension", rep.dim_q,
+                  2 * genus(n, m) + cusp_formula(n, m) - 1),
+                 ("manin-torsion", list(rep.torsion), [])]
     elif m > 2:
         try:
             data = level2_consistency(m, enum_bound=config.enum_bound,
                                       snf_bound=config.snf_bound)
         except AssertionError as exc:
-            checks.append(check_record("level2-consistency", group, 2,
-                                       "error", "pass", str(exc)))
+            rows.append(("level2-consistency", "error", "pass", str(exc)))
         else:
             euler = 1 + Fraction(coset_index(n, m) // 2, 12) \
                 - Fraction(data["cusps"], 2)
             if euler.denominator == 1:
                 euler = int(euler)
-            checks.append(check_record("genus-euler", group, 2,
-                                       data["genus"], euler))
-            checks.append(check_record(
-                "minus-dimension", group, 2, data["dim_minus"],
-                data["genus"] + (data["cusps"] - data["fixed_cusps"]) // 2))
-            checks.append(check_record(
-                "fixed-cusps", group, 2, data["fixed_cusps"],
-                2 * totient(m) + totient(2 * m)))
-    return VerificationReport(group, 2, checks)
+            rows += [("genus-euler", data["genus"], euler),
+                     ("minus-dimension", data["dim_minus"], data["genus"]
+                      + (data["cusps"] - data["fixed_cusps"]) // 2),
+                     ("fixed-cusps", data["fixed_cusps"],
+                      2 * totient(m) + totient(2 * m))]
+    return _report(config.group, 2, *rows)
 
 
 def _verify_cusps(config):
     n, m = config.level
-    group = make_group((n, n * m))
     orbits = cusp_orbit_count(n, m, bound=config.enum_bound)
     try:
-        formula = cusp_formula(n, m)
+        row = ("cusp-count", cusp_formula(n, m), orbits)
     except (AssertionError, ValueError) as exc:
-        checks = [check_record("cusp-count", group, 2, "error", orbits,
-                               str(exc))]
-    else:
-        checks = [check_record("cusp-count", group, 2, formula, orbits)]
-    return VerificationReport(group, 2, checks)
+        row = ("cusp-count", "error", orbits, str(exc))
+    return _report(config.group, 2, row)
 
 
 def _verify_formulas(config):
@@ -327,74 +289,76 @@ def _verify_formulas(config):
                       enum_bound=config.enum_bound,
                       snf_bound=config.snf_bound)
     formula = formula_dimension(group, 2, Variant.MINUS, want_torsion=True)
-    checks = [
-        check_record("minus-dimension", group, 2, brute.dim_q,
-                     formula.dim_q),
-        check_record("minus-torsion", group, 2, list(brute.torsion),
-                     list(formula.torsion)),
-    ]
-    return VerificationReport(group, 2, checks)
+    return _report(group, 2,
+                   ("minus-dimension", brute.dim_q, formula.dim_q),
+                   ("minus-torsion", list(brute.torsion),
+                    list(formula.torsion)))
 
 
 def _verify_iso(config):
-    n, m = config.level
-    report = iso_check(n, m, enum_bound=config.enum_bound,
+    report = iso_check(*config.level, enum_bound=config.enum_bound,
                        snf_bound=config.snf_bound)
-    group = make_group((n, n * m))
-    checks = [
-        check_record("iso-dimension", group, 2, report.dim_symbols,
-                     report.dim_cosets),
-        check_record("iso-torsion", group, 2, list(report.torsion_symbols),
-                     list(report.torsion_cosets)),
-    ]
-    return VerificationReport(group, 2, checks)
+    return _report(config.group, 2,
+                   ("iso-dimension", report.dim_symbols, report.dim_cosets),
+                   ("iso-torsion", list(report.torsion_symbols),
+                    list(report.torsion_cosets)))
+
+
+# Each battery by --check name, in the order --help lists them: its handler,
+# which takes the parsed options, and whether it reads --level (True; the
+# group is then Z/N x Z/NM) or --group (False).
+CHECKS = {
+    "comult": (lambda config: verify_comultiplication(
+        config.group, config.n, enum_bound=config.enum_bound), False),
+    "kernel": (lambda config: verify_kernel_iso(
+        config.group, config.n, enum_bound=config.enum_bound), False),
+    "grading": (_verify_grading, False),
+    "manin": (_verify_manin, True),
+    "delta": (_verify_delta, False),
+    "cusps": (_verify_cusps, True),
+    "formulas": (_verify_formulas, False),
+    "iso": (_verify_iso, True),
+}
+
+VERIFY_CSV = "check,group,n,status,lhs,rhs,counterexample"
+
+
+def _csv_cell(value):
+    """A value as JSON in one CSV cell: a JSON string as it is, anything
+    else quoted when it holds a comma (RFC 4180)."""
+    cell = json.dumps(value, default=str)
+    if "," in cell and not cell.startswith('"'):
+        cell = '"%s"' % cell.replace('"', '""')
+    return cell
 
 
 def cmd_verify(config):
-    needs_level = {"manin", "cusps", "iso"}
-    if config.check in needs_level:
+    handler, by_level = CHECKS[config.check]
+    if by_level:
         if config.level is None:
             raise ValueError("--check %s needs --level N,M" % config.check)
+        n, m = config.level
+        config.group = make_group((n, n * m))
     elif config.group is None:
         raise ValueError("--check %s needs --group" % config.check)
-    handler = {
-        "comult": lambda: verify_comultiplication(
-            config.group, config.n, enum_bound=config.enum_bound),
-        "kernel": lambda: verify_kernel_iso(
-            config.group, config.n, enum_bound=config.enum_bound),
-        "grading": lambda: _verify_grading(config),
-        "manin": lambda: _verify_manin(config),
-        "delta": lambda: _verify_delta(config),
-        "cusps": lambda: _verify_cusps(config),
-        "formulas": lambda: _verify_formulas(config),
-        "iso": lambda: _verify_iso(config),
-    }[config.check]
-    report = handler()
+    report = handler(config)
 
-    if config.fmt == "json":
-        _print([json.dumps(report.to_json(), sort_keys=True, default=str)])
-    elif config.fmt == "csv":
-        lines = ["check,group,n,status,lhs,rhs,counterexample"]
-        for c in report.checks:
-            lines.append("%s,%s,%s,%s,%s,%s,%s" % (
-                c["check"], c["group"], c["n"], c["status"],
-                json.dumps(c["lhs"], default=str),
-                json.dumps(c["rhs"], default=str),
-                json.dumps(c.get("counterexample", ""), default=str)))
-        _print(lines)
-    else:
-        lines = []
-        for c in report.checks:
-            line = "[%s] %s group=%s n=%s lhs=%s rhs=%s" % (
-                "PASS" if c["status"] == "pass" else "FAIL",
-                c["check"], c["group"], c["n"], c["lhs"], c["rhs"])
-            if "counterexample" in c:
-                line += " counterexample=%s" % c["counterexample"]
-            lines.append(line)
-        passed = sum(1 for c in report.checks if c["status"] == "pass")
-        lines.append("%s: %d/%d checks passed" % (
-            "ok" if report.ok else "FAILED", passed, len(report.checks)))
-        _print(lines)
+    csv, text = [VERIFY_CSV], []
+    for c in report.checks:
+        csv.append(",".join(
+            [str(c[k]) for k in ("check", "group", "n", "status")]
+            + [_csv_cell(c.get(k, ""))
+               for k in ("lhs", "rhs", "counterexample")]))
+        line = "[%s] %s group=%s n=%s lhs=%s rhs=%s" % (
+            "PASS" if c["status"] == "pass" else "FAIL",
+            c["check"], c["group"], c["n"], c["lhs"], c["rhs"])
+        if "counterexample" in c:
+            line += " counterexample=%s" % c["counterexample"]
+        text.append(line)
+    passed = sum(c["status"] == "pass" for c in report.checks)
+    text.append("%s: %d/%d checks passed" % (
+        "ok" if report.ok else "FAILED", passed, len(report.checks)))
+    _emit(config.fmt, report.to_json(), csv, text)
     return 0 if report.ok else 1
 
 
@@ -429,8 +393,7 @@ def build_parser():
     p = sub.add_parser(
         "dims", parents=[common],
         help="dimension (and torsion) of one symbol module",
-        epilog="csv columns: group,n,variant,method,dim,torsion,"
-               "generators,ms")
+        epilog="csv columns: " + DIMS_CSV)
     p.add_argument("--group", required=True,
                    help="group literal, cyclic factor orders joined by "
                         "'x', e.g. 9 or 3x9")
@@ -446,7 +409,7 @@ def build_parser():
     p = sub.add_parser(
         "table", parents=[common],
         help="(group, d, d_minus) reference table for a family",
-        epilog="csv columns: group,dim,dim_minus")
+        epilog="csv columns: " + TABLE_CSV)
     p.add_argument("--family", required=True,
                    choices=("cyclic", "bicyclic", "pxp"))
     p.add_argument("--start", type=int, default=None,
@@ -461,15 +424,15 @@ def build_parser():
     p = sub.add_parser(
         "verify", parents=[common],
         help="run one verification suite; exit 0 iff it passes",
-        epilog="csv columns: check,group,n,status,lhs,rhs,counterexample")
-    p.add_argument("--check", required=True,
-                   choices=("comult", "kernel", "grading", "manin",
-                            "delta", "cusps", "formulas", "iso"))
+        epilog="csv columns: " + VERIFY_CSV)
+    p.add_argument("--check", required=True, choices=tuple(CHECKS))
     p.add_argument("--group", default=None,
                    help="group literal for group-indexed checks")
     p.add_argument("--n", type=int, default=2, help="symbol length")
     p.add_argument("--level", default=None,
-                   help="level 'N,M' for manin/cusps/iso checks")
+                   help="level 'N,M' for %s checks" % "/".join(
+                       name for name, (_, by_level) in CHECKS.items()
+                       if by_level))
     return parser
 
 
@@ -480,12 +443,9 @@ def main(argv=None):
     try:
         _parse(args)
         return handler(args)
-    except ValueError as exc:
+    except (ValueError, BoundExceeded) as exc:
         _emit_error(args.fmt, exc)
-        return 2
-    except BoundExceeded as exc:
-        _emit_error(args.fmt, exc)
-        return 3
+        return 3 if isinstance(exc, BoundExceeded) else 2
 
 
 if __name__ == "__main__":

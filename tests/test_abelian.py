@@ -230,6 +230,28 @@ def test_residue_tuples_of_the_wrong_length_are_refused(entry, residues):
         call(residues)
 
 
+@pytest.mark.parametrize("residues", [(0.5, 0), (1.0, 0)])
+@pytest.mark.parametrize("entry", ["code", "character", "element_order",
+                                   "SubgroupHandle", "pairing"])
+def test_non_integer_residues_are_refused(entry, residues):
+    # on Z/2 x Z/4 a float residue gave a float code naming another element
+    # (0.5, 0) -> 2.0, the code of (0, 2), or raised TypeError
+    g = make_group((2, 4))
+    call = {"SubgroupHandle": partial(SubgroupHandle, g),
+            "pairing": partial(pairing, g.character((1, 1)))}.get(entry)
+    with pytest.raises(ValueError, match="residues must be integers"):
+        (call or getattr(g, entry))(residues)
+
+
+def test_int_like_residues_become_ints():
+    np = pytest.importorskip("numpy")
+    g = make_group((2, 4))
+    code = g.code((np.int64(1), np.int64(3)))
+    assert code == 7 and type(code) is int
+    assert g.reduce((True, np.int16(5))) == (1, 1)
+    assert all(type(r) is int for r in g.reduce((True, np.int16(5))))
+
+
 def test_negation_codes_shared_and_read_only():
     # one table per group, the same object on every call, which no caller
     # can change; negation is an involution

@@ -1,11 +1,14 @@
 """Command line behavior end to end: formats, exit codes, cache handling."""
 
+import csv
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
+import abelsym
 from abelsym import __version__
 from abelsym.abelian import make_group
 from abelsym import cache
@@ -649,3 +652,125 @@ def test_format_torsion():
     assert format_torsion((2, 2, 2, 2, 2)) == "2^5"
     assert format_torsion((2, 2, 4)) == "2^2*4"
     assert format_torsion((3,)) == "3"
+
+
+@pytest.mark.parametrize("command", [
+    "verify --check formulas --group 2x4",
+    "verify --check iso --level 2,3",
+])
+def test_verify_csv_list_cells_parse(capsys, command):
+    # lhs and rhs are JSON values; a list of two or more entries is quoted,
+    # so a CSV reader keeps it in one cell
+    argv = command.split() + ["--no-cache"]
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    _, body, _ = run(capsys, *argv, "--format", "json")
+    header, *rows = list(csv.reader(out.splitlines()))
+    checks = json.loads(body)["checks"]
+    assert len(header) == 7 and len(rows) == len(checks) == 2
+    for row, check in zip(rows, checks):
+        assert len(row) == 7, row
+        assert json.loads(row[4]) == check["lhs"], row
+        assert json.loads(row[5]) == check["rhs"], row
+    assert any(isinstance(c["lhs"], list) and len(c["lhs"]) > 1
+               for c in checks)
+
+
+# SHA-256 of the stdout of each command, run with --no-cache: outputs the
+# pins above leave out (a method mismatch, a table with no rows, a cyclic
+# csv table, a verify error counterexample in text)
+MORE_OUTPUT_SHA256 = (
+    ("dims --group 2x4 --variant minus --method both --torsion",
+     "36d2090f11ceb450a020095e651950d5d3150cd01440d1ce472498d9a4c2a9ea"),
+    ("dims --group 2x4 --variant minus --method both --torsion --format json",
+     "c8872b3036f9d4063d55e1586b6219141bdaceff37b3ccff395cb487ceee2bd1"),
+    ("table --family bicyclic --start 1000",
+     "2aede459be51bc738ac886f71bb007a770dccb80e1d2444db2367273f6c9db80"),
+    ("table --family bicyclic --start 1000 --format json",
+     "a4dffd819d4bb85e412765a827a5f1e155f848749fd3a2b59355259b0535ae13"),
+    ("table --family bicyclic --start 1000 --format csv",
+     "c6057aa4e6e1f2b486151f3cb55506a95e3a92b65730417a2f2884615e232946"),
+    ("table --family cyclic --stop 6 --format csv",
+     "86b8fb2efd38a8164cabd8909000bc217bc8c19d80290992a5a20bc4ad8b94d6"),
+    ("verify --check cusps --level 2,5",
+     "2fdb9e943e8d6eff64b91df12d6149a6e5f2112ebe1015664c52ba92fb2eedf9"),
+)
+
+
+@pytest.mark.parametrize("command, digest", MORE_OUTPUT_SHA256)
+def test_more_output_pinned(capsys, command, digest):
+    main(command.split() + ["--no-cache"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def help_text(capsys, monkeypatch, *argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    "dims --group 5", "table --family pxp --primes 3",
+    "verify --check cusps --level 3,1",
+])
+def test_help_names_the_csv_header(capsys, monkeypatch, command):
+    argv = command.split()
+    _, out, _ = run(capsys, *argv, "--format", "csv", "--no-cache")
+    header = out.splitlines()[0]
+    assert help_text(capsys, monkeypatch, argv[0]).endswith(
+        "\n\ncsv columns: %s\n" % header)
+
+
+def check_choices(capsys, monkeypatch):
+    text = help_text(capsys, monkeypatch, "verify")
+    return re.search(r"--check \{([a-z,]+)\}", text).group(1).split(",")
+
+
+def test_verify_help_lists_the_checks(capsys, monkeypatch):
+    assert check_choices(capsys, monkeypatch) == [
+        "comult", "kernel", "grading", "manin", "delta", "cusps",
+        "formulas", "iso"]
+    assert ("--level LEVEL         level 'N,M' for manin/cusps/iso checks"
+            in help_text(capsys, monkeypatch, "verify"))
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(abelsym.__file__)))), "README.md")
+
+
+def readme_cli_section():
+    with open(README) as fh:
+        text = fh.read()
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_examples():
+    """(argv, expected) per `$ abelsym ...` line of the README's command
+    line section; the expected lines run to the next blank line or fence."""
+    examples = []
+    for block in re.findall(r"```\n(.*?)```", readme_cli_section(), re.S):
+        for chunk in block.split("\n\n"):
+            command, *expected = chunk.strip("\n").split("\n")
+            assert command.startswith("$ abelsym "), command
+            examples.append((command[len("$ abelsym "):].split(), expected))
+    return examples
+
+
+def test_readme_examples_replay(capsys, tmp_path):
+    # a '...' line stands for any number of output lines
+    examples = readme_examples()
+    assert len(examples) == 4
+    for argv, expected in examples:
+        _, out, _ = run(capsys, *argv, "--cache-dir", str(tmp_path))
+        pattern = "".join("(?:.*\n)*?" if line == "..."
+                          else re.escape(line) + "\n" for line in expected)
+        assert re.fullmatch(pattern, out), (argv, out)
+
+
+def test_readme_lists_the_checks(capsys, monkeypatch):
+    section = readme_cli_section()
+    batteries = re.search(r"verification battery \((.*?)\);", section, re.S)
+    assert re.findall(r"`(\w+)`", batteries.group(1)) == check_choices(
+        capsys, monkeypatch)

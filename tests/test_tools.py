@@ -1,8 +1,11 @@
-"""The repository's scripts under tools/ run and report consistent counts."""
+"""The repository's scripts under tools/ run and report consistent counts;
+the package metadata reads its version from the package."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 import abelsym
 
@@ -26,3 +29,15 @@ def test_srclines_counts_every_module():
     assert all(0 < c <= t for _, t, c in modules)
     assert total == sum(t for _, t, _ in modules)
     assert code == sum(c for _, _, c in modules)
+
+
+def test_version_is_stated_once():
+    # pyproject.toml names no version of its own; setuptools reads
+    # abelsym.__version__, which the cache file names use too
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        meta = tomllib.load(fh)
+    assert "version" not in meta["project"]
+    assert meta["project"]["dynamic"] == ["version"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "abelsym.__version__"}
