@@ -15,10 +15,12 @@ call lists the proper cyclic subgroups once and builds one `_Split` per
 subgroup, kept only for that call: the quotient and Z/d, the annihilator
 as ambient code -> quotient code, dual_restrict and the lifts per code,
 and the minus reductions of quotient code tuples; one-code right sides
-(all of n = 2) are read off a table.  The comultiplication battery lists
-the plain tensor relations on code tuples once per order, quotient and left
-size for both directions, and sums the split images by linearity over each
-blowup row.  The batteries use 2 psi, which has integer coefficients; span
+(all of n = 2) are read off a table.  A split runs over a whole code list,
+so each battery splits a system once per subgroup and left size and sums
+each row's image from the split images by linearity, inline.  The
+comultiplication battery lists the plain tensor relations on code tuples
+once per order, quotient and left size for both directions.  The
+batteries use 2 psi, which has integer coefficients; span
 membership is over Q, so the scaling changes no verdict.  The public maps
 run the same routines on one-shot tables and return Fraction coefficients;
 `multiply`, `psi` and `delta_sum` return FormalSums and `comultiply` and
@@ -36,6 +38,7 @@ from math import gcd
 
 from .abelian import (code_tuples, make_group, negation_codes,
                       proper_cyclic_subgroups, quotient_data, spans_dual)
+from .arith import as_int
 from .exactla import SparseIntMatrix, SpanChecker, row_signature, sparse_add
 from .relations import Variant, _sign_rows, build_relations, dimension
 from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
@@ -165,7 +168,9 @@ class TensorSum:
 
 class _Split:
     """Code tables of one proper cyclic subgroup, built for one call; `_one`
-    (built on first use) is right((ann[c],)) per annihilator code c."""
+    (built on first use) is right((ann[c],)) per annihilator code c.
+    `split` takes a whole code list and returns a fresh image per tuple, so
+    a battery splits each system once per subgroup and left size."""
 
     __slots__ = ("sub", "q", "cyc", "emb", "ann", "restrict", "lifts",
                  "_one", "_right")
@@ -197,29 +202,57 @@ class _Split:
                 if spans_dual([chars[c] for c in qcodes], quot) else None)
         return self._right[qcodes]
 
-    def split(self, codes, nprime):
-        """comultiply on a code tuple: {(left residues, right rep): coeff}."""
-        n = len(codes)
-        restrict, out = self.restrict, {}
-        if nprime == n - 1:
-            if self._one is None:
-                self._one = {c: self.right((i,)) for c, i in self.ann.items()}
-            for j, c in enumerate(codes):
-                red = self._one.get(c)
-                if red is not None:
-                    left = ((restrict[codes[1 - j]],) if n == 2 else
-                            tuple(sorted(restrict[x] for i, x
-                                         in enumerate(codes) if i != j)))
-                    sparse_add(out, (((left, red[0]), red[1]),))
+    def split(self, code_list, nprime):
+        """comultiply on each tuple of a list of code tuples, all of one
+        length: one {(left residues, right rep): coeff} per tuple."""
+        if not code_list:
+            return []
+        n = len(code_list[0])
+        restrict, out = self.restrict, []
+        if nprime == n - 1:     # one right entry: read off `_one`
+            one = self._one
+            if one is None:
+                one = self._one = {c: self.right((i,))
+                                   for c, i in self.ann.items()}
+            if n == 2:          # the other entry is the left one
+                for a, b in code_list:
+                    image, ra, rb = {}, one.get(a), one.get(b)
+                    if ra is not None:
+                        image[(restrict[b],), ra[0]] = ra[1]
+                    if rb is not None:
+                        key = (restrict[a],), rb[0]
+                        coeff = image.pop(key, 0) + rb[1]
+                        if coeff:
+                            image[key] = coeff
+                    out.append(image)
+                return out
+            for codes in code_list:
+                image = {}
+                for j, c in enumerate(codes):
+                    red = one.get(c)
+                    if red is not None:
+                        rest = [restrict[x] for x in codes]
+                        del rest[j]
+                        key = tuple(sorted(rest)), red[0]
+                        coeff = image.pop(key, 0) + red[1]
+                        if coeff:
+                            image[key] = coeff
+                out.append(image)
             return out
         ann = self.ann
-        inside = [j for j, c in enumerate(codes) if c in ann]
-        for right_pos in combinations(inside, n - nprime):
-            red = self.right(tuple(sorted(ann[codes[j]] for j in right_pos)))
-            if red is not None:
-                left = tuple(sorted(restrict[codes[i]] for i in range(n)
-                                    if i not in right_pos))
-                sparse_add(out, (((left, red[0]), red[1]),))
+        for codes in code_list:
+            image = {}
+            inside = [j for j, c in enumerate(codes) if c in ann]
+            for right_pos in combinations(inside, n - nprime):
+                qcodes = tuple(sorted(ann[codes[j]] for j in right_pos))
+                red = self.right(qcodes)
+                if red is not None:
+                    key = (tuple(sorted(restrict[codes[i]] for i in range(n)
+                                        if i not in right_pos)), red[0])
+                    coeff = image.pop(key, 0) + red[1]
+                    if coeff:
+                        image[key] = coeff
+            out.append(image)
         return out
 
 
@@ -241,17 +274,24 @@ def _psi2(rec, a, right):
     return Counter(tuple(sorted(pushed + [c])) for c in (lift, neg[lift]))
 
 
-def _nu(splits, row):
-    """nu on a code-tuple sum {codes: coeff}: one {((a,), right rep): coeff}
-    per split, a identified with -a, zero ones kept."""
-    out = []
+def _nu(splits, rows):
+    """nu on each code-tuple sum {codes: coeff} of a list: per row, one
+    {((a,), right rep): coeff} per split, a identified with -a, zero ones
+    kept.  Each split runs once, over the rows' distinct tuples."""
+    tuples = list(dict.fromkeys(t for row in rows for t in row))
+    out = [[] for _ in rows]
     for rec in splits:
         d = rec.sub.order
-        comp = {}
-        for codes, coeff in row.items():
-            for ((a,), right), c in rec.split(codes, 1).items():
-                sparse_add(comp, ((((min(a, d - a),), right), c * coeff),))
-        out.append(comp)
+        images = dict(zip(tuples, rec.split(tuples, 1)))
+        for row, comps in zip(rows, out):
+            comp = {}
+            for codes, coeff in row.items():
+                for ((a,), right), c in images[codes].items():
+                    key = (min(a, d - a),), right
+                    total = comp.pop(key, 0) + c * coeff
+                    if total:
+                        comp[key] = total
+            comps.append(comp)
     return out
 
 
@@ -309,6 +349,8 @@ def comultiply(sub, key, nprime):
     characters, and each summand contributes the canonicalized pair with
     coefficient one.  The right side is reduced as a minus-variant key.
     """
+    nprime = as_int(nprime, "left size nprime must be an integer, got %r",
+                    nprime)
     if not 1 <= nprime < len(key):
         raise ValueError("left size must satisfy 1 <= nprime < n")
     if key.group is not sub.ambient:
@@ -316,7 +358,7 @@ def comultiply(sub, key, nprime):
     rec = _Split(sub)
     if rec.q.quotient.order == 1:
         raise ValueError("the quotient is trivial; nothing to push right")
-    return _tensor(Variant.PLAIN, rec, rec.split(key.codes, nprime))
+    return _tensor(Variant.PLAIN, rec, rec.split([key.codes], nprime)[0])
 
 
 def nu(group, n, x):
@@ -327,14 +369,14 @@ def nu(group, n, x):
     left entry, left keys identified with their negatives.  Zero components
     are kept so callers can check vanishing.
     """
-    if n < 2:
+    if as_int(n, "symbol length n must be an integer, got %r", n) < 2:
         raise ValueError("the splitting map needs n >= 2")
     for t in x.codes:
         if len(t) != n or x.space != (SymbolKey, group):
             raise ValueError("summand %r does not have length %d over %s"
                              % (_builder(x.space)(t), n, group.literal()))
     splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
-    comps = _nu(splits, x.codes)
+    comps = _nu(splits, [x.codes])[0]
     return {rec.sub: _tensor(Variant.PLUS, rec, comp)
             for rec, comp in zip(splits, comps)}
 
@@ -348,7 +390,7 @@ def psi(sub, a, b):
     result independent of the sign ambiguity on the minus side.
     """
     d = sub.order
-    a = a % d
+    a = as_int(a, "left residue a must be an integer, got %r", a) % d
     if gcd(a, d) != 1:
         raise ValueError("left residue %d is not a unit mod %d" % (a, d))
     rec = _Split(sub)
@@ -407,7 +449,7 @@ def omega_generators(group, n):
     degree n-1 quotient keys that are their own sign-orbit representative
     (classes that reduce to zero are dropped).
     """
-    if n < 2:
+    if as_int(n, "symbol length n must be an integer, got %r", n) < 2:
         raise ValueError("the split side needs n >= 2")
     splits = [_Split(sub) for sub in proper_cyclic_subgroups(group)]
     return [(rec.sub, a, SymbolKey(rec.q.quotient, right))
@@ -468,22 +510,24 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     lhs = len(system.codes) - checker.rank - dimension(
         group, n, Variant.MINUS, enum_bound=enum_bound).dim_q
     rhs = 0
-    dminus = {}     # quotient factors -> its minus dimension in degree n-1
+    dims = {}   # (Z/d, quotient) -> dim M_1^+(Z/d) dim M_{n-1}^-(quotient)
     for rec in splits:
-        factors = rec.q.quotient.factors
-        if factors not in dminus:
-            dminus[factors] = dimension(rec.q.quotient, n - 1, Variant.MINUS,
-                                        enum_bound=enum_bound).dim_q
-        rhs += dimension(rec.cyc, 1, Variant.PLUS).dim_q * dminus[factors]
+        shape = rec.cyc, rec.q.quotient
+        if shape not in dims:
+            dims[shape] = (dimension(rec.cyc, 1, Variant.PLUS).dim_q
+                           * dimension(rec.q.quotient, n - 1, Variant.MINUS,
+                                       enum_bound=enum_bound).dim_q)
+        rhs += dims[shape]
     checks.append(check_record("kernel-dimension", group, n, lhs, rhs))
 
     gens = _omega(splits, n)
     passed = 0
     bad = None
-    for rec, a, right in gens:
+    for (rec, a, right), comps in zip(gens, _nu(
+            splits, [_psi2(rec, a, right) for rec, a, right in gens])):
         want = {((a,), right): 2}
-        if all(comp == (want if other is rec else {}) for other, comp
-               in zip(splits, _nu(splits, _psi2(rec, a, right)))):
+        if all(comp == (want if other is rec else {})
+               for other, comp in zip(splits, comps)):
             passed += 1
         elif bad is None:
             bad = "sub=%s a=%d right=%r" % (
@@ -491,32 +535,34 @@ def verify_kernel_iso(group, n, enum_bound=DEFAULT_ENUM_BOUND):
     checks.append(check_record("nu-psi-identity", group, n, passed,
                                len(gens), bad))
 
-    # 2 psi nu is linear: each column's image is built on first use, from
-    # the 2 psi images, each built once as (column, coeff) pairs
-    codes, index, psis, images = system.codes, system.index, {}, {}
-
-    def image(col):
-        out = {}
-        for rec in splits:
-            for ((a,), right), coeff in rec.split(codes[col], 1).items():
-                key = (rec, min(a, rec.sub.order - a), right)   # nu: a ~ -a
-                if key not in psis:
-                    psis[key] = [(index[t], c) for t, c
-                                 in _psi2(rec, key[1], right).items()]
-                sparse_add(out, ((t, coeff * c) for t, c in psis[key]))
-        return list(out.items())
-
+    # 2 psi nu is linear: the columns the sign rows touch are split once per
+    # subgroup, and each image is summed from 2 psi images, each built once
+    # per subgroup as (column, coeff) pairs.  The sums here and in
+    # verify_comultiplication keep zero entries, which `contains` drops.
+    codes, index = system.codes, system.index
     krows = _sign_rows(group, codes, index, n)
+    cols = list(dict.fromkeys(c for row in krows for c in row))
+    images = {col: {} for col in cols}
+    for rec in splits:
+        d, psis = rec.sub.order, {}
+        for col, split in zip(cols, rec.split([codes[c] for c in cols], 1)):
+            image = images[col]
+            for ((a,), right), coeff in split.items():
+                key = min(a, d - a), right      # nu: a ~ -a
+                pairs = psis.get(key)
+                if pairs is None:
+                    pairs = psis[key] = [(index[t], c) for t, c
+                                         in _psi2(rec, *key).items()]
+                for t, c in pairs:
+                    image[t] = image.get(t, 0) + coeff * c
     passed = 0
     bad = None
     for row in krows:
         diff = {c: -2 * v for c, v in row.items()}  # 2 (psi nu - 1) gamma
         for col, v in row.items():
-            pairs = images.get(col)
-            if pairs is None:
-                pairs = images[col] = image(col)
-            sparse_add(diff, ((t, v * c) for t, c in pairs))
-        if not diff or checker.contains(diff):
+            for t, c in images[col].items():
+                diff[t] = diff.get(t, 0) + v * c
+        if not any(diff.values()) or checker.contains(diff):
             passed += 1
         elif bad is None:
             bad = repr(_code_sum({codes[c]: Fraction(v)
@@ -585,14 +631,16 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                 targets[shape] = _tensor_target(rec, n, k, enum_bound)
             tensor, pair_index, tensor_checker = targets[shape]
 
-            images = [[(pair_index[pair], coeff) for pair, coeff
-                       in rec.split(t, k).items()]
-                      for t in src.codes]
+            images = [[(pair_index[pair], coeff)
+                       for pair, coeff in image.items()]
+                      for image in rec.split(src.codes, k)]
             for row in src.rel.rows:
                 fwd_total += 1
-                vec = sparse_add({}, ((p, coeff * v) for c, v in row.items()
-                                      for p, coeff in images[c]))
-                if not vec or tensor_checker.contains(vec):
+                vec = {}
+                for c, v in row.items():
+                    for p, coeff in images[c]:
+                        vec[p] = vec.get(p, 0) + coeff * v
+                if not any(vec.values()) or tensor_checker.contains(vec):
                     fwd_pass += 1
                 elif fwd_bad is None:
                     fwd_bad = "sub=%s nprime=%d row=%r" % (
@@ -603,11 +651,13 @@ def verify_comultiplication(group, n, enum_bound=DEFAULT_ENUM_BOUND):
                 back_total += 1
                 image = {}
                 for l, r, v in terms:
-                    if (l, r) not in merges:
-                        merges[l, r] = [(src.index[t], c) for t, c
-                                        in _merge(rec, l, r).items()]
-                    sparse_add(image, ((t, c * v) for t, c in merges[l, r]))
-                if not image or src_checker.contains(image):
+                    pairs = merges.get((l, r))
+                    if pairs is None:
+                        pairs = merges[l, r] = [(src.index[t], c) for t, c
+                                                in _merge(rec, l, r).items()]
+                    for t, c in pairs:
+                        image[t] = image.get(t, 0) + c * v
+                if not any(image.values()) or src_checker.contains(image):
                     back_pass += 1
                 elif back_bad is None:
                     back_bad = "sub=%s nprime=%d row=%r" % (

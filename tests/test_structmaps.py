@@ -1,5 +1,6 @@
 """Splitting/merging maps, sign reduction, and the kernel identification."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import combinations
@@ -137,6 +138,44 @@ def test_multiply_comultiply_validation():
     sub = _sub_of_order(g9, 3)
     with pytest.raises(ValueError):
         comultiply(sub, _key(g12, (1,), (4,)), 1)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda g, sub, cyc: comultiply(sub, _key(g, (1,), (3,)), 1.0), "got 1.0"),
+    (lambda g, sub, cyc: comultiply(sub, _key(g, (1,), (3,), (6,)), 1.0),
+     "got 1.0"),
+    (lambda g, sub, cyc: comultiply(sub, _key(g, (1,), (3,), (6,)), 2.0),
+     "got 2.0"),
+    (lambda g, sub, cyc: psi(sub, 1.0, _key(cyc, (1,))), "got 1.0"),
+    (lambda g, sub, cyc: omega_generators(g, 2.0), "got 2.0"),
+    (lambda g, sub, cyc: omega_generators(g, 3.0), "got 3.0"),
+    (lambda g, sub, cyc: nu(g, 2.0, FormalSum.of(_key(g, (1,), (3,)))),
+     "got 2.0"),
+], ids=["comultiply-n2", "comultiply-n3-left1", "comultiply-n3-left2", "psi",
+        "omega-n2", "omega-n3", "nu"])
+def test_non_integer_arguments_are_refused(call, match):
+    # integral floats over Z/9 and its subgroup of order 3: each raises
+    # ValueError naming the value it was given, rather than answer for it,
+    # fail inside range(), or name n - 1
+    g9 = make_group((9,))
+    with pytest.raises(ValueError, match=match):
+        call(g9, _sub_of_order(g9, 3), make_group((3,)))
+
+
+def test_int_likes_pass_as_map_arguments():
+    np = pytest.importorskip("numpy")
+    g9 = make_group((9,))
+    sub, cyc = _sub_of_order(g9, 3), make_group((3,))
+    key = _key(g9, (1,), (3,), (6,))
+    x = FormalSum.of(_key(g9, (1,), (3,)))
+    assert comultiply(sub, key, np.int64(2)) == comultiply(sub, key, 2)
+    assert psi(sub, np.int16(4), _key(cyc, (1,))) == psi(sub, 1,
+                                                         _key(cyc, (1,)))
+    assert ([(s.generator, a, r) for s, a, r in omega_generators(
+        g9, np.int8(3))] == [(s.generator, a, r)
+                             for s, a, r in omega_generators(g9, 3)])
+    assert (list(nu(g9, np.int64(2), x).values())
+            == list(nu(g9, 2, x).values()))
 
 
 def test_nu_keeps_zero_components():
@@ -427,20 +466,51 @@ def test_split_restrict_table_matches_dual_restrict():
                     for a in range(d) if gcd(a, d) == 1}, (group, sub)
 
 
+def _split_terms(sub, keys, nprime):
+    """comultiply of each key as terms, from one split over all their code
+    tuples, as a battery splits a system."""
+    rec = _Split(sub)
+    return [_tensor(Variant.PLAIN, rec, image).terms for image
+            in rec.split([key.codes for key in keys], nprime)]
+
+
 @pytest.mark.parametrize("factors, n", [((5, 5), 2), ((3, 9), 2), ((25,), 2),
                                         ((3, 3), 3)])
 def test_split_matches_reference_on_battery_groups(factors, n):
     # the battery groups, above the order limits of the test below; one
-    # _Split per subgroup serves every key and left size, as in a battery
+    # split per subgroup and left size serves every key, as in a battery
     group = make_group(factors)
     keys = enumerate_generators(group, n)
     for sub in proper_cyclic_subgroups(group):
-        rec = _Split(sub)
         for nprime in range(1, n):
-            for key in keys:
-                got = _tensor(Variant.PLAIN, rec,
-                              rec.split(key.codes, nprime)).terms
+            for key, got in zip(keys, _split_terms(sub, keys, nprime),
+                                strict=True):
                 _same_terms(got, structref.comultiply(sub, key, nprime))
+
+
+def test_split_of_a_code_list():
+    # one image per tuple, in order: an empty list has none, and a tuple
+    # with no annihilator entry, or one whose right side is rationally
+    # zero, splits to nothing in place
+    g9 = make_group((9,))
+    rec = _Split(_sub_of_order(g9, 3))
+    assert rec.split([], 1) == []
+    codes = [k.codes for k in (_key(g9, (1,), (1,)), _key(g9, (1,), (3,)),
+                               _key(g9, (2,), (4,)), _key(g9, (1,), (6,)))]
+    images = rec.split(codes, 1)
+    assert images == [{}, {((1,), (1,)): 1}, {}, {((1,), (1,)): -1}]
+    assert images == [rec.split([t], 1)[0] for t in codes]
+    g6 = make_group((6,))       # the quotient by order 3 is Z/2
+    rec = _Split(_sub_of_order(g6, 3))
+    codes = [k.codes for k in enumerate_generators(g6, 3)]
+    images = rec.split(codes, 2)
+    assert len(images) == len(codes) and not any(images)
+    assert not any(rec.split(codes, 1))
+    # and the same tuples over the trivial subgroup, where every entry
+    # annihilates it: empty and nonempty images mix
+    rec = _Split(_sub_of_order(g6, 1))
+    images = rec.split(codes, 2)
+    assert {} in images and any(images)
 
 
 def test_omega_generators_count_matches_kernel():
@@ -514,7 +584,10 @@ def test_code_tuple_maps_match_reference(n, limit):
             quot = quotient_data(group, sub).quotient
             cyc = make_group((sub.order,))
             for nprime in range(1, n):
-                for key in keys:
+                for key, got in zip(keys, _split_terms(sub, keys, nprime),
+                                    strict=True):
+                    _same_terms(got, structref.comultiply(sub, key, nprime))
+                for key in keys[-1:]:   # and the public map on one key
                     _same_terms(comultiply(sub, key, nprime).terms,
                                 structref.comultiply(sub, key, nprime))
                 for left in enumerate_generators(cyc, nprime):
@@ -610,6 +683,35 @@ def test_battery_records_pinned(case):
     checks = (verify_kernel_iso(group, n).checks
               + verify_comultiplication(group, n).checks)
     assert checks == PINNED_RECORDS[case]
+
+
+# sha256 of both batteries' full reports, as JSON lines, on every
+# presentation of order <= limit at n = 2 and <= limit3 at n = 3; taken
+# before the batteries split whole code lists.  The slow pin stops at
+# order 20 at n = 3: the order-27 groups alone take about 20 s.
+BATTERY_REPORTS_SHA256 = {
+    (32, 12): "0342088effb551dff0bf2b49fca50050"
+              "431c018fcd5fb5b865edf81dc22b527a",
+    (64, 20): "c6fd9daaa2eaf45980a00f702bbe381e"
+              "a4c3261e44bca2e1a25ef8cf1826dd5f",
+}
+
+
+def _battery_reports_sha256(limit, limit3):
+    digest = hashlib.sha256()
+    for group, n in ([(g, 2) for g in presentations(limit)]
+                     + [(g, 3) for g in presentations(limit3)]):
+        for battery in (verify_kernel_iso, verify_comultiplication):
+            digest.update(json.dumps(battery(group, n).to_json(),
+                                     sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("limits", [
+    (32, 12), pytest.param((64, 20), marks=pytest.mark.slow)],
+    ids=lambda limits: "%d-%d" % limits)
+def test_battery_reports_pinned(limits):
+    assert _battery_reports_sha256(*limits) == BATTERY_REPORTS_SHA256[limits]
 
 
 def _shift_kernel_dimension(monkeypatch):
@@ -732,12 +834,13 @@ def test_forward_check_reads_each_image(monkeypatch):
     # n = 2 the pushed rows must vanish, so each row holding that key fails
     real = _Split.split
 
-    def split(self, codes, nprime):
-        image = real(self, codes, nprime)
-        if codes == (1, 5) and image:
-            pair = min(image)
-            image = {**image, pair: image[pair] + 1}
-        return image
+    def split(self, code_list, nprime):
+        images = real(self, code_list, nprime)
+        for i, (codes, image) in enumerate(zip(code_list, images)):
+            if codes == (1, 5) and image:
+                pair = min(image)
+                images[i] = {**image, pair: image[pair] + 1}
+        return images
     monkeypatch.setattr(_Split, "split", split)
     fwd = verify_comultiplication(make_group((5, 5)), 2).checks[0]
     assert fwd["check"] == "comultiplication-relations"
