@@ -252,15 +252,6 @@ def spans_dual(chars, group=None):
     return True
 
 
-def _fp_reduce(basis, vec, p):
-    """The remainder of `vec` over F_p against a basis as `_fp_extend`'s."""
-    for piv, row in basis:
-        c = vec[piv]
-        if c:
-            vec = [(x - c * y) % p for x, y in zip(vec, row)]
-    return vec
-
-
 def _fp_extend(basis, vec, p):
     """Reduced echelon basis of span(basis) + <vec> over F_p.
 
@@ -270,7 +261,10 @@ def _fp_extend(basis, vec, p):
     """
     if len(basis) == len(vec):
         return basis
-    vec = _fp_reduce(basis, vec, p)
+    for piv, row in basis:
+        c = vec[piv]
+        if c:
+            vec = [(x - c * y) % p for x, y in zip(vec, row)]
     for piv, lead in enumerate(vec):
         if lead:
             break
@@ -299,41 +293,52 @@ def generating_code_groups(group, n, codes=None):
     spans_dual made incremental: nondecreasing code tuples are walked
     position by position, carrying the prefix's span in each G/pG.  A prefix
     is dropped once the positions left cannot fill some G/pG.  The first
-    position reads each code's span from a table per prime, one `_fp_extend`
-    per distinct image; the last reads, per prefix span, the list of the
-    codes that complete it: those leaving a remainder in each G/pG where it
-    is one dimension short.  `codes`, strictly increasing in range(|G|),
-    restricts the entries to those codes, keeping the order.
+    position reads each code's span from a table per prime: where G/pG is a
+    line, the line itself exactly when the code's image is nonzero, else
+    one `_fp_extend` per distinct image.  The last position reads, per
+    prefix span, the codes that complete it: those whose image lies outside
+    the span in each G/pG where the span is one dimension short.  Each
+    prime's list of them is built once per span, by listing the span's p^r
+    vectors (at a line the zero span's list is the codes with a nonzero
+    image), and is shared by every prefix span that holds it; the lists of
+    the short primes are intersected in code order.  `codes`, strictly
+    increasing in range(|G|), restricts the entries to those codes, keeping
+    the order.
     """
     order = group.order
     if codes is None:
         codes = range(order)
-    elif any(not 0 <= c < d for c, d in zip(codes, list(codes[1:]) + [order])):
+    elif codes and (list(codes) != sorted(set(codes))
+                    or codes[0] < 0 or codes[-1] >= order):
         raise ValueError("codes must be strictly increasing in range(%d)"
                          % order)
     slots = group.prime_slots
-    if any(n < len(pos) for _, pos in slots):
+    dims = [len(pos) for _, pos in slots]
+    if any(n < k for k in dims):
         return []
     # per prime: each code's image in G/pG, digit by digit as codes are
-    # built (see negation_codes), and the distinct images of `codes`; per
-    # code of `codes`: its span alone in each G/pG, or None if it is 0 in
-    # a G/pG that takes all n positions
-    images, distinct, firsts = [], [], []
+    # built (see negation_codes); per code of `codes`: its span alone in
+    # each G/pG, or None if it is 0 in a G/pG that takes all n positions
+    images, firsts = [], []
     for p, pos in slots:
         img = [()]
         for i, f in reversed(list(enumerate(group.factors))):
             img = ([(d % p,) + x for d in range(f) for x in img]
                    if i in pos else img * f)
-        seen = {img[c] for c in codes}
-        first = {v: _fp_extend((), v, p) if any(v) or len(pos) < n else None
-                 for v in seen}
+        if len(pos) == 1:   # a line, spanned by any nonzero image
+            zero = () if n > 1 else None
+            firsts.append([((0, (1,)),) if img[c][0] else zero
+                           for c in codes])
+        else:
+            first = {v: _fp_extend((), v, p) if any(v) or len(pos) < n
+                     else None for v in {img[c] for c in codes}}
+            firsts.append([first[img[c]] for c in codes])
         images.append(img)
-        distinct.append(seen)
-        firsts.append([first[img[c]] for c in codes])
     firsts = [None if None in s else s
               for s in zip(*firsts)] or [()] * len(codes)
     steps = [{} for _ in slots]     # memoized span steps per prime
-    lasts = {}                      # span -> the codes completing it
+    shorts = {}     # (prime index, span one short) -> the codes leaving it
+    lasts = {}      # prefix span -> the codes completing it
     out = []
 
     def extend(state, code):
@@ -346,13 +351,30 @@ def generating_code_groups(group, n, codes=None):
             nxt.append(basis)
         return tuple(nxt)
 
+    def short_codes(k, basis):
+        img = images[k]
+        if not basis:   # the zero span is one short only on a line
+            return [c for c in codes if img[c][0]]
+        p = slots[k][0]
+        span = {(0,) * dims[k]}
+        for _, row in basis:
+            span = {tuple((x + a * y) % p for x, y in zip(v, row))
+                    for v in span for a in range(p)}
+        return [c for c in codes if img[c] not in span]
+
     def last_codes(state):
-        comp = list(codes)
-        for (p, pos), basis, img, seen in zip(slots, state, images, distinct):
-            if len(basis) < len(pos):
-                good = {v for v in seen if any(_fp_reduce(basis, v, p))}
-                comp = [c for c in comp if img[c] in good]
-        return comp
+        comp = None
+        for k, basis in enumerate(state):
+            if len(basis) < dims[k]:
+                here = shorts.get((k, basis))
+                if here is None:
+                    here = shorts[k, basis] = short_codes(k, basis)
+                if comp is None:
+                    comp = here
+                else:
+                    keep = set(here)
+                    comp = [c for c in comp if c in keep]
+        return list(codes) if comp is None else comp
 
     if n == 1:
         comp = last_codes(tuple(() for _ in slots))
@@ -364,8 +386,7 @@ def generating_code_groups(group, n, codes=None):
             c = codes[i]
             nxt = extend(state, c) if prefix else firsts[i]
             if nxt is None or prefix and any(
-                    len(pos) - len(b) >= left
-                    for b, (_, pos) in zip(nxt, slots)):
+                    k - len(b) >= left for b, k in zip(nxt, dims)):
                 continue
             if left > 2:
                 walk(prefix + (c,), nxt, i)
@@ -406,7 +427,12 @@ def sum_codes(group):
 
 
 class SubgroupHandle:
-    """Cyclic subgroup <generator> of an ambient group."""
+    """Cyclic subgroup <generator> of an ambient group.
+
+    Handles compare and hash by (ambient group, reduced generator), so the
+    handles of two `proper_cyclic_subgroups` calls are interchangeable as
+    dict keys; two generators of one subgroup give unequal handles.
+    """
 
     __slots__ = ("ambient", "generator", "order")
 
@@ -414,6 +440,15 @@ class SubgroupHandle:
         self.ambient = ambient
         self.generator = ambient.reduce(generator)
         self.order = ambient.element_order(generator)
+
+    def __eq__(self, other):
+        if not isinstance(other, SubgroupHandle):
+            return NotImplemented
+        return (self.ambient is other.ambient
+                and self.generator == other.generator)
+
+    def __hash__(self):
+        return hash((self.ambient.factors, self.generator))
 
     def elements(self):
         """The subgroup's elements as a frozenset of residue tuples."""

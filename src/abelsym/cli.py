@@ -25,12 +25,13 @@ from .congruence import (coset_index, coset_of, cusp_formula,
                          cusp_orbit_count, enumerate_cosets, genus,
                          iso_check, level2_consistency, lift_coset,
                          manin_space)
-from .exactla import BoundExceeded, DEFAULT_SNF_BOUND, SpanChecker
+from .exactla import (BoundExceeded, DEFAULT_SNF_BOUND, SpanChecker,
+                      rank_over_Q)
 from .relations import (Variant, build_relations, dimension,
                         dimension_graded, formula_dimension)
 from .structmaps import (VerificationReport, check_record, delta_sum,
                          verify_comultiplication, verify_kernel_iso)
-from .symbols import DEFAULT_ENUM_BOUND, det_classes
+from .symbols import DEFAULT_ENUM_BOUND, det_classes, det_graded
 
 # The bi-cyclic groups whose n = 2 dimensions the library reproduces as a
 # reference table, as invariant-factor pairs (N1, N2) with N1 | N2.
@@ -96,27 +97,21 @@ def _emit_error(fmt, message):
         sys.stderr.write("error: %s\n" % message)
 
 
-def _graded(group):
-    """True iff the determinant grading applies: Z/N x Z/MN with N >= 3."""
-    form = group.invariant_form()
-    return len(form) == 2 and form[0] >= 3
-
-
 # -- dims ---------------------------------------------------------------------
 
 DIMS_CSV = "group,n,variant,method,dim,torsion,generators,ms"
 
 
-def _brute_report(config, group, n, variant, graded=False):
-    """Cached brute-force report, computed and stored on a miss."""
+def _brute_report(config, group, n, variant):
+    """Cached brute-force report of `dimension`, computed and stored on a
+    miss; at n = 2 on Z/N x Z/MN, N >= 3, `dimension` presents one
+    determinant class."""
     report = config.cache.load(group, n, variant, "BRUTE",
                                want_torsion=config.torsion)
     if report is None:
-        compute, args = ((dimension_graded, (group, variant)) if graded
-                         else (dimension, (group, n, variant)))
-        report = compute(*args, want_torsion=config.torsion,
-                         enum_bound=config.enum_bound,
-                         snf_bound=config.snf_bound)
+        report = dimension(group, n, variant, want_torsion=config.torsion,
+                           enum_bound=config.enum_bound,
+                           snf_bound=config.snf_bound)
         config.cache.store(report, torsion_included=config.torsion)
     return report
 
@@ -184,8 +179,7 @@ def _table_groups(config):
 
 
 def _table_row(config, group):
-    plain, minus = (_brute_report(config, group, 2, variant,
-                                  _graded(group)).dim_q
+    plain, minus = (_brute_report(config, group, 2, variant).dim_q
                     for variant in (Variant.PLAIN, Variant.MINUS))
     return group.literal(), plain, minus
 
@@ -229,17 +223,21 @@ def _verify_delta(config):
 
 
 def _verify_grading(config):
+    """The graded minus dimension against the rank of the key-basis
+    presentation, which holds every determinant class."""
     group = config.group
-    if not _graded(group):
-        raise ValueError("the grading check needs a bi-cyclic group with "
-                         "N >= 3, got %s" % group.literal())
+    if not det_graded(group):
+        raise ValueError("the grading check needs a group written Z/N x "
+                         "Z/MN with N >= 3, such as 3x9; got %s"
+                         % group.literal())
     graded = dimension_graded(group, Variant.MINUS,
                               enum_bound=config.enum_bound)
-    full = _brute_report(config, group, 2, Variant.MINUS)
+    full = build_relations(group, 2, Variant.MINUS, bound=config.enum_bound)
     return _report(group, 2,
                    ("grading-class-count", len(det_classes(group)),
                     totient(group.invariant_form()[0]) // 2),
-                   ("grading-identity", full.dim_q, graded.dim_q))
+                   ("grading-identity",
+                    len(full.codes) - rank_over_Q(full.rel), graded.dim_q))
 
 
 def _verify_manin(config):

@@ -38,12 +38,12 @@ from fractions import Fraction
 from math import prod
 
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
-from .arith import divisors, prime_factors, totient
+from .arith import as_int, divisors, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
                       _smith_form, require, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
                       _generating_codes, det_class_groups, det_classes,
-                      replace_code, sign_class_groups)
+                      det_graded, replace_code, sign_class_groups)
 
 __all__ = [
     "Variant", "DimensionReport", "build_relations", "dimension",
@@ -464,9 +464,19 @@ def _rank_and_torsion(rel, want_torsion, snf_bound):
 def dimension(group, n, variant, want_torsion=False,
               enum_bound=DEFAULT_ENUM_BOUND, snf_bound=DEFAULT_SNF_BOUND):
     """Brute-force dimension (and optionally torsion) of the presentation,
-    over the sign classes for the minus variant."""
+    over the sign classes for the minus variant.
+
+    At n = 2 on a group written Z/N x Z/MN with N >= 3 (`det_graded`; 3x9,
+    not 9x3) one determinant class is presented and the answer scaled, as
+    `dimension_graded` does: the same dimension, torsion and generator
+    count, with `snf_bound` checked on that class's system.
+    """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
+    n = as_int(n, "symbol length n must be an integer, got %r", n)
+    if n == 2 and det_graded(group):
+        return _graded_report(group, variant, want_torsion, enum_bound,
+                              snf_bound, t0)
     if variant is Variant.MINUS:
         groups = sign_class_groups(group, n, enum_bound)
         rel, count = _sign_class_matrix(group, groups, n)
@@ -484,16 +494,25 @@ def dimension_graded(group, variant, want_torsion=False,
                      snf_bound=DEFAULT_SNF_BOUND):
     """Dimension via the determinant grading (n = 2, Z/N x Z/MN, N >= 3).
 
-    All determinant classes are isomorphic, so only the class of 1 is
-    presented and the result is scaled by the number of classes.  Still a
-    brute-force computation, merely sharded.  A sign flip negates the
-    determinant, so the class of 1 is a union of sign classes.  The class's
-    code pairs, or its sign classes' reps for the minus variant, are built
-    directly by `det_class_groups`, so no other pair is walked and no key is
-    built.
+    The route `dimension` takes at n = 2 on such a group, callable on its
+    own; a group of another shape raises ValueError.
     """
-    t0 = time.perf_counter()
-    variant = Variant.parse(variant)
+    return _graded_report(group, Variant.parse(variant), want_torsion,
+                          enum_bound, snf_bound, time.perf_counter())
+
+
+def _graded_report(group, variant, want_torsion, enum_bound, snf_bound, t0):
+    """The n = 2 report of Z/N x Z/MN, N >= 3, from the class of 1 alone.
+
+    All determinant classes are isomorphic, so only the class of 1 is
+    presented: the dimension and the generator count are scaled by the
+    number of classes, and each torsion divisor repeats once per class.
+    Still a brute-force computation, merely sharded.  A sign flip negates
+    the determinant, so the class of 1 is a union of sign classes.  The
+    class's code pairs, or its sign classes' reps for the minus variant,
+    are built directly by `det_class_groups`, so no other pair is walked
+    and no key is built.
+    """
     classes = det_classes(group)
     if variant is Variant.PLUS:
         raise ValueError("the plus variant is defined only for n = 1")

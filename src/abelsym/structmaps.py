@@ -416,10 +416,15 @@ def delta_sum(key, i=0, j=1):
     n = len(codes)
     if n < 2:
         raise ValueError("the sign sum needs keys with n >= 2")
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError("positions must be distinct and within the key")
+    try:
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ValueError("positions must be distinct and within the key")
+        ci, cj = codes[i], codes[j]
+    except TypeError:   # a position that is not an integer
+        for pos in (i, j):
+            as_int(pos, "positions must be integers, got %r", pos)
+        raise
     neg = negation_codes(group)
-    ci, cj = codes[i], codes[j]
     ni, nj = neg[ci], neg[cj]
     # sign flips keep the span: the images need no re-validation
     if n == 2:

@@ -21,6 +21,7 @@ directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from math import gcd, prod
@@ -288,18 +289,26 @@ def det_classes(group):
     return [DetClass(n_small, k) for k in ks]
 
 
+def det_graded(group):
+    """True iff the group is literally Z/N x Z/MN with N >= 3, trivial
+    factors aside: the shape the determinant grading reads (3x9, not 9x3,
+    whose invariant form is the same)."""
+    factors = [f for f in group.factors if f > 1]
+    return (len(factors) == 2 and factors[0] >= 3
+            and not factors[1] % factors[0])
+
+
 def _bicyclic_form(group):
     """The pair (N, MN) when the group is literally Z/N x Z/MN, N >= 3."""
     factors = tuple(f for f in group.factors if f > 1)
     if len(factors) != 2:
         raise ValueError("group %s is not of bi-cyclic rank-2 form"
                          % group.literal())
-    n_small, n_big = factors
-    if n_small < 3 or n_big % n_small:
+    if not det_graded(group):
         raise ValueError(
             "group %s is not of the form Z/N x Z/MN with N >= 3"
             % group.literal())
-    return n_small, n_big
+    return factors
 
 
 def _code_det(codes, n_small, n_big):
@@ -327,13 +336,16 @@ def det_class_groups(group, k, bound=DEFAULT_ENUM_BOUND, reps=False):
     The pairs are built, not filtered.  For a first code x = (a1, c1) and
     each a2 >= a1, a1 c2 - a2 c1 = t mod N with t = k or N - k is solved for
     c2 as `_coset_quads` solves for d: with g = gcd(a1, N) it needs g to
-    divide t + a2 c1, and then fixes c2 mod N/g.  The two t give different
-    residues (N does not divide 2k at N >= 3), so no pair comes twice, and
-    each x's completions are sorted once.  A unit determinant settles
-    generation at the primes of N (see spans_dual); a prime of M that does
-    not divide N needs c1 or c2 nonzero mod it.  k is an int or a
-    `DetClass`; a group of another shape or a class of another modulus
-    raises ValueError before |G|^2 is checked against the bound.
+    divide t + a2 c1, which fixes a2 mod g (c1 is a unit mod g, or x is 0
+    at a prime of N and has no completion), and then fixes c2 mod N/g.
+    The two t give different residues (N does not divide 2k at N >= 3), so
+    no pair comes twice.  A unit determinant settles generation at the
+    primes of N (see spans_dual); a prime of M that does not divide N
+    needs c1 or c2 nonzero mod it.  So before that test the completions
+    of x depend on c1 only mod N: they are sorted once per (a1, c1 mod N),
+    then cut at x and tested per x.  k is an int or a `DetClass`; a group
+    of another shape or a class of another modulus raises ValueError
+    before |G|^2 is checked against the bound.
     """
     n_small, n_big = _bicyclic_form(group)
     if not isinstance(k, DetClass):
@@ -352,18 +364,30 @@ def det_class_groups(group, k, bound=DEFAULT_ENUM_BOUND, reps=False):
         g = gcd(a1, n_small)
         step = n_small // g
         inv = pow(a1 // g, -1, step)
+        shared = {}     # c1 mod N -> the completions of (a1, c1), uncut
         for c1 in range(n_big):
             x = a1 * n_big + c1
             if reps and neg[x] < x:
                 continue
+            comp = shared.get(c1 % n_small)
+            if comp is None:
+                comp = []
+                if gcd(c1, g) == 1:     # else x is 0 at a prime of N
+                    back = pow(c1, -1, g)   # g | t + a2 c1 fixes a2 mod g
+                    for t in dets:
+                        for a2 in range(a1 + (-t * back - a1) % g,
+                                        n_small, g):
+                            comp += range(a2 * n_big
+                                          + (t + a2 * c1) // g * inv % step,
+                                          (a2 + 1) * n_big, step)
+                    if reps:
+                        comp = [y for y in comp if y <= neg[y]]
+                    comp.sort()
+                shared[c1 % n_small] = comp
+            comp = comp[bisect_left(comp, x):]
             z = zeros[c1]       # z divides MN: gcd(z, y) = gcd(z, c2)
-            comp = sorted(
-                y for a2 in range(a1, n_small) for t in dets
-                if not (t + a2 * c1) % g
-                for y in range(a2 * n_big + (t + a2 * c1) // g * inv % step,
-                               (a2 + 1) * n_big, step)
-                if y >= x and (not reps or y <= neg[y])
-                and (z == 1 or gcd(z, y) == 1))
+            if z > 1:
+                comp = [y for y in comp if gcd(z, y) == 1]
             if comp:
                 out.append(((x,), comp))
     return out

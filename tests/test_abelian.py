@@ -1,6 +1,7 @@
 """Groups, characters, subgroups, quotients, and the dual-side maps."""
 
 import gc
+import hashlib
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -183,6 +184,37 @@ def test_generating_code_tuples_leaves_no_cycle():
         gc.enable()
 
 
+# sha256 of the walk's groups, as repr, over every presentation of order
+# <= limit at each n: once over all codes and once over the sign-class reps
+# that sign_class_groups passes as `codes`; taken before the walk read
+# one-dimensional primes without echelon steps
+GENERATING_GROUPS_SHA256 = {
+    ((1, 40), (2, 40), (3, 16)): "769b8759bf2e4830cd795ffa02de90d6"
+                                  "b6e8436ad6a588ea5d41bd55daa7c5fe",
+    ((2, 81), (3, 40)): "f4de4ae97b44b76f529a75f79b308d09"
+                        "bd676b9d5949e67aabed9b9c6df769b0",
+}
+
+
+def _generating_groups_sha256(cases):
+    digest = hashlib.sha256()
+    for n, limit in cases:
+        for g in presentations(limit):
+            reps = [c for c, d in enumerate(negation_codes(g)) if c <= d]
+            for codes in (None, reps):
+                digest.update(repr(generating_code_groups(g, n, codes))
+                              .encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("cases", [
+    ((1, 40), (2, 40), (3, 16)),
+    pytest.param(((2, 81), (3, 40)), marks=pytest.mark.slow)],
+    ids=lambda cases: "-".join("n%d-%d" % case for case in cases))
+def test_generating_code_groups_pinned(cases):
+    assert _generating_groups_sha256(cases) == GENERATING_GROUPS_SHA256[cases]
+
+
 def test_generating_code_groups_checks_codes():
     # the groups and the fold's column positions rely on sorted codes; an
     # unsorted list once gave wrong tuples without an error
@@ -340,6 +372,24 @@ def test_lift_restriction_is_the_least_character():
                 assert q.lift_restriction(a - sub.order) == least
                 cases += 1
     assert cases == 900
+
+
+def test_subgroup_handles_compare_by_ambient_and_generator():
+    for factors in ((9,), (3, 3)):
+        g = make_group(factors)
+        first, second = proper_cyclic_subgroups(g), proper_cyclic_subgroups(g)
+        assert first == second
+        assert not any(a is b for a, b in zip(first, second))
+        assert {h: k for k, h in enumerate(first)} == {
+            h: k for k, h in enumerate(second)}
+    g9 = make_group((9,))
+    assert SubgroupHandle(g9, (12,)) == SubgroupHandle(g9, (3,))
+    assert hash(SubgroupHandle(g9, (12,))) == hash(SubgroupHandle(g9, (3,)))
+    # one subgroup, two generators; one generator, two ambient groups
+    assert SubgroupHandle(g9, (3,)) != SubgroupHandle(g9, (6,))
+    assert SubgroupHandle(make_group((3,)), (1,)) != SubgroupHandle(
+        make_group((1, 3)), (0, 1))
+    assert SubgroupHandle(make_group((3,)), (1,)) != (1,)
 
 
 def test_quotient_of_rank_two_group():

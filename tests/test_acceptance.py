@@ -192,7 +192,9 @@ def test_criterion_07_isomorphism_suites():
         keys = enumerate_det_class(g, classes[0])
         system = build_relations(g, 2, Variant.MINUS, keys=keys)
         class_dim = len(keys) - rank_over_Q(system.rel)
-        full = dimension(g, 2, Variant.MINUS).dim_q
+        # all classes over the key basis: dimension() itself grades here
+        whole = build_relations(g, 2, Variant.MINUS)
+        full = len(whole.codes) - rank_over_Q(whole.rel)
         if full != (totient(factors[0]) // 2) * class_dim:
             bad.append(("grading", factors, full, class_dim))
     _verdict(7, "isomorphism-suites", not bad)

@@ -292,6 +292,25 @@ def test_verify_grading(capsys, tmp_path):
     assert "N >= 3" in err
 
 
+def test_reversed_bicyclic_literal(capsys):
+    # 9x3 has the invariant form of 3x9 but is not written Z/N x Z/MN: the
+    # grading check refuses it with its own message, and dims answers it
+    # by the ungraded route with the numbers of 3x9
+    code, _, err = run(capsys, "verify", "--check", "grading", "--group",
+                       "9x3", "--no-cache")
+    assert code == 2
+    assert err == ("error: the grading check needs a group written Z/N x "
+                   "Z/MN with N >= 3, such as 3x9; got 9x3\n")
+    lines = {}
+    for literal in ("9x3", "3x9"):
+        code, out, _ = run(capsys, "dims", "--group", literal, "--variant",
+                           "minus", "--torsion", "--no-cache")
+        assert code == 0
+        lines[literal] = out.split()[1:]
+    assert lines["9x3"] == lines["3x9"]
+    assert lines["3x9"][3:5] == ["dim=19", "torsion=trivial"]
+
+
 def test_verify_cusps_honest_failure(capsys):
     code, out, _ = run(capsys, "verify", "--check", "cusps", "--level",
                        "3,2", "--no-cache")

@@ -115,15 +115,37 @@ def test_pxp_closed_forms():
     assert difference_formula(g) == 46 - 22
 
 
+def _key_basis(g, variant):
+    """(dim, torsion, keys) of the n = 2 system over all keys, from its
+    Smith form: no determinant class, no sign-class fold."""
+    system = build_relations(g, 2, variant)
+    snf = smith_normal_form(system.rel, bound=10 ** 6)
+    return len(system.codes) - snf.rank, snf.torsion, len(system.codes)
+
+
 def test_dimension_graded_matches_plain_brute():
     for factors in ((3, 6), (3, 9), (4, 8)):
         g = make_group(factors)
         for variant in (Variant.PLAIN, Variant.MINUS):
             graded = dimension_graded(g, variant, want_torsion=True)
-            full = dimension(g, 2, variant, want_torsion=True)
-            assert graded.dim_q == full.dim_q
-            assert graded.torsion == full.torsion
-            assert graded.generator_count == full.generator_count
+            assert (graded.dim_q, graded.torsion, graded.generator_count) \
+                == _key_basis(g, variant), (factors, variant)
+
+
+def test_dimension_matches_key_basis_on_graded_groups():
+    # dimension() presents one determinant class of Z/N x Z/MN, N >= 3;
+    # every such group of order <= 81, against the key basis of all classes
+    seen = 0
+    for factors in invariant_chains(81):
+        if len(factors) != 2 or factors[0] < 3:
+            continue
+        g = make_group(factors)
+        for variant in (Variant.PLAIN, Variant.MINUS):
+            rep = dimension(g, 2, variant, want_torsion=True)
+            assert (rep.dim_q, rep.torsion, rep.generator_count) \
+                == _key_basis(g, variant), (factors, variant)
+        seen += 1
+    assert seen == 22
 
 
 def test_relation_rows_respect_det_grading():
@@ -516,6 +538,18 @@ def test_sign_class_fold_lattice_matches_full_fold_wide():
     for factors in wide:
         g = make_group(factors)
         _assert_fold_lattice_equal(g, sign_class_groups(g, 2), factors)
+
+
+def test_graded_snf_bound_reads_one_class():
+    # dimension() presents one of the two determinant classes of 5x5, so
+    # the bound is checked on that class's 20 x 30 fold, where the whole
+    # 40 x 60 fold once raised under any bound below 60
+    g = make_group((5, 5))
+    rep = dimension(g, 2, Variant.MINUS, want_torsion=True, snf_bound=30)
+    assert (rep.dim_q, rep.torsion, rep.generator_count) == (22, (), 240)
+    with pytest.raises(BoundExceeded) as exc:
+        dimension(g, 2, Variant.MINUS, want_torsion=True, snf_bound=29)
+    assert str(exc.value) == "smith_normal_form bound exceeded: 20x30 > 29"
 
 
 def test_key_basis_snf_bound():

@@ -178,6 +178,20 @@ def test_int_likes_pass_as_map_arguments():
             == list(nu(g9, 2, x).values()))
 
 
+def test_nu_reads_the_callers_subgroup_handles():
+    # nu's components are keyed by handles equal to the caller's own, and
+    # two results for one input compare equal
+    for factors, entries in (((9,), ((1,), (3,))),
+                             ((3, 3), ((1, 0), (0, 1)))):
+        g = make_group(factors)
+        x = FormalSum.of(_key(g, *entries))
+        comps = nu(g, 2, x)
+        subs = proper_cyclic_subgroups(g)
+        assert list(comps) == subs
+        assert [comps[sub] for sub in subs] == list(comps.values())
+        assert comps == nu(g, 2, x)
+
+
 def test_nu_keeps_zero_components():
     g9 = make_group((9,))
     x = (FormalSum.of(_key(g9, (1,), (3,)))
@@ -265,6 +279,17 @@ def test_delta_sum_positions():
         delta_sum(keys[0], 1, 1)
     with pytest.raises(ValueError):
         delta_sum(keys[0], 0, 3)
+
+
+def test_delta_sum_refuses_non_integer_positions():
+    np = pytest.importorskip("numpy")
+    key = _key(make_group((3, 3)), (1, 0), (0, 1))
+    for i, j, bad in ((0, 1.0, "1.0"), (1.0, 0, "1.0"), (0.5, 1, "0.5"),
+                      (0, "1", "'1'")):
+        with pytest.raises(ValueError,
+                           match="positions must be integers, got %s" % bad):
+            delta_sum(key, i, j)
+    assert delta_sum(key, np.int64(0), np.int8(1)) == delta_sum(key)
 
 
 def _same_as_built(key, group, other):

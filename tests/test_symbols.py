@@ -12,7 +12,7 @@ from abelsym.exactla import BoundExceeded
 from abelsym.relations import Variant, build_relations
 from abelsym.symbols import (DetClass, FormalSum, SymbolKey, _generating_codes,
                              canonicalize, det_class, det_class_groups,
-                             det_classes, enumerate_det_class,
+                             det_classes, det_graded, enumerate_det_class,
                              enumerate_generators, sign_class_groups)
 from relref import filter_groups, in_det_class
 
@@ -173,6 +173,20 @@ def test_det_classes_catalog():
         det_classes(make_group((2, 4)))  # needs N >= 3
     with pytest.raises(ValueError):
         det_classes(make_group((9,)))
+
+
+def test_det_graded_reads_the_literal_factors():
+    # the one shape test of the grading: det_classes answers exactly where
+    # det_graded holds, and 9x3 is refused though its invariant form is 3x9
+    shapes = {(3, 9): True, (1, 3, 1, 9): True, (4, 4): True,
+              (9, 3): False, (6, 9): False, (2, 4): False, (9,): False,
+              (3, 3, 3): False, (1,): False}
+    for factors, graded in shapes.items():
+        g = make_group(factors)
+        assert det_graded(g) is graded, factors
+        if not graded:
+            with pytest.raises(ValueError):
+                det_classes(g)
 
 
 def test_det_classes_partition_keys():
