@@ -299,8 +299,7 @@ def generating_code_groups(group, n, codes=None):
     prefix span, the codes that complete it: those whose image lies outside
     the span in each G/pG where the span is one dimension short.  Each
     prime's list of them is built once per span, by listing the span's p^r
-    vectors (at a line the zero span's list is the codes with a nonzero
-    image), and is shared by every prefix span that holds it; the lists of
+    vectors, and is shared by every prefix span that holds it; the lists of
     the short primes are intersected in code order.  `codes`, strictly
     increasing in range(|G|), restricts the entries to those codes, keeping
     the order.
@@ -353,8 +352,6 @@ def generating_code_groups(group, n, codes=None):
 
     def short_codes(k, basis):
         img = images[k]
-        if not basis:   # the zero span is one short only on a line
-            return [c for c in codes if img[c][0]]
         p = slots[k][0]
         span = {(0,) * dims[k]}
         for _, row in basis:

@@ -473,10 +473,11 @@ def dimension(group, n, variant, want_torsion=False,
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
+    # as the walk does, so the graded route refuses n = 2.0 too
     n = as_int(n, "symbol length n must be an integer, got %r", n)
     if n == 2 and det_graded(group):
-        return _graded_report(group, variant, want_torsion, enum_bound,
-                              snf_bound, t0)
+        return dimension_graded(group, variant, want_torsion, enum_bound,
+                                snf_bound)
     if variant is Variant.MINUS:
         groups = sign_class_groups(group, n, enum_bound)
         rel, count = _sign_class_matrix(group, groups, n)
@@ -495,24 +496,17 @@ def dimension_graded(group, variant, want_torsion=False,
     """Dimension via the determinant grading (n = 2, Z/N x Z/MN, N >= 3).
 
     The route `dimension` takes at n = 2 on such a group, callable on its
-    own; a group of another shape raises ValueError.
+    own; a group of another shape raises ValueError.  All determinant
+    classes are isomorphic, so only the class of 1 is presented: the
+    dimension and the generator count are scaled by the number of classes,
+    and each torsion divisor repeats once per class.  Still a brute-force
+    computation, merely sharded.  A sign flip negates the determinant, so
+    the class of 1 is a union of sign classes.  The class's code pairs, or
+    its sign classes' reps for the minus variant, are built directly by
+    `det_class_groups`, so no other pair is walked and no key is built.
     """
-    return _graded_report(group, Variant.parse(variant), want_torsion,
-                          enum_bound, snf_bound, time.perf_counter())
-
-
-def _graded_report(group, variant, want_torsion, enum_bound, snf_bound, t0):
-    """The n = 2 report of Z/N x Z/MN, N >= 3, from the class of 1 alone.
-
-    All determinant classes are isomorphic, so only the class of 1 is
-    presented: the dimension and the generator count are scaled by the
-    number of classes, and each torsion divisor repeats once per class.
-    Still a brute-force computation, merely sharded.  A sign flip negates
-    the determinant, so the class of 1 is a union of sign classes.  The
-    class's code pairs, or its sign classes' reps for the minus variant,
-    are built directly by `det_class_groups`, so no other pair is walked
-    and no key is built.
-    """
+    t0 = time.perf_counter()
+    variant = Variant.parse(variant)
     classes = det_classes(group)
     if variant is Variant.PLUS:
         raise ValueError("the plus variant is defined only for n = 1")

@@ -552,6 +552,15 @@ def test_graded_snf_bound_reads_one_class():
     assert str(exc.value) == "smith_normal_form bound exceeded: 20x30 > 29"
 
 
+def test_graded_route_refuses_a_float_n():
+    # the walk refuses n = 2.0; the graded route, which skips the walk,
+    # refuses it the same way rather than answer on 3x9 alone
+    for factors in ((3, 9), (2, 4)):
+        for variant in (Variant.PLAIN, Variant.MINUS):
+            with pytest.raises(ValueError, match="got 2.0"):
+                dimension(make_group(factors), 2.0, variant)
+
+
 def test_key_basis_snf_bound():
     # the key basis of Z/9 minus, sign rows included, is 75 x 39
     rel = build_relations(make_group((9,)), 2, Variant.MINUS).rel
