@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
+
+from .exactla import ConsistencyError
 
 
 def as_int(value, message, *args):
@@ -37,6 +40,24 @@ def totient(n):
     for p in prime_factors(n):
         result = result // p * (p - 1)
     return result
+
+
+def jordan2(n):
+    """Jordan's totient J_2(n) = n^2 prod over p | n of (1 - p^-2), the
+    number of elements of order n in (Z/n)^2, for n >= 1."""
+    result = n * n
+    for p in prime_factors(n):
+        result = exact_quotient(result, p * p, "J_2(%d) at p = %d is not an "
+                                "integer: %s", n, p) * (p * p - 1)
+    return result
+
+
+def exact_quotient(num, den, message, *args):
+    """num // den when den divides num; otherwise ConsistencyError(message %
+    (args + (num/den as a Fraction,)))."""
+    if num % den:
+        raise ConsistencyError(message % (args + (Fraction(num, den),)))
+    return num // den
 
 
 def divisors(n):

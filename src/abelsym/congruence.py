@@ -25,12 +25,11 @@ disagreement is itself testable.
 from __future__ import annotations
 
 import time
-from fractions import Fraction
 from functools import partial
 from math import gcd, lcm
 
 from .abelian import code_tuples, make_group, negation_codes
-from .arith import as_int, prime_factors, totient
+from .arith import as_int, exact_quotient, jordan2, prime_factors, totient
 from .exactla import (DEFAULT_SNF_BOUND, BoundExceeded, DeferredRows,
                       SparseIntMatrix, _smith_form, require, sparse_add)
 from .relations import (DimensionReport, RelationSystem, Variant,
@@ -209,14 +208,10 @@ def lift_coset(sym):
 
 
 def coset_index(n, m):
-    """Index of the level subgroup: M^2 N^3 prod over p | MN (1 - p^-2)."""
+    """Index of the level subgroup: N J_2(MN) = M^2 N^3 prod over p | MN of
+    (1 - p^-2), with J_2 Jordan's totient."""
     _check_level(n, m)
-    val = Fraction(m * m * n ** 3)
-    for p in prime_factors(n * m):
-        val *= Fraction(p * p - 1, p * p)
-    require(val.denominator == 1, "index of level (%d, %d) is not an "
-            "integer: %s", n, m, val)
-    return int(val)
+    return n * jordan2(n * m)
 
 
 def _coset_quads(n, m, bound):
@@ -419,17 +414,13 @@ def manin_space(n, m, with_O=False, enum_bound=DEFAULT_ENUM_BOUND,
 
 
 def cusp_formula(n, m):
-    """Closed-form cusp count MN^2/2 prod over p | MN of (1 - p^-2)."""
+    """Closed-form cusp count J_2(MN)/2M = MN^2/2 prod over p | MN of
+    (1 - p^-2)."""
     _check_level(n, m)
-    k = n * m
-    if k < 3:
+    if n * m < 3:
         raise ValueError("the cusp formula needs MN >= 3")
-    val = Fraction(m * n * n, 2)
-    for p in prime_factors(k):
-        val *= Fraction(p * p - 1, p * p)
-    require(val.denominator == 1, "closed-form cusp count is not an integer "
-            "at level (%d, %d): %s", n, m, val)
-    return int(val)
+    return exact_quotient(jordan2(n * m), 2 * m, "closed-form cusp count is "
+                          "not an integer at level (%d, %d): %s", n, m)
 
 
 def _sign_orbits(points, cycles):
@@ -487,18 +478,15 @@ def cusp_count(n, m, bound=DEFAULT_ENUM_BOUND):
 
 
 def genus(n, m):
-    """Genus closed form 1 + MN^2(MN - 6)/24 prod (1 - p^-2), N >= 3."""
+    """Genus closed form 1 + MN^2(MN - 6)/24 prod over p | MN of (1 - p^-2),
+    N >= 3: the exact quotient (24M + J_2(MN)(MN - 6))/24M."""
     _check_level(n, m)
     if n < 3:
         raise ValueError("no genus closed form at N = 2")
     k = n * m
-    val = Fraction(m * n * n * (k - 6), 24)
-    for p in prime_factors(k):
-        val *= Fraction(p * p - 1, p * p)
-    total = 1 + val
-    require(total.denominator == 1, "closed-form genus of level (%d, %d) "
-            "is not an integer: %s", n, m, total)
-    return int(total)
+    return exact_quotient(24 * m + jordan2(k) * (k - 6), 24 * m,
+                          "closed-form genus of level (%d, %d) is not an "
+                          "integer: %s", n, m)
 
 
 def eps_fixed(m):
@@ -599,9 +587,12 @@ def level2_consistency(m, enum_bound=DEFAULT_ENUM_BOUND,
             "plain dimension %d and %d cusps give 2g = %d at level %r",
             rep_plain.dim_q, cusps, g2, level)
     g = g2 // 2
-    mu = coset_index(2, m) // 2
-    euler = 1 + Fraction(mu, 12) - Fraction(cusps, 2)
-    require(g == euler, "genus %d disagrees with the Euler count %s at "
+    # 1 + mu/12 - cusps/2, with mu = index/2 the index of the level
+    # subgroup's image in PSL_2(Z)
+    euler = exact_quotient(12 + coset_index(2, m) // 2 - 6 * cusps, 12,
+                           "Euler count at level %r is not an integer: %s",
+                           level)
+    require(g == euler, "genus %d disagrees with the Euler count %d at "
             "level %r", g, euler, level)
     require(rep_plain.torsion == (), "plain torsion %r at level %r",
             rep_plain.torsion, level)

@@ -38,9 +38,10 @@ from fractions import Fraction
 from math import prod
 
 from .abelian import code_tuples, negation_codes, parse_group, sum_codes
-from .arith import as_int, divisors, prime_factors, totient
+from .arith import (as_int, divisors, exact_quotient, jordan2, prime_factors,
+                    totient)
 from .exactla import (DEFAULT_SNF_BOUND, SparseIntMatrix, _nonzero_divisors,
-                      _smith_form, require, sparse_add)
+                      _smith_form, sparse_add)
 from .symbols import (DEFAULT_ENUM_BOUND, SymbolKey, _builder, _code_sum,
                       _generating_codes, det_class_groups, det_classes,
                       det_graded, replace_code, sign_class_groups)
@@ -552,109 +553,75 @@ def kernel_dimension(group, n, enum_bound=DEFAULT_ENUM_BOUND):
 # -- closed forms -------------------------------------------------------------
 
 
-def _psi_product(n):
-    """n * prod over p | n of (1 + 1/p), as an exact integer."""
-    num, den = n, 1
-    for p in prime_factors(n):
-        num *= p + 1
-        den *= p
-    require(num % den == 0, "psi product of %d is not an integer", n)
-    return num // den
-
-
-def _euler_index(n):
-    """n^2 * prod over p | n of (1 - 1/p^2), as an exact integer."""
-    val = Fraction(n * n)
-    for p in prime_factors(n):
-        val *= Fraction(p * p - 1, p * p)
-    require(val.denominator == 1, "Euler index of %d is not an integer: %s",
-            n, val)
-    return int(val)
-
-
-def _require_integral(group, dim):
-    require(dim.denominator == 1,
-            "closed-form minus dimension of %s is not an integer: %s",
-            group.literal(), dim)
-
-
 def formula_minus(group):
     """(dim, torsion) of the minus module at n = 2 per the closed forms.
 
     Covers cyclic groups, Z/2 x Z/2M (M >= 3), Z/N x Z/MN (N >= 3), and the
-    finite exceptional list; everything else is zero.
+    finite exceptional list; everything else is zero.  With J_2 Jordan's
+    totient (`jordan2`), the dimensions are exact quotients over Z:
+    1 - phis/2 + J_2(N)/24 on Z/N, with phis = phi(N), plus phi(N/2) for
+    even N, and torsion (Z/2)^(phis - 1) (J_2(N)/24 is phi(N) psi(N)/24);
+    1 - phi(M) - phi(2M)/2 + J_2(2M)/12 on Z/2 x Z/2M; and
+    phi(N)(12 + N J_2(MN))/24 on Z/N x Z/MN.
     """
     form = group.invariant_form()
-    if len(form) == 0:
-        return 0, ()
     if len(form) == 1:
         n = form[0]
         if n in (2, 3):
             return 0, (2,)
         if n == 4:
             return 0, (2, 2)
-        phi = totient(n)
-        # dim = 1 - (phi(N) [+ phi(N/2)])/2 + N*phi(N)/24 * prod(1 + 1/p)
-        quarter = Fraction(phi * _psi_product(n), 24)
-        if n % 2:
-            dim = Fraction(1) - Fraction(phi, 2) + quarter
-            tors = phi - 1
-        else:
-            phi_half = totient(n // 2)
-            dim = Fraction(1) - Fraction(phi + phi_half, 2) + quarter
-            tors = phi + phi_half - 1
-        _require_integral(group, dim)
-        return int(dim), (2,) * tors
-    if len(form) == 2:
+        phis = totient(n) + (totient(n // 2) if n % 2 == 0 else 0)
+        num, den = 24 - 12 * phis + jordan2(n), 24
+        tors = phis - 1
+    elif len(form) == 2 and form[0] == 2:
+        m = form[1] // 2
+        if m == 1:
+            return 0, (2, 2)
+        if m == 2:
+            return 0, ()
+        num = 12 - 12 * totient(m) - 6 * totient(2 * m) + jordan2(2 * m)
+        den, tors = 12, 2 * totient(m) + totient(2 * m) - 1
+    elif len(form) == 2:
+        # N >= 3: torsion free, phi(N)/2 isomorphic determinant classes
         n1, n2 = form
-        if n1 == 2:
-            m = n2 // 2
-            if m == 1:
-                return 0, (2, 2)
-            if m == 2:
-                return 0, ()
-            # M^2/3 * prod over p | 2M of (1 - 1/p^2) = euler_index(2M)/12
-            dim = (Fraction(1) - totient(m) - Fraction(totient(2 * m), 2)
-                   + Fraction(_euler_index(2 * m), 12))
-            _require_integral(group, dim)
-            tors = 2 * totient(m) + totient(2 * m) - 1
-            return int(dim), (2,) * tors
-        # N >= 3: torsion free, phi(N)/2 isomorphic determinant classes;
-        # M^2 N^3/12 * prod over p | MN of (1 - 1/p^2) = N*euler_index(MN)/12
-        dim = Fraction(totient(n1), 2) * (
-            1 + Fraction(n1 * _euler_index(n2), 12))
-        _require_integral(group, dim)
-        return int(dim), ()
-    return 0, ()
+        num, den = totient(n1) * (12 + n1 * jordan2(n2)), 24
+        tors = 0
+    else:
+        return 0, ()
+    return exact_quotient(num, den, "closed-form minus dimension of %s is "
+                          "not an integer: %s", group.literal()), (2,) * tors
+
+
+def _odd_prime(p):
+    return p > 2 and prime_factors(p) == [p]
 
 
 def difference_formula(group):
     """Closed form for dim(plain) - dim(minus) at n = 2.
 
-    Defined for cyclic groups of order > 5 and for Z/p x Z/p.
+    Defined for cyclic groups of order > 5 and for Z/p x Z/p, p an odd
+    prime.
     """
     form = group.invariant_form()
     if len(form) == 1 and form[0] > 5:
         n = form[0]
-        half = Fraction(totient(n), 2)
-        if n % 2 == 0:
-            half = Fraction(totient(n) + totient(n // 2), 2)
+        phis = totient(n) + (totient(n // 2) if n % 2 == 0 else 0)
         mix = sum(totient(d) * totient(n // d)
                   for d in divisors(n) if 3 <= d <= n // 3)
-        total = half + Fraction(mix, 4)
-        require(total.denominator == 1,
-                "difference formula of %s is not an integer: %s",
-                group.literal(), total)
-        return int(total)
-    if len(form) == 2 and form[0] == form[1]:
+        return exact_quotient(2 * phis + mix, 4, "difference formula of %s "
+                              "is not an integer: %s", group.literal())
+    if len(form) == 2 and form[0] == form[1] and _odd_prime(form[0]):
         p = form[0]
-        if prime_factors(p) == [p]:
-            return (p + 1) * (p - 1) ** 2 // 4
+        return (p + 1) * (p - 1) ** 2 // 4
     raise ValueError("no difference closed form for %s" % group.literal())
 
 
 def pxp_closed_forms(p):
-    """(dim plain, dim minus) for Z/p x Z/p at n = 2."""
+    """(dim plain, dim minus) for Z/p x Z/p at n = 2, p an odd prime."""
+    bad = "the Z/p x Z/p closed forms need an odd prime p, got %r"
+    if not _odd_prime(as_int(p, bad, p)):
+        raise ValueError(bad % (p,))
     return ((p - 1) * (p ** 3 + 6 * p * p - p + 6) // 24,
             (p - 1) * (p ** 3 - p + 12) // 24)
 
@@ -668,6 +635,7 @@ def formula_dimension(group, n, variant, want_torsion=False):
     """
     t0 = time.perf_counter()
     variant = Variant.parse(variant)
+    n = as_int(n, "symbol length n must be an integer, got %r", n)
     if n != 2:
         raise ValueError("closed forms are available only for n = 2")
     mdim, mtors = formula_minus(group)

@@ -281,6 +281,38 @@ def test_verify_manin_level2_error_record(capsys, monkeypatch):
         'level2-consistency,2x6,2,fail,"error","pass","x"')
 
 
+def test_verify_manin_closed_form_error_record(capsys):
+    # at (3, 5) the genus closed form is 77/5: a FAIL row, not a traceback
+    code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
+                       "3,5", "--no-cache")
+    assert code == 1
+    assert out.splitlines()[2:] == [
+        "[FAIL] manin-dimension group=3x15 n=2 lhs=49 rhs=error "
+        "counterexample=closed-form genus of level (3, 5) is not an "
+        "integer: 77/5",
+        "[PASS] manin-torsion group=3x15 n=2 lhs=[] rhs=[]",
+        "FAILED: 3/4 checks passed"]
+    code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
+                       "3,5", "--format", "json", "--no-cache")
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["ok"] is False
+    assert obj["checks"][2] == {
+        "check": "manin-dimension", "group": "3x15", "n": 2,
+        "status": "fail", "lhs": 49, "rhs": "error",
+        "counterexample": "closed-form genus of level (3, 5) is not an "
+                          "integer: 77/5"}
+
+
+def test_plain_formula_refuses_2x2(capsys):
+    # the Z/p x Z/p difference form is for odd primes; at 2x2 it floored
+    # 3/4 to 0
+    code, out, err = run(capsys, "dims", "--group", "2x2", "--variant",
+                         "plain", "--method", "formula", "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == "error: no difference closed form for 2x2\n"
+
+
 def test_verify_grading(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--check", "grading", "--group",
                        "4x8", "--cache-dir", str(tmp_path))

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from abelsym import relations
 from abelsym.abelian import code_tuples, make_group, negation_codes
-from abelsym.exactla import BoundExceeded, smith_normal_form
+from abelsym.congruence import coset_index, cusp_formula, genus
+from abelsym.exactla import (BoundExceeded, ConsistencyError,
+                             smith_normal_form)
 from abelsym.relations import (DimensionReport, Variant, build_relations,
                                difference_formula, dimension,
                                dimension_graded, formula_dimension,
@@ -113,6 +115,73 @@ def test_pxp_closed_forms():
     assert dimension(g, 2, Variant.PLAIN).dim_q == 46
     assert dimension(g, 2, Variant.MINUS).dim_q == 22
     assert difference_formula(g) == 46 - 22
+
+
+def test_pxp_forms_refuse_other_p():
+    # the forms hold for odd primes only; elsewhere they are not integers
+    # (3/2 and 3/4 at p = 2) or not the brute values ((11, 5) at p = 4,
+    # (273, 165) at p = 9), so they refuse rather than floor
+    for p in (2, 4, 9, 1, 3.0):
+        with pytest.raises(ValueError, match="need an odd prime p"):
+            pxp_closed_forms(p)
+    g = make_group((2, 2))
+    assert (dimension(g, 2, Variant.PLAIN).dim_q,
+            dimension(g, 2, Variant.MINUS).dim_q) == (0, 0)
+    with pytest.raises(ValueError, match="no difference closed form for 2x2"):
+        difference_formula(g)
+    with pytest.raises(ValueError, match="no difference closed form for 2x2"):
+        formula_dimension(g, 2, Variant.PLAIN)
+    assert pxp_closed_forms(3) == (7, 3)
+
+
+def test_formula_dimension_refuses_non_integer_n():
+    # as dimension() does: 2.0 is not a symbol length
+    g = make_group((7,))
+    for route in (dimension, formula_dimension):
+        with pytest.raises(ValueError, match="symbol length n must be an "
+                           "integer, got 2.0"):
+            route(g, 2.0, Variant.MINUS)
+    assert formula_dimension(g, 2, Variant.MINUS).to_json()["n"] == 2
+
+
+def _closed_form_cases():
+    """(function, arguments) over the closed forms' wide range: groups of
+    every shape they cover or refuse, and levels where they are and are
+    not integers."""
+    cyclic = [(n,) for n in range(1, 400)]
+    bicyclic = [(a, a * b) for a in range(2, 30) for b in range(1, 200)
+                if a * b < 200]
+    for factors in cyclic + bicyclic:
+        yield formula_minus, (make_group(factors),)
+    pxp = [(p, p) for p in (3, 5, 7, 11, 13)]
+    for factors in cyclic[:299] + pxp:
+        yield difference_formula, (make_group(factors),)
+    for form in (coset_index, cusp_formula, genus):
+        for n in range(2, 40):
+            for m in range(1, 40):
+                yield form, (n, m)
+
+
+# sha256 of (function, arguments, value or exception type and message) over
+# `_closed_form_cases`, as computed when the closed forms multiplied
+# Fractions prime by prime
+CLOSED_FORMS_SHA256 = (
+    "d25f842b65a1ac333f75c6d1f1dc4fd96a894c65a6f44b582f227628ef9363d1")
+
+
+def test_closed_forms_pinned():
+    out = []
+    for form, args in _closed_form_cases():
+        try:
+            got = repr(form(*args))
+        except (ValueError, ConsistencyError) as exc:
+            got = "%s: %s" % (type(exc).__name__, exc)
+        shown = tuple(a.literal() if hasattr(a, "literal") else a
+                      for a in args)
+        out.append((form.__name__, shown, got))
+    assert len(out) == 5725
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == CLOSED_FORMS_SHA256
 
 
 def _key_basis(g, variant):
