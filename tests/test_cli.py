@@ -248,7 +248,7 @@ def test_verify_manin_levels(capsys):
 
 
 def test_verify_manin_level2_json(capsys):
-    # the genus-euler check compares Fractions, which JSON cannot encode
+    # the genus-euler check must reach JSON as numbers, not Fraction text
     code, out, _ = run(capsys, "verify", "--check", "manin", "--level",
                        "2,4", "--format", "json", "--no-cache")
     assert code == 0
